@@ -10,7 +10,7 @@ experiment cannot silently drift when the schema evolves.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -228,22 +228,11 @@ def parse_scenario(data: dict) -> "Scenario":
 
 
 def _parse_solver(block: dict) -> SolverConfig:
-    _check_no_extras(
-        block,
-        {"max_iterations", "convergence_tol", "max_step_deviation", "min_step", "strict_paper"},
-        "solver",
-    )
+    """Every SolverConfig field is a key, coerced to the type of its default."""
     defaults = SolverConfig()
+    _check_no_extras(block, {f.name for f in fields(SolverConfig)}, "solver")
     try:
-        return SolverConfig(
-            max_iterations=int(block.get("max_iterations", defaults.max_iterations)),
-            convergence_tol=float(block.get("convergence_tol", defaults.convergence_tol)),
-            max_step_deviation=float(
-                block.get("max_step_deviation", defaults.max_step_deviation)
-            ),
-            min_step=float(block.get("min_step", defaults.min_step)),
-            strict_paper=bool(block.get("strict_paper", defaults.strict_paper)),
-        )
+        return SolverConfig(**{k: type(getattr(defaults, k))(v) for k, v in block.items()})
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -509,14 +498,7 @@ class Scenario:
             if agent.true_weights is not None:
                 block["true_weights"] = list(agent.true_weights)
             out["agents"].append(block)
-        s = c.solver
-        out["solver"] = {
-            "max_iterations": s.max_iterations,
-            "convergence_tol": s.convergence_tol,
-            "max_step_deviation": s.max_step_deviation,
-            "min_step": s.min_step,
-            "strict_paper": s.strict_paper,
-        }
+        out["solver"] = asdict(c.solver)
         le = c.learner
         out["learner"] = {
             "learning_rate": le.learning_rate,

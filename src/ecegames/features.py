@@ -12,6 +12,13 @@ synthetic goal-reaching / collision-avoidance experiments:
 
 State features carry analytic gradients and Hessians of their state part so
 the induced :class:`~ecegames.game.CostModel` quadratizes exactly.
+
+Every feature method broadcasts over a leading time axis, the contract
+:class:`~ecegames.game.CostModel` states: ``t`` is a 1-based step or an int
+array of K steps, ``s`` is (n,) or (K, n) and each agent's action is (m,) or
+(K, m).  ``value`` returns a scalar or (K,), ``state_gradient`` (n,) or
+(K, n) and ``state_hessian`` (n, n) or (K, n, n); row k of a stacked call
+equals the one-row call at (t[k], s[k]).
 """
 
 from __future__ import annotations
@@ -39,22 +46,21 @@ class ReferenceTracking:
         if self.reference.ndim != 2 or self.reference.shape[1] != self.position_index.shape[0]:
             raise ValueError("reference must be (T, d) matching the position indices")
 
-    def value(self, t: int, s: Array, actions) -> float:
-        d = s[self.position_index] - self.reference[t - 1]
-        return float(d @ d)
+    def _offset(self, t: int | Array, s: Array) -> Array:
+        return s[..., self.position_index] - self.reference[np.asarray(t) - 1]
 
-    def values(self, states: Array, actions) -> Array:
-        d = states[:, self.position_index] - self.reference
-        return np.sum(d * d, axis=1)
+    def value(self, t: int | Array, s: Array, actions) -> Array:
+        d = self._offset(t, s)
+        return np.sum(d * d, axis=-1)
 
-    def state_gradient(self, t: int, s: Array) -> Array:
-        g = np.zeros(s.shape[0])
-        g[self.position_index] = 2.0 * (s[self.position_index] - self.reference[t - 1])
+    def state_gradient(self, t: int | Array, s: Array) -> Array:
+        g = np.zeros(s.shape)
+        g[..., self.position_index] = 2.0 * self._offset(t, s)
         return g
 
-    def state_hessian(self, t: int, s: Array) -> Array:
-        H = np.zeros((s.shape[0], s.shape[0]))
-        H[self.position_index, self.position_index] = 2.0
+    def state_hessian(self, t: int | Array, s: Array) -> Array:
+        H = np.zeros(s.shape + s.shape[-1:])
+        H[..., self.position_index, self.position_index] = 2.0
         return H
 
 
@@ -66,19 +72,15 @@ class ControlEffort:
 
     name = "control"
 
-    def value(self, t: int, s: Array, actions) -> float:
+    def value(self, t: int | Array, s: Array, actions) -> Array:
         a = actions[self.agent]
-        return float(a @ a)
+        return np.sum(a * a, axis=-1)
 
-    def values(self, states: Array, actions) -> Array:
-        a = actions[self.agent]
-        return np.sum(a * a, axis=1)
+    def state_gradient(self, t: int | Array, s: Array) -> Array:
+        return np.zeros(s.shape)
 
-    def state_gradient(self, t: int, s: Array) -> Array:
-        return np.zeros(s.shape[0])
-
-    def state_hessian(self, t: int, s: Array) -> Array:
-        return np.zeros((s.shape[0], s.shape[0]))
+    def state_hessian(self, t: int | Array, s: Array) -> Array:
+        return np.zeros(s.shape + s.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -100,37 +102,38 @@ class GaussianProximity:
     def name(self) -> str:
         return f"obstacle{self.target}"
 
-    def _separation(self, s: Array) -> Array:
-        return s[self.position_index] - s[self.target_index]
+    def _separation(self, s: Array) -> tuple[Array, Array]:
+        """Separation d = p_i - p_j and phi = exp(-||d||^2 / (2 sigma^2))."""
+        d = s[..., self.position_index] - s[..., self.target_index]
+        # ||d||^2 as a stacked dot product, which rounds like the one-row d @ d:
+        # the PSD projection floors eigenvalues by sign, so ulp changes in the
+        # Hessian can change which near-zero ones it floors.
+        sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        return d, np.exp(-sq / (2.0 * self.sigma**2))
 
-    def value(self, t: int, s: Array, actions) -> float:
-        d = self._separation(s)
-        return float(np.exp(-(d @ d) / (2.0 * self.sigma**2)))
+    def value(self, t: int | Array, s: Array, actions) -> Array:
+        return self._separation(s)[1]
 
-    def values(self, states: Array, actions) -> Array:
-        d = states[:, self.position_index] - states[:, self.target_index]
-        return np.exp(-np.sum(d * d, axis=1) / (2.0 * self.sigma**2))
-
-    def state_gradient(self, t: int, s: Array) -> Array:
-        d = self._separation(s)
-        phi = np.exp(-(d @ d) / (2.0 * self.sigma**2))
-        gd = -(phi / self.sigma**2) * d
-        g = np.zeros(s.shape[0])
-        g[self.position_index] += gd
-        g[self.target_index] -= gd
+    def state_gradient(self, t: int | Array, s: Array) -> Array:
+        d, phi = self._separation(s)
+        gd = -(phi / self.sigma**2)[..., None] * d
+        g = np.zeros(s.shape)
+        g[..., self.position_index] += gd
+        g[..., self.target_index] -= gd
         return g
 
-    def state_hessian(self, t: int, s: Array) -> Array:
-        d = self._separation(s)
+    def state_hessian(self, t: int | Array, s: Array) -> Array:
+        d, phi = self._separation(s)
         sig2 = self.sigma**2
-        phi = np.exp(-(d @ d) / (2.0 * sig2))
         # Hessian of phi wrt the separation vector d.
-        Hd = (phi / sig2) * (np.outer(d, d) / sig2 - np.eye(d.shape[0]))
-        H = np.zeros((s.shape[0], s.shape[0]))
-        H[np.ix_(self.position_index, self.position_index)] += Hd
-        H[np.ix_(self.target_index, self.target_index)] += Hd
-        H[np.ix_(self.position_index, self.target_index)] -= Hd
-        H[np.ix_(self.target_index, self.position_index)] -= Hd
+        dd = d[..., :, None] * d[..., None, :]
+        Hd = (phi / sig2)[..., None, None] * (dd / sig2 - np.eye(d.shape[-1]))
+        p, q = self.position_index, self.target_index
+        H = np.zeros(s.shape + s.shape[-1:])
+        H[..., p[:, None], p] += Hd
+        H[..., q[:, None], q] += Hd
+        H[..., p[:, None], q] -= Hd
+        H[..., q[:, None], p] -= Hd
         return H
 
 
@@ -172,13 +175,11 @@ def straight_line_reference(start: Array, goal: Array, horizon: int) -> Array:
 
 def eval_features(basis: FeatureBasis, trajectory) -> list[Array]:
     """Per-agent vectors of feature sums over the trajectory, sum_t phi^i."""
-    out = []
-    for feats in basis.agents:
-        vals = np.array(
-            [np.sum(f.values(trajectory.states, trajectory.actions)) for f in feats]
-        )
-        out.append(vals)
-    return out
+    steps = np.arange(1, trajectory.horizon + 1)
+    return [
+        np.array([np.sum(f.value(steps, trajectory.states, trajectory.actions)) for f in feats])
+        for feats in basis.agents
+    ]
 
 
 def validate_weights(basis: FeatureBasis, weights) -> list[Array]:
@@ -218,20 +219,14 @@ def make_cost_model(
             )
         pairs = tuple(zip(w, feats))
 
-        def stage_cost(t: int, s: Array, actions, pairs=pairs) -> float:
-            return float(sum(wk * f.value(t, s, actions) for wk, f in pairs))
+        def stage_cost(t: int | Array, s: Array, actions, pairs=pairs) -> Array:
+            return sum(wk * f.value(t, s, actions) for wk, f in pairs)
 
-        def state_gradient(t: int, s: Array, pairs=pairs) -> Array:
-            g = np.zeros(s.shape[0])
-            for wk, f in pairs:
-                g += wk * f.state_gradient(t, s)
-            return g
+        def state_gradient(t: int | Array, s: Array, pairs=pairs) -> Array:
+            return sum(wk * f.state_gradient(t, s) for wk, f in pairs)
 
-        def state_hessian(t: int, s: Array, pairs=pairs) -> Array:
-            H = np.zeros((s.shape[0], s.shape[0]))
-            for wk, f in pairs:
-                H += wk * f.state_hessian(t, s)
-            return H
+        def state_hessian(t: int | Array, s: Array, pairs=pairs) -> Array:
+            return sum(wk * f.state_hessian(t, s) for wk, f in pairs)
 
         action_cost = tuple(
             effort_weight * np.eye(m) if j == i else np.zeros((m, m))

@@ -31,8 +31,8 @@ from .errors import CovarianceError
 
 Array = npt.NDArray[np.float64]
 
-StageCostFn = Callable[[int, Array, Sequence[Array]], float]
-StateDerivFn = Callable[[int, Array], Array]
+StageCostFn = Callable[[int | Array, Array, Sequence[Array]], float | Array]
+StateDerivFn = Callable[[int | Array, Array], Array]
 
 _SYM_TOL = 1e-9
 
@@ -42,6 +42,29 @@ def _check_symmetric(M: Array, name: str, tol: float = _SYM_TOL) -> None:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if not np.allclose(M, M.T, atol=tol, rtol=0.0):
         raise ValueError(f"{name} is not symmetric")
+
+
+def cholesky_checked(S: Array, agent: int) -> tuple[Array, Array]:
+    """Symmetrise a (T, m, m) covariance stack and Cholesky-factorise it.
+
+    Returns the symmetrised stack and its lower factors.  Raises
+    :class:`CovarianceError` naming ``agent`` and the first 1-based time step
+    whose matrix is not positive definite.
+    """
+    sym = (S + np.swapaxes(S, -1, -2)) / 2.0
+    try:
+        return sym, np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        for k in range(sym.shape[0]):
+            try:
+                np.linalg.cholesky(sym[k])
+            except np.linalg.LinAlgError as exc:
+                raise CovarianceError(
+                    f"policy covariance not positive definite for agent {agent} at t={k + 1}",
+                    agent=agent,
+                    time_step=k + 1,
+                ) from exc
+        raise
 
 
 def psd_factor(M: Array) -> Array:
@@ -140,6 +163,13 @@ class CostModel:
     sum_j a_j' R_j a_j.  ``state_gradient`` / ``state_hessian`` evaluate
     D_s v and D_ss v; ``action_cost`` holds the R_j matrices (own block
     positive definite, cross blocks PSD, enforced at game construction).
+
+    All three callables broadcast over a leading time axis, and custom cost
+    models must too: ``t`` is a 1-based step or an int array of K steps,
+    ``s`` is (n,) or (K, n) and each ``actions[j]`` is (m_j,) or (K, m_j).
+    A stacked call returns stage costs (K,), gradients (K, n) and Hessians
+    (K, n, n) whose row k equals the one-row call at (t[k], s[k]); the solver
+    evaluates each agent's cost once per trajectory this way.
     """
 
     stage_cost: StageCostFn
@@ -168,17 +198,17 @@ def quadratic_cost(Q: Array, l: Array, Rs: Sequence[Array]) -> CostModel:
     Rs = [np.asarray(R, dtype=float) for R in Rs]
     _check_symmetric(Q, "Q")
 
-    def stage_cost(t: int, s: Array, actions: Sequence[Array]) -> float:
-        c = 0.5 * s @ Q @ s + l @ s
+    def stage_cost(t: int | Array, s: Array, actions: Sequence[Array]) -> float | Array:
+        c = 0.5 * np.sum((s @ Q) * s, axis=-1) + s @ l
         for R, a in zip(Rs, actions):
-            c += 0.5 * a @ R @ a
-        return float(c)
+            c = c + 0.5 * np.sum((a @ R) * a, axis=-1)
+        return c
 
-    def state_gradient(t: int, s: Array) -> Array:
-        return Q @ s + l
+    def state_gradient(t: int | Array, s: Array) -> Array:
+        return s @ Q.T + l
 
-    def state_hessian(t: int, s: Array) -> Array:
-        return Q.copy()
+    def state_hessian(t: int | Array, s: Array) -> Array:
+        return np.broadcast_to(Q, s.shape + s.shape[-1:]).copy()
 
     return CostModel(stage_cost, state_gradient, state_hessian, tuple(0.5 * R for R in Rs))
 
@@ -409,21 +439,7 @@ class AffineGaussianPolicySet:
     @cached_property
     def covariance_factors(self) -> tuple[Array, ...]:
         """Cholesky factors of every Sigma_t^i, computed once per policy set."""
-        out = []
-        for i, S in enumerate(self.covariances):
-            L = np.empty_like(S)
-            for k in range(S.shape[0]):
-                sym = (S[k] + S[k].T) / 2.0
-                try:
-                    L[k] = np.linalg.cholesky(sym)
-                except np.linalg.LinAlgError as exc:
-                    raise CovarianceError(
-                        f"policy covariance not positive definite for agent {i} at t={k + 1}",
-                        agent=i,
-                        time_step=k + 1,
-                    ) from exc
-            out.append(L)
-        return tuple(out)
+        return tuple(cholesky_checked(S, i)[1] for i, S in enumerate(self.covariances))
 
     def as_absolute(self) -> tuple[list[Array], list[Array]]:
         """Re-express the policy means as a = -P s - alpha_abs (no nominal).
@@ -469,7 +485,7 @@ def pin_other_agents(
 
     dyn = game.dynamics
 
-    def expand(t: int, a: Array) -> list[Array]:
+    def expand(t: int | Array, a: Array) -> list[Array]:
         acts = [replay[j][t - 1] for j in range(N)]
         acts[agent] = a
         return acts
@@ -483,7 +499,7 @@ def pin_other_agents(
 
     cost = game.costs[agent]
 
-    def stage_cost(t: int, s: Array, actions: Sequence[Array]) -> float:
+    def stage_cost(t: int | Array, s: Array, actions: Sequence[Array]) -> float | Array:
         return cost.stage_cost(t, s, expand(t, actions[0]))
 
     reduced_cost = CostModel(

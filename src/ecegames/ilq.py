@@ -33,6 +33,9 @@ from .game import AffineGaussianPolicySet, Array, GameSpec, Trajectory, policy_w
 from .lq import LqStageGame, solve_lq_ece
 from .simulate import evaluate_cost, simulate_mean
 
+# Replaces the negative eigenvalues of each quadratized state-cost Hessian.
+HESSIAN_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -50,7 +53,6 @@ class SolverConfig:
     max_step_deviation: float = 10.0
     min_step: float = 1.0 / 64.0
     strict_paper: bool = False
-    hessian_floor: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -98,13 +100,17 @@ def linearize(game: GameSpec, nominal: Trajectory) -> tuple[Array, list[Array]]:
     return A, B
 
 
-def _project_psd(H: Array, floor: float) -> Array:
-    """Clamp negative eigenvalues to ``floor`` so the quadratized state cost is PSD."""
-    w, V = np.linalg.eigh((H + H.T) / 2.0)
-    if w[0] >= 0.0:
-        return (H + H.T) / 2.0
-    w = np.where(w < 0.0, floor, w)
-    return (V * w) @ V.T
+def _project_psd(H: Array) -> Array:
+    """Clamp negative eigenvalues of a (T, n, n) stack to ``HESSIAN_FLOOR`` so
+    every quadratized state cost is PSD; stages without one keep the
+    symmetrised H."""
+    Q = (H + np.swapaxes(H, 1, 2)) / 2.0
+    w, V = np.linalg.eigh(Q)
+    neg = w[:, 0] < 0.0
+    if np.any(neg):
+        w, V = np.where(w[neg] < 0.0, HESSIAN_FLOOR, w[neg]), V[neg]
+        Q[neg] = (V * w[:, None, :]) @ np.swapaxes(V, 1, 2)
+    return Q
 
 
 def quadratize(
@@ -112,32 +118,26 @@ def quadratize(
     nominal: Trajectory,
     *,
     strict_paper: bool = False,
-    hessian_floor: float = 1e-6,
 ) -> tuple[list[Array], list[Array], list[Array]]:
     """Second-order cost data (Q_t^i, l_t^i, r_t^i) along the nominal.
 
     Q is the state-cost Hessian (PSD-projected), l the state-cost gradient,
     and r the linear own-action term 2 R^{ii} abar from recentering the
-    action quadratic on the nominal actions (dropped in strict mode).
+    action quadratic on the nominal actions (dropped in strict mode).  Each
+    agent's cost is expanded at all T nominal states in one stacked call.
     """
-    T, n, N = game.horizon, game.state_dim, game.num_agents
-    Q = [np.empty((T, n, n)) for _ in range(N)]
-    l = [np.empty((T, n)) for _ in range(N)]
-    r = [np.empty((T, m)) for m in game.action_dims]
+    steps = np.arange(1, game.horizon + 1)
+    Q, l, r = [], [], []
     for i, cost in enumerate(game.costs):
-        Rii = cost.action_cost[i]
-        for k in range(T):
-            s = nominal.states[k]
-            H = cost.state_hessian(k + 1, s)
-            g = cost.state_gradient(k + 1, s)
-            if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
-                raise QuadratizationError(time_step=k + 1, agent=i)
-            Q[i][k] = _project_psd(H, hessian_floor)
-            l[i][k] = g
-            if strict_paper:
-                r[i][k] = 0.0
-            else:
-                r[i][k] = 2.0 * Rii @ nominal.actions[i][k]
+        H = cost.state_hessian(steps, nominal.states)
+        g = cost.state_gradient(steps, nominal.states)
+        bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
+        if bad.any():
+            raise QuadratizationError(time_step=int(np.argmax(bad)) + 1, agent=i)
+        Q.append(_project_psd(H))
+        l.append(g)
+        a = nominal.actions[i]
+        r.append(np.zeros_like(a) if strict_paper else 2.0 * a @ cost.action_cost[i].T)
     return Q, l, r
 
 
@@ -146,7 +146,6 @@ def stage_game_around(
     nominal: Trajectory,
     *,
     strict_paper: bool = False,
-    hessian_floor: float = 1e-6,
 ) -> LqStageGame:
     """The delta-variable LQ-Gaussian game obtained by expanding at the nominal.
 
@@ -156,7 +155,7 @@ def stage_game_around(
     linear terms from :func:`quadratize`.
     """
     A, B = linearize(game, nominal)
-    Q, l, r = quadratize(game, nominal, strict_paper=strict_paper, hessian_floor=hessian_floor)
+    Q, l, r = quadratize(game, nominal, strict_paper=strict_paper)
     R = tuple(
         tuple(2.0 * Rij for Rij in cost.action_cost) for cost in game.costs
     )
@@ -188,9 +187,7 @@ def solve_ece(
     trace = IterationTrace()
     policies = init
     for it in range(1, cfg.max_iterations + 1):
-        stage = stage_game_around(
-            game, nominal, strict_paper=cfg.strict_paper, hessian_floor=cfg.hessian_floor
-        )
+        stage = stage_game_around(game, nominal, strict_paper=cfg.strict_paper)
         lq = solve_lq_ece(stage, game.temperatures, strict_paper=cfg.strict_paper)
 
         eps = 1.0

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CovarianceError, StageSingularError
-from .game import AffineGaussianPolicySet, Array, _check_symmetric
+from .errors import StageSingularError
+from .game import AffineGaussianPolicySet, Array, _check_symmetric, cholesky_checked
 
 COND_LIMIT = 1e12
 REG_INIT = 1e-8
@@ -268,8 +268,10 @@ def solve_lq_ece(
     (R^{ii})^{-1} r^i_T and covariance gamma^i (R^{ii})^{-1}; interior stages
     come from :func:`solve_stage_coupled` followed by
     :func:`backward_value_update`, with Sigma^i_t = gamma^i (R^{ii} +
-    B^i'Z^i_{t+1}B^i)^{-1}.  Every returned covariance is checked symmetric
-    positive definite.
+    B^i'Z^i_{t+1}B^i)^{-1}.  The covariances are formed for all stages in one
+    stacked pass after the backward loop, and each is checked symmetric
+    positive definite (:class:`CovarianceError` names the agent and the first
+    failing step).
     """
     N = game.num_agents
     T = game.horizon
@@ -282,33 +284,17 @@ def solve_lq_ece(
 
     gains = [np.zeros((T, m, n)) for m in m_dims]
     offsets = [np.zeros((T, m)) for m in m_dims]
-    covs = [np.zeros((T, m, m)) for m in m_dims]
     Z_hist = [np.zeros((T, n, n)) for _ in range(N)]
     xi_hist = [np.zeros((T, n)) for _ in range(N)]
     condition = np.zeros(max(T - 1, 0))
     regularization = np.zeros(max(T - 1, 0))
-
-    def checked_cov(M_sym: Array, gamma: float, agent: int, t: int) -> Array:
-        S = gamma * np.linalg.inv(M_sym)
-        S = (S + S.T) / 2.0
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceError(
-                f"policy covariance not positive definite for agent {agent} at t={t}",
-                agent=agent,
-                time_step=t,
-            ) from exc
-        return S
 
     Z = [game.Q[i][T - 1].copy() for i in range(N)]
     xi = [game.l[i][T - 1].copy() for i in range(N)]
     for i in range(N):
         Z_hist[i][T - 1] = Z[i]
         xi_hist[i][T - 1] = xi[i]
-        Rii = game.R[i][i]
-        offsets[i][T - 1] = np.linalg.solve(Rii, game.r[i][T - 1])
-        covs[i][T - 1] = checked_cov((Rii + Rii.T) / 2.0, temperatures[i], i, T)
+        offsets[i][T - 1] = np.linalg.solve(game.R[i][i], game.r[i][T - 1])
 
     for k in range(T - 2, -1, -1):
         A = game.A[k]
@@ -321,8 +307,6 @@ def solve_lq_ece(
         for i in range(N):
             gains[i][k] = P[i]
             offsets[i][k] = alpha[i]
-            Mii = game.R[i][i] + B[i].T @ Z[i] @ B[i]
-            covs[i][k] = checked_cov((Mii + Mii.T) / 2.0, temperatures[i], i, k + 1)
         Z, xi = backward_value_update(
             P,
             alpha,
@@ -339,6 +323,15 @@ def solve_lq_ece(
         for i in range(N):
             Z_hist[i][k] = Z[i]
             xi_hist[i][k] = xi[i]
+
+    # Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}, all stages at once.
+    covs = []
+    for i in range(N):
+        M = np.broadcast_to(game.R[i][i], (T, m_dims[i], m_dims[i])).copy()
+        Bi = game.B[i]
+        M[:-1] += np.swapaxes(Bi, 1, 2) @ Z_hist[i][1:] @ Bi
+        M = (M + np.swapaxes(M, 1, 2)) / 2.0
+        covs.append(cholesky_checked(temperatures[i] * np.linalg.inv(M), i)[0])
 
     policies = AffineGaussianPolicySet.identity_nominal(gains, offsets, covs)
     values = ValueRecursion(Z=tuple(Z_hist), xi=tuple(xi_hist))

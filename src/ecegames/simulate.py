@@ -112,10 +112,6 @@ def evaluate_cost(game: GameSpec, trajectory: Trajectory) -> Array:
         raise ValueError("trajectory dimensions do not match the game")
     if trajectory.horizon != game.horizon:
         raise ValueError("trajectory horizon does not match the game")
-    totals = np.zeros(game.num_agents)
-    for k in range(trajectory.horizon):
-        s = trajectory.states[k]
-        acts = [a[k] for a in trajectory.actions]
-        for i, cost in enumerate(game.costs):
-            totals[i] += cost.stage_cost(k + 1, s, acts)
-    return totals
+    steps = np.arange(1, trajectory.horizon + 1)
+    states, actions = trajectory.states, trajectory.actions
+    return np.array([np.sum(cost.stage_cost(steps, states, actions)) for cost in game.costs])

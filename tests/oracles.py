@@ -145,3 +145,37 @@ def relative_error(approx, exact, floor=1e-8):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return float(np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), floor))
+
+
+def project_psd_single(H, floor):
+    """One matrix: clamp negative eigenvalues to ``floor``; a PSD H is only symmetrised."""
+    w, V = np.linalg.eigh((H + H.T) / 2.0)
+    if w[0] >= 0.0:
+        return (H + H.T) / 2.0
+    w = np.where(w < 0.0, floor, w)
+    return (V * w) @ V.T
+
+
+def quadratize_per_step(game, nominal, *, floor, strict_paper=False):
+    """Per-time-step cost expansion (Q, l, r) from one-row cost-model calls.
+
+    Returns the lists of per-agent stacks plus, per agent, a boolean (T,) mask
+    of the stages whose Hessian had a negative eigenvalue (and was projected).
+    """
+    T, n = game.horizon, game.state_dim
+    Q, l, r, projected = [], [], [], []
+    for i, cost in enumerate(game.costs):
+        Rii = cost.action_cost[i]
+        Q_i, l_i, r_i = np.empty((T, n, n)), np.empty((T, n)), np.empty((T, Rii.shape[0]))
+        neg = np.zeros(T, dtype=bool)
+        for k in range(T):
+            H = cost.state_hessian(k + 1, nominal.states[k])
+            Q_i[k] = project_psd_single(H, floor)
+            neg[k] = np.linalg.eigvalsh((H + H.T) / 2.0)[0] < 0.0
+            l_i[k] = cost.state_gradient(k + 1, nominal.states[k])
+            r_i[k] = 0.0 if strict_paper else 2.0 * Rii @ nominal.actions[i][k]
+        Q.append(Q_i)
+        l.append(l_i)
+        r.append(r_i)
+        projected.append(neg)
+    return Q, l, r, projected
