@@ -1,8 +1,18 @@
 """Command-line interface: generate demos, solve, learn, evaluate, validate.
 
 Every command is deterministic given its inputs and ``--seed``; re-running
-produces byte-identical outputs.  Exit codes: 0 success, 1 runtime failure
-(solver or ingest), 2 usage or configuration errors.
+produces byte-identical outputs.  Exit codes (:func:`main` maps every package
+error to one of them and prints a one-line ``error:`` message to stderr):
+
+  0  success.
+  1  runtime failure: the equilibrium solve did not converge ("equilibrium
+     solve did not converge: ...") or failed; ``learn`` ran out of sweeps
+     before its residuals met the tolerance (weights and trace are still
+     written); or a ``--demos``, ``--trajectories`` or ``--weights`` file is
+     missing, unreadable or malformed.
+  2  usage or configuration error: bad command-line arguments, a missing,
+     unreadable or invalid config file, missing ``true_weights`` where the
+     command needs them, or a learner override out of range (``--lr`` < 0).
 """
 
 from __future__ import annotations
@@ -24,20 +34,11 @@ from .metrics import (
     kl_divergence_per_feature,
     trajectory_rmse,
 )
-from .simulate import rollout_batch, simulate_mean
+from .simulate import rollout_batch
 from . import trajio
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
-
-
-def _fail(message: str, code: int = RUNTIME_ERROR) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _load(config_path: str) -> Scenario:
-    return load_scenario(config_path)
 
 
 def _require_true_weights(scenario: Scenario):
@@ -47,39 +48,29 @@ def _require_true_weights(scenario: Scenario):
     return weights
 
 
+def _read_demos(path: str, scenario: Scenario):
+    return trajio.read_trajectories(path, scenario.state_dim, scenario.action_dims)
+
+
 def cmd_gen_demos(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.config)
-        weights = _require_true_weights(scenario)
-        game = scenario.make_game(weights)
-        solution = solve_ece(game, config=scenario.solver_config)
-        batch = rollout_batch(game, solution.policies, args.trials, args.seed)
-        trajio.write_trajectories(args.out, batch)
-    except ConfigError as exc:
-        return _fail(str(exc), USAGE_ERROR)
-    except NonConvergenceError as exc:
-        return _fail(f"equilibrium solve did not converge: {exc}")
-    except EcegamesError as exc:
-        return _fail(str(exc))
+    scenario = load_scenario(args.config)
+    game = scenario.make_game(_require_true_weights(scenario))
+    solution = solve_ece(game, config=scenario.solver_config)
+    batch = rollout_batch(game, solution.policies, args.trials, args.seed)
+    trajio.write_trajectories(args.out, batch)
     print(f"wrote {args.trials} trajectories to {args.out}")
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.config)
-        weights = _require_true_weights(scenario)
-        game = scenario.make_game(weights)
-    except ConfigError as exc:
-        return _fail(str(exc), USAGE_ERROR)
+    scenario = load_scenario(args.config)
+    game = scenario.make_game(_require_true_weights(scenario))
     try:
         solution = solve_ece(game, config=scenario.solver_config)
     except NonConvergenceError as exc:
         if args.trace and exc.trace is not None:
             trajio.write_iteration_trace(args.trace, exc.trace, scenario.num_agents)
-        return _fail(f"equilibrium solve did not converge: {exc}")
-    except EcegamesError as exc:
-        return _fail(str(exc))
+        raise
     trajio.write_policy(args.out_policy, solution.policies)
     if args.trace:
         trajio.write_iteration_trace(args.trace, solution.trace, scenario.num_agents)
@@ -90,43 +81,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.config)
-        demos = trajio.read_trajectories(
-            args.demos, scenario.state_dim, scenario.action_dims
+    scenario = load_scenario(args.config)
+    demos = _read_demos(args.demos, scenario)
+    if demos.horizon != scenario.horizon or demos.num_agents != scenario.num_agents:
+        raise IngestError(
+            f"{args.demos}: demo dimensions do not match the scenario "
+            f"(horizon {demos.horizon} vs {scenario.horizon})"
         )
-        if demos.horizon != scenario.horizon or demos.num_agents != scenario.num_agents:
-            raise IngestError(
-                f"{args.demos}: demo dimensions do not match the scenario "
-                f"(horizon {demos.horizon} vs {scenario.horizon})"
-            )
-    except ConfigError as exc:
-        return _fail(str(exc), USAGE_ERROR)
-    except IngestError as exc:
-        return _fail(str(exc))
 
-    cfg = scenario.learn_config
-    overrides = {"base_seed": args.seed}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    if args.samples is not None:
-        overrides["samples_per_expectation"] = args.samples
-    cfg = replace(cfg, **overrides)
+    given = {"mode": args.mode, "learning_rate": args.lr, "samples_per_expectation": args.samples}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    try:
+        cfg = replace(scenario.learn_config, base_seed=args.seed, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"learner: {exc}") from exc
 
     init = [np.ones(len(feats)) for feats in scenario.basis.agents]
-    try:
-        weights, trace = run_mairl(
-            scenario.make_game,
-            scenario.basis,
-            demos,
-            init,
-            cfg,
-            solver_config=scenario.solver_config,
-        )
-    except EcegamesError as exc:
-        return _fail(str(exc))
+    weights, trace = run_mairl(
+        scenario.make_game,
+        scenario.basis,
+        demos,
+        init,
+        cfg,
+        solver_config=scenario.solver_config,
+    )
     names = [scenario.basis.feature_names(i) for i in range(scenario.num_agents)]
     trajio.write_weights(args.out_weights, weights, names)
     if args.trace:
@@ -139,26 +117,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.config)
-        demos = trajio.read_trajectories(
-            args.demos, scenario.state_dim, scenario.action_dims
-        )
-        if args.weights is not None:
-            weights = trajio.read_weights(args.weights)
-        else:
-            weights = _require_true_weights(scenario)
-        game = scenario.make_game(weights)
-    except ConfigError as exc:
-        return _fail(str(exc), USAGE_ERROR)
-    except (IngestError, EcegamesError) as exc:
-        return _fail(str(exc))
-
-    try:
-        solution = solve_ece(game, config=scenario.solver_config)
-        model = rollout_batch(game, solution.policies, args.trials, args.seed)
-    except EcegamesError as exc:
-        return _fail(str(exc))
+    scenario = load_scenario(args.config)
+    demos = _read_demos(args.demos, scenario)
+    if args.weights is not None:
+        weights = trajio.read_weights(args.weights)
+    else:
+        weights = _require_true_weights(scenario)
+    game = scenario.make_game(weights)
+    solution = solve_ece(game, config=scenario.solver_config)
+    model = rollout_batch(game, solution.policies, args.trials, args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,20 +145,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.config)
-        batch = trajio.read_trajectories(
-            args.trajectories, scenario.state_dim, scenario.action_dims
+    scenario = load_scenario(args.config)
+    batch = _read_demos(args.trajectories, scenario)
+    if batch.horizon != scenario.horizon:
+        raise IngestError(
+            f"{args.trajectories}: horizon {batch.horizon} != scenario horizon "
+            f"{scenario.horizon}"
         )
-        if batch.horizon != scenario.horizon:
-            raise IngestError(
-                f"{args.trajectories}: horizon {batch.horizon} != scenario horizon "
-                f"{scenario.horizon}"
-            )
-    except ConfigError as exc:
-        return _fail(str(exc), USAGE_ERROR)
-    except IngestError as exc:
-        return _fail(str(exc))
     print(f"{args.trajectories}: OK ({len(batch)} trajectories, horizon {batch.horizon})")
     return 0
 
@@ -252,9 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; a package error becomes its exit code and one stderr line."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        code, message = USAGE_ERROR, str(exc)
+    except NonConvergenceError as exc:
+        code, message = RUNTIME_ERROR, f"equilibrium solve did not converge: {exc}"
+    except EcegamesError as exc:
+        code, message = RUNTIME_ERROR, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ experiment cannot silently drift when the schema evolves.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
@@ -29,24 +30,86 @@ from .features import (
 from .game import Array, GameSpec, InitialState, NoiseModel
 from .ilq import SolverConfig
 from .irl import LearnConfig
-from .metrics import TaskStatsSpec
 
 SCHEMA_VERSION = 1
 
-_DYNAMICS_KINDS = ("double_integrator", "unicycle", "linear")
-_FEATURE_KINDS = ("reference_tracking", "control_effort", "gaussian_proximity")
+# Every kind of each kind-tagged block, with the keys it takes besides "kind".
+# Parsing reads the keys in this order, so to_dict writes them in it too.
+_BLOCK_KINDS = {
+    "dynamics": {
+        "double_integrator": (),
+        "unicycle": (),
+        "linear": ("A", "B", "position_indices"),
+    },
+    "noise": {"none": (), "scaled_identity": ("scale",), "matrix": ("gain", "covariance")},
+    "initial_state": {"fixed": ("value",), "gaussian": ("mean", "covariance")},
+}
+
+
+@contextmanager
+def _values_of(path: str):
+    """Report a TypeError or ValueError raised in the block as a ConfigError on ``path``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _object(d: Any, path: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    return d
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a JSON list")
+    return value
 
 
 def _require(d: dict, key: str, path: str) -> Any:
-    if key not in d:
+    if key not in _object(d, path):
         raise ConfigError(f"missing key {key!r} in {path}")
     return d[key]
 
 
 def _check_no_extras(d: dict, allowed: set[str], path: str) -> None:
-    extras = set(d) - allowed
+    extras = set(_object(d, path)) - allowed
     if extras:
         raise ConfigError(f"unknown key {sorted(extras)[0]!r} in {path}")
+
+
+def _coerce(value: Any, type_: type, path: str) -> Any:
+    """``value`` as ``type_``; a bool only from a JSON boolean."""
+    if type_ is bool and not isinstance(value, bool):
+        raise ConfigError(f"{path} must be a JSON boolean (true or false), got {value!r}")
+    with _values_of(path):
+        return type_(value)
+
+
+def _settable(cls) -> list:
+    """Fields of a settings dataclass that a scenario file may set."""
+    return [f for f in fields(cls) if f.metadata.get("config", True)]
+
+
+def _parse_fields(cls, block: Any, path: str):
+    """``cls`` from a block whose keys are its settable fields, each coerced to
+    the type of the field's default."""
+    types = {f.name: type(f.default) for f in _settable(cls)}
+    _check_no_extras(block, set(types), path)
+    values = {k: _coerce(v, types[k], f"{path}.{k}") for k, v in block.items()}
+    with _values_of(path):
+        return cls(**values)
+
+
+def _parse_kind(block: Any, name: str) -> tuple[str, dict]:
+    """(kind, params) of a kind-tagged block, its keys taken from _BLOCK_KINDS."""
+    kind = _require(block, "kind", name)
+    if not isinstance(kind, str) or kind not in _BLOCK_KINDS[name]:
+        raise ConfigError(f"unknown {name} kind {kind!r}")
+    keys = _BLOCK_KINDS[name][kind]
+    _check_no_extras(block, {"kind", *keys}, name)
+    return kind, {key: _require(block, key, name) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -86,68 +149,28 @@ class ScenarioConfig:
 
 def parse_scenario(data: dict) -> "Scenario":
     """Build a :class:`Scenario` from a config dict, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    _check_no_extras(
-        data,
-        {
-            "schema_version",
-            "name",
-            "num_agents",
-            "horizon",
-            "dt",
-            "dynamics",
-            "noise",
-            "initial_state",
-            "agents",
-            "solver",
-            "learner",
-        },
-        "scenario",
-    )
+    top_level = {"schema_version", "name", "num_agents", "horizon", "dt", "dynamics", "noise",
+                 "initial_state", "agents", "solver", "learner"}
+    _check_no_extras(data, top_level, "scenario")
     version = _require(data, "schema_version", "scenario")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    num_agents = int(_require(data, "num_agents", "scenario"))
-    horizon = int(_require(data, "horizon", "scenario"))
-    dt = float(_require(data, "dt", "scenario"))
-    if num_agents < 1 or horizon < 1 or dt <= 0.0:
-        raise ConfigError("num_agents, horizon and dt must be positive")
+    num_agents = _coerce(_require(data, "num_agents", "scenario"), int, "num_agents")
+    horizon = _coerce(_require(data, "horizon", "scenario"), int, "horizon")
+    dt = _coerce(_require(data, "dt", "scenario"), float, "dt")
+    if num_agents < 1 or horizon < 1 or not 0.0 < dt < np.inf:
+        raise ConfigError("num_agents, horizon and dt must be positive (dt finite)")
 
-    dyn_block = _require(data, "dynamics", "scenario")
-    kind = _require(dyn_block, "kind", "dynamics")
-    if kind not in _DYNAMICS_KINDS:
-        raise ConfigError(f"unknown dynamics kind {kind!r}")
-    if kind == "linear":
-        _check_no_extras(dyn_block, {"kind", "A", "B", "position_indices"}, "dynamics")
-        params = {
-            "A": _require(dyn_block, "A", "dynamics"),
-            "B": _require(dyn_block, "B", "dynamics"),
-            "position_indices": _require(dyn_block, "position_indices", "dynamics"),
-        }
+    kind, params = _parse_kind(_require(data, "dynamics", "scenario"), "dynamics")
+    noise_kind, noise_params = _parse_kind(data.get("noise", {"kind": "none"}), "noise")
+    initial_block = data.get("initial_state")
+    if initial_block is None:
+        initial_kind, initial_params = "default", {}
     else:
-        _check_no_extras(dyn_block, {"kind"}, "dynamics")
-        params = {}
-
-    noise_block = data.get("noise", {"kind": "none"})
-    noise_kind = _require(noise_block, "kind", "noise")
-    if noise_kind == "scaled_identity":
-        _check_no_extras(noise_block, {"kind", "scale"}, "noise")
-        noise_params = {"scale": float(_require(noise_block, "scale", "noise"))}
-    elif noise_kind == "matrix":
-        _check_no_extras(noise_block, {"kind", "gain", "covariance"}, "noise")
-        noise_params = {
-            "gain": _require(noise_block, "gain", "noise"),
-            "covariance": _require(noise_block, "covariance", "noise"),
-        }
-    elif noise_kind == "none":
-        _check_no_extras(noise_block, {"kind"}, "noise")
-        noise_params = {}
-    else:
-        raise ConfigError(f"unknown noise kind {noise_kind!r}")
+        initial_kind, initial_params = _parse_kind(initial_block, "initial_state")
 
     agents = []
-    agent_blocks = _require(data, "agents", "scenario")
+    agent_blocks = _list(_require(data, "agents", "scenario"), "agents")
     if len(agent_blocks) != num_agents:
         raise ConfigError(f"expected {num_agents} agent blocks, got {len(agent_blocks)}")
     for i, block in enumerate(agent_blocks):
@@ -156,13 +179,13 @@ def parse_scenario(data: dict) -> "Scenario":
             block, {"start", "goal", "features", "true_weights", "temperature"}, path
         )
         feats = []
-        for k, fblock in enumerate(_require(block, "features", path)):
+        for k, fblock in enumerate(_list(_require(block, "features", path), f"{path}.features")):
             fpath = f"{path}.features[{k}]"
             fkind = _require(fblock, "kind", fpath)
             if fkind == "gaussian_proximity":
                 _check_no_extras(fblock, {"kind", "target", "sigma"}, fpath)
-                target = int(_require(fblock, "target", fpath))
-                sigma = float(_require(fblock, "sigma", fpath))
+                target = _coerce(_require(fblock, "target", fpath), int, f"{fpath}.target")
+                sigma = _coerce(_require(fblock, "sigma", fpath), float, f"{fpath}.sigma")
                 if not 0 <= target < num_agents or target == i:
                     raise ConfigError(f"{fpath}: invalid proximity target {target}")
                 feats.append(FeatureSpec(kind=fkind, target=target, sigma=sigma))
@@ -173,41 +196,21 @@ def parse_scenario(data: dict) -> "Scenario":
                 raise ConfigError(f"{fpath}: unknown feature kind {fkind!r}")
         true_w = block.get("true_weights")
         if true_w is not None:
+            true_w = _floats(true_w, f"{path}.true_weights")
             if len(true_w) != len(feats):
                 raise ConfigError(f"{path}: true_weights length must match features")
-            true_w = tuple(float(w) for w in true_w)
-        temperature = float(block.get("temperature", 1.0))
-        if temperature <= 0.0:
-            raise ConfigError(f"{path}: temperature must be positive")
+        temperature = _coerce(block.get("temperature", 1.0), float, f"{path}.temperature")
+        if not 0.0 < temperature < np.inf:
+            raise ConfigError(f"{path}: temperature must be positive and finite")
         agents.append(
             AgentSpec(
-                start=tuple(float(x) for x in _require(block, "start", path)),
-                goal=tuple(float(x) for x in _require(block, "goal", path)),
+                start=_floats(_require(block, "start", path), f"{path}.start"),
+                goal=_floats(_require(block, "goal", path), f"{path}.goal"),
                 features=tuple(feats),
                 true_weights=true_w,
                 temperature=temperature,
             )
         )
-
-    solver = _parse_solver(data.get("solver", {}))
-    learner = _parse_learner(data.get("learner", {}))
-
-    initial_block = data.get("initial_state")
-    if initial_block is None:
-        initial_kind, initial_params = "default", {}
-    else:
-        initial_kind = _require(initial_block, "kind", "initial_state")
-        if initial_kind == "fixed":
-            _check_no_extras(initial_block, {"kind", "value"}, "initial_state")
-            initial_params = {"value": _require(initial_block, "value", "initial_state")}
-        elif initial_kind == "gaussian":
-            _check_no_extras(initial_block, {"kind", "mean", "covariance"}, "initial_state")
-            initial_params = {
-                "mean": _require(initial_block, "mean", "initial_state"),
-                "covariance": _require(initial_block, "covariance", "initial_state"),
-            }
-        else:
-            raise ConfigError(f"unknown initial_state kind {initial_kind!r}")
 
     config = ScenarioConfig(
         name=str(data.get("name", "scenario")),
@@ -221,62 +224,23 @@ def parse_scenario(data: dict) -> "Scenario":
         initial_kind=initial_kind,
         initial_params=initial_params,
         agents=tuple(agents),
-        solver=solver,
-        learner=learner,
+        solver=_parse_fields(SolverConfig, data.get("solver", {}), "solver"),
+        learner=_parse_fields(LearnConfig, data.get("learner", {}), "learner"),
     )
     return Scenario(config)
 
 
-def _parse_solver(block: dict) -> SolverConfig:
-    """Every SolverConfig field is a key, coerced to the type of its default."""
-    defaults = SolverConfig()
-    _check_no_extras(block, {f.name for f in fields(SolverConfig)}, "solver")
-    try:
-        return SolverConfig(**{k: type(getattr(defaults, k))(v) for k, v in block.items()})
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def _parse_learner(block: dict) -> LearnConfig:
-    _check_no_extras(
-        block,
-        {
-            "learning_rate",
-            "samples_per_expectation",
-            "max_outer_iterations",
-            "residual_tol",
-            "mode",
-            "standardize_gaps",
-            "effort_weight_floor",
-        },
-        "learner",
-    )
-    defaults = LearnConfig()
-    try:
-        return LearnConfig(
-            learning_rate=float(block.get("learning_rate", defaults.learning_rate)),
-            samples_per_expectation=int(
-                block.get("samples_per_expectation", defaults.samples_per_expectation)
-            ),
-            max_outer_iterations=int(
-                block.get("max_outer_iterations", defaults.max_outer_iterations)
-            ),
-            residual_tol=float(block.get("residual_tol", defaults.residual_tol)),
-            mode=str(block.get("mode", defaults.mode)),
-            standardize_gaps=bool(block.get("standardize_gaps", defaults.standardize_gaps)),
-            effort_weight_floor=float(
-                block.get("effort_weight_floor", defaults.effort_weight_floor)
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
+def _floats(values: Any, path: str) -> tuple[float, ...]:
+    return tuple(_coerce(x, float, path) for x in _list(values, path))
 
 
 def load_scenario(path: str | Path) -> "Scenario":
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror or exc})") from exc
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_scenario(data)
 
@@ -286,12 +250,16 @@ class Scenario:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self._dynamics = self._build_dynamics()
-        self._positions = self._build_positions()
+        with _values_of("dynamics"):
+            self._dynamics = self._build_dynamics()
+            self._positions = self._build_positions()
         self._validate_geometry()
-        self.basis = self._build_basis()
-        self._noise = self._build_noise()
-        self._initial = self._build_initial_state()
+        with _values_of("agents"):
+            self.basis = self._build_basis()
+        with _values_of("noise"):
+            self._noise = self._build_noise()
+        with _values_of("initial_state"):
+            self._initial = self._build_initial_state()
 
     # -- construction ------------------------------------------------------
 
@@ -301,11 +269,9 @@ class Scenario:
             return dyn.double_integrator(c.num_agents, c.dt)
         if c.dynamics_kind == "unicycle":
             return dyn.unicycle(c.num_agents, c.dt)
-        A = np.asarray(c.dynamics_params["A"], dtype=float)
-        Bs = [np.asarray(B, dtype=float) for B in c.dynamics_params["B"]]
-        if len(Bs) != c.num_agents:
+        if len(c.dynamics_params["B"]) != c.num_agents:
             raise ConfigError("linear dynamics must provide one B block per agent")
-        return dyn.linear(A, Bs)
+        return dyn.linear(c.dynamics_params["A"], c.dynamics_params["B"])
 
     def _build_positions(self) -> list[Array]:
         c = self.config
@@ -314,6 +280,8 @@ class Scenario:
             if len(idx) != c.num_agents:
                 raise ConfigError("position_indices must list one entry per agent")
             for p in idx:
+                if p.ndim != 1:
+                    raise ConfigError("dynamics.position_indices: each entry must be a list")
                 if np.any(p < 0) or np.any(p >= self._dynamics.state_dim):
                     raise ConfigError("position index out of state range")
             return idx
@@ -358,12 +326,9 @@ class Scenario:
         c = self.config
         n = self._dynamics.state_dim
         if c.noise_kind == "scaled_identity":
-            return NoiseModel.scaled_identity(n, c.noise_params["scale"])
+            return NoiseModel.scaled_identity(n, float(c.noise_params["scale"]))
         if c.noise_kind == "matrix":
-            return NoiseModel(
-                np.asarray(c.noise_params["gain"], dtype=float),
-                np.asarray(c.noise_params["covariance"], dtype=float),
-            )
+            return NoiseModel(**c.noise_params)
         return NoiseModel.none(n)
 
     def _default_initial_mean(self) -> Array:
@@ -386,19 +351,12 @@ class Scenario:
             if c.dynamics_kind == "linear":
                 raise ConfigError("linear dynamics requires an explicit initial_state")
             return InitialState(mean=self._default_initial_mean())
-        if c.initial_kind == "fixed":
-            value = np.asarray(c.initial_params["value"], dtype=float)
-            if value.shape != (n,):
-                raise ConfigError(f"initial_state value must have dimension {n}")
-            return InitialState(mean=value)
-        mean = np.asarray(c.initial_params["mean"], dtype=float)
-        cov = np.asarray(c.initial_params["covariance"], dtype=float)
-        if mean.shape != (n,):
-            raise ConfigError(f"initial_state mean must have dimension {n}")
-        try:
-            return InitialState(mean=mean, covariance=cov)
-        except ValueError as exc:
-            raise ConfigError(f"initial_state: {exc}") from exc
+        name = "value" if c.initial_kind == "fixed" else "mean"
+        p = c.initial_params
+        initial = InitialState(mean=p[name], covariance=p.get("covariance"))
+        if initial.mean.shape != (n,):
+            raise ConfigError(f"initial_state {name} must have dimension {n}")
+        return initial
 
     # -- accessors ----------------------------------------------------------
 
@@ -450,22 +408,6 @@ class Scenario:
             temperatures=tuple(a.temperature for a in self.config.agents),
         )
 
-    def task_stats_spec(self) -> TaskStatsSpec:
-        """Velocity/separation naming for the built-in dynamics kinds."""
-        c = self.config
-        speeds = {}
-        if c.dynamics_kind == "double_integrator":
-            for i in range(c.num_agents):
-                speeds[f"agent{i}"] = [4 * i + 2, 4 * i + 3]
-        distances = {}
-        for i in range(c.num_agents):
-            for j in range(i + 1, c.num_agents):
-                distances[f"agent{i}_agent{j}"] = (
-                    list(self._positions[i]),
-                    list(self._positions[j]),
-                )
-        return TaskStatsSpec(speeds=speeds, distances=distances)
-
     def to_dict(self) -> dict:
         """Canonical config dict; parse(to_dict(s)) reproduces the scenario."""
         c = self.config
@@ -475,53 +417,25 @@ class Scenario:
             "num_agents": c.num_agents,
             "horizon": c.horizon,
             "dt": c.dt,
-            "dynamics": {"kind": c.dynamics_kind, **_jsonable(c.dynamics_params)},
-            "noise": {"kind": c.noise_kind, **_jsonable(c.noise_params)},
+            "dynamics": {"kind": c.dynamics_kind, **c.dynamics_params},
+            "noise": {"kind": c.noise_kind, **c.noise_params},
             "agents": [],
         }
         if c.initial_kind != "default":
-            out["initial_state"] = {"kind": c.initial_kind, **_jsonable(c.initial_params)}
+            out["initial_state"] = {"kind": c.initial_kind, **c.initial_params}
         for agent in c.agents:
             block: dict[str, Any] = {
                 "start": list(agent.start),
                 "goal": list(agent.goal),
-                "features": [],
+                "features": [
+                    {k: v for k, v in asdict(f).items() if v is not None} for f in agent.features
+                ],
                 "temperature": agent.temperature,
             }
-            for f in agent.features:
-                if f.kind == "gaussian_proximity":
-                    block["features"].append(
-                        {"kind": f.kind, "target": f.target, "sigma": f.sigma}
-                    )
-                else:
-                    block["features"].append({"kind": f.kind})
             if agent.true_weights is not None:
                 block["true_weights"] = list(agent.true_weights)
             out["agents"].append(block)
-        out["solver"] = asdict(c.solver)
-        le = c.learner
-        out["learner"] = {
-            "learning_rate": le.learning_rate,
-            "samples_per_expectation": le.samples_per_expectation,
-            "max_outer_iterations": le.max_outer_iterations,
-            "residual_tol": le.residual_tol,
-            "mode": le.mode,
-            "standardize_gaps": le.standardize_gaps,
-            "effort_weight_floor": le.effort_weight_floor,
-        }
+        for name in ("solver", "learner"):
+            settings = getattr(c, name)
+            out[name] = {f.name: getattr(settings, f.name) for f in _settable(settings)}
         return out
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _jsonable(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        else:
-            out[key] = value
-    return out

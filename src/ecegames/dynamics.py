@@ -42,32 +42,6 @@ class DynamicsModel:
         return len(self.action_dims)
 
 
-def finite_difference_jacobians(
-    step: StepFn, state_dim: int, action_dims: Sequence[int], h: float = 1e-6
-) -> JacobianFn:
-    """Build a central-difference Jacobian evaluator for an arbitrary drift."""
-
-    def jacobians(t: int, s: Array, actions: Sequence[Array]):
-        A = np.empty((state_dim, state_dim))
-        for k in range(state_dim):
-            e = np.zeros(state_dim)
-            e[k] = h
-            A[:, k] = (step(t, s + e, actions) - step(t, s - e, actions)) / (2.0 * h)
-        Bs = []
-        for j, m in enumerate(action_dims):
-            B = np.empty((state_dim, m))
-            for k in range(m):
-                hi = [a.copy() for a in actions]
-                lo = [a.copy() for a in actions]
-                hi[j][k] += h
-                lo[j][k] -= h
-                B[:, k] = (step(t, s, hi) - step(t, s, lo)) / (2.0 * h)
-            Bs.append(B)
-        return A, Bs
-
-    return jacobians
-
-
 def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
     """Time-invariant linear drift s' = A s + sum_j B_j a_j."""
     A = np.asarray(A, dtype=float)

@@ -23,7 +23,7 @@ equals the one-row call at (t[k], s[k]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,13 +21,20 @@ Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EcegamesError, NonConvergenceError
-from .features import FeatureBasis, eval_features, make_cost_model, validate_weights
-from .game import AffineGaussianPolicySet, Array, GameSpec, TrajectoryBatch, pin_other_agents
+from .errors import EcegamesError
+from .features import FeatureBasis, eval_features, validate_weights
+from .game import (
+    AffineGaussianPolicySet,
+    Array,
+    GameSpec,
+    Trajectory,
+    TrajectoryBatch,
+    pin_other_agents,
+)
 from .ilq import SolverConfig, solve_ece
 from .simulate import simulate_stochastic
 
@@ -43,7 +50,8 @@ class LearnConfig:
     agent's relative feature-matching residual drops below ``residual_tol``.
     ``standardize_gaps`` divides feature gaps by the demo-mean magnitudes
     before stepping so differently scaled features learn at comparable
-    rates (set False for the raw update).
+    rates (set False for the raw update).  Every field but ``base_seed``,
+    which the CLI's ``--seed`` sets, is a key of a scenario's learner block.
     """
 
     learning_rate: float = 0.05
@@ -51,7 +59,7 @@ class LearnConfig:
     max_outer_iterations: int = 200
     residual_tol: float = 0.05
     mode: str = "joint"
-    base_seed: int = 0
+    base_seed: int = field(default=0, metadata={"config": False})
     standardize_gaps: bool = True
     effort_weight_floor: float = 1e-3
 
@@ -80,12 +88,6 @@ class LearnTrace:
     records: list[AgentUpdateRecord] = field(default_factory=list)
     converged: bool = False
 
-    def residual_history(self) -> dict[int, list[float]]:
-        out: dict[int, list[float]] = {}
-        for rec in self.records:
-            out.setdefault(rec.agent, []).append(rec.residual)
-        return out
-
 
 class LearnSolveError(EcegamesError):
     """Equilibrium solve failed during learning; carries the offending weights."""
@@ -96,15 +98,26 @@ class LearnSolveError(EcegamesError):
         super().__init__(f"equilibrium solve failed while updating agent {agent}: {cause}")
 
 
+def _mean_feature_sums(basis: FeatureBasis, trajectories: Iterable[Trajectory]) -> list[Array]:
+    """Per-agent feature sums added up trajectory by trajectory, then divided by the count."""
+    sums = [np.zeros(len(feats)) for feats in basis.agents]
+    count = 0
+    for traj in trajectories:
+        for i, vec in enumerate(eval_features(basis, traj)):
+            sums[i] += vec
+        count += 1
+    return [s / count for s in sums]
+
+
 def empirical_feature_mean(basis: FeatureBasis, demos: TrajectoryBatch) -> list[Array]:
     """Per-agent arithmetic mean of the per-trajectory feature sums."""
     if len(demos) == 0:
         raise ValueError("demonstration batch is empty")
-    sums = [np.zeros(len(feats)) for feats in basis.agents]
-    for traj in demos:
-        for i, vec in enumerate(eval_features(basis, traj)):
-            sums[i] += vec
-    return [s / len(demos) for s in sums]
+    return _mean_feature_sums(basis, demos)
+
+
+def _identity(traj: Trajectory) -> Trajectory:
+    return traj
 
 
 def estimate_feature_expectation(
@@ -115,23 +128,24 @@ def estimate_feature_expectation(
     *,
     solver_config: SolverConfig | None = None,
     warm_start: AffineGaussianPolicySet | None = None,
+    embed: Callable[[Trajectory], Trajectory] = _identity,
 ) -> tuple[list[Array], AffineGaussianPolicySet, int]:
     """Monte-Carlo feature expectations under the game's equilibrium policies.
 
     Solves the equilibrium once, then averages feature sums over ``samples``
     stochastic rollouts with trial seeds ``base_seed + j`` (initial states
-    drawn from the game's initial-state distribution).  Returns the per-agent
-    expectation vectors, the solved policies (for warm starts) and the solver
-    iteration count.
+    drawn from the game's initial-state distribution), each mapped through
+    ``embed`` to a trajectory of ``basis``'s game (the identity, or the
+    embedding :func:`~ecegames.game.pin_other_agents` returns with a reduced
+    game).  Returns the per-agent expectation vectors, the solved policies
+    (for warm starts) and the solver iteration count.
     """
     solution = _solve_with_retry(game, warm_start, solver_config)
-    sums = [np.zeros(len(feats)) for feats in basis.agents]
-    for j in range(samples):
-        traj = simulate_stochastic(game, solution.policies, seed=base_seed + j)
-        for i, vec in enumerate(eval_features(basis, traj)):
-            sums[i] += vec
-    means = [s / samples for s in sums]
-    return means, solution.policies, len(solution.trace)
+    rollouts = (
+        embed(simulate_stochastic(game, solution.policies, seed=base_seed + j))
+        for j in range(samples)
+    )
+    return _mean_feature_sums(basis, rollouts), solution.policies, len(solution.trace)
 
 
 def _solve_with_retry(game, warm_start, solver_config):
@@ -191,11 +205,7 @@ def _relative_residual(gap: Array, demo_mean: Array) -> float:
 
 
 def _mean_demo_actions(demos: TrajectoryBatch) -> list[Array]:
-    N = demos.num_agents
-    out = []
-    for j in range(N):
-        out.append(np.mean([traj.actions[j] for traj in demos], axis=0))
-    return out
+    return [np.mean([traj.actions[j] for traj in demos], axis=0) for j in range(demos.num_agents)]
 
 
 def run_mairl(
@@ -225,8 +235,11 @@ def run_mairl(
     p = cfg.samples_per_expectation
     trace = LearnTrace()
 
-    replay = _mean_demo_actions(demos) if cfg.mode == "independent" else None
-    warm: dict[int, AffineGaussianPolicySet] = {}
+    joint = cfg.mode == "joint"
+    replay = None if joint else _mean_demo_actions(demos)
+    # Joint mode warm-starts every solve from the last joint solution, and
+    # independent mode each agent's reduced game from its own last solution.
+    warm: dict[int | None, AffineGaussianPolicySet] = {}
 
     best_total = np.inf
     best_weights = [w.copy() for w in weights]
@@ -236,32 +249,21 @@ def run_mairl(
         for i in range(N):
             seed = cfg.base_seed + (sweep * N + i) * p
             game = game_factory(weights)
+            key = None if joint else i
+            played, embed = (game, _identity) if joint else pin_other_agents(game, i, replay)
             try:
-                if cfg.mode == "joint":
-                    means, policies, iters = estimate_feature_expectation(
-                        game,
-                        basis,
-                        p,
-                        seed,
-                        solver_config=solver_config,
-                        warm_start=warm.get(-1),
-                    )
-                    warm[-1] = policies
-                    model_mean = means[i]
-                else:
-                    pinned, embed = pin_other_agents(game, i, replay)
-                    solution = _solve_with_retry(pinned, warm.get(i), solver_config)
-                    warm[i] = solution.policies
-                    iters = len(solution.trace)
-                    acc = np.zeros(len(basis.agents[i]))
-                    for j in range(p):
-                        traj = embed(
-                            simulate_stochastic(pinned, solution.policies, seed=seed + j)
-                        )
-                        acc += eval_features(basis, traj)[i]
-                    model_mean = acc / p
+                means, warm[key], iters = estimate_feature_expectation(
+                    played,
+                    basis,
+                    p,
+                    seed,
+                    solver_config=solver_config,
+                    warm_start=warm.get(key),
+                    embed=embed,
+                )
             except EcegamesError as exc:
                 raise LearnSolveError(agent=i, weights=weights, cause=exc) from exc
+            model_mean = means[i]
 
             gap = demo_means[i] - model_mean
             residuals[i] = _relative_residual(gap, demo_means[i])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,8 +20,29 @@ from .errors import IngestError
 from .game import AffineGaussianPolicySet, Array, Trajectory, TrajectoryBatch
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(x) -> str:
+    return x if isinstance(x, str) else format(float(x), ".17g")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows deterministically: LF line ends, numbers to 17 digits."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def _write_json(path: str | Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def _open(path: str | Path):
+    try:
+        return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
 def trajectory_header(state_dim: int, action_dims: Sequence[int]) -> list[str]:
@@ -33,17 +54,14 @@ def trajectory_header(state_dim: int, action_dims: Sequence[int]) -> list[str]:
 
 
 def write_trajectories(path: str | Path, batch: TrajectoryBatch) -> None:
-    header = trajectory_header(batch.state_dim, batch.action_dims)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    def rows():
         for trial, traj in enumerate(batch):
-            for k in range(traj.horizon):
-                row = [str(trial), str(k + 1)]
-                row += [_fmt(x) for x in traj.states[k]]
-                for a in traj.actions:
-                    row += [_fmt(x) for x in a[k]]
-                writer.writerow(row)
+            steps = np.arange(1, traj.horizon + 1)
+            yield from np.column_stack(
+                [np.full(traj.horizon, trial), steps, traj.states, *traj.actions]
+            ).tolist()
+
+    write_csv(path, trajectory_header(batch.state_dim, batch.action_dims), rows())
 
 
 def read_trajectories(
@@ -59,7 +77,7 @@ def read_trajectories(
     n_cols = len(expected_header)
     m_offsets = np.cumsum([0] + list(action_dims))
     rows_by_trial: dict[int, list[tuple[int, list[float]]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -126,14 +144,12 @@ def write_policy(path: str | Path, policies: AffineGaussianPolicySet) -> None:
         "offsets": [a.tolist() for a in policies.offsets],
         "covariances": [S.tolist() for S in policies.covariances],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_policy(path: str | Path) -> AffineGaussianPolicySet:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open(path) as fh:
             doc = json.load(fh)
         return AffineGaussianPolicySet(
             gains=tuple(np.asarray(P) for P in doc["gains"]),
@@ -151,14 +167,12 @@ def write_weights(path: str | Path, weights: Sequence[Array], feature_names) -> 
         "weights": [np.asarray(w).tolist() for w in weights],
         "feature_names": [list(names) for names in feature_names],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_weights(path: str | Path) -> list[Array]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open(path) as fh:
             doc = json.load(fh)
         return [np.asarray(w, dtype=float) for w in doc["weights"]]
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -166,70 +180,40 @@ def read_weights(path: str | Path) -> list[Array]:
 
 
 def write_iteration_trace(path: str | Path, trace, num_agents: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["iteration", "max_deviation", "step_size"]
-            + [f"cost_agent{i}" for i in range(num_agents)]
-        )
-        for rec in trace.records:
-            writer.writerow(
-                [str(rec.iteration), _fmt(rec.max_deviation), _fmt(rec.step_size)]
-                + [_fmt(c) for c in rec.agent_costs]
-            )
+    header = ["iteration", "max_deviation", "step_size"]
+    header += [f"cost_agent{i}" for i in range(num_agents)]
+    rows = (
+        [rec.iteration, rec.max_deviation, rec.step_size, *rec.agent_costs]
+        for rec in trace.records
+    )
+    write_csv(path, header, rows)
 
 
 def write_learn_trace(path: str | Path, trace) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "iteration",
-                "agent",
-                "residual",
-                "solver_iterations",
-                "effort_floored",
-                "feature",
-                "weight",
-                "gap",
-            ]
-        )
-        for rec in trace.records:
-            for k in range(rec.weights.shape[0]):
-                writer.writerow(
-                    [
-                        str(rec.iteration),
-                        str(rec.agent),
-                        _fmt(rec.residual),
-                        str(rec.solver_iterations),
-                        str(int(rec.effort_floored)),
-                        str(k),
-                        _fmt(rec.weights[k]),
-                        _fmt(rec.gap[k]),
-                    ]
-                )
+    header = ["iteration", "agent", "residual", "solver_iterations", "effort_floored",
+              "feature", "weight", "gap"]
+    rows = (
+        [rec.iteration, rec.agent, rec.residual, rec.solver_iterations, rec.effort_floored,
+         k, rec.weights[k], rec.gap[k]]
+        for rec in trace.records
+        for k in range(rec.weights.shape[0])
+    )
+    write_csv(path, header, rows)
 
 
 def write_kl_table(path: str | Path, kls: Sequence[Array], feature_names) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["agent", "feature", "kl"])
-        for i, vec in enumerate(kls):
-            for name, value in zip(feature_names[i], vec):
-                writer.writerow([str(i), name, _fmt(value)])
+    rows = (
+        [i, name, value]
+        for i, vec in enumerate(kls)
+        for name, value in zip(feature_names[i], vec)
+    )
+    write_csv(path, ["agent", "feature", "kl"], rows)
 
 
 def write_goal_stats(path: str | Path, stats) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["agent", "mean_dist", "std_dist"])
-        for i, (mean, std) in enumerate(stats):
-            writer.writerow([str(i), _fmt(mean), _fmt(std)])
+    rows = ([i, mean, std] for i, (mean, std) in enumerate(stats))
+    write_csv(path, ["agent", "mean_dist", "std_dist"], rows)
 
 
 def write_rmse(path: str | Path, rmse: Array) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "rmse"])
-        for k, value in enumerate(rmse):
-            writer.writerow([str(k + 1), _fmt(value)])
+    write_csv(path, ["t", "rmse"], ([k + 1, value] for k, value in enumerate(rmse)))

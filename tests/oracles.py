@@ -125,6 +125,31 @@ def central_difference_jacobian(fn, x, h=1e-5):
     return J
 
 
+def finite_difference_jacobians(step, state_dim, action_dims, h=1e-6):
+    """Central-difference Jacobian evaluator ``(t, s, actions) -> (A, [B_j])``
+    for an arbitrary drift, in the form ``DynamicsModel.jacobians`` takes."""
+
+    def jacobians(t, s, actions):
+        A = np.empty((state_dim, state_dim))
+        for k in range(state_dim):
+            e = np.zeros(state_dim)
+            e[k] = h
+            A[:, k] = (step(t, s + e, actions) - step(t, s - e, actions)) / (2.0 * h)
+        Bs = []
+        for j, m in enumerate(action_dims):
+            B = np.empty((state_dim, m))
+            for k in range(m):
+                hi = [a.copy() for a in actions]
+                lo = [a.copy() for a in actions]
+                hi[j][k] += h
+                lo[j][k] -= h
+                B[:, k] = (step(t, s, hi) - step(t, s, lo)) / (2.0 * h)
+            Bs.append(B)
+        return A, Bs
+
+    return jacobians
+
+
 def central_difference_hessian(fn, x, h=1e-4):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]

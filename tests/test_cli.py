@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,24 @@ class TestSolve:
         for path in (a, b):
             assert main(["solve", "--config", lq_config, "--out-policy", str(path)]) == 0
         assert read_bytes(a) == read_bytes(b)
+
+    def test_non_convergence_fails_after_writing_partial_trace(
+        self, tmp_path, config_dir, capsys
+    ):
+        cfg = json.loads((config_dir / "two_agent_crossing.json").read_text())
+        cfg["solver"]["max_iterations"] = 1
+        path = tmp_path / "one_iteration.json"
+        path.write_text(json.dumps(cfg))
+        policy_path = tmp_path / "policy.json"
+        trace_path = tmp_path / "trace.csv"
+        rc = main(["solve", "--config", str(path), "--out-policy", str(policy_path),
+                   "--trace", str(trace_path)])
+        assert rc == 1
+        assert "equilibrium solve did not converge" in capsys.readouterr().err
+        assert not policy_path.exists()
+        with open(trace_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["iteration"] for row in rows] == ["1"]
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +276,47 @@ class TestValidate:
         del lines[5]
         out.write_text("\n".join(lines) + "\n")
         assert main(["validate", "--config", lq_config, "--trajectories", str(out)]) == 1
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory, lq_config):
+    """A valid lq demo file, a missing path and a config with a malformed value."""
+    root = tmp_path_factory.mktemp("inputs")
+    demos = root / "demos.csv"
+    assert main(["gen-demos", "--config", lq_config, "--trials", "2", "--seed", "1",
+                 "--out", str(demos)]) == 0
+    cfg = json.loads(open(lq_config).read())
+    cfg["learner"]["learning_rate"] = None
+    bad_config = root / "null_learning_rate.json"
+    bad_config.write_text(json.dumps(cfg))
+    return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
+            "bad_config": str(bad_config), "out": str(root / "out")}
+
+
+# (command with {placeholders} for input_files and {lq}, expected exit code)
+INPUT_ERRORS = [
+    (["validate", "--config", "{missing}", "--trajectories", "{demos}"], 2),
+    (["validate", "--config", "{dir}", "--trajectories", "{demos}"], 2),
+    (["gen-demos", "--config", "{bad_config}", "--trials", "1", "--out", "{out}"], 2),
+    (["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "-0.1",
+      "--out-weights", "{out}"], 2),
+    (["learn", "--config", "{lq}", "--demos", "{missing}", "--out-weights", "{out}"], 1),
+    (["validate", "--config", "{lq}", "--trajectories", "{missing}"], 1),
+    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{missing}",
+      "--trials", "1", "--out", "{out}"], 1),
+]
+
+
+@pytest.mark.parametrize("command, code", INPUT_ERRORS)
+def test_input_error_exit_code_without_traceback(command, code, input_files, lq_config):
+    args = [a.format(lq=lq_config, **input_files) for a in command]
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-m", "ecegames.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    if "{missing}" in command:
+        assert input_files["missing"] in proc.stderr
+    assert not Path(input_files["out"]).exists()

@@ -1,6 +1,8 @@
 """Scenario config schema and file formats."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from ecegames import (
     AffineGaussianPolicySet,
     ConfigError,
     IngestError,
+    LearnConfig,
+    SolverConfig,
     rollout_batch,
     simulate_mean,
     solve_ece,
@@ -69,6 +73,12 @@ class TestParsing:
             {"kind": "gaussian_proximity", "target": 0, "sigma": 1.0}
         )
         with pytest.raises(ConfigError):
+            parse_scenario(cfg)
+
+    def test_nonpositive_proximity_sigma_rejected(self, crossing_scenario):
+        cfg = crossing_scenario.to_dict()
+        cfg["agents"][0]["features"][2]["sigma"] = 0.0
+        with pytest.raises(ConfigError, match="agents: .*sigma must be positive"):
             parse_scenario(cfg)
 
     def test_weight_count_mismatch_rejected(self):
@@ -140,6 +150,107 @@ class TestParsing:
         t1 = simulate_mean(g1, policy)
         t2 = simulate_mean(g2, policy)
         assert np.array_equal(t1.states, t2.states)
+
+
+def with_value(keys, value):
+    """minimal_config with the entry at ``keys`` (dict keys, list indices) set to ``value``."""
+    cfg = minimal_config()
+    block = cfg
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    return cfg
+
+
+# (where the malformed value goes, the value, the path the error must name)
+MALFORMED_VALUES = [
+    (("num_agents",), "two", "num_agents"),
+    (("horizon",), "abc", "horizon"),
+    (("horizon",), None, "horizon"),
+    (("dt",), None, "dt"),
+    (("dt",), [0.1], "dt"),
+    (("dt",), float("nan"), "dt"),
+    (("dt",), float("inf"), "dt"),
+    (("agents",), 3, "agents"),
+    (("agents",), {"start": [0.0, 0.0]}, "agents"),
+    (("agents", 0), [], "agents[0]"),
+    (("agents", 0, "start"), 1.0, "agents[0].start"),
+    (("agents", 0, "start"), [None, 0.0], "agents[0].start"),
+    (("agents", 0, "goal"), "ab", "agents[0].goal"),
+    (("agents", 0, "goal"), {"x": 1.0}, "agents[0].goal"),
+    (("agents", 0, "features"), "tracking", "agents[0].features"),
+    (("agents", 0, "true_weights"), [1.0, "x"], "agents[0].true_weights"),
+    (("agents", 0, "true_weights"), 2.0, "agents[0].true_weights"),
+    (("agents", 0, "temperature"), None, "agents[0].temperature"),
+    (("agents", 0, "temperature"), float("nan"), "agents[0]: temperature"),
+    (("solver",), [], "solver"),
+    (("solver",), "fast", "solver"),
+    (("solver",), {"max_iterations": "many"}, "solver.max_iterations"),
+    (("solver",), {"convergence_tol": None}, "solver.convergence_tol"),
+    (("solver",), {"strict_paper": "true"}, "solver.strict_paper"),
+    (("solver",), {"strict_paper": 1}, "solver.strict_paper"),
+    (("learner",), [], "learner"),
+    (("learner",), {"learning_rate": None}, "learner.learning_rate"),
+    (("learner",), {"samples_per_expectation": "ten"}, "learner.samples_per_expectation"),
+    (("learner",), {"standardize_gaps": "false"}, "learner.standardize_gaps"),
+    (("learner",), {"standardize_gaps": 0}, "learner.standardize_gaps"),
+    (("dynamics",), [], "dynamics"),
+    (("dynamics",), "double_integrator", "dynamics"),
+    (("dynamics",), {"kind": ["linear"]}, "dynamics"),
+    (("dynamics",), {"kind": "linear", "A": [[1.0]], "B": [[["x"]]], "position_indices": [[0]]},
+     "dynamics"),
+    (("dynamics",), {"kind": "linear", "A": [[1.0]], "B": [[[1.0]]], "position_indices": [0]},
+     "dynamics.position_indices"),
+    (("noise",), 0.1, "noise"),
+    (("noise",), {"kind": "scaled_identity", "scale": "big"}, "noise"),
+    (("noise",), {"kind": "scaled_identity", "scale": None}, "noise"),
+    (("initial_state",), {"kind": "fixed", "value": ["a", 0.0, 0.0, 0.0]}, "initial_state"),
+]
+
+
+@pytest.mark.parametrize("keys, value, path", MALFORMED_VALUES)
+def test_malformed_value_is_config_error_naming_its_path(keys, value, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_scenario(with_value(keys, value))
+
+
+class TestSettingsRoundTrip:
+    SOLVER = {
+        "max_iterations": 7,
+        "convergence_tol": 2e-3,
+        "max_step_deviation": 3.5,
+        "min_step": 0.125,
+        "strict_paper": True,
+    }
+    LEARNER = {
+        "learning_rate": 0.3,
+        "samples_per_expectation": 7,
+        "max_outer_iterations": 9,
+        "residual_tol": 0.2,
+        "mode": "independent",
+        "standardize_gaps": False,
+        "effort_weight_floor": 0.01,
+    }
+
+    def test_every_settable_field_round_trips(self):
+        # base_seed is the one field a config cannot set: the CLI's --seed does.
+        for cls, block, unsettable in (
+            (SolverConfig, self.SOLVER, set()),
+            (LearnConfig, self.LEARNER, {"base_seed"}),
+        ):
+            assert set(block) == {f.name for f in fields(cls)} - unsettable
+            default = cls()
+            assert all(getattr(default, k) != v for k, v in block.items())
+        scenario = parse_scenario(minimal_config(solver=self.SOLVER, learner=self.LEARNER))
+        again = parse_scenario(scenario.to_dict())
+        assert again.solver_config == SolverConfig(**self.SOLVER)
+        assert again.learn_config == LearnConfig(**self.LEARNER)
+        assert again.to_dict() == scenario.to_dict()
+
+    @pytest.mark.parametrize("block, key", [("learner", "base_seed"), ("solver", "hessian_floor")])
+    def test_unsettable_key_rejected(self, block, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in {block}"):
+            parse_scenario(minimal_config(**{block: {key: 1}}))
 
 
 class TestTrajectoryFile:

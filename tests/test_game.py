@@ -21,7 +21,7 @@ from ecegames import (
 from ecegames.features import eval_features
 from ecegames.game import CostModel, pin_other_agents
 
-from oracles import central_difference_jacobian
+from oracles import central_difference_jacobian, finite_difference_jacobians
 
 
 def scalar_game(horizon=3, a=1.0, b=1.0, q=1.0, l=0.0, r=1.0, s1=1.0, noise=None):
@@ -48,7 +48,7 @@ class TestSimulateMean:
             return np.zeros(2)
 
         dyn = dynamics.DynamicsModel(
-            2, (1,), step, dynamics.finite_difference_jacobians(step, 2, (1,))
+            2, (1,), step, finite_difference_jacobians(step, 2, (1,))
         )
         game = GameSpec(
             dynamics=dyn,

@@ -20,6 +20,7 @@ from ecegames import (
 from ecegames.ilq import linearize, quadratize, stage_game_around
 
 from conftest import game_spec_from_data, random_lq_data, stage_game_from_data
+from oracles import finite_difference_jacobians
 
 BIG_STEP = SolverConfig(max_step_deviation=1e9)
 
@@ -42,7 +43,7 @@ class TestLinearize:
             return np.zeros(1)
 
         dyn = dynamics.DynamicsModel(
-            1, (1,), step, dynamics.finite_difference_jacobians(step, 1, (1,))
+            1, (1,), step, finite_difference_jacobians(step, 1, (1,))
         )
         game = GameSpec(
             dynamics=dyn,
