@@ -134,7 +134,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     trajio.write_kl_table(out_dir / "kl.csv", kls, names)
     stats = goal_distance_stats(model, scenario.goals, scenario.position_indices)
     trajio.write_goal_stats(out_dir / "goal_stats.csv", stats)
-    demo_mean_states = np.mean([traj.states for traj in demos], axis=0)
+    demo_mean_states = np.mean(demos.states, axis=0)
     rmse = trajectory_rmse(demo_mean_states, model, scenario.position_indices)
     trajio.write_rmse(out_dir / "rmse.csv", rmse)
 

@@ -10,6 +10,7 @@ experiment cannot silently drift when the schema evolves.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -79,12 +80,21 @@ def _check_no_extras(d: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown key {sorted(extras)[0]!r} in {path}")
 
 
-def _coerce(value: Any, type_: type, path: str) -> Any:
-    """``value`` as ``type_``; a bool only from a JSON boolean."""
+def _coerce(value: Any, type_: type, path: str, *, finite: bool = True) -> Any:
+    """``value`` as ``type_``: a bool only from a JSON boolean, an int not from
+    a boolean or a non-integral number, a float only if finite (unless
+    ``finite`` is false: ``dt`` and ``temperature`` check their own range)."""
     if type_ is bool and not isinstance(value, bool):
         raise ConfigError(f"{path} must be a JSON boolean (true or false), got {value!r}")
+    if type_ is int and (
+        isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
     with _values_of(path):
-        return type_(value)
+        value = type_(value)
+    if finite and type_ is float and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return value
 
 
 def _settable(cls) -> list:
@@ -157,7 +167,7 @@ def parse_scenario(data: dict) -> "Scenario":
         raise ConfigError(f"unsupported schema_version {version}")
     num_agents = _coerce(_require(data, "num_agents", "scenario"), int, "num_agents")
     horizon = _coerce(_require(data, "horizon", "scenario"), int, "horizon")
-    dt = _coerce(_require(data, "dt", "scenario"), float, "dt")
+    dt = _coerce(_require(data, "dt", "scenario"), float, "dt", finite=False)
     if num_agents < 1 or horizon < 1 or not 0.0 < dt < np.inf:
         raise ConfigError("num_agents, horizon and dt must be positive (dt finite)")
 
@@ -199,7 +209,9 @@ def parse_scenario(data: dict) -> "Scenario":
             true_w = _floats(true_w, f"{path}.true_weights")
             if len(true_w) != len(feats):
                 raise ConfigError(f"{path}: true_weights length must match features")
-        temperature = _coerce(block.get("temperature", 1.0), float, f"{path}.temperature")
+        temperature = _coerce(
+            block.get("temperature", 1.0), float, f"{path}.temperature", finite=False
+        )
         if not 0.0 < temperature < np.inf:
             raise ConfigError(f"{path}: temperature must be positive and finite")
         agents.append(

@@ -20,7 +20,7 @@ import numpy.typing as npt
 Array = npt.NDArray[np.float64]
 
 StepFn = Callable[[int, Array, Sequence[Array]], Array]
-JacobianFn = Callable[[int, Array, Sequence[Array]], tuple[Array, list[Array]]]
+JacobianFn = Callable[[int | Array, Array, Sequence[Array]], tuple[Array, list[Array]]]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,11 @@ class DynamicsModel:
     ``step(t, s, actions)`` returns the next-state mean (length ``state_dim``).
     ``jacobians(t, s, actions)`` returns ``(A, [B_1, ..., B_N])`` with shapes
     (n, n) and (n, m_j), evaluated at the given point.
+
+    Like the :class:`~ecegames.game.CostModel` callables, ``jacobians`` (a
+    custom one too) broadcasts over a leading time axis: for ``t`` an int
+    array of K steps, ``s`` (K, n) and ``actions[j]`` (K, m_j) it returns A
+    (K, n, n) and B_j (K, n, m_j), row k equal to the one-row call.
     """
 
     state_dim: int
@@ -60,8 +65,9 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
             out = out + B @ a
         return out
 
-    def jacobians(t: int, s: Array, actions: Sequence[Array]):
-        return A, [B.copy() for B in Bs]
+    def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
+        reps = s.shape[:-1] + (1, 1)
+        return np.tile(A, reps), [np.tile(B, reps) for B in Bs]
 
     return DynamicsModel(n, action_dims, step, jacobians)
 
@@ -117,18 +123,19 @@ def unicycle(num_agents: int, dt: float) -> DynamicsModel:
             out[3 * i + 2] = th + dt * om
         return out
 
-    def jacobians(t: int, s: Array, actions: Sequence[Array]):
-        A = np.eye(n)
+    def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
+        lead = s.shape[:-1]
+        A = np.tile(np.eye(n), lead + (1, 1))
         Bs = []
         for i in range(num_agents):
-            th = s[3 * i + 2]
-            v = actions[i][0]
-            A[3 * i, 3 * i + 2] = -dt * v * np.sin(th)
-            A[3 * i + 1, 3 * i + 2] = dt * v * np.cos(th)
-            B = np.zeros((n, 2))
-            B[3 * i, 0] = dt * np.cos(th)
-            B[3 * i + 1, 0] = dt * np.sin(th)
-            B[3 * i + 2, 1] = dt
+            th = s[..., 3 * i + 2]
+            v = actions[i][..., 0]
+            A[..., 3 * i, 3 * i + 2] = -dt * v * np.sin(th)
+            A[..., 3 * i + 1, 3 * i + 2] = dt * v * np.cos(th)
+            B = np.zeros(lead + (n, 2))
+            B[..., 3 * i, 0] = dt * np.cos(th)
+            B[..., 3 * i + 1, 0] = dt * np.sin(th)
+            B[..., 3 * i + 2, 1] = dt
             Bs.append(B)
         return A, Bs
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWeightError
-from .game import Array, CostModel
+from .game import Array, CostModel, Trajectory, TrajectoryBatch
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,17 @@ def straight_line_reference(start: Array, goal: Array, horizon: int) -> Array:
     return start[None, :] + alphas[:, None] * (goal - start)[None, :]
 
 
-def eval_features(basis: FeatureBasis, trajectory) -> list[Array]:
-    """Per-agent vectors of feature sums over the trajectory, sum_t phi^i."""
-    steps = np.arange(1, trajectory.horizon + 1)
-    return [
-        np.array([np.sum(f.value(steps, trajectory.states, trajectory.actions)) for f in feats])
-        for feats in basis.agents
-    ]
+def eval_features(basis: FeatureBasis, rollouts: Trajectory | TrajectoryBatch) -> list[Array]:
+    """Per-agent feature sums over time, sum_t phi^i: (F_i,) vectors for one
+    trajectory, (K, F_i) arrays for a batch of K."""
+    steps = np.arange(1, rollouts.horizon + 1)
+    out = []
+    for feats in basis.agents:
+        sums = np.empty(rollouts.states.shape[:-2] + (len(feats),))
+        for k, f in enumerate(feats):
+            sums[..., k] = np.sum(f.value(steps, rollouts.states, rollouts.actions), axis=-1)
+        out.append(sums)
+    return out
 
 
 def validate_weights(basis: FeatureBasis, weights) -> list[Array]:

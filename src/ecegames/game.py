@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -267,25 +267,23 @@ class GameSpec:
         return self.dynamics.action_dims
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One joint rollout: states (T, n) and per-agent actions (T, m_i)."""
+class _RolloutLayout:
+    """Dimensions read off the last two axes, (T, n) and (T, m_i), of the
+    ``states`` and ``actions`` arrays."""
 
-    states: Array
-    actions: tuple[Array, ...]
-    seed: int | None = None
-
-    def __post_init__(self):
+    def _store(self, lead: tuple[str, ...]) -> None:
+        """Store the fields as float arrays; check their leading axes ``lead``
+        and that every value is finite."""
         object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
         object.__setattr__(
             self, "actions", tuple(np.asarray(a, dtype=float) for a in self.actions)
         )
-        T = self.states.shape[0]
-        if self.states.ndim != 2:
-            raise ValueError("states must be (T, n)")
+        axes = ", ".join(lead)
+        if self.states.ndim != len(lead) + 1:
+            raise ValueError(f"states must be ({axes}, n)")
         for a in self.actions:
-            if a.ndim != 2 or a.shape[0] != T:
-                raise ValueError("every action array must be (T, m_i)")
+            if a.shape[:-1] != self.states.shape[:-1]:
+                raise ValueError(f"every action array must be ({axes}, m_i)")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
         if any(not np.all(np.isfinite(a)) for a in self.actions):
@@ -293,60 +291,71 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
     @property
     def state_dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def action_dims(self) -> tuple[int, ...]:
-        return tuple(a.shape[1] for a in self.actions)
-
-
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """A set of rollouts sharing dimensions; the unit of demos and samples."""
-
-    trajectories: tuple[Trajectory, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if not self.trajectories:
-            raise ValueError("trajectory batch may not be empty")
-        first = self.trajectories[0]
-        for traj in self.trajectories[1:]:
-            if (
-                traj.horizon != first.horizon
-                or traj.state_dim != first.state_dim
-                or traj.action_dims != first.action_dims
-            ):
-                raise ValueError("trajectories in a batch must share dimensions")
-
-    def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories)
-
-    def __getitem__(self, idx: int) -> Trajectory:
-        return self.trajectories[idx]
-
-    @property
-    def horizon(self) -> int:
-        return self.trajectories[0].horizon
-
-    @property
-    def state_dim(self) -> int:
-        return self.trajectories[0].state_dim
-
-    @property
-    def action_dims(self) -> tuple[int, ...]:
-        return self.trajectories[0].action_dims
+        return tuple(a.shape[-1] for a in self.actions)
 
     @property
     def num_agents(self) -> int:
-        return len(self.action_dims)
+        return len(self.actions)
+
+
+@dataclass(frozen=True)
+class Trajectory(_RolloutLayout):
+    """One joint rollout: states (T, n) and per-agent actions (T, m_i)."""
+
+    states: Array
+    actions: tuple[Array, ...]
+
+    def __post_init__(self):
+        self._store(("T",))
+
+
+@dataclass(frozen=True)
+class TrajectoryBatch(_RolloutLayout):
+    """K rollouts stacked on a leading trial axis: states (K, T, n) and
+    per-agent actions (K, T, m_i); the unit of demos and samples.
+
+    The field names are those of :class:`Trajectory`, so code written for one
+    trajectory serves a batch wherever the trial axis broadcasts.  ``len``,
+    indexing and iteration give the trials as :class:`Trajectory` objects.
+    """
+
+    states: Array
+    actions: tuple[Array, ...]
+
+    def __post_init__(self):
+        self._store(("K", "T"))
+        if self.states.shape[0] == 0:
+            raise ValueError("trajectory batch may not be empty")
+
+    @classmethod
+    def from_trajectories(cls, trajectories: Iterable[Trajectory]) -> "TrajectoryBatch":
+        """Stack rollouts that share their dimensions."""
+        trajectories = tuple(trajectories)
+        if not trajectories:
+            raise ValueError("trajectory batch may not be empty")
+        if len({(t.states.shape, t.action_dims) for t in trajectories}) > 1:
+            raise ValueError("trajectories in a batch must share dimensions")
+        return cls(
+            states=np.stack([t.states for t in trajectories]),
+            actions=tuple(np.stack(a) for a in zip(*(t.actions for t in trajectories))),
+        )
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def __getitem__(self, k: int) -> Trajectory:
+        return Trajectory(states=self.states[k], actions=tuple(a[k] for a in self.actions))
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -446,29 +455,26 @@ class AffineGaussianPolicySet:
 
         Useful for comparing policies computed around different nominals.
         """
-        alphas = []
-        for i in range(self.num_agents):
-            al = np.empty_like(self.offsets[i])
-            for k in range(self.horizon):
-                al[k] = (
-                    self.offsets[i][k]
-                    - self.nominal_actions[i][k]
-                    - self.gains[i][k] @ self.nominal_states[k]
-                )
-            alphas.append(al)
+        # Row-for-row matmul, which rounds like the one-step P_t @ sbar_t.
+        sbar = self.nominal_states[:, :, None]
+        alphas = [
+            al - ab - (P @ sbar)[:, :, 0]
+            for P, al, ab in zip(self.gains, self.offsets, self.nominal_actions)
+        ]
         return [P.copy() for P in self.gains], alphas
 
 
 def pin_other_agents(
     game: GameSpec, agent: int, replay_actions: Sequence[Array]
-) -> tuple[GameSpec, Callable[[Trajectory], Trajectory]]:
+) -> tuple[GameSpec, Callable]:
     """Reduce a game to a single decision maker with the rest on open-loop replay.
 
     Agent ``agent`` keeps its cost and action channel; every other agent's
     action at step t is pinned to ``replay_actions[j][t-1]``.  Returns the
     reduced single-agent game (full joint state retained) and an embedding
-    that rebuilds a joint trajectory from a single-agent rollout by
-    re-inserting the replayed actions.
+    that rebuilds a joint :class:`Trajectory` or :class:`TrajectoryBatch`
+    from a single-agent one by re-inserting the replayed actions, broadcast
+    over the trials of a batch.
     """
     N = game.num_agents
     if not 0 <= agent < N:
@@ -493,7 +499,7 @@ def pin_other_agents(
     def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
         return dyn.step(t, s, expand(t, actions[0]))
 
-    def jacobians(t: int, s: Array, actions: Sequence[Array]):
+    def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
         A, Bs = dyn.jacobians(t, s, expand(t, actions[0]))
         return A, [Bs[agent]]
 
@@ -517,10 +523,10 @@ def pin_other_agents(
         temperatures=(game.temperatures[agent],),
     )
 
-    def embed(traj: Trajectory) -> Trajectory:
-        actions = [replay[j].copy() for j in range(N)]
+    def embed(traj: Trajectory | TrajectoryBatch) -> Trajectory | TrajectoryBatch:
+        actions = [np.broadcast_to(a, traj.states.shape[:-2] + a.shape) for a in replay]
         actions[agent] = traj.actions[0]
-        return Trajectory(states=traj.states, actions=tuple(actions), seed=traj.seed)
+        return type(traj)(states=traj.states, actions=tuple(actions))
 
     return reduced, embed
 

@@ -85,19 +85,16 @@ class EceSolution:
 
 
 def linearize(game: GameSpec, nominal: Trajectory) -> tuple[Array, list[Array]]:
-    """Dynamics Jacobians (A_t, B_t^j) along the nominal for t = 1..T-1."""
-    T, n = game.horizon, game.state_dim
-    A = np.empty((T - 1, n, n))
-    B = [np.empty((T - 1, n, m)) for m in game.action_dims]
-    for k in range(T - 1):
-        acts = [a[k] for a in nominal.actions]
-        A_k, B_k = game.dynamics.jacobians(k + 1, nominal.states[k], acts)
-        if not np.all(np.isfinite(A_k)) or any(not np.all(np.isfinite(b)) for b in B_k):
-            raise LinearizationError(time_step=k + 1)
-        A[k] = A_k
-        for j in range(game.num_agents):
-            B[j][k] = B_k[j]
-    return A, B
+    """Dynamics Jacobians (A_t, B_t^j) along the nominal for t = 1..T-1, from
+    one stacked ``jacobians`` call."""
+    acts = [a[:-1] for a in nominal.actions]
+    A, B = game.dynamics.jacobians(np.arange(1, game.horizon), nominal.states[:-1], acts)
+    bad = ~np.isfinite(A).all(axis=(1, 2))
+    for b in B:
+        bad |= ~np.isfinite(b).all(axis=(1, 2))
+    if bad.any():
+        raise LinearizationError(time_step=int(np.argmax(bad)) + 1)
+    return A, list(B)
 
 
 def _project_psd(H: Array) -> Array:

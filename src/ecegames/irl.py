@@ -21,7 +21,7 @@ Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,12 +31,11 @@ from .game import (
     AffineGaussianPolicySet,
     Array,
     GameSpec,
-    Trajectory,
     TrajectoryBatch,
     pin_other_agents,
 )
 from .ilq import SolverConfig, solve_ece
-from .simulate import simulate_stochastic
+from .simulate import rollout_batch
 
 GameFactory = Callable[[Sequence[Array]], GameSpec]
 
@@ -98,26 +97,15 @@ class LearnSolveError(EcegamesError):
         super().__init__(f"equilibrium solve failed while updating agent {agent}: {cause}")
 
 
-def _mean_feature_sums(basis: FeatureBasis, trajectories: Iterable[Trajectory]) -> list[Array]:
-    """Per-agent feature sums added up trajectory by trajectory, then divided by the count."""
-    sums = [np.zeros(len(feats)) for feats in basis.agents]
-    count = 0
-    for traj in trajectories:
-        for i, vec in enumerate(eval_features(basis, traj)):
-            sums[i] += vec
-        count += 1
-    return [s / count for s in sums]
-
-
 def empirical_feature_mean(basis: FeatureBasis, demos: TrajectoryBatch) -> list[Array]:
     """Per-agent arithmetic mean of the per-trajectory feature sums."""
-    if len(demos) == 0:
-        raise ValueError("demonstration batch is empty")
-    return _mean_feature_sums(basis, demos)
+    # cumsum adds the trials one after another; np.sum(axis=0) does so too,
+    # except on a single column, which it adds pairwise.
+    return [np.cumsum(sums, axis=0)[-1] / len(demos) for sums in eval_features(basis, demos)]
 
 
-def _identity(traj: Trajectory) -> Trajectory:
-    return traj
+def _identity(batch: TrajectoryBatch) -> TrajectoryBatch:
+    return batch
 
 
 def estimate_feature_expectation(
@@ -128,24 +116,21 @@ def estimate_feature_expectation(
     *,
     solver_config: SolverConfig | None = None,
     warm_start: AffineGaussianPolicySet | None = None,
-    embed: Callable[[Trajectory], Trajectory] = _identity,
+    embed: Callable[[TrajectoryBatch], TrajectoryBatch] = _identity,
 ) -> tuple[list[Array], AffineGaussianPolicySet, int]:
     """Monte-Carlo feature expectations under the game's equilibrium policies.
 
     Solves the equilibrium once, then averages feature sums over ``samples``
     stochastic rollouts with trial seeds ``base_seed + j`` (initial states
-    drawn from the game's initial-state distribution), each mapped through
-    ``embed`` to a trajectory of ``basis``'s game (the identity, or the
+    drawn from the game's initial-state distribution), the batch mapped
+    through ``embed`` to rollouts of ``basis``'s game (the identity, or the
     embedding :func:`~ecegames.game.pin_other_agents` returns with a reduced
     game).  Returns the per-agent expectation vectors, the solved policies
     (for warm starts) and the solver iteration count.
     """
     solution = _solve_with_retry(game, warm_start, solver_config)
-    rollouts = (
-        embed(simulate_stochastic(game, solution.policies, seed=base_seed + j))
-        for j in range(samples)
-    )
-    return _mean_feature_sums(basis, rollouts), solution.policies, len(solution.trace)
+    rollouts = embed(rollout_batch(game, solution.policies, samples, base_seed))
+    return empirical_feature_mean(basis, rollouts), solution.policies, len(solution.trace)
 
 
 def _solve_with_retry(game, warm_start, solver_config):
@@ -205,7 +190,7 @@ def _relative_residual(gap: Array, demo_mean: Array) -> float:
 
 
 def _mean_demo_actions(demos: TrajectoryBatch) -> list[Array]:
-    return [np.mean([traj.actions[j] for traj in demos], axis=0) for j in range(demos.num_agents)]
+    return [np.mean(a, axis=0) for a in demos.actions]
 
 
 def run_mairl(

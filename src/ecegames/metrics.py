@@ -54,12 +54,6 @@ def _sample_kl(x: Array, y: Array, spec: HistogramSpec) -> float:
     return histogram_kl(px, qy, smoothing=spec.smoothing)
 
 
-def feature_samples(basis: FeatureBasis, batch: TrajectoryBatch) -> list[Array]:
-    """Per-agent arrays (num_trajectories, num_features) of feature sums."""
-    rows = [eval_features(basis, traj) for traj in batch]
-    return [np.array([r[i] for r in rows]) for i in range(basis.num_agents)]
-
-
 def kl_divergence_per_feature(
     demo: TrajectoryBatch,
     model: TrajectoryBatch,
@@ -68,19 +62,10 @@ def kl_divergence_per_feature(
 ) -> list[Array]:
     """KL(demo || model) of every agent's per-feature sum distribution."""
     spec = spec or HistogramSpec()
-    demo_samples = feature_samples(basis, demo)
-    model_samples = feature_samples(basis, model)
-    out = []
-    for i in range(basis.num_agents):
-        n_feat = demo_samples[i].shape[1]
-        kls = np.array(
-            [
-                _sample_kl(demo_samples[i][:, k], model_samples[i][:, k], spec)
-                for k in range(n_feat)
-            ]
-        )
-        out.append(kls)
-    return out
+    return [
+        np.array([_sample_kl(x[:, k], y[:, k], spec) for k in range(x.shape[1])])
+        for x, y in zip(eval_features(basis, demo), eval_features(basis, model))
+    ]
 
 
 def goal_distance_stats(
@@ -93,9 +78,9 @@ def goal_distance_stats(
     for i, goal in enumerate(goals):
         idx = np.asarray(position_indices[i], dtype=int)
         goal = np.asarray(goal, dtype=float)
-        dists = np.array(
-            [float(np.linalg.norm(traj.states[-1, idx] - goal)) for traj in batch]
-        )
+        d = batch.states[:, -1, idx] - goal
+        # Row-for-row dot products, which round like np.linalg.norm of one row.
+        dists = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         std = float(np.std(dists, ddof=1)) if len(dists) > 1 else 0.0
         out.append((float(np.mean(dists)), std))
     return out
@@ -117,14 +102,16 @@ def trajectory_rmse(
     T = rollouts.horizon if horizon_cut is None else horizon_cut
     if T > rollouts.horizon or T > ref_states.shape[0]:
         raise ValueError("horizon_cut exceeds available trajectory length")
-    sq = np.zeros(T)
     count = len(rollouts) * len(position_indices)
-    for traj in rollouts:
-        for idx in position_indices:
-            idx = np.asarray(idx, dtype=int)
-            err = traj.states[:T, idx] - ref_states[:T, idx]
-            sq += np.sum(err * err, axis=1)
-    return np.sqrt(sq / count)
+    sq = np.empty((len(rollouts), len(position_indices), T))
+    for i, idx in enumerate(position_indices):
+        idx = np.asarray(idx, dtype=int)
+        err = rollouts.states[:, :T, idx] - ref_states[:T, idx]
+        sq[:, i] = np.sum(err * err, axis=-1)
+    # Added up trial by trial, agents in order within a trial: cumsum adds the
+    # rows in that order even where np.sum(axis=0) would add them pairwise.
+    total = np.cumsum(sq.reshape(count, T), axis=0)[-1]
+    return np.sqrt(total / count)
 
 
 @dataclass(frozen=True)
@@ -148,8 +135,8 @@ def task_statistics(batch: TrajectoryBatch, spec: TaskStatsSpec) -> dict[str, fl
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
             raise ConfigError(f"speed indices for {label!r} out of range")
-        vals = [np.mean(np.linalg.norm(traj.states[:, idx], axis=1)) for traj in batch]
-        out[f"avg_speed_{label}"] = float(np.mean(vals))
+        speeds = np.linalg.norm(batch.states[:, :, idx], axis=-1)
+        out[f"avg_speed_{label}"] = float(np.mean(np.mean(speeds, axis=1)))
     for label, (ia, ib) in spec.distances.items():
         ia = np.asarray(ia, dtype=int)
         ib = np.asarray(ib, dtype=int)
@@ -157,9 +144,6 @@ def task_statistics(batch: TrajectoryBatch, spec: TaskStatsSpec) -> dict[str, fl
             ib < 0
         ) or np.any(ib >= n):
             raise ConfigError(f"distance indices for {label!r} invalid")
-        vals = [
-            np.mean(np.linalg.norm(traj.states[:, ia] - traj.states[:, ib], axis=1))
-            for traj in batch
-        ]
-        out[f"avg_dist_{label}"] = float(np.mean(vals))
+        dists = np.linalg.norm(batch.states[:, :, ia] - batch.states[:, :, ib], axis=-1)
+        out[f"avg_dist_{label}"] = float(np.mean(np.mean(dists, axis=1)))
     return out

@@ -15,19 +15,9 @@ from .errors import SimulationDivergedError
 from .game import AffineGaussianPolicySet, Array, GameSpec, Trajectory, TrajectoryBatch
 
 
-def _resolve_initial(game: GameSpec, s1: Array | None) -> Array:
-    if s1 is None:
-        return game.initial_state.mean.copy()
-    s1 = np.asarray(s1, dtype=float)
-    if s1.shape != (game.state_dim,):
-        raise ValueError(f"initial state must have dimension {game.state_dim}")
-    return s1
-
-
-def simulate_mean(
-    game: GameSpec, policies: AffineGaussianPolicySet, s1: Array | None = None
-) -> Trajectory:
-    """Deterministic rollout applying every policy's mean action.
+def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajectory:
+    """Deterministic rollout from the initial-state mean applying every
+    policy's mean action.
 
     Noise and policy covariances are ignored; the result is bitwise
     reproducible.  Raises :class:`SimulationDivergedError` naming the first
@@ -36,7 +26,7 @@ def simulate_mean(
     T, n = game.horizon, game.state_dim
     if policies.horizon != T or policies.state_dim != n:
         raise ValueError("policy set dimensions do not match the game")
-    s = _resolve_initial(game, s1)
+    s = game.initial_state.mean.copy()
     states = np.empty((T, n))
     actions = [np.empty((T, m)) for m in game.action_dims]
     for k in range(T):
@@ -52,27 +42,20 @@ def simulate_mean(
 
 
 def simulate_stochastic(
-    game: GameSpec,
-    policies: AffineGaussianPolicySet,
-    s1: Array | None = None,
-    *,
-    seed: int,
+    game: GameSpec, policies: AffineGaussianPolicySet, *, seed: int
 ) -> Trajectory:
-    """Sample one trajectory: actions from each agent's Gaussian policy,
-    states through the dynamics plus additive process noise.
+    """Sample one trajectory: the initial state from the game's initial-state
+    distribution (first draw of the trial generator), actions from each
+    agent's Gaussian policy, states through the dynamics plus additive
+    process noise.
 
-    Identical seeds produce identical trajectories.  If ``s1`` is omitted it
-    is drawn from the game's initial-state distribution (first draw of the
-    trial generator).
+    Identical seeds produce identical trajectories.
     """
     T, n = game.horizon, game.state_dim
     if policies.horizon != T or policies.state_dim != n:
         raise ValueError("policy set dimensions do not match the game")
     rng = np.random.default_rng(seed)
-    if s1 is None:
-        s = game.initial_state.sample(rng)
-    else:
-        s = _resolve_initial(game, s1)
+    s = game.initial_state.sample(rng)
     factors = policies.covariance_factors
     states = np.empty((T, n))
     actions = [np.empty((T, m)) for m in game.action_dims]
@@ -89,7 +72,7 @@ def simulate_stochastic(
             acts.append(a)
         if k + 1 < T:
             s = game.dynamics.step(k + 1, s, acts) + game.noise.sample(rng)
-    return Trajectory(states=states, actions=tuple(actions), seed=seed)
+    return Trajectory(states=states, actions=tuple(actions))
 
 
 def rollout_batch(
@@ -101,9 +84,14 @@ def rollout_batch(
     """Sample ``trials`` trajectories with trial seeds ``base_seed + k``."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    return TrajectoryBatch(
-        tuple(simulate_stochastic(game, policies, seed=base_seed + k) for k in range(trials))
-    )
+    states = np.empty((trials, game.horizon, game.state_dim))
+    actions = tuple(np.empty((trials, game.horizon, m)) for m in game.action_dims)
+    for k in range(trials):
+        traj = simulate_stochastic(game, policies, seed=base_seed + k)
+        states[k] = traj.states
+        for stack, a in zip(actions, traj.actions):
+            stack[k] = a
+    return TrajectoryBatch(states=states, actions=actions)
 
 
 def evaluate_cost(game: GameSpec, trajectory: Trajectory) -> Array:

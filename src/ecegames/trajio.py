@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import IngestError
-from .game import AffineGaussianPolicySet, Array, Trajectory, TrajectoryBatch
+from .game import AffineGaussianPolicySet, Array, TrajectoryBatch
 
 
 def _cell(x) -> str:
@@ -54,11 +56,13 @@ def trajectory_header(state_dim: int, action_dims: Sequence[int]) -> list[str]:
 
 
 def write_trajectories(path: str | Path, batch: TrajectoryBatch) -> None:
+    steps = np.arange(1, batch.horizon + 1)
+
     def rows():
-        for trial, traj in enumerate(batch):
-            steps = np.arange(1, traj.horizon + 1)
+        for trial in range(len(batch)):
             yield from np.column_stack(
-                [np.full(traj.horizon, trial), steps, traj.states, *traj.actions]
+                [np.full(batch.horizon, trial), steps, batch.states[trial],
+                 *(a[trial] for a in batch.actions)]
             ).tolist()
 
     write_csv(path, trajectory_header(batch.state_dim, batch.action_dims), rows())
@@ -70,13 +74,14 @@ def read_trajectories(
     """Parse and validate a trajectory file against the expected dimensions.
 
     Raises :class:`IngestError` citing the 1-based file line of the first
-    problem: wrong column count, malformed numbers, unsorted or incomplete
-    (trial, t) coverage, or non-finite values.
+    problem: wrong column count, malformed numbers, unsorted rows or
+    non-finite values; once every row has passed, the first trial whose
+    time steps do not span 1..T or whose horizon differs from the first's.
     """
     expected_header = trajectory_header(state_dim, action_dims)
     n_cols = len(expected_header)
-    m_offsets = np.cumsum([0] + list(action_dims))
-    rows_by_trial: dict[int, list[tuple[int, list[float]]]] = {}
+    values = array("d")  # the value columns of every row, row after row
+    trials: list[list[int]] = []  # [trial, first t, last t, rows] in file order
     with _open(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -96,39 +101,38 @@ def read_trajectories(
             try:
                 trial = int(row[0])
                 t = int(row[1])
-                values = [float(x) for x in row[2:]]
+                row_values = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise IngestError(f"{path}: line {line_no}: {exc}") from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, row_values)):
                 raise IngestError(f"{path}: line {line_no}: non-finite value")
             key = (trial, t)
             if prev_key is not None and key <= prev_key:
                 raise IngestError(
                     f"{path}: line {line_no}: rows not sorted by (trial, t)"
                 )
+            if prev_key is None or trial != prev_key[0]:
+                trials.append([trial, t, t, 0])
+            trials[-1][2] = t
+            trials[-1][3] += 1
             prev_key = key
-            rows_by_trial.setdefault(trial, []).append((t, values))
-    if not rows_by_trial:
+            values.extend(row_values)
+    if not trials:
         raise IngestError(f"{path}: no data rows")
 
-    trajectories = []
-    horizon = None
-    for trial in sorted(rows_by_trial):
-        rows = rows_by_trial[trial]
-        ts = [t for t, _ in rows]
-        if ts != list(range(1, len(rows) + 1)):
+    horizon = trials[0][3]
+    for trial, first, last, rows in trials:
+        # t rises strictly within a trial, so it spans 1..rows iff it runs from 1 to rows.
+        if (first, last) != (1, rows):
             raise IngestError(f"{path}: trial {trial}: time steps must span 1..T")
-        if horizon is None:
-            horizon = len(rows)
-        elif len(rows) != horizon:
+        if rows != horizon:
             raise IngestError(f"{path}: trial {trial}: inconsistent horizon")
-        states = np.array([vals[:state_dim] for _, vals in rows])
-        actions = []
-        for i, m in enumerate(action_dims):
-            lo = state_dim + int(m_offsets[i])
-            actions.append(np.array([vals[lo : lo + m] for _, vals in rows]))
-        trajectories.append(Trajectory(states=states, actions=tuple(actions)))
-    return TrajectoryBatch(tuple(trajectories))
+    data = np.frombuffer(values, dtype=float).reshape(len(trials), horizon, n_cols - 2)
+    states, *actions = np.split(data, np.cumsum([state_dim, *action_dims])[:-1], axis=2)
+    return TrajectoryBatch(
+        states=np.ascontiguousarray(states),
+        actions=tuple(np.ascontiguousarray(a) for a in actions),
+    )
 
 
 def write_policy(path: str | Path, policies: AffineGaussianPolicySet) -> None:

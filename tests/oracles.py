@@ -127,23 +127,25 @@ def central_difference_jacobian(fn, x, h=1e-5):
 
 def finite_difference_jacobians(step, state_dim, action_dims, h=1e-6):
     """Central-difference Jacobian evaluator ``(t, s, actions) -> (A, [B_j])``
-    for an arbitrary drift, in the form ``DynamicsModel.jacobians`` takes."""
+    for an arbitrary drift, in the form ``DynamicsModel.jacobians`` takes: it
+    broadcasts over a leading axis of points when ``step`` does."""
 
     def jacobians(t, s, actions):
-        A = np.empty((state_dim, state_dim))
+        lead = np.shape(s)[:-1]
+        A = np.empty(lead + (state_dim, state_dim))
         for k in range(state_dim):
             e = np.zeros(state_dim)
             e[k] = h
-            A[:, k] = (step(t, s + e, actions) - step(t, s - e, actions)) / (2.0 * h)
+            A[..., k] = (step(t, s + e, actions) - step(t, s - e, actions)) / (2.0 * h)
         Bs = []
         for j, m in enumerate(action_dims):
-            B = np.empty((state_dim, m))
+            B = np.empty(lead + (state_dim, m))
             for k in range(m):
                 hi = [a.copy() for a in actions]
                 lo = [a.copy() for a in actions]
-                hi[j][k] += h
-                lo[j][k] -= h
-                B[:, k] = (step(t, s, hi) - step(t, s, lo)) / (2.0 * h)
+                hi[j][..., k] += h
+                lo[j][..., k] -= h
+                B[..., k] = (step(t, s, hi) - step(t, s, lo)) / (2.0 * h)
             Bs.append(B)
         return A, Bs
 
@@ -204,3 +206,95 @@ def quadratize_per_step(game, nominal, *, floor, strict_paper=False):
         r.append(r_i)
         projected.append(neg)
     return Q, l, r, projected
+
+
+# -- per-trajectory references for the trial-stacked rollout sets ------------
+
+
+def feature_sums_per_trajectory(basis, trajectories):
+    """Per-agent (K, F_i) feature sums, each row from one trajectory's features
+    summed over its T steps."""
+    rows = []
+    for traj in trajectories:
+        steps = np.arange(1, traj.horizon + 1)
+        rows.append([
+            np.array([np.sum(f.value(steps, traj.states, traj.actions)) for f in feats])
+            for feats in basis.agents
+        ])
+    return [np.array([r[i] for r in rows]) for i in range(basis.num_agents)]
+
+
+def mean_feature_sums(basis, trajectories):
+    """Per-agent feature sums added up trajectory by trajectory, then divided by the count."""
+    sums = [np.zeros(len(feats)) for feats in basis.agents]
+    count = 0
+    for traj in trajectories:
+        for i, vec in enumerate(feature_sums_per_trajectory(basis, [traj])):
+            sums[i] += vec[0]
+        count += 1
+    return [s / count for s in sums]
+
+
+def goal_distance_stats_per_trajectory(trajectories, goals, position_indices):
+    """Mean and sample standard deviation of each agent's final goal distance."""
+    out = []
+    for i, goal in enumerate(goals):
+        idx = np.asarray(position_indices[i], dtype=int)
+        dists = np.array(
+            [float(np.linalg.norm(traj.states[-1, idx] - goal)) for traj in trajectories]
+        )
+        std = float(np.std(dists, ddof=1)) if len(dists) > 1 else 0.0
+        out.append((float(np.mean(dists)), std))
+    return out
+
+
+def trajectory_rmse_per_trajectory(ref_states, trajectories, position_indices, T):
+    """Per-step position RMSE against (T, n) reference states, accumulated
+    trajectory by trajectory and agent by agent."""
+    sq = np.zeros(T)
+    count = 0
+    for traj in trajectories:
+        for idx in position_indices:
+            err = traj.states[:T, idx] - ref_states[:T, idx]
+            sq += np.sum(err * err, axis=1)
+            count += 1
+    return np.sqrt(sq / count)
+
+
+def task_statistics_per_trajectory(trajectories, spec):
+    """Averages over time and trajectories of named speeds and separations."""
+    out = {}
+    for label, idx in spec.speeds.items():
+        vals = [np.mean(np.linalg.norm(traj.states[:, idx], axis=1)) for traj in trajectories]
+        out[f"avg_speed_{label}"] = float(np.mean(vals))
+    for label, (ia, ib) in spec.distances.items():
+        vals = [
+            np.mean(np.linalg.norm(traj.states[:, ia] - traj.states[:, ib], axis=1))
+            for traj in trajectories
+        ]
+        out[f"avg_dist_{label}"] = float(np.mean(vals))
+    return out
+
+
+def linearize_per_step(game, nominal):
+    """Dynamics Jacobians along the nominal, one ``jacobians`` call per step."""
+    T, n = game.horizon, game.state_dim
+    A = np.empty((T - 1, n, n))
+    B = [np.empty((T - 1, n, m)) for m in game.action_dims]
+    for k in range(T - 1):
+        A[k], B_k = game.dynamics.jacobians(
+            k + 1, nominal.states[k], [a[k] for a in nominal.actions]
+        )
+        for j, b in enumerate(B_k):
+            B[j][k] = b
+    return A, B
+
+
+def absolute_offsets_per_step(policies):
+    """alpha_abs_t = alpha_t - abar_t - P_t sbar_t, one step at a time."""
+    out = []
+    for P, al, ab in zip(policies.gains, policies.offsets, policies.nominal_actions):
+        out.append(np.array([
+            al[k] - ab[k] - P[k] @ policies.nominal_states[k] for k in range(al.shape[0])
+        ]))
+    return out

@@ -289,8 +289,12 @@ def input_files(tmp_path_factory, lq_config):
     cfg["learner"]["learning_rate"] = None
     bad_config = root / "null_learning_rate.json"
     bad_config.write_text(json.dumps(cfg))
+    cfg["learner"]["learning_rate"] = float("nan")
+    nan_config = root / "nan_learning_rate.json"
+    nan_config.write_text(json.dumps(cfg))
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
-            "bad_config": str(bad_config), "out": str(root / "out")}
+            "bad_config": str(bad_config), "nan_config": str(nan_config),
+            "out": str(root / "out")}
 
 
 # (command with {placeholders} for input_files and {lq}, expected exit code)
@@ -304,6 +308,7 @@ INPUT_ERRORS = [
     (["validate", "--config", "{lq}", "--trajectories", "{missing}"], 1),
     (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{missing}",
       "--trials", "1", "--out", "{out}"], 1),
+    (["learn", "--config", "{nan_config}", "--demos", "{demos}", "--out-weights", "{out}"], 2),
 ]
 
 

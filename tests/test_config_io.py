@@ -205,6 +205,23 @@ MALFORMED_VALUES = [
     (("noise",), {"kind": "scaled_identity", "scale": "big"}, "noise"),
     (("noise",), {"kind": "scaled_identity", "scale": None}, "noise"),
     (("initial_state",), {"kind": "fixed", "value": ["a", 0.0, 0.0, 0.0]}, "initial_state"),
+    # Ints from booleans or non-integral numbers, and non-finite floats.
+    (("horizon",), 2.7, "horizon"),
+    (("horizon",), float("inf"), "horizon"),
+    (("num_agents",), True, "num_agents"),
+    (("solver",), {"max_iterations": 2.5}, "solver.max_iterations"),
+    (("solver",), {"max_iterations": True}, "solver.max_iterations"),
+    (("solver",), {"max_step_deviation": float("inf")}, "solver.max_step_deviation"),
+    (("solver",), {"convergence_tol": float("nan")}, "solver.convergence_tol"),
+    (("learner",), {"learning_rate": float("nan")}, "learner.learning_rate"),
+    (("learner",), {"residual_tol": float("-inf")}, "learner.residual_tol"),
+    (("learner",), {"samples_per_expectation": 10.5}, "learner.samples_per_expectation"),
+    (("agents", 0, "start"), [float("nan"), 0.0], "agents[0].start"),
+    (("agents", 0, "goal"), [1.0, float("inf")], "agents[0].goal"),
+    (("agents", 0, "true_weights"), [1.0, float("nan")], "agents[0].true_weights"),
+    (("agents", 0, "features"),
+     [{"kind": "gaussian_proximity", "target": 0, "sigma": float("nan")}],
+     "agents[0].features[0].sigma"),
 ]
 
 

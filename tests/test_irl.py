@@ -65,7 +65,7 @@ class TestEmpiricalFeatureMean:
         basis, _ = scalar_tracking_scenario(horizon=3)
         t1 = Trajectory(states=np.zeros((3, 1)), actions=(np.array([[np.sqrt(2)], [0.0], [0.0]]),))
         t2 = Trajectory(states=np.zeros((3, 1)), actions=(np.array([[2.0], [0.0], [0.0]]),))
-        means = empirical_feature_mean(basis, TrajectoryBatch((t1, t2)))
+        means = empirical_feature_mean(basis, TrajectoryBatch.from_trajectories((t1, t2)))
         assert means[0][1] == pytest.approx(3.0)
 
     def test_order_invariance(self, small_scenario):
@@ -74,14 +74,14 @@ class TestEmpiricalFeatureMean:
         batch = rollout_batch(game, sol.policies, 5, 0)
         fwd = empirical_feature_mean(small_scenario.basis, batch)
         rev = empirical_feature_mean(
-            small_scenario.basis, TrajectoryBatch(tuple(reversed(batch.trajectories)))
+            small_scenario.basis, TrajectoryBatch.from_trajectories(reversed(list(batch)))
         )
         for a, b in zip(fwd, rev):
             assert np.allclose(a, b)
 
     def test_empty_batch_rejected(self, small_scenario):
         with pytest.raises(ValueError):
-            TrajectoryBatch(())
+            TrajectoryBatch.from_trajectories(())
 
 
 class TestEstimateFeatureExpectation:

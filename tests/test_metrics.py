@@ -25,7 +25,7 @@ def batch_from_positions(positions_list):
     for pos in positions_list:
         pos = np.asarray(pos, dtype=float)
         trajs.append(Trajectory(states=pos, actions=(np.zeros((pos.shape[0], 1)),)))
-    return TrajectoryBatch(tuple(trajs))
+    return TrajectoryBatch.from_trajectories(trajs)
 
 
 def effort_basis():
@@ -41,7 +41,7 @@ def effort_batch(effort_values, horizon=4):
         a = np.zeros((horizon, 1))
         a[0, 0] = np.sqrt(v)
         trajs.append(Trajectory(states=np.zeros((horizon, 2)), actions=(a,)))
-    return TrajectoryBatch(tuple(trajs))
+    return TrajectoryBatch.from_trajectories(trajs)
 
 
 class TestHistogramKl:
@@ -153,7 +153,7 @@ class TestTaskStatistics:
     def test_constant_speed(self):
         states = np.zeros((4, 4))
         states[:, 2] = 3.0  # vx
-        batch = TrajectoryBatch(
+        batch = TrajectoryBatch.from_trajectories(
             (Trajectory(states=states, actions=(np.zeros((4, 1)),)),)
         )
         spec = TaskStatsSpec(speeds={"m": [2, 3]}, distances={})
@@ -163,7 +163,7 @@ class TestTaskStatistics:
     def test_constant_separation(self):
         states = np.zeros((4, 4))
         states[:, 2] = 7.0  # agent 2 x-position
-        batch = TrajectoryBatch(
+        batch = TrajectoryBatch.from_trajectories(
             (Trajectory(states=states, actions=(np.zeros((4, 1)),)),)
         )
         spec = TaskStatsSpec(speeds={}, distances={"pair": ([0, 1], [2, 3])})
@@ -177,8 +177,8 @@ class TestTaskStatistics:
             for _ in range(4)
         ]
         spec = TaskStatsSpec(speeds={"a": [0, 1]}, distances={"p": ([0, 1], [2, 3])})
-        fwd = task_statistics(TrajectoryBatch(tuple(trajs)), spec)
-        rev = task_statistics(TrajectoryBatch(tuple(reversed(trajs))), spec)
+        fwd = task_statistics(TrajectoryBatch.from_trajectories(trajs), spec)
+        rev = task_statistics(TrajectoryBatch.from_trajectories(reversed(trajs)), spec)
         assert fwd == pytest.approx(rev)
 
     def test_bad_indices_raise_config_error(self):
