@@ -81,11 +81,14 @@ def _check_no_extras(d: dict, allowed: set[str], path: str) -> None:
 
 
 def _coerce(value: Any, type_: type, path: str, *, finite: bool = True) -> Any:
-    """``value`` as ``type_``: a bool only from a JSON boolean, an int not from
-    a boolean or a non-integral number, a float only if finite (unless
-    ``finite`` is false: ``dt`` and ``temperature`` check their own range)."""
+    """``value`` as ``type_``: a bool only from a JSON boolean, a number not
+    from a JSON string, an int not from a boolean or a non-integral number, a
+    float only if finite (unless ``finite`` is false: ``dt`` and
+    ``temperature`` check their own range)."""
     if type_ is bool and not isinstance(value, bool):
         raise ConfigError(f"{path} must be a JSON boolean (true or false), got {value!r}")
+    if type_ in (int, float) and isinstance(value, str):
+        raise ConfigError(f"{path} must be a JSON number, got the string {value!r}")
     if type_ is int and (
         isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
     ):

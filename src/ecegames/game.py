@@ -49,22 +49,28 @@ def cholesky_checked(S: Array, agent: int) -> tuple[Array, Array]:
 
     Returns the symmetrised stack and its lower factors.  Raises
     :class:`CovarianceError` naming ``agent`` and the first 1-based time step
-    whose matrix is not positive definite.
+    whose matrix is not positive definite or whose factor is not finite
+    (``np.linalg.cholesky`` returns NaN factors for NaN input without raising).
     """
     sym = (S + np.swapaxes(S, -1, -2)) / 2.0
     try:
-        return sym, np.linalg.cholesky(sym)
+        L = np.linalg.cholesky(sym)
+        if np.isfinite(L).all():
+            return sym, L
     except np.linalg.LinAlgError:
-        for k in range(sym.shape[0]):
-            try:
-                np.linalg.cholesky(sym[k])
-            except np.linalg.LinAlgError as exc:
-                raise CovarianceError(
-                    f"policy covariance not positive definite for agent {agent} at t={k + 1}",
-                    agent=agent,
-                    time_step=k + 1,
-                ) from exc
-        raise
+        pass
+    for k in range(sym.shape[0]):
+        try:
+            ok = np.isfinite(np.linalg.cholesky(sym[k])).all()
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            raise CovarianceError(
+                f"policy covariance not positive definite for agent {agent} at t={k + 1}",
+                agent=agent,
+                time_step=k + 1,
+            )
+    raise np.linalg.LinAlgError("stacked Cholesky factorisation failed on no single step")
 
 
 def psd_factor(M: Array) -> Array:

@@ -298,3 +298,137 @@ def absolute_offsets_per_step(policies):
             al[k] - ab[k] - P[k] @ policies.nominal_states[k] for k in range(al.shape[0])
         ]))
     return out
+
+
+# -- per-agent reference for the agent-stacked LQ stage recursion ------------
+
+
+def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r=None, *, time_step=0):
+    """One stage's coupled gains and offsets, assembled agent by agent.
+
+    Returns per-agent P, alpha lists plus (np.linalg.cond of the solved
+    matrix, diagonal shift used); the ladder matches ``lq.solve_stage_coupled``.
+    """
+    from ecegames.errors import StageSingularError
+    from ecegames.lq import COND_LIMIT, REG_INIT, REG_MAX
+
+    N = len(B)
+    m_dims = [b.shape[1] for b in B]
+    n = A.shape[0]
+    rows = []
+    rhs_rows = []
+    for i in range(N):
+        BtZ = B[i].T @ Z_next[i]
+        row = [BtZ @ B[j] for j in range(N)]
+        row[i] = row[i] + R[i][i]
+        rows.append(np.concatenate(row, axis=1))
+        lin = BtZ @ A
+        off = B[i].T @ xi_next[i]
+        if r is not None:
+            off = off + r[i]
+        rhs_rows.append(np.concatenate([lin, off[:, None]], axis=1))
+    M = np.concatenate(rows, axis=0)
+    rhs = np.concatenate(rhs_rows, axis=0)
+
+    cond = float(np.linalg.cond(M))
+    shift = 0.0
+    M_solve = M
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        lam = REG_INIT
+        while True:
+            M_solve = M + lam * np.eye(M.shape[0])
+            cond = float(np.linalg.cond(M_solve))
+            shift = lam
+            if np.isfinite(cond) and cond <= COND_LIMIT:
+                break
+            if lam >= REG_MAX:
+                raise StageSingularError(time_step=time_step, condition=cond)
+            lam = min(2.0 * lam, REG_MAX)
+    sol = np.linalg.solve(M_solve, rhs)
+
+    P, alpha = [], []
+    row0 = 0
+    for m in m_dims:
+        P.append(sol[row0 : row0 + m, :n])
+        alpha.append(sol[row0 : row0 + m, n])
+        row0 += m
+    return P, alpha, cond, shift
+
+
+def backward_value_update_per_agent(
+    P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t, r_t=None, *, include_stage_linear=True
+):
+    """Every agent's (Z, xi) one step back, one agent and one pair at a time."""
+    N = len(B)
+    F = A - sum(B[j] @ P[j] for j in range(N))
+    beta = -sum(B[j] @ alpha[j] for j in range(N))
+    Z_out, xi_out = [], []
+    for i in range(N):
+        Z = F.T @ Z_next[i] @ F + Q_t[i]
+        xi = F.T @ (xi_next[i] + Z_next[i] @ beta)
+        for j in range(N):
+            RP = R[i][j] @ P[j]
+            Z = Z + P[j].T @ RP
+            xi = xi + P[j].T @ (R[i][j] @ alpha[j])
+        if include_stage_linear:
+            xi = xi + l_t[i]
+        if r_t is not None:
+            xi = xi - P[i].T @ r_t[i]
+        Z_out.append((Z + Z.T) / 2.0)
+        xi_out.append(xi)
+    return Z_out, xi_out
+
+
+def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
+    """``lq.solve_lq_ece`` with per-agent lists through the backward loop.
+
+    Returns a dict of per-agent gains, offsets, covariances (symmetrised),
+    Z and xi stacks plus the per-stage condition and regularization arrays.
+    """
+    N, T, n = game.num_agents, game.horizon, game.state_dim
+    m_dims = game.action_dims
+    if temperatures is None:
+        temperatures = (1.0,) * N
+    gains = [np.zeros((T, m, n)) for m in m_dims]
+    offsets = [np.zeros((T, m)) for m in m_dims]
+    Z_hist = [np.zeros((T, n, n)) for _ in range(N)]
+    xi_hist = [np.zeros((T, n)) for _ in range(N)]
+    condition = np.zeros(max(T - 1, 0))
+    regularization = np.zeros(max(T - 1, 0))
+
+    Z = [game.Q[i][T - 1].copy() for i in range(N)]
+    xi = [game.l[i][T - 1].copy() for i in range(N)]
+    for i in range(N):
+        Z_hist[i][T - 1] = Z[i]
+        xi_hist[i][T - 1] = xi[i]
+        offsets[i][T - 1] = np.linalg.solve(game.R[i][i], game.r[i][T - 1])
+    for k in range(T - 2, -1, -1):
+        B = [game.B[j][k] for j in range(N)]
+        r = [game.r[i][k] for i in range(N)]
+        P, alpha, condition[k], regularization[k] = solve_stage_coupled_per_agent(
+            Z, xi, game.A[k], B, game.R, r, time_step=k + 1
+        )
+        for i in range(N):
+            gains[i][k] = P[i]
+            offsets[i][k] = alpha[i]
+        Z, xi = backward_value_update_per_agent(
+            P, alpha, Z, xi, game.A[k], B, game.R,
+            [game.Q[i][k] for i in range(N)], [game.l[i][k] for i in range(N)], r,
+            include_stage_linear=not strict_paper,
+        )
+        for i in range(N):
+            Z_hist[i][k] = Z[i]
+            xi_hist[i][k] = xi[i]
+
+    covs = []
+    for i in range(N):
+        M = np.broadcast_to(game.R[i][i], (T, m_dims[i], m_dims[i])).copy()
+        Bi = game.B[i]
+        M[:-1] += np.swapaxes(Bi, 1, 2) @ Z_hist[i][1:] @ Bi
+        M = (M + np.swapaxes(M, 1, 2)) / 2.0
+        S = temperatures[i] * np.linalg.inv(M)
+        covs.append((S + np.swapaxes(S, 1, 2)) / 2.0)
+    return {
+        "gains": gains, "offsets": offsets, "covariances": covs, "Z": Z_hist, "xi": xi_hist,
+        "condition": condition, "regularization": regularization,
+    }

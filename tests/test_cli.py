@@ -292,9 +292,13 @@ def input_files(tmp_path_factory, lq_config):
     cfg["learner"]["learning_rate"] = float("nan")
     nan_config = root / "nan_learning_rate.json"
     nan_config.write_text(json.dumps(cfg))
+    cfg["learner"]["learning_rate"] = 0.2
+    cfg["horizon"] = str(cfg["horizon"])
+    string_config = root / "string_horizon.json"
+    string_config.write_text(json.dumps(cfg))
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
             "bad_config": str(bad_config), "nan_config": str(nan_config),
-            "out": str(root / "out")}
+            "string_config": str(string_config), "out": str(root / "out")}
 
 
 # (command with {placeholders} for input_files and {lq}, expected exit code)
@@ -309,6 +313,7 @@ INPUT_ERRORS = [
     (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{missing}",
       "--trials", "1", "--out", "{out}"], 1),
     (["learn", "--config", "{nan_config}", "--demos", "{demos}", "--out-weights", "{out}"], 2),
+    (["gen-demos", "--config", "{string_config}", "--trials", "1", "--out", "{out}"], 2),
 ]
 
 

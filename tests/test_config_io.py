@@ -222,6 +222,14 @@ MALFORMED_VALUES = [
     (("agents", 0, "features"),
      [{"kind": "gaussian_proximity", "target": 0, "sigma": float("nan")}],
      "agents[0].features[0].sigma"),
+    # Numbers given as JSON strings.
+    (("horizon",), "5", "horizon"),
+    (("num_agents",), "1", "num_agents"),
+    (("dt",), "0.1", "dt"),
+    (("agents", 0, "temperature"), "2.0", "agents[0].temperature"),
+    (("agents", 0, "start"), ["0.5", 0.0], "agents[0].start"),
+    (("solver",), {"max_iterations": "10"}, "solver.max_iterations"),
+    (("learner",), {"learning_rate": "0.2"}, "learner.learning_rate"),
 ]
 
 
