@@ -9,7 +9,7 @@ error to one of them and prints a one-line ``error:`` message to stderr):
      solve did not converge: ...") or failed; ``learn`` ran out of sweeps
      before its residuals met the tolerance (weights and trace are still
      written); or a ``--demos``, ``--trajectories`` or ``--weights`` file is
-     missing, unreadable or malformed.
+     missing, unreadable or malformed, or its horizon is not the scenario's.
   2  usage or configuration error: bad command-line arguments, a missing,
      unreadable or invalid config file, missing ``true_weights`` where the
      command needs them, or a learner override out of range (``--lr`` < 0).
@@ -49,7 +49,13 @@ def _require_true_weights(scenario: Scenario):
 
 
 def _read_demos(path: str, scenario: Scenario):
-    return trajio.read_trajectories(path, scenario.state_dim, scenario.action_dims)
+    """A trajectory file checked against the scenario's dimensions and horizon."""
+    batch = trajio.read_trajectories(path, scenario.state_dim, scenario.action_dims)
+    if batch.horizon != scenario.horizon:
+        raise IngestError(
+            f"{path}: horizon {batch.horizon} != scenario horizon {scenario.horizon}"
+        )
+    return batch
 
 
 def cmd_gen_demos(args: argparse.Namespace) -> int:
@@ -83,11 +89,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_learn(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     demos = _read_demos(args.demos, scenario)
-    if demos.horizon != scenario.horizon or demos.num_agents != scenario.num_agents:
-        raise IngestError(
-            f"{args.demos}: demo dimensions do not match the scenario "
-            f"(horizon {demos.horizon} vs {scenario.horizon})"
-        )
 
     given = {"mode": args.mode, "learning_rate": args.lr, "samples_per_expectation": args.samples}
     overrides = {key: value for key, value in given.items() if value is not None}
@@ -147,11 +148,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     batch = _read_demos(args.trajectories, scenario)
-    if batch.horizon != scenario.horizon:
-        raise IngestError(
-            f"{args.trajectories}: horizon {batch.horizon} != scenario horizon "
-            f"{scenario.horizon}"
-        )
     print(f"{args.trajectories}: OK ({len(batch)} trajectories, horizon {batch.horizon})")
     return 0
 

@@ -44,12 +44,19 @@ def _check_symmetric(M: Array, name: str, tol: float = _SYM_TOL) -> None:
         raise ValueError(f"{name} is not symmetric")
 
 
-def cholesky_checked(S: Array, agent: int) -> tuple[Array, Array]:
-    """Symmetrise a (T, m, m) covariance stack and Cholesky-factorise it.
+def temperatures_valid(temperatures: Iterable[float]) -> bool:
+    """Whether every entropy temperature is positive and finite."""
+    return all(0.0 < g < np.inf for g in temperatures)
 
-    Returns the symmetrised stack and its lower factors.  Raises
-    :class:`CovarianceError` naming ``agent`` and the first 1-based time step
-    whose matrix is not positive definite or whose factor is not finite
+
+def cholesky_checked(S: Array, agent: int | None = None) -> tuple[Array, Array]:
+    """Symmetrise a covariance stack and Cholesky-factorise it.
+
+    ``S`` is agent ``agent``'s (T, m, m) stack or, with ``agent=None``, an
+    agent-stacked (N, T, m, m) one.  Returns the symmetrised stack and its
+    lower factors.  Raises :class:`CovarianceError` naming the agent (the
+    first failing one when stacked) and its first 1-based time step whose
+    matrix is not positive definite or whose factor is not finite
     (``np.linalg.cholesky`` returns NaN factors for NaN input without raising).
     """
     sym = (S + np.swapaxes(S, -1, -2)) / 2.0
@@ -59,15 +66,16 @@ def cholesky_checked(S: Array, agent: int) -> tuple[Array, Array]:
             return sym, L
     except np.linalg.LinAlgError:
         pass
-    for k in range(sym.shape[0]):
+    for index in np.ndindex(sym.shape[:-2]):
         try:
-            ok = np.isfinite(np.linalg.cholesky(sym[k])).all()
+            ok = np.isfinite(np.linalg.cholesky(sym[index])).all()
         except np.linalg.LinAlgError:
             ok = False
         if not ok:
+            i, k = (agent, *index) if agent is not None else index
             raise CovarianceError(
-                f"policy covariance not positive definite for agent {agent} at t={k + 1}",
-                agent=agent,
+                f"policy covariance not positive definite for agent {i} at t={k + 1}",
+                agent=i,
                 time_step=k + 1,
             )
     raise np.linalg.LinAlgError("stacked Cholesky factorisation failed on no single step")
@@ -243,8 +251,8 @@ class GameSpec:
             object.__setattr__(self, "temperatures", tuple(float(g) for g in self.temperatures))
         if len(self.temperatures) != n_agents:
             raise ValueError("one temperature required per agent")
-        if any(g <= 0.0 for g in self.temperatures):
-            raise ValueError("temperatures must be positive")
+        if not temperatures_valid(self.temperatures):
+            raise ValueError("temperatures must be positive and finite")
         if self.noise.gain.shape[0] != self.dynamics.state_dim:
             raise ValueError("noise gain row count must equal the state dimension")
         if self.initial_state.mean.shape != (self.dynamics.state_dim,):

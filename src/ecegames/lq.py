@@ -21,26 +21,29 @@ The xi recursion includes the stage term + l^i_t, mirroring the classical
 deterministic recursion (without it, affine state costs at intermediate
 stages would be ignored).  ``strict_paper=True`` drops that term.
 
-Layout: the backward loop works on agent-stacked arrays (B (N, T-1, n, m),
-R (N, N, m, m), r (N, T, m), Z (N, n, n), xi (N, n), P (N, m, n), alpha
-(N, m)), so each stage makes the same number of array calls for any N.
-Action blocks are zero-padded to m = max m_i; the stage solve drops the
-padded rows and columns (:func:`action_rows`) before the condition estimate
-and the LU, so both see the unpadded block matrix.  With equal action dims
-nothing is padded, and every product is a per-slice matmul that rounds like
-the per-agent one, with sums over agents added in agent order, so results
-match a per-agent loop bit for bit.
+Layout: agent-stacked arrays are the only layout.  :class:`LqStageGame`
+stacks the per-agent blocks once (B (N, T-1, n, m), Q (N, T, n, n),
+l (N, T, n), R (N, N, m, m), r (N, T, m)), zero-padding every action block to
+m = max m_i; the helpers take one stage of it (Z (N, n, n), xi (N, n),
+P (N, m, n), alpha (N, m)), so each stage makes the same number of array
+calls for any N.  The stage solve drops the padded rows and columns
+(:func:`action_rows`) before the condition estimate and the LU, so both see
+the unpadded block matrix; the covariance pass uses own blocks with ones on
+the padded diagonal.  With equal action dims nothing is padded, and every
+product is a per-slice matmul that rounds like the per-agent one, with sums
+over agents added in agent order, so results match a per-agent loop bit for
+bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StageSingularError
-from .game import AffineGaussianPolicySet, Array, _check_symmetric, cholesky_checked
+from .game import AffineGaussianPolicySet, Array, cholesky_checked, temperatures_valid
 
 COND_LIMIT = 1e12
 REG_INIT = 1e-8
@@ -49,87 +52,106 @@ REG_MAX = 1e-2
 
 @dataclass(frozen=True)
 class LqStageGame:
-    """Time-indexed data of one LQ-Gaussian game.
+    """Time-indexed data of one LQ-Gaussian game, stacked on a leading agent axis.
 
-    Shapes (T = horizon, n = state dim, m_i = action dims):
-      A: (T-1, n, n); B[j]: (T-1, n, m_j);
-      Q[i]: (T, n, n) symmetric PSD; l[i]: (T, n);
-      R[i][j]: (m_j, m_j), constant in time, R[i][i] positive definite;
-      r[i]: (T, m_i) linear own-action terms (zeros reproduce the plain
-      quadratic game; recentered games produced by the iterative solver
-      populate them).
+    Built from per-agent blocks (T = horizon, n = state dim, m_i = action
+    dims): A (T-1, n, n); B[j] (T-1, n, m_j); Q[i] (T, n, n) symmetric PSD;
+    l[i] (T, n); R[i][j] (m_j, m_j), constant in time, R[i][i] positive
+    definite; r[i] (T, m_i) linear own-action terms (zeros reproduce the
+    plain quadratic game; recentered games produced by the iterative solver
+    populate them).  Construction checks them and stacks them once, every
+    action block zero-padded to m = max m_i: B (N, T-1, n, m), Q (N, T, n, n),
+    l (N, T, n), R (N, N, m, m), r (N, T, m).  ``R_own`` holds the own blocks
+    R^{ii} (N, m, m) with ones on the padded diagonal, so each is positive
+    definite; ``action_dims`` keeps the m_i.  With unequal action dims the
+    stacked arrays are not valid constructor input: their padding would read
+    as real actions.
     """
 
     A: Array
-    B: tuple[Array, ...]
-    Q: tuple[Array, ...]
-    l: tuple[Array, ...]
-    R: tuple[tuple[Array, ...], ...]
-    r: tuple[Array, ...] | None = None
+    B: Array
+    Q: Array
+    l: Array
+    R: Array
+    r: Array | None = None
+    action_dims: tuple[int, ...] = field(init=False)
+    R_own: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "B", tuple(np.asarray(b, dtype=float) for b in self.B))
-        object.__setattr__(self, "Q", tuple(np.asarray(q, dtype=float) for q in self.Q))
-        object.__setattr__(self, "l", tuple(np.asarray(v, dtype=float) for v in self.l))
-        object.__setattr__(
-            self, "R", tuple(tuple(np.asarray(Rij, dtype=float) for Rij in row) for row in self.R)
-        )
-        T, n = self.horizon, self.state_dim
-        N = self.num_agents
-        if self.A.shape != (T - 1, n, n):
-            raise ValueError(f"A must be (T-1, n, n), got {self.A.shape}")
-        for j, b in enumerate(self.B):
-            if b.shape[:2] != (T - 1, n):
-                raise ValueError(f"B[{j}] must be (T-1, n, m_j), got {b.shape}")
+        A = np.asarray(self.A, dtype=float)
+        N, (T, n) = len(self.B), np.shape(self.Q[0])[:2]
+        dims = tuple(np.shape(b)[-1] for b in self.B)
+        r = [np.zeros((T, d)) for d in dims] if self.r is None else self.r
+        if A.shape != (T - 1, n, n):
+            raise ValueError(f"A must be (T-1, n, n), got {A.shape}")
         for i in range(N):
-            if self.Q[i].shape != (T, n, n) or self.l[i].shape != (T, n):
+            if np.shape(self.B[i]) != (T - 1, n, dims[i]):
+                raise ValueError(f"B[{i}] must be (T-1, n, m_j), got {np.shape(self.B[i])}")
+            if np.shape(self.Q[i]) != (T, n, n) or np.shape(self.l[i]) != (T, n):
                 raise ValueError(f"Q[{i}]/l[{i}] shapes inconsistent")
-            if len(self.R[i]) != N:
-                raise ValueError("R must be an N x N table of blocks")
-            for j in range(N):
-                m = self.action_dims[j]
-                if self.R[i][j].shape != (m, m):
-                    raise ValueError(f"R[{i}][{j}] must be ({m}, {m})")
-                _check_symmetric(self.R[i][j], f"R[{i}][{j}]", tol=1e-8)
-            own = self.R[i][i]
-            try:
-                np.linalg.cholesky(own)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"R[{i}][{i}] must be positive definite") from None
-        if self.r is None:
-            object.__setattr__(
-                self, "r", tuple(np.zeros((T, m)) for m in self.action_dims)
-            )
-        else:
-            object.__setattr__(self, "r", tuple(np.asarray(v, dtype=float) for v in self.r))
-            for i, v in enumerate(self.r):
-                if v.shape != (T, self.action_dims[i]):
-                    raise ValueError(f"r[{i}] must be (T, m_i), got {v.shape}")
+            if np.shape(r[i]) != (T, dims[i]):
+                raise ValueError(f"r[{i}] must be (T, m_i), got {np.shape(r[i])}")
+        if len(self.R) != N or any(len(row) != N for row in self.R):
+            raise ValueError("R must be an N x N table of blocks")
+        for i, row in enumerate(self.R):
+            for j, Rij in enumerate(row):
+                if np.shape(Rij) != (dims[j], dims[j]):
+                    raise ValueError(f"R[{i}][{j}] must be ({dims[j]}, {dims[j]})")
+
+        m = max(dims)
+
+        def stack(blocks, shape):
+            out = np.zeros((len(blocks), *shape))
+            for k, b in enumerate(blocks):
+                out[(k, *map(slice, np.shape(b)))] = b
+            return out
+
+        R = stack([Rij for row in self.R for Rij in row], (m, m)).reshape(N, N, m, m)
+        asymmetric = ~np.isclose(R, R.swapaxes(-1, -2), rtol=0.0, atol=1e-8).all(axis=(-2, -1))
+        if asymmetric.any():
+            i, j = np.argwhere(asymmetric)[0]
+            raise ValueError(f"R[{i}][{j}] is not symmetric")
+        own = R[np.arange(N), np.arange(N)]
+        pad_agent, pad_row = np.nonzero(np.arange(m) >= np.array(dims)[:, None])
+        own[pad_agent, pad_row, pad_row] = 1.0
+        try:
+            np.linalg.cholesky(own)
+        except np.linalg.LinAlgError:
+            i = int(np.argmax(np.linalg.eigvalsh(own)[:, 0] <= 0.0))
+            raise ValueError(f"R[{i}][{i}] must be positive definite") from None
+        for name, value in (
+            ("A", A), ("B", stack(self.B, (T - 1, n, m))), ("Q", stack(self.Q, (T, n, n))),
+            ("l", stack(self.l, (T, n))), ("R", R), ("r", stack(r, (T, m))),
+            ("action_dims", dims), ("R_own", own),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def num_agents(self) -> int:
-        return len(self.B)
+        return self.B.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.Q[0].shape[0]
+        return self.Q.shape[1]
 
     @property
     def state_dim(self) -> int:
-        return self.Q[0].shape[1]
+        return self.Q.shape[2]
 
-    @property
-    def action_dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[2] for b in self.B)
+    def per_agent(self, stacked: Array, square: bool = False) -> tuple[Array, ...]:
+        """Agent i's block of an agent-stacked (N, T, m, ...) array, cut back to
+        its m_i action rows (and columns too when ``square``)."""
+        return tuple(
+            X[:, :d, :d] if square else X[:, :d] for X, d in zip(stacked, self.action_dims)
+        )
 
 
 @dataclass(frozen=True)
 class ValueRecursion:
-    """Quadratic value coefficients of every agent: Z[i] (T, n, n), xi[i] (T, n)."""
+    """Quadratic value coefficients of every agent: Z (N, T, n, n), xi (N, T, n)."""
 
-    Z: tuple[Array, ...]
-    xi: tuple[Array, ...]
+    Z: Array
+    xi: Array
 
 
 @dataclass(frozen=True)
@@ -157,28 +179,6 @@ def action_rows(action_dims: Sequence[int]) -> Array | None:
     return np.concatenate([i * m + np.arange(d) for i, d in enumerate(action_dims)])
 
 
-def _stack_agents(blocks: Sequence[Array], shape: tuple[int, ...]) -> Array:
-    """Per-agent blocks stacked on a new leading axis, each zero-padded to ``shape``."""
-    out = np.zeros((len(blocks), *shape))
-    for i, b in enumerate(blocks):
-        b = np.asarray(b, dtype=float)
-        out[(i, *map(slice, b.shape))] = b
-    return out
-
-
-def _stack_action_blocks(B, R, r):
-    """Per-agent B, R and r stacked on a leading agent axis, every action block
-    zero-padded to m = max m_j: B[j] (..., n, m_j) -> (N, ..., n, m),
-    R[i][j] -> (N, N, m, m), r[i] (..., m_i) -> (N, ..., m); and their
-    :func:`action_rows`."""
-    N = len(B)
-    dims = [np.shape(b)[-1] for b in B]
-    m = max(dims)
-    R = _stack_agents([Rij for row in R for Rij in row], (m, m)).reshape(N, N, m, m)
-    r = None if r is None else _stack_agents(r, (*np.shape(r[0])[:-1], m))
-    return _stack_agents(B, (*np.shape(B[0])[:-1], m)), R, r, action_rows(dims)
-
-
 def _condition(M: Array) -> float:
     """2-norm condition number of M, as ``np.linalg.cond`` gives it (inf when
     M is singular), from one singular-value call."""
@@ -187,23 +187,23 @@ def _condition(M: Array) -> float:
 
 
 def solve_stage_coupled(
-    Z_next: Array | Sequence[Array],
-    xi_next: Array | Sequence[Array],
+    Z_next: Array,
+    xi_next: Array,
     A: Array,
-    B: Array | Sequence[Array],
-    R: Array | tuple[tuple[Array, ...], ...],
-    r: Array | Sequence[Array] | None = None,
+    B: Array,
+    R: Array,
+    r: Array | None = None,
     *,
     time_step: int = 0,
     rows: Array | None = None,
 ) -> tuple[Array, Array, float, float]:
     """Solve one stage's coupled linear system for all gains and offsets.
 
-    Agent-indexed arguments are stacked on a leading agent axis, each action
-    block zero-padded to m = max m_i: Z_next (N, n, n), xi_next (N, n),
-    B (N, n, m), R (N, N, m, m), r (N, m), with ``rows`` from
-    :func:`action_rows` when a block is padded.  Per-agent sequences
-    (B[j] (n, m_j), R[i][j] (m_j, m_j), r[i] (m_i,)) are stacked here.
+    Agent-indexed arguments are stacked on a leading agent axis as
+    :class:`LqStageGame` stacks them, each action block zero-padded to
+    m = max m_i: Z_next (N, n, n), xi_next (N, n), B (N, n, m),
+    R (N, N, m, m), r (N, m), with ``rows`` from :func:`action_rows` when a
+    block is padded.
 
     Assembles M with diagonal blocks R^{ii} + B^i'Z^i B^i and off-diagonal
     blocks B^i'Z^i B^j, drops the padded rows and columns, then solves
@@ -215,10 +215,6 @@ def solve_stage_coupled(
     Returns the gains P (N, m, n) and offsets alpha (N, m), zero in padded
     rows, plus (condition, shift used).
     """
-    if not isinstance(B, np.ndarray):
-        B, R, r, rows = _stack_action_blocks(B, R, r)
-    Z_next = np.asarray(Z_next, dtype=float)
-    xi_next = np.asarray(xi_next, dtype=float)
     N, n, m = B.shape
     # Per-slice gemm and (X @ v[..., None])[..., 0] round like the per-agent
     # products B^i'Z^i B^j and B^i'xi^i.
@@ -259,16 +255,16 @@ def solve_stage_coupled(
 
 
 def backward_value_update(
-    P: Array | Sequence[Array],
-    alpha: Array | Sequence[Array],
-    Z_next: Array | Sequence[Array],
-    xi_next: Array | Sequence[Array],
+    P: Array,
+    alpha: Array,
+    Z_next: Array,
+    xi_next: Array,
     A: Array,
-    B: Array | Sequence[Array],
-    R: Array | tuple[tuple[Array, ...], ...],
-    Q_t: Array | Sequence[Array],
-    l_t: Array | Sequence[Array],
-    r_t: Array | Sequence[Array] | None = None,
+    B: Array,
+    R: Array,
+    Q_t: Array,
+    l_t: Array,
+    r_t: Array | None = None,
     *,
     include_stage_linear: bool = True,
 ) -> tuple[Array, Array]:
@@ -276,9 +272,9 @@ def backward_value_update(
 
     Arguments are stacked on a leading agent axis as in
     :func:`solve_stage_coupled` (P (N, m, n), alpha (N, m), Q_t (N, n, n),
-    l_t (N, n)); per-agent sequences are stacked here.  Padded action rows
-    are zero and add nothing.  F = A - sum_j B^j P^j and
-    beta = -sum_j B^j alpha^j are the closed-loop drift and offset; then
+    l_t (N, n)).  Padded action rows are zero and add nothing.
+    F = A - sum_j B^j P^j and beta = -sum_j B^j alpha^j are the closed-loop
+    drift and offset; then
 
         Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t
         xi^i = F'(xi^i_next + Z^i_next beta) + sum_j P^j'R^{ij}alpha^j
@@ -293,28 +289,19 @@ def backward_value_update(
 
     Returns Z (N, n, n) and xi (N, n).
     """
-    if not isinstance(B, np.ndarray):
-        B, R, r_t, _ = _stack_action_blocks(B, R, r_t)
-        m, n = B.shape[2], np.shape(A)[0]
-        P, alpha = _stack_agents(P, (m, n)), _stack_agents(alpha, (m,))
-    Z_next = np.asarray(Z_next, dtype=float)
-    xi_next = np.asarray(xi_next, dtype=float)
-    N = B.shape[0]
     Pt = P.transpose(0, 2, 1)
     F = A - sum(B @ P)
     beta = -sum((B @ alpha[..., None])[..., 0])
-    Z = F.T @ Z_next @ F + np.asarray(Q_t, dtype=float)
-    xi = (F.T @ (xi_next + Z_next @ beta)[..., None])[..., 0]
-    # [i, j] holds P^j'R^{ij}P^j and P^j'R^{ij}alpha^j.
+    # [i, j] holds P^j'R^{ij}P^j and P^j'R^{ij}alpha^j; sum() over the j axis
+    # adds them to the start value one agent at a time.
     PtRP = Pt[None] @ (R @ P[None])
     PtRa = (Pt[None] @ (R @ alpha[None, ..., None]))[..., 0]
-    for j in range(N):
-        Z = Z + PtRP[:, j]
-        xi = xi + PtRa[:, j]
+    Z = sum(PtRP.swapaxes(0, 1), F.T @ Z_next @ F + Q_t)
+    xi = sum(PtRa.swapaxes(0, 1), (F.T @ (xi_next + Z_next @ beta)[..., None])[..., 0])
     if include_stage_linear:
-        xi = xi + np.asarray(l_t, dtype=float)
+        xi = xi + l_t
     if r_t is not None:
-        xi = xi - (Pt @ np.asarray(r_t, dtype=float)[..., None])[..., 0]
+        xi = xi - (Pt @ r_t[..., None])[..., 0]
     return (Z + Z.transpose(0, 2, 1)) / 2.0, xi
 
 
@@ -337,27 +324,23 @@ def solve_lq_ece(
     xi^i_T = l^i_T.  The terminal-stage policy has zero gain, offset
     (R^{ii})^{-1} r^i_T and covariance gamma^i (R^{ii})^{-1}; interior stages
     come from :func:`solve_stage_coupled` followed by
-    :func:`backward_value_update`, on the game's data stacked once on a
-    leading agent axis, with Sigma^i_t = gamma^i (R^{ii} +
-    B^i'Z^i_{t+1}B^i)^{-1}.  The covariances are formed for all stages in one
-    stacked pass after the backward loop, and each is checked symmetric
-    positive definite (:class:`CovarianceError` names the agent and the first
-    failing step).  Temperatures must be positive and finite.
+    :func:`backward_value_update` on the game's agent-stacked data, with
+    Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.  The covariances of
+    all agents and stages are formed in one stacked pass after the backward
+    loop and checked symmetric positive definite (:class:`CovarianceError`
+    names the first failing agent and its first failing step).  Temperatures
+    must be positive and finite.  The policies are cut back to each agent's
+    action dim; the values stay agent-stacked, Z (N, T, n, n), xi (N, T, n).
     """
-    N = game.num_agents
-    T = game.horizon
-    n = game.state_dim
-    m_dims = game.action_dims
+    N, T, n = game.num_agents, game.horizon, game.state_dim
     if temperatures is None:
         temperatures = tuple(1.0 for _ in range(N))
-    if len(temperatures) != N or not all(0.0 < g < np.inf for g in temperatures):
+    if len(temperatures) != N or not temperatures_valid(temperatures):
         raise ValueError("one positive, finite temperature required per agent")
 
-    B, R, r, rows = _stack_action_blocks(game.B, game.R, game.r)
+    B, R, r = game.B, game.R, game.r
     m = B.shape[-1]
-    Q = np.stack(game.Q)
-    l = np.stack(game.l)
-
+    rows = action_rows(game.action_dims)
     gains = np.zeros((N, T, m, n))
     offsets = np.zeros((N, T, m))
     Z_hist = np.zeros((N, T, n, n))
@@ -365,10 +348,9 @@ def solve_lq_ece(
     condition = np.zeros(max(T - 1, 0))
     regularization = np.zeros(max(T - 1, 0))
 
-    Z = Z_hist[:, T - 1] = Q[:, T - 1]
-    xi = xi_hist[:, T - 1] = l[:, T - 1]
-    for i in range(N):
-        offsets[i, T - 1, : m_dims[i]] = np.linalg.solve(game.R[i][i], game.r[i][T - 1])
+    Z = Z_hist[:, T - 1] = game.Q[:, T - 1]
+    xi = xi_hist[:, T - 1] = game.l[:, T - 1]
+    offsets[:, T - 1] = np.linalg.solve(game.R_own, r[:, T - 1, :, None])[..., 0]
 
     for k in range(T - 2, -1, -1):
         P, alpha, condition[k], regularization[k] = solve_stage_coupled(
@@ -377,26 +359,23 @@ def solve_lq_ece(
         gains[:, k] = P
         offsets[:, k] = alpha
         Z, xi = backward_value_update(
-            P, alpha, Z, xi, game.A[k], B[:, k], R, Q[:, k], l[:, k], r[:, k],
+            P, alpha, Z, xi, game.A[k], B[:, k], R, game.Q[:, k], game.l[:, k], r[:, k],
             include_stage_linear=not strict_paper,
         )
         Z_hist[:, k] = Z
         xi_hist[:, k] = xi
 
-    # Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}, all stages at once.
-    covs = []
-    for i in range(N):
-        M = np.broadcast_to(game.R[i][i], (T, m_dims[i], m_dims[i])).copy()
-        Bi = game.B[i]
-        M[:-1] += np.swapaxes(Bi, 1, 2) @ Z_hist[i, 1:] @ Bi
-        M = (M + np.swapaxes(M, 1, 2)) / 2.0
-        covs.append(cholesky_checked(temperatures[i] * np.linalg.inv(M), i)[0])
+    # Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}, all agents and stages
+    # at once; the padded diagonal of R_own keeps each block invertible.
+    M = np.broadcast_to(game.R_own[:, None], (N, T, m, m)).copy()
+    M[:, :-1] += B.swapaxes(2, 3) @ Z_hist[:, 1:] @ B
+    M = (M + M.swapaxes(2, 3)) / 2.0
+    gamma = np.asarray(temperatures, dtype=float)[:, None, None, None]
+    covs = cholesky_checked(gamma * np.linalg.inv(M))[0]
 
     policies = AffineGaussianPolicySet.identity_nominal(
-        [gains[i, :, :d] for i, d in enumerate(m_dims)],
-        [offsets[i, :, :d] for i, d in enumerate(m_dims)],
-        covs,
+        game.per_agent(gains), game.per_agent(offsets), game.per_agent(covs, square=True)
     )
-    values = ValueRecursion(Z=tuple(Z_hist), xi=tuple(xi_hist))
+    values = ValueRecursion(Z=Z_hist, xi=xi_hist)
     report = StageSolveReport(condition=condition, regularization=regularization)
     return LqSolution(policies=policies, values=values, report=report)

@@ -162,7 +162,7 @@ def read_policy(path: str | Path) -> AffineGaussianPolicySet:
             nominal_states=np.asarray(doc["nominal_states"]),
             nominal_actions=tuple(np.asarray(a) for a in doc["nominal_actions"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{path}: invalid policy file ({exc})") from exc
 
 
@@ -179,7 +179,7 @@ def read_weights(path: str | Path) -> list[Array]:
         with _open(path) as fh:
             doc = json.load(fh)
         return [np.asarray(w, dtype=float) for w in doc["weights"]]
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{path}: invalid weights file ({exc})") from exc
 
 

@@ -44,7 +44,7 @@ def random_lq_data(rng, num_agents=None, n=None, horizon=None, cross_terms=False
     return A, Bs, Qs, ls, Rs, horizon
 
 
-def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon) -> LqStageGame:
+def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon, r=None) -> LqStageGame:
     T = horizon
     N = len(Bs)
     return LqStageGame(
@@ -53,6 +53,7 @@ def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon) -> LqStageGame:
         Q=tuple(np.tile(Q, (T, 1, 1)) for Q in Qs),
         l=tuple(np.tile(l, (T, 1)) for l in ls),
         R=tuple(tuple(Rs[i][j] for j in range(N)) for i in range(N)),
+        r=r,
     )
 
 

@@ -382,11 +382,16 @@ def backward_value_update_per_agent(
 def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
     """``lq.solve_lq_ece`` with per-agent lists through the backward loop.
 
-    Returns a dict of per-agent gains, offsets, covariances (symmetrised),
-    Z and xi stacks plus the per-stage condition and regularization arrays.
+    Reads the game's agent-stacked data back as per-agent blocks cut to their
+    action dims.  Returns a dict of per-agent gains, offsets, covariances
+    (symmetrised), Z and xi stacks plus the per-stage condition and
+    regularization arrays.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
     m_dims = game.action_dims
+    Bs = [game.B[j][..., : m_dims[j]] for j in range(N)]
+    Rs = [[game.R[i][j][: m_dims[j], : m_dims[j]] for j in range(N)] for i in range(N)]
+    rs = [game.r[i][:, : m_dims[i]] for i in range(N)]
     if temperatures is None:
         temperatures = (1.0,) * N
     gains = [np.zeros((T, m, n)) for m in m_dims]
@@ -401,18 +406,18 @@ def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
     for i in range(N):
         Z_hist[i][T - 1] = Z[i]
         xi_hist[i][T - 1] = xi[i]
-        offsets[i][T - 1] = np.linalg.solve(game.R[i][i], game.r[i][T - 1])
+        offsets[i][T - 1] = np.linalg.solve(Rs[i][i], rs[i][T - 1])
     for k in range(T - 2, -1, -1):
-        B = [game.B[j][k] for j in range(N)]
-        r = [game.r[i][k] for i in range(N)]
+        B = [Bs[j][k] for j in range(N)]
+        r = [rs[i][k] for i in range(N)]
         P, alpha, condition[k], regularization[k] = solve_stage_coupled_per_agent(
-            Z, xi, game.A[k], B, game.R, r, time_step=k + 1
+            Z, xi, game.A[k], B, Rs, r, time_step=k + 1
         )
         for i in range(N):
             gains[i][k] = P[i]
             offsets[i][k] = alpha[i]
         Z, xi = backward_value_update_per_agent(
-            P, alpha, Z, xi, game.A[k], B, game.R,
+            P, alpha, Z, xi, game.A[k], B, Rs,
             [game.Q[i][k] for i in range(N)], [game.l[i][k] for i in range(N)], r,
             include_stage_linear=not strict_paper,
         )
@@ -422,8 +427,8 @@ def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
 
     covs = []
     for i in range(N):
-        M = np.broadcast_to(game.R[i][i], (T, m_dims[i], m_dims[i])).copy()
-        Bi = game.B[i]
+        M = np.broadcast_to(Rs[i][i], (T, m_dims[i], m_dims[i])).copy()
+        Bi = Bs[i]
         M[:-1] += np.swapaxes(Bi, 1, 2) @ Z_hist[i][1:] @ Bi
         M = (M + np.swapaxes(M, 1, 2)) / 2.0
         S = temperatures[i] * np.linalg.inv(M)

@@ -296,9 +296,28 @@ def input_files(tmp_path_factory, lq_config):
     cfg["horizon"] = str(cfg["horizon"])
     string_config = root / "string_horizon.json"
     string_config.write_text(json.dumps(cfg))
+    # The same trials one step shorter, and one step longer (last row repeated).
+    horizon = load_scenario(lq_config).horizon
+    header, *rows = demos.read_text().splitlines()
+    short, long = [header], [header]
+    for row in rows:
+        trial, t, *values = row.split(",")
+        long.append(row)
+        if int(t) < horizon:
+            short.append(row)
+        else:
+            long.append(",".join([trial, str(horizon + 1), *values]))
+    short_demos = root / "short_demos.csv"
+    short_demos.write_text("\n".join(short) + "\n")
+    long_demos = root / "long_demos.csv"
+    long_demos.write_text("\n".join(long) + "\n")
+    list_weights = root / "list_weights.json"
+    list_weights.write_text("[1, 2]")
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
             "bad_config": str(bad_config), "nan_config": str(nan_config),
-            "string_config": str(string_config), "out": str(root / "out")}
+            "string_config": str(string_config), "short_demos": str(short_demos),
+            "long_demos": str(long_demos), "list_weights": str(list_weights),
+            "out": str(root / "out")}
 
 
 # (command with {placeholders} for input_files and {lq}, expected exit code)
@@ -314,6 +333,12 @@ INPUT_ERRORS = [
       "--trials", "1", "--out", "{out}"], 1),
     (["learn", "--config", "{nan_config}", "--demos", "{demos}", "--out-weights", "{out}"], 2),
     (["gen-demos", "--config", "{string_config}", "--trials", "1", "--out", "{out}"], 2),
+    (["eval", "--config", "{lq}", "--demos", "{long_demos}", "--trials", "1",
+      "--out", "{out}"], 1),
+    (["eval", "--config", "{lq}", "--demos", "{short_demos}", "--trials", "1",
+      "--out", "{out}"], 1),
+    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{list_weights}",
+      "--trials", "1", "--out", "{out}"], 1),
 ]
 
 

@@ -355,6 +355,14 @@ class TestPolicyFile:
         with pytest.raises(IngestError):
             trajio.read_policy(path)
 
+    def test_well_formed_json_of_wrong_shape(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(IngestError, match="invalid policy file"):
+            trajio.read_policy(path)
+        with pytest.raises(IngestError, match="invalid weights file"):
+            trajio.read_weights(path)
+
 
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):

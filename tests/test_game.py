@@ -250,3 +250,15 @@ class TestValidation:
                 initial_state=InitialState(mean=np.zeros(1)),
                 temperatures=(0.0,),
             )
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+    def test_temperatures_must_be_finite(self, gamma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GameSpec(
+                dynamics=dynamics.linear(np.eye(1), [np.eye(1)]),
+                costs=(quadratic_cost(np.eye(1), np.zeros(1), [np.eye(1)]),),
+                horizon=2,
+                noise=NoiseModel.none(1),
+                initial_state=InitialState(mean=np.zeros(1)),
+                temperatures=(gamma,),
+            )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecegames import StageSingularError, solve_lq_ece
-from ecegames.lq import LqStageGame, backward_value_update, solve_stage_coupled
+from ecegames.lq import LqStageGame, action_rows, backward_value_update, solve_stage_coupled
 
 from conftest import random_lq_data, stage_game_from_data
 from oracles import deterministic_nash_lq, textbook_lqr
@@ -24,9 +24,12 @@ def scalar_stage_game(horizon=2, a=1.0, b=1.0, q=1.0, l=0.0, r=1.0):
 
 
 class TestStageSolve:
+    """Hand-solved stages; inputs are agent-stacked as ``LqStageGame`` stacks them."""
+
     def test_single_agent_scalar_hand_solve(self):
         P, alpha, cond, reg = solve_stage_coupled(
-            [np.eye(1)], [np.zeros(1)], np.eye(1), [np.eye(1)], ((np.eye(1),),)
+            np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.ones((1, 1, 1)),
+            np.ones((1, 1, 1, 1)),
         )
         assert P[0][0, 0] == pytest.approx(0.5)
         assert alpha[0][0] == pytest.approx(0.0)
@@ -34,75 +37,78 @@ class TestStageSolve:
 
     def test_two_agent_scalar_hand_solve(self):
         # Block system [[2, 1], [1, 2]] [P1; P2] = [1; 1].
-        R = ((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1)))
+        R = np.eye(2).reshape(2, 2, 1, 1)
         P, alpha, _, _ = solve_stage_coupled(
-            [np.eye(1), np.eye(1)],
-            [np.zeros(1), np.zeros(1)],
-            np.eye(1),
-            [np.eye(1), np.eye(1)],
-            R,
+            np.ones((2, 1, 1)), np.zeros((2, 1)), np.eye(1), np.ones((2, 1, 1)), R
         )
         assert P[0][0, 0] == pytest.approx(1.0 / 3.0)
         assert P[1][0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_zero_value_and_offset_rhs_gives_zero_policy(self):
-        R = ((np.eye(2), np.zeros((2, 1))), (np.zeros((1, 2)), np.eye(1)))
+        # Action dims (2, 1): agent 1's block is padded to 2 and its pad dropped.
+        R = np.zeros((2, 2, 2, 2))
+        R[0, 0] = np.eye(2)
+        R[1, 1, 0, 0] = 1.0
+        B = np.ones((2, 3, 2))
+        B[1, :, 1] = 0.0
         P, alpha, _, _ = solve_stage_coupled(
-            [np.zeros((3, 3)), np.zeros((3, 3))],
-            [np.zeros(3), np.zeros(3)],
-            np.eye(3),
-            [np.ones((3, 2)), np.ones((3, 1))],
-            R,
+            np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3), B, R, rows=action_rows((2, 1))
         )
-        for Pi, ai in zip(P, alpha):
-            assert np.all(Pi == 0.0)
-            assert np.all(ai == 0.0)
+        assert P.shape == (2, 2, 3) and alpha.shape == (2, 2)
+        assert np.all(P == 0.0) and np.all(alpha == 0.0)
 
     def test_singular_stage_raises_with_time_index(self):
         # Spread of singular values too wide for the capped diagonal shift.
-        R = ((np.zeros((2, 2)),),)
-        Z = np.diag([1e14, 0.0])
+        Z = np.diag([1e14, 0.0])[None]
         with pytest.raises(StageSingularError) as err:
-            solve_stage_coupled([Z], [np.zeros(2)], np.eye(2), [np.eye(2)], R, time_step=7)
+            solve_stage_coupled(
+                Z, np.zeros((1, 2)), np.eye(2), np.eye(2)[None], np.zeros((1, 1, 2, 2)),
+                time_step=7,
+            )
         assert err.value.time_step == 7
 
     def test_regularization_path_reports_shift(self):
         # Rank-deficient block matrix that a small diagonal shift repairs.
-        R = ((np.ones((2, 2)),),)
         P, alpha, cond, reg = solve_stage_coupled(
-            [np.zeros((1, 1))], [np.zeros(1)], np.eye(1), [np.zeros((1, 2))], R
+            np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.zeros((1, 1, 2)),
+            np.ones((1, 1, 2, 2)),
         )
         assert reg > 0.0
         assert np.isfinite(cond) and cond <= 1e12
 
 
 class TestBackwardUpdate:
+    """Hand-checked value updates on agent-stacked inputs."""
+
     def test_scalar_hand_update(self):
         Z, xi = backward_value_update(
-            [np.array([[0.5]])],
-            [np.zeros(1)],
-            [np.eye(1)],
-            [np.zeros(1)],
+            np.full((1, 1, 1), 0.5),
+            np.zeros((1, 1)),
+            np.ones((1, 1, 1)),
+            np.zeros((1, 1)),
             np.eye(1),
-            [np.eye(1)],
-            ((np.eye(1),),),
-            [np.eye(1)],
-            [np.zeros(1)],
+            np.ones((1, 1, 1)),
+            np.ones((1, 1, 1, 1)),
+            np.ones((1, 1, 1)),
+            np.zeros((1, 1)),
         )
         assert Z[0][0, 0] == pytest.approx(1.5)
         assert xi[0][0] == pytest.approx(0.0)
 
     def test_zero_cost_agent_stays_zero(self):
+        # Action dims (2, 1): agent 1's padded column of B is zero.
+        B = np.ones((2, 1, 2))
+        B[1, :, 1] = 0.0
         Z, xi = backward_value_update(
-            [np.zeros((2, 1)), np.zeros((1, 1))],
-            [np.zeros(2), np.zeros(1)],
-            [np.zeros((1, 1)), np.zeros((1, 1))],
-            [np.zeros(1), np.zeros(1)],
+            np.zeros((2, 2, 1)),
+            np.zeros((2, 2)),
+            np.zeros((2, 1, 1)),
+            np.zeros((2, 1)),
             np.eye(1),
-            [np.ones((1, 2)), np.ones((1, 1))],
-            ((np.zeros((2, 2)), np.zeros((1, 1))), (np.zeros((2, 2)), np.zeros((1, 1)))),
-            [np.zeros((1, 1)), np.zeros((1, 1))],
-            [np.zeros(1), np.zeros(1)],
+            B,
+            np.zeros((2, 2, 2, 2)),
+            np.zeros((2, 1, 1)),
+            np.zeros((2, 1)),
         )
         assert np.all(Z[0] == 0.0) and np.all(xi[0] == 0.0)
 
@@ -113,15 +119,15 @@ class TestBackwardUpdate:
         Zn = Zn + Zn.T
         Q = np.eye(3) * 0.4
         Z, xi = backward_value_update(
-            [np.zeros((2, 3))],
-            [np.zeros(2)],
-            [Zn],
-            [np.zeros(3)],
+            np.zeros((1, 2, 3)),
+            np.zeros((1, 2)),
+            Zn[None],
+            np.zeros((1, 3)),
             A,
-            [np.zeros((3, 2))],
-            ((np.eye(2),),),
-            [Q],
-            [np.zeros(3)],
+            np.zeros((1, 3, 2)),
+            np.eye(2)[None, None],
+            Q[None],
+            np.zeros((1, 3)),
         )
         assert np.allclose(Z[0], A.T @ Zn @ A + Q)
 
@@ -253,3 +259,71 @@ class TestSolveLqEce:
         assert sol.report.condition.shape == (4,)
         assert np.all(np.isfinite(sol.report.condition))
         assert np.all(sol.report.regularization == 0.0)
+
+
+def stage_game_kwargs(T=3, n=2, dims=(2, 1)):
+    """Valid two-agent stage-game data with unequal action dims."""
+    R = tuple(tuple(np.eye(mj) if i == j else 0.5 * np.eye(mj) for j, mj in enumerate(dims))
+              for i in range(len(dims)))
+    return dict(
+        A=np.tile(np.eye(n), (T - 1, 1, 1)),
+        B=tuple(np.ones((T - 1, n, m)) for m in dims),
+        Q=tuple(np.tile(np.eye(n), (T, 1, 1)) for _ in dims),
+        l=tuple(np.zeros((T, n)) for _ in dims),
+        R=R,
+        r=tuple(np.zeros((T, m)) for m in dims),
+    )
+
+
+class TestStageGameValidation:
+    def test_valid_data_constructs(self):
+        game = LqStageGame(**stage_game_kwargs())
+        assert (game.num_agents, game.horizon, game.state_dim) == (2, 3, 2)
+        assert game.action_dims == (2, 1)
+        assert game.B.shape == (2, 2, 2, 2) and np.all(game.B[1, ..., 1] == 0.0)
+        assert game.R.shape == (2, 2, 2, 2) and game.r.shape == (2, 3, 2)
+        assert game.R[1, 0, 1, 1] == 0.5 and game.R[1, 1].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert game.R_own[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert [X.shape for X in game.per_agent(game.r)] == [(3, 2), (3, 1)]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("A", np.zeros((3, 2, 2)), r"A must be \(T-1, n, n\)"),
+            ("B", (np.ones((2, 2, 2)), np.ones((2, 3, 1))), r"B\[1\] must be \(T-1, n, m_j\)"),
+            ("Q", (np.zeros((3, 2, 2)), np.zeros((2, 2, 2))), r"Q\[1\]/l\[1\] shapes inconsistent"),
+            ("l", (np.zeros((3, 3)), np.zeros((3, 2))), r"Q\[0\]/l\[0\] shapes inconsistent"),
+            ("r", (np.zeros((3, 2)), np.zeros((3, 2))), r"r\[1\] must be \(T, m_i\)"),
+        ],
+    )
+    def test_bad_shape_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            LqStageGame(**{**stage_game_kwargs(), field: value})
+
+    def test_non_square_R_table_rejected(self):
+        kwargs = stage_game_kwargs()
+        kwargs["R"] = (kwargs["R"][0], kwargs["R"][1][:1])
+        with pytest.raises(ValueError, match="N x N table"):
+            LqStageGame(**kwargs)
+
+    def test_wrong_R_block_shape_rejected(self):
+        kwargs = stage_game_kwargs()
+        kwargs["R"] = (kwargs["R"][0], (kwargs["R"][1][0], np.eye(2)))
+        with pytest.raises(ValueError, match=r"R\[1\]\[1\] must be \(1, 1\)"):
+            LqStageGame(**kwargs)
+
+    def test_non_symmetric_R_block_rejected(self):
+        kwargs = stage_game_kwargs()
+        kwargs["R"] = ((kwargs["R"][0][0], kwargs["R"][0][1]),
+                       (np.array([[1.0, 0.1], [0.0, 1.0]]), kwargs["R"][1][1]))
+        with pytest.raises(ValueError, match=r"R\[1\]\[0\] is not symmetric"):
+            LqStageGame(**kwargs)
+
+    @pytest.mark.parametrize("agent, block", [(0, np.diag([1.0, -1.0])), (1, np.zeros((1, 1)))])
+    def test_non_positive_definite_own_block_rejected(self, agent, block):
+        kwargs = stage_game_kwargs()
+        rows = [list(row) for row in kwargs["R"]]
+        rows[agent][agent] = block
+        kwargs["R"] = tuple(tuple(row) for row in rows)
+        with pytest.raises(ValueError, match=rf"R\[{agent}\]\[{agent}\] must be positive definite"):
+            LqStageGame(**kwargs)

@@ -1,8 +1,9 @@
 """The agent-stacked LQ stage recursion against its per-agent reference.
 
-``solve_lq_ece`` stacks every agent's data on a leading agent axis and makes
-a fixed number of array calls per stage; ``oracles.solve_lq_ece_per_agent``
-keeps the per-agent, per-pair loops.  With equal action dims (every shipped
+``LqStageGame`` stacks every agent's data on a leading agent axis and
+``solve_lq_ece`` makes a fixed number of array calls per stage on it;
+``oracles.solve_lq_ece_per_agent`` reads the data back per agent and keeps
+the per-agent, per-pair loops.  With equal action dims (every shipped
 config) the two must agree bit for bit; with unequal dims the stacked solver
 pads each action block with zeros, which changes the shapes BLAS sees, so
 agreement there is to a relative 1e-12.
@@ -17,20 +18,10 @@ from ecegames import StageSingularError, ilq, solve_ece
 from ecegames.config import parse_scenario
 from ecegames.errors import CovarianceError
 from ecegames.game import cholesky_checked
-from ecegames.lq import (
-    LqStageGame,
-    action_rows,
-    backward_value_update,
-    solve_lq_ece,
-    solve_stage_coupled,
-)
+from ecegames.lq import LqStageGame, action_rows, solve_lq_ece, solve_stage_coupled
 
 from conftest import random_lq_data, stage_game_from_data
-from oracles import (
-    backward_value_update_per_agent,
-    solve_lq_ece_per_agent,
-    solve_stage_coupled_per_agent,
-)
+from oracles import solve_lq_ece_per_agent, solve_stage_coupled_per_agent
 
 FIELDS = ("gains", "offsets", "covariances", "Z", "xi")
 
@@ -133,6 +124,18 @@ class TestAgainstPerAgentReference:
         for game in games:
             assert_close(game)
 
+    def test_linear_action_terms_match(self):
+        # Recentered games carry r, which sets the terminal offset (R^{ii})^{-1} r^i_T.
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            A, Bs, Qs, ls, Rs, T = random_lq_data(rng, cross_terms=True)
+            r = tuple(rng.normal(size=(T, B.shape[1])) for B in Bs)
+            game = stage_game_from_data(A, Bs, Qs, ls, Rs, T, r=r)
+            if len(set(game.action_dims)) == 1:
+                assert_identical(game)
+            else:
+                assert_close(game)
+
     def test_regularized_stage_matches(self):
         # cond(R + B'ZB) = 1e9 / 1e-4 needs a diagonal shift near 1e-3.
         game = diagonal_game(q_terminal=1e9, r=1e-4)
@@ -164,7 +167,7 @@ def diagonal_game(q_terminal, r, horizon=3):
     )
 
 
-# The helper inputs of tests/test_lq.py, as per-agent sequences:
+# The helper inputs of tests/test_lq.py, as per-agent sequences for the reference:
 # (Z_next, xi_next, A, B, R, time_step).
 HELPER_STAGES = [
     ([np.eye(1)], [np.zeros(1)], np.eye(1), [np.eye(1)], ((np.eye(1),),), 0),
@@ -184,40 +187,19 @@ HELPER_STAGES = [
 class TestHelpers:
     @pytest.mark.parametrize("Z, xi, A, B, R, time_step", HELPER_STAGES)
     def test_stage_solve_matches_reference(self, Z, xi, A, B, R, time_step):
+        # Equal action dims, so the stacked inputs need no padding.
+        stacked = [np.asarray(x) for x in (Z, xi, A, B, R)]
         try:
             ref = solve_stage_coupled_per_agent(Z, xi, A, B, R, time_step=time_step)
         except StageSingularError as exc:
             with pytest.raises(StageSingularError) as err:
-                solve_stage_coupled(Z, xi, A, B, R, time_step=time_step)
+                solve_stage_coupled(*stacked, time_step=time_step)
             assert (err.value.time_step, err.value.condition) == (exc.time_step, exc.condition)
             return
-        P, alpha, cond, shift = solve_stage_coupled(Z, xi, A, B, R, time_step=time_step)
+        P, alpha, cond, shift = solve_stage_coupled(*stacked, time_step=time_step)
         assert (cond, shift) == ref[2:]
         for i, (P_i, alpha_i) in enumerate(zip(*ref[:2])):
             assert np.array_equal(P[i], P_i) and np.array_equal(alpha[i], alpha_i)
-
-    def test_per_agent_sequences_pad_unequal_dims(self):
-        rng = np.random.default_rng(34)
-        A, Bs, Qs, ls, Rs, _ = random_lq_data(rng, num_agents=3, n=3, cross_terms=True)
-        while len({B.shape[1] for B in Bs}) == 1:
-            A, Bs, Qs, ls, Rs, _ = random_lq_data(rng, num_agents=3, n=3, cross_terms=True)
-        Z = [Q + np.eye(3) for Q in Qs]
-        r = [rng.normal(size=B.shape[1]) for B in Bs]
-        P, alpha, cond, shift = solve_stage_coupled(Z, ls, A, Bs, Rs, r)
-        P_ref, alpha_ref, cond_ref, _ = solve_stage_coupled_per_agent(Z, ls, A, Bs, Rs, r)
-        assert P.shape == (3, 2, 3) and alpha.shape == (3, 2)
-        assert shift == 0.0 and cond == pytest.approx(cond_ref, rel=1e-12)
-        for i, B in enumerate(Bs):
-            m = B.shape[1]
-            assert np.allclose(P[i, :m], P_ref[i], rtol=1e-12, atol=1e-14)
-            assert np.allclose(alpha[i, :m], alpha_ref[i], rtol=1e-12, atol=1e-14)
-            assert np.all(P[i, m:] == 0.0) and np.all(alpha[i, m:] == 0.0)
-        Z_new, xi_new = backward_value_update(P, alpha, Z, ls, A, Bs, Rs, Qs, ls, r)
-        Z_ref, xi_ref = backward_value_update_per_agent(
-            P_ref, alpha_ref, Z, ls, A, Bs, Rs, Qs, ls, r
-        )
-        assert np.allclose(Z_new, np.stack(Z_ref), rtol=1e-12, atol=1e-13)
-        assert np.allclose(xi_new, np.stack(xi_ref), rtol=1e-12, atol=1e-13)
 
     def test_action_rows(self):
         assert action_rows((2, 2, 2)) is None

@@ -190,6 +190,31 @@ class TestCovarianceCheck:
         sym, L = cholesky_checked(np.tile(np.array([[2.0, 1.0], [1.0, 2.0]]), (3, 1, 1)), 0)
         assert np.allclose(L @ np.swapaxes(L, 1, 2), sym)
 
+    def test_agent_stacked_helper_names_first_failing_agent(self):
+        S = np.tile(np.eye(2), (3, 5, 1, 1))
+        S[2, 0] = -np.eye(2)
+        S[1, 3] = np.diag([1.0, -1.0])
+        S[1, 4, 0, 0] = np.nan
+        with pytest.raises(CovarianceError) as err:
+            cholesky_checked(S)
+        assert (err.value.agent, err.value.time_step) == (1, 4)
+
+    def test_later_agent_non_spd_curvature_named(self):
+        # As above with the agents swapped: agent 0 stays SPD, agent 1 fails at t = 4.
+        T = 5
+        one = np.ones((T - 1, 1, 1))
+        q1 = np.array([1.0, 1.0, 100.0, 1.0, -5.0]).reshape(T, 1, 1)
+        game = LqStageGame(
+            A=one,
+            B=(one, one),
+            Q=(np.ones((T, 1, 1)), q1),
+            l=(np.zeros((T, 1)), np.zeros((T, 1))),
+            R=((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1))),
+        )
+        with pytest.raises(CovarianceError) as err:
+            solve_lq_ece(game)
+        assert (err.value.agent, err.value.time_step) == (1, 4)
+
     def test_policy_covariance_factors_name_step(self):
         pol = AffineGaussianPolicySet.zero(4, 2, (1, 2))
         covs = (pol.covariances[0], pol.covariances[1].copy())
