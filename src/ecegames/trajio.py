@@ -5,6 +5,14 @@ Trajectory files are flat CSV with header
 step), rows sorted by (trial, t) with t = 1..T per trial.  Floats are
 written with 17 significant digits so every value round-trips exactly; all
 writers are deterministic byte for byte.
+
+:func:`read_trajectories` parses a file with numpy, in fixed-size row chunks,
+when it starts with the exact header line, ends with a newline, and its rows,
+with no blank line among them, hold integer ``trial`` and ``t`` columns and
+finite values, t = 1..T in every trial, strictly increasing trial ids and one
+horizon.  Any other file, and any file the array parse fails on, goes to the
+line-by-line validating reader, which accepts the same files as before and is
+the only source of :class:`IngestError` messages.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,13 +45,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def _write_json(path: str | Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 
-def _open(path: str | Path):
+def _open(path: str | Path, errors: str = "strict"):
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        return open(path, "r", encoding="utf-8", newline="", errors=errors)
     except OSError as exc:
         raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
@@ -56,16 +65,22 @@ def trajectory_header(state_dim: int, action_dims: Sequence[int]) -> list[str]:
 
 
 def write_trajectories(path: str | Path, batch: TrajectoryBatch) -> None:
+    """Write ``batch`` as a trajectory CSV, formatting each trial's rows with one ``%``."""
     steps = np.arange(1, batch.horizon + 1)
-
-    def rows():
+    width = 2 + batch.state_dim + sum(batch.action_dims)
+    template = (",".join(["%.17g"] * width) + "\n") * batch.horizon
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(trajectory_header(batch.state_dim, batch.action_dims)) + "\n")
         for trial in range(len(batch)):
-            yield from np.column_stack(
+            rows = np.column_stack(
                 [np.full(batch.horizon, trial), steps, batch.states[trial],
                  *(a[trial] for a in batch.actions)]
-            ).tolist()
+            )
+            fh.write(template % tuple(rows.ravel().tolist()))
 
-    write_csv(path, trajectory_header(batch.state_dim, batch.action_dims), rows())
+
+_CHUNK_ROWS = 4096  # rows per np.loadtxt call of the array reader
+_BLOCK_BYTES = 1 << 20  # bytes per read of its line-counting pass
 
 
 def read_trajectories(
@@ -74,15 +89,95 @@ def read_trajectories(
     """Parse and validate a trajectory file against the expected dimensions.
 
     Raises :class:`IngestError` citing the 1-based file line of the first
-    problem: wrong column count, malformed numbers, unsorted rows or
-    non-finite values; once every row has passed, the first trial whose
-    time steps do not span 1..T or whose horizon differs from the first's.
+    problem: wrong column count, malformed numbers, bytes that are not UTF-8,
+    unsorted rows or non-finite values; once every row has passed, the first
+    trial whose time steps do not span 1..T or whose horizon differs from the
+    first's.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt skipping a blank line
+            batch = _read_arrays(path, state_dim, action_dims)
+    except Exception:  # whatever the array parse trips on, the validating
+        batch = None  # reader decides what is wrong with the file
+    return batch if batch is not None else _read_by_line(path, state_dim, action_dims)
+
+
+def _count_data_lines(path: str | Path, header: bytes) -> int:
+    """The lines after ``header`` in ``path``; 0 unless the file starts with
+    ``header`` and ends with a newline."""
+    lines = 0
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return 0
+        last = b"\n"
+        while block := fh.read(_BLOCK_BYTES):
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return lines if last == b"\n" else 0
+
+
+def _read_arrays(
+    path: str | Path, state_dim: int, action_dims: Sequence[int]
+) -> TrajectoryBatch | None:
+    """The batch in ``path`` parsed with numpy straight into its final arrays,
+    or None if the file is not laid out as :func:`write_trajectories` lays it out."""
+    header = trajectory_header(state_dim, action_dims)
+    rows = _count_data_lines(path, (",".join(header) + "\n").encode())
+    if rows == 0:
+        return None
+    width = len(header) - 2
+    dtype = np.dtype([("trial", np.int64), ("t", np.int64), ("v", float, (width,))])
+    trial = np.empty(rows, dtype=np.int64)
+    t = np.empty(rows, dtype=np.int64)
+    bounds = np.cumsum([0, state_dim, *action_dims])
+    blocks = [np.empty((rows, hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        fh.readline()
+        for start in range(0, rows, _CHUNK_ROWS):
+            size = min(_CHUNK_ROWS, rows - start)
+            chunk = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                               max_rows=size, ndmin=1)
+            # loadtxt skips blank lines, so a short chunk means the line count is off.
+            if len(chunk) != size:
+                return None
+            stop = start + size
+            trial[start:stop] = chunk["trial"]
+            t[start:stop] = chunk["t"]
+            for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+                block[start:stop] = chunk["v"][:, lo:hi]
+    others = np.flatnonzero(trial != trial[0])
+    horizon = int(others[0]) if others.size else rows
+    trials = trial.reshape(-1, horizon)  # ValueError unless horizon divides rows
+    if not (
+        (t.reshape(-1, horizon) == np.arange(1, horizon + 1)).all()
+        and (trials == trials[:, :1]).all()
+        and (trials[1:, 0] > trials[:-1, 0]).all()
+    ):
+        return None
+    states, *actions = (b.reshape(len(trials), horizon, b.shape[1]) for b in blocks)
+    return TrajectoryBatch(states=states, actions=tuple(actions))  # ValueError if not finite
+
+
+def _not_utf8(cells: Sequence[str]) -> bool:
+    """Whether ``cells`` hold bytes that were not UTF-8, decoded as lone surrogates."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _read_by_line(
+    path: str | Path, state_dim: int, action_dims: Sequence[int]
+) -> TrajectoryBatch:
+    """The validating reader behind :func:`read_trajectories`: checks the file
+    row by row and raises its :class:`IngestError`."""
     expected_header = trajectory_header(state_dim, action_dims)
     n_cols = len(expected_header)
     values = array("d")  # the value columns of every row, row after row
     trials: list[list[int]] = []  # [trial, first t, last t, rows] in file order
-    with _open(path) as fh:
+    with _open(path, errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -103,7 +198,8 @@ def read_trajectories(
                 t = int(row[1])
                 row_values = [float(x) for x in row[2:]]
             except ValueError as exc:
-                raise IngestError(f"{path}: line {line_no}: {exc}") from None
+                reason = "not valid UTF-8" if _not_utf8(row) else exc
+                raise IngestError(f"{path}: line {line_no}: {reason}") from None
             if not all(map(math.isfinite, row_values)):
                 raise IngestError(f"{path}: line {line_no}: non-finite value")
             key = (trial, t)

@@ -437,3 +437,23 @@ def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
         "gains": gains, "offsets": offsets, "covariances": covs, "Z": Z_hist, "xi": xi_hist,
         "condition": condition, "regularization": regularization,
     }
+
+
+# -- cell-by-cell reference for the trajectory writer -------------------------
+
+
+def write_trajectories_by_cell(path, batch):
+    """``trajio.write_trajectories`` as ``trajio.write_csv`` rows: every cell
+    formatted on its own through ``csv.writer``."""
+    from ecegames import trajio
+
+    steps = np.arange(1, batch.horizon + 1)
+
+    def rows():
+        for trial in range(len(batch)):
+            yield from np.column_stack(
+                [np.full(batch.horizon, trial), steps, batch.states[trial],
+                 *(a[trial] for a in batch.actions)]
+            ).tolist()
+
+    trajio.write_csv(path, trajio.trajectory_header(batch.state_dim, batch.action_dims), rows())

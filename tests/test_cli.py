@@ -313,11 +313,15 @@ def input_files(tmp_path_factory, lq_config):
     long_demos.write_text("\n".join(long) + "\n")
     list_weights = root / "list_weights.json"
     list_weights.write_text("[1, 2]")
+    lines = demos.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b",", b",\xff", 1)
+    not_utf8_demos = root / "not_utf8_demos.csv"
+    not_utf8_demos.write_bytes(b"\n".join(lines))
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
             "bad_config": str(bad_config), "nan_config": str(nan_config),
             "string_config": str(string_config), "short_demos": str(short_demos),
             "long_demos": str(long_demos), "list_weights": str(list_weights),
-            "out": str(root / "out")}
+            "not_utf8_demos": str(not_utf8_demos), "out": str(root / "out")}
 
 
 # (command with {placeholders} for input_files and {lq}, expected exit code)
@@ -339,6 +343,7 @@ INPUT_ERRORS = [
       "--out", "{out}"], 1),
     (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{list_weights}",
       "--trials", "1", "--out", "{out}"], 1),
+    (["validate", "--config", "{lq}", "--trajectories", "{not_utf8_demos}"], 1),
 ]
 
 

@@ -46,6 +46,7 @@ from oracles import (
     mean_feature_sums,
     task_statistics_per_trajectory,
     trajectory_rmse_per_trajectory,
+    write_trajectories_by_cell,
 )
 
 TRIALS = 25
@@ -225,6 +226,9 @@ class TestTrajectoryFile:
         again = tmp_path / "again.csv"
         trajio.write_trajectories(again, loaded)
         assert again.read_bytes() == path.read_bytes()
+        by_cell = tmp_path / "by_cell.csv"
+        write_trajectories_by_cell(by_cell, batch)
+        assert by_cell.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "dropped, message",
