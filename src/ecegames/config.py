@@ -5,16 +5,26 @@ horizon, noise, initial-state distribution, each agent's features (with
 optional ground-truth weights) and temperature, plus solver and learner
 settings.  Parsing is strict: unknown keys anywhere are fatal, so an
 experiment cannot silently drift when the schema evolves.
+
+:func:`parse_scenario` reads a document in one pass.  It checks each block
+and builds that block's runtime object before it reads the next: the
+dynamics model and position layout, the noise model, the initial state and
+each agent's features.  Every kind-tagged block (``dynamics``, ``noise``,
+``initial_state`` and each feature) looks its kind up in ``_KINDS``, whose
+entry holds the kind's keys and the function that builds its object.  The
+parse also records the canonical document, which :meth:`Scenario.to_dict`
+returns.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,17 +44,9 @@ from .irl import LearnConfig
 
 SCHEMA_VERSION = 1
 
-# Every kind of each kind-tagged block, with the keys it takes besides "kind".
-# Parsing reads the keys in this order, so to_dict writes them in it too.
-_BLOCK_KINDS = {
-    "dynamics": {
-        "double_integrator": (),
-        "unicycle": (),
-        "linear": ("A", "B", "position_indices"),
-    },
-    "noise": {"none": (), "scaled_identity": ("scale",), "matrix": ("gain", "covariance")},
-    "initial_state": {"fixed": ("value",), "gaussian": ("mean", "covariance")},
-}
+_TOP_LEVEL = {"schema_version", "name", "num_agents", "horizon", "dt", "dynamics", "noise",
+              "initial_state", "agents", "solver", "learner"}
+_AGENT_KEYS = {"start", "goal", "features", "true_weights", "temperature"}
 
 
 @contextmanager
@@ -100,6 +102,10 @@ def _coerce(value: Any, type_: type, path: str, *, finite: bool = True) -> Any:
     return value
 
 
+def _floats(values: Any, path: str) -> list[float]:
+    return [_coerce(x, float, path) for x in _list(values, path)]
+
+
 def _settable(cls) -> list:
     """Fields of a settings dataclass that a scenario file may set."""
     return [f for f in fields(cls) if f.metadata.get("config", True)]
@@ -115,138 +121,163 @@ def _parse_fields(cls, block: Any, path: str):
         return cls(**values)
 
 
-def _parse_kind(block: Any, name: str) -> tuple[str, dict]:
-    """(kind, params) of a kind-tagged block, its keys taken from _BLOCK_KINDS."""
-    kind = _require(block, "kind", name)
-    if not isinstance(kind, str) or kind not in _BLOCK_KINDS[name]:
-        raise ConfigError(f"unknown {name} kind {kind!r}")
-    keys = _BLOCK_KINDS[name][kind]
-    _check_no_extras(block, {"kind", *keys}, name)
-    return kind, {key: _require(block, key, name) for key in keys}
+# -- builders of the kind-tagged blocks ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    kind: str
-    target: int | None = None
-    sigma: float | None = None
+def _planar(model: Callable[[int, float], dyn.DynamicsModel], stride: int):
+    """Dynamics builder of a library model whose agent i holds its position
+    at state indices stride*i and stride*i + 1."""
+    def build(block: dict, num_agents: int, dt: float):
+        positions = [np.array([stride * i, stride * i + 1]) for i in range(num_agents)]
+        return model(num_agents, dt), positions
+    return build
 
 
-@dataclass(frozen=True)
-class AgentSpec:
-    start: tuple[float, ...]
-    goal: tuple[float, ...]
-    features: tuple[FeatureSpec, ...]
-    true_weights: tuple[float, ...] | None = None
-    temperature: float = 1.0
+def _linear(block: dict, num_agents: int, dt: float):
+    if len(block["B"]) != num_agents:
+        raise ConfigError("linear dynamics must provide one B block per agent")
+    model = dyn.linear(block["A"], block["B"])
+    positions = [np.asarray(p, dtype=int) for p in block["position_indices"]]
+    if len(positions) != num_agents:
+        raise ConfigError("position_indices must list one entry per agent")
+    for p in positions:
+        if p.ndim != 1:
+            raise ConfigError("dynamics.position_indices: each entry must be a list")
+        if np.any(p < 0) or np.any(p >= model.state_dim):
+            raise ConfigError("position index out of state range")
+    return model, positions
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Typed image of a scenario file; see :func:`parse_scenario`."""
+def _start_positions(n: int, positions: list[Array], agents: list[dict]) -> Array:
+    """Default initial mean: every agent at its start, all else zero."""
+    s = np.zeros(n)
+    for p, agent in zip(positions, agents):
+        s[p] = agent["start"]
+    return s
 
-    name: str
-    num_agents: int
+
+def _start_headings(n: int, positions: list[Array], agents: list[dict]) -> Array:
+    """Default unicycle initial mean: start positions, each heading toward the goal."""
+    s = _start_positions(n, positions, agents)
+    for i, agent in enumerate(agents):
+        (x0, y0), (x1, y1) = agent["start"], agent["goal"]
+        s[3 * i + 2] = np.arctan2(y1 - y0, x1 - x0)
+    return s
+
+
+def _explicit_start(n: int, positions: list[Array], agents: list[dict]) -> Array:
+    raise ConfigError("linear dynamics requires an explicit initial_state")
+
+
+def _matrix_noise(block: dict, n: int) -> NoiseModel:
+    noise = NoiseModel(block["gain"], block["covariance"])
+    if noise.gain.shape[0] != n:
+        raise ConfigError(
+            f"noise: gain must have {n} rows (the state dimension), got {noise.gain.shape[0]}"
+        )
+    return noise
+
+
+def _initial_state(block: dict, n: int) -> InitialState:
+    key = "value" if "value" in block else "mean"
+    initial = InitialState(mean=block[key], covariance=block.get("covariance"))
+    if initial.mean.shape != (n,):
+        raise ConfigError(f"initial_state {key} must have dimension {n}")
+    return initial
+
+
+class _Agent(NamedTuple):
+    """What a feature builder reads: the agent's index, start and goal, every
+    agent's position indices, and the horizon."""
+
+    index: int
+    start: list[float]
+    goal: list[float]
+    positions: list[Array]
     horizon: int
-    dt: float
-    dynamics_kind: str
-    dynamics_params: dict = field(default_factory=dict)
-    noise_kind: str = "none"
-    noise_params: dict = field(default_factory=dict)
-    initial_kind: str = "fixed"
-    initial_params: dict = field(default_factory=dict)
-    agents: tuple[AgentSpec, ...] = ()
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    learner: LearnConfig = field(default_factory=LearnConfig)
+
+
+def _tracking(block: dict, agent: _Agent, path: str) -> ReferenceTracking:
+    return ReferenceTracking(
+        position_index=agent.positions[agent.index],
+        reference=straight_line_reference(agent.start, agent.goal, agent.horizon),
+    )
+
+
+def _proximity(block: dict, agent: _Agent, path: str) -> GaussianProximity:
+    target = block["target"]
+    if not 0 <= target < len(agent.positions) or target == agent.index:
+        raise ConfigError(f"{path}: invalid proximity target {target}")
+    return GaussianProximity(
+        position_index=agent.positions[agent.index],
+        target_index=agent.positions[target],
+        sigma=block["sigma"],
+        target=target,
+    )
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One kind of a kind-tagged block.  ``keys`` are the keys it takes besides
+    "kind", in document order, each with the type its value is coerced to
+    (None: a matrix, which ``build`` converts).  ``build`` makes the block's
+    object from the coerced block.  A dynamics kind also gives ``start``, the
+    default initial-state mean."""
+
+    keys: dict[str, type | None]
+    build: Callable[..., Any]
+    start: Callable[[int, list[Array], list[dict]], Array] | None = None
+
+
+# build(block, num_agents, dt) -> (model, positions) for dynamics,
+# build(block, n) for noise and initial_state, build(block, agent, path) for features.
+_KINDS: dict[str, dict[str, _Kind]] = {
+    "dynamics": {
+        "double_integrator": _Kind({}, _planar(dyn.double_integrator, 4), _start_positions),
+        "unicycle": _Kind({}, _planar(dyn.unicycle, 3), _start_headings),
+        "linear": _Kind({"A": None, "B": None, "position_indices": None}, _linear,
+                        _explicit_start),
+    },
+    "noise": {
+        "none": _Kind({}, lambda block, n: NoiseModel.none(n)),
+        "scaled_identity": _Kind(
+            {"scale": float}, lambda block, n: NoiseModel.scaled_identity(n, block["scale"])
+        ),
+        "matrix": _Kind({"gain": None, "covariance": None}, _matrix_noise),
+    },
+    "initial_state": {
+        "fixed": _Kind({"value": None}, _initial_state),
+        "gaussian": _Kind({"mean": None, "covariance": None}, _initial_state),
+    },
+    "feature": {
+        "reference_tracking": _Kind({}, _tracking),
+        "control_effort": _Kind({}, lambda block, agent, path: ControlEffort(agent=agent.index)),
+        "gaussian_proximity": _Kind({"target": int, "sigma": float}, _proximity),
+    },
+}
+
+
+def _parse_kind(block: Any, name: str, path: str | None = None) -> tuple[dict, _Kind]:
+    """The canonical form of the ``name`` block at ``path`` (default ``name``):
+    its kind, then each key of the kind's entry with its value coerced; and
+    that entry."""
+    path = path or name
+    kind = _require(block, "kind", path)
+    if not isinstance(kind, str) or kind not in _KINDS[name]:
+        where = "" if path == name else f"{path}: "
+        raise ConfigError(f"{where}unknown {name} kind {kind!r}")
+    entry = _KINDS[name][kind]
+    _check_no_extras(block, {"kind", *entry.keys}, path)
+    canonical = {"kind": kind}
+    for key, type_ in entry.keys.items():
+        value = _require(block, key, path)
+        canonical[key] = value if type_ is None else _coerce(value, type_, f"{path}.{key}")
+    return canonical, entry
 
 
 def parse_scenario(data: dict) -> "Scenario":
     """Build a :class:`Scenario` from a config dict, rejecting unknown keys."""
-    top_level = {"schema_version", "name", "num_agents", "horizon", "dt", "dynamics", "noise",
-                 "initial_state", "agents", "solver", "learner"}
-    _check_no_extras(data, top_level, "scenario")
-    version = _require(data, "schema_version", "scenario")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
-    num_agents = _coerce(_require(data, "num_agents", "scenario"), int, "num_agents")
-    horizon = _coerce(_require(data, "horizon", "scenario"), int, "horizon")
-    dt = _coerce(_require(data, "dt", "scenario"), float, "dt", finite=False)
-    if num_agents < 1 or horizon < 1 or not 0.0 < dt < np.inf:
-        raise ConfigError("num_agents, horizon and dt must be positive (dt finite)")
-
-    kind, params = _parse_kind(_require(data, "dynamics", "scenario"), "dynamics")
-    noise_kind, noise_params = _parse_kind(data.get("noise", {"kind": "none"}), "noise")
-    initial_block = data.get("initial_state")
-    if initial_block is None:
-        initial_kind, initial_params = "default", {}
-    else:
-        initial_kind, initial_params = _parse_kind(initial_block, "initial_state")
-
-    agents = []
-    agent_blocks = _list(_require(data, "agents", "scenario"), "agents")
-    if len(agent_blocks) != num_agents:
-        raise ConfigError(f"expected {num_agents} agent blocks, got {len(agent_blocks)}")
-    for i, block in enumerate(agent_blocks):
-        path = f"agents[{i}]"
-        _check_no_extras(
-            block, {"start", "goal", "features", "true_weights", "temperature"}, path
-        )
-        feats = []
-        for k, fblock in enumerate(_list(_require(block, "features", path), f"{path}.features")):
-            fpath = f"{path}.features[{k}]"
-            fkind = _require(fblock, "kind", fpath)
-            if fkind == "gaussian_proximity":
-                _check_no_extras(fblock, {"kind", "target", "sigma"}, fpath)
-                target = _coerce(_require(fblock, "target", fpath), int, f"{fpath}.target")
-                sigma = _coerce(_require(fblock, "sigma", fpath), float, f"{fpath}.sigma")
-                if not 0 <= target < num_agents or target == i:
-                    raise ConfigError(f"{fpath}: invalid proximity target {target}")
-                feats.append(FeatureSpec(kind=fkind, target=target, sigma=sigma))
-            elif fkind in ("reference_tracking", "control_effort"):
-                _check_no_extras(fblock, {"kind"}, fpath)
-                feats.append(FeatureSpec(kind=fkind))
-            else:
-                raise ConfigError(f"{fpath}: unknown feature kind {fkind!r}")
-        true_w = block.get("true_weights")
-        if true_w is not None:
-            true_w = _floats(true_w, f"{path}.true_weights")
-            if len(true_w) != len(feats):
-                raise ConfigError(f"{path}: true_weights length must match features")
-        temperature = _coerce(
-            block.get("temperature", 1.0), float, f"{path}.temperature", finite=False
-        )
-        if not 0.0 < temperature < np.inf:
-            raise ConfigError(f"{path}: temperature must be positive and finite")
-        agents.append(
-            AgentSpec(
-                start=_floats(_require(block, "start", path), f"{path}.start"),
-                goal=_floats(_require(block, "goal", path), f"{path}.goal"),
-                features=tuple(feats),
-                true_weights=true_w,
-                temperature=temperature,
-            )
-        )
-
-    config = ScenarioConfig(
-        name=str(data.get("name", "scenario")),
-        num_agents=num_agents,
-        horizon=horizon,
-        dt=dt,
-        dynamics_kind=kind,
-        dynamics_params=params,
-        noise_kind=noise_kind,
-        noise_params=noise_params,
-        initial_kind=initial_kind,
-        initial_params=initial_params,
-        agents=tuple(agents),
-        solver=_parse_fields(SolverConfig, data.get("solver", {}), "solver"),
-        learner=_parse_fields(LearnConfig, data.get("learner", {}), "learner"),
-    )
-    return Scenario(config)
-
-
-def _floats(values: Any, path: str) -> tuple[float, ...]:
-    return tuple(_coerce(x, float, path) for x in _list(values, path))
+    return Scenario(data)
 
 
 def load_scenario(path: str | Path) -> "Scenario":
@@ -263,125 +294,100 @@ def load_scenario(path: str | Path) -> "Scenario":
 class Scenario:
     """A parsed scenario: basis, dimensions, and the weights -> game factory."""
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
+    def __init__(self, data: dict):
+        """Check ``data`` block by block, building each block's object as it goes."""
+        _check_no_extras(data, _TOP_LEVEL, "scenario")
+        version = _require(data, "schema_version", "scenario")
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version}")
+        num_agents = _coerce(_require(data, "num_agents", "scenario"), int, "num_agents")
+        horizon = _coerce(_require(data, "horizon", "scenario"), int, "horizon")
+        dt = _coerce(_require(data, "dt", "scenario"), float, "dt", finite=False)
+        if num_agents < 1 or horizon < 1 or not 0.0 < dt < np.inf:
+            raise ConfigError("num_agents, horizon and dt must be positive (dt finite)")
+
+        dynamics, dynamics_kind = _parse_kind(_require(data, "dynamics", "scenario"), "dynamics")
         with _values_of("dynamics"):
-            self._dynamics = self._build_dynamics()
-            self._positions = self._build_positions()
-        self._validate_geometry()
-        with _values_of("agents"):
-            self.basis = self._build_basis()
+            self._dynamics, self._positions = dynamics_kind.build(dynamics, num_agents, dt)
+        n = self._dynamics.state_dim
+        noise, entry = _parse_kind(data.get("noise", {"kind": "none"}), "noise")
         with _values_of("noise"):
-            self._noise = self._build_noise()
-        with _values_of("initial_state"):
-            self._initial = self._build_initial_state()
+            self._noise = entry.build(noise, n)
+        initial = data.get("initial_state")
+        if initial is not None:
+            initial, entry = _parse_kind(initial, "initial_state")
+            with _values_of("initial_state"):
+                self._initial = entry.build(initial, n)
 
-    # -- construction ------------------------------------------------------
-
-    def _build_dynamics(self) -> dyn.DynamicsModel:
-        c = self.config
-        if c.dynamics_kind == "double_integrator":
-            return dyn.double_integrator(c.num_agents, c.dt)
-        if c.dynamics_kind == "unicycle":
-            return dyn.unicycle(c.num_agents, c.dt)
-        if len(c.dynamics_params["B"]) != c.num_agents:
-            raise ConfigError("linear dynamics must provide one B block per agent")
-        return dyn.linear(c.dynamics_params["A"], c.dynamics_params["B"])
-
-    def _build_positions(self) -> list[Array]:
-        c = self.config
-        if c.dynamics_kind == "linear":
-            idx = [np.asarray(p, dtype=int) for p in c.dynamics_params["position_indices"]]
-            if len(idx) != c.num_agents:
-                raise ConfigError("position_indices must list one entry per agent")
-            for p in idx:
-                if p.ndim != 1:
-                    raise ConfigError("dynamics.position_indices: each entry must be a list")
-                if np.any(p < 0) or np.any(p >= self._dynamics.state_dim):
-                    raise ConfigError("position index out of state range")
-            return idx
-        return dyn.position_indices(c.dynamics_kind, c.num_agents)
-
-    def _validate_geometry(self) -> None:
-        for i, agent in enumerate(self.config.agents):
+        agent_blocks = _list(_require(data, "agents", "scenario"), "agents")
+        if len(agent_blocks) != num_agents:
+            raise ConfigError(f"expected {num_agents} agent blocks, got {len(agent_blocks)}")
+        agents, basis = [], []
+        for i, block in enumerate(agent_blocks):
+            path = f"agents[{i}]"
+            _check_no_extras(block, _AGENT_KEYS, path)
+            # Start and goal come first: the tracking feature is built from them.
+            start = _floats(_require(block, "start", path), f"{path}.start")
+            goal = _floats(_require(block, "goal", path), f"{path}.goal")
             d = self._positions[i].shape[0]
-            if len(agent.start) != d or len(agent.goal) != d:
-                raise ConfigError(
-                    f"agents[{i}]: start/goal must have {d} coordinates for this dynamics"
-                )
+            if len(start) != d or len(goal) != d:
+                raise ConfigError(f"{path}: start/goal must have {d} coordinates for this dynamics")
+            agent = _Agent(i, start, goal, self._positions, horizon)
+            features, built = [], []
+            feature_blocks = _list(_require(block, "features", path), f"{path}.features")
+            for k, fblock in enumerate(feature_blocks):
+                fpath = f"{path}.features[{k}]"
+                feature, entry = _parse_kind(fblock, "feature", fpath)
+                with _values_of("agents"):
+                    built.append(entry.build(feature, agent, fpath))
+                features.append(feature)
+            basis.append(tuple(built))
+            true_weights = block.get("true_weights")
+            if true_weights is not None:
+                true_weights = _floats(true_weights, f"{path}.true_weights")
+                if len(true_weights) != len(features):
+                    raise ConfigError(f"{path}: true_weights length must match features")
+            temperature = _coerce(
+                block.get("temperature", 1.0), float, f"{path}.temperature", finite=False
+            )
+            if not 0.0 < temperature < np.inf:
+                raise ConfigError(f"{path}: temperature must be positive and finite")
+            agents.append({"start": start, "goal": goal, "features": features,
+                           "temperature": temperature})
+            if true_weights is not None:
+                agents[-1]["true_weights"] = true_weights
+        self.basis = FeatureBasis(agents=tuple(basis), position_indices=tuple(self._positions))
+        if initial is None:
+            self._initial = InitialState(mean=dynamics_kind.start(n, self._positions, agents))
 
-    def _build_basis(self) -> FeatureBasis:
-        c = self.config
-        agents = []
-        for i, agent in enumerate(c.agents):
-            feats = []
-            for spec in agent.features:
-                if spec.kind == "reference_tracking":
-                    ref = straight_line_reference(
-                        np.asarray(agent.start), np.asarray(agent.goal), c.horizon
-                    )
-                    feats.append(
-                        ReferenceTracking(position_index=self._positions[i], reference=ref)
-                    )
-                elif spec.kind == "control_effort":
-                    feats.append(ControlEffort(agent=i))
-                else:
-                    feats.append(
-                        GaussianProximity(
-                            position_index=self._positions[i],
-                            target_index=self._positions[spec.target],
-                            sigma=spec.sigma,
-                            target=spec.target,
-                        )
-                    )
-            agents.append(tuple(feats))
-        return FeatureBasis(agents=tuple(agents), position_indices=tuple(self._positions))
-
-    def _build_noise(self) -> NoiseModel:
-        c = self.config
-        n = self._dynamics.state_dim
-        if c.noise_kind == "scaled_identity":
-            return NoiseModel.scaled_identity(n, float(c.noise_params["scale"]))
-        if c.noise_kind == "matrix":
-            return NoiseModel(**c.noise_params)
-        return NoiseModel.none(n)
-
-    def _default_initial_mean(self) -> Array:
-        c = self.config
-        n = self._dynamics.state_dim
-        s = np.zeros(n)
-        for i, agent in enumerate(c.agents):
-            s[self._positions[i]] = agent.start
-            if c.dynamics_kind == "unicycle":
-                heading = np.arctan2(
-                    agent.goal[1] - agent.start[1], agent.goal[0] - agent.start[0]
-                )
-                s[3 * i + 2] = heading
-        return s
-
-    def _build_initial_state(self) -> InitialState:
-        c = self.config
-        n = self._dynamics.state_dim
-        if c.initial_kind == "default":
-            if c.dynamics_kind == "linear":
-                raise ConfigError("linear dynamics requires an explicit initial_state")
-            return InitialState(mean=self._default_initial_mean())
-        name = "value" if c.initial_kind == "fixed" else "mean"
-        p = c.initial_params
-        initial = InitialState(mean=p[name], covariance=p.get("covariance"))
-        if initial.mean.shape != (n,):
-            raise ConfigError(f"initial_state {name} must have dimension {n}")
-        return initial
+        self._solver = _parse_fields(SolverConfig, data.get("solver", {}), "solver")
+        self._learner = _parse_fields(LearnConfig, data.get("learner", {}), "learner")
+        name = data.get("name", "scenario")
+        if not isinstance(name, str):
+            raise ConfigError(f"name must be a JSON string, got {name!r}")
+        self._doc = {
+            "schema_version": SCHEMA_VERSION,
+            "name": name,
+            "num_agents": num_agents,
+            "horizon": horizon,
+            "dt": dt,
+            "dynamics": dynamics,
+            "noise": noise,
+            "agents": agents,
+            **({} if initial is None else {"initial_state": initial}),
+            **{key: {f.name: getattr(settings, f.name) for f in _settable(settings)}
+               for key, settings in (("solver", self._solver), ("learner", self._learner))},
+        }
 
     # -- accessors ----------------------------------------------------------
 
     @property
     def num_agents(self) -> int:
-        return self.config.num_agents
+        return self._doc["num_agents"]
 
     @property
     def horizon(self) -> int:
-        return self.config.horizon
+        return self._doc["horizon"]
 
     @property
     def state_dim(self) -> int:
@@ -397,60 +403,33 @@ class Scenario:
 
     @property
     def goals(self) -> list[Array]:
-        return [np.asarray(a.goal, dtype=float) for a in self.config.agents]
+        return [np.asarray(a["goal"], dtype=float) for a in self._doc["agents"]]
 
     @property
     def solver_config(self) -> SolverConfig:
-        return self.config.solver
+        return self._solver
 
     @property
     def learn_config(self) -> LearnConfig:
-        return self.config.learner
+        return self._learner
 
     def true_weights(self) -> list[Array] | None:
-        if any(a.true_weights is None for a in self.config.agents):
+        agents = self._doc["agents"]
+        if any("true_weights" not in a for a in agents):
             return None
-        return [np.asarray(a.true_weights, dtype=float) for a in self.config.agents]
+        return [np.asarray(a["true_weights"], dtype=float) for a in agents]
 
     def make_game(self, weights: Sequence[Array]) -> GameSpec:
         costs = make_cost_model(self.basis, weights, self._dynamics.action_dims)
         return GameSpec(
             dynamics=self._dynamics,
             costs=costs,
-            horizon=self.config.horizon,
+            horizon=self.horizon,
             noise=self._noise,
             initial_state=self._initial,
-            temperatures=tuple(a.temperature for a in self.config.agents),
+            temperatures=tuple(a["temperature"] for a in self._doc["agents"]),
         )
 
     def to_dict(self) -> dict:
         """Canonical config dict; parse(to_dict(s)) reproduces the scenario."""
-        c = self.config
-        out: dict[str, Any] = {
-            "schema_version": SCHEMA_VERSION,
-            "name": c.name,
-            "num_agents": c.num_agents,
-            "horizon": c.horizon,
-            "dt": c.dt,
-            "dynamics": {"kind": c.dynamics_kind, **c.dynamics_params},
-            "noise": {"kind": c.noise_kind, **c.noise_params},
-            "agents": [],
-        }
-        if c.initial_kind != "default":
-            out["initial_state"] = {"kind": c.initial_kind, **c.initial_params}
-        for agent in c.agents:
-            block: dict[str, Any] = {
-                "start": list(agent.start),
-                "goal": list(agent.goal),
-                "features": [
-                    {k: v for k, v in asdict(f).items() if v is not None} for f in agent.features
-                ],
-                "temperature": agent.temperature,
-            }
-            if agent.true_weights is not None:
-                block["true_weights"] = list(agent.true_weights)
-            out["agents"].append(block)
-        for name in ("solver", "learner"):
-            settings = getattr(c, name)
-            out[name] = {f.name: getattr(settings, f.name) for f in _settable(settings)}
-        return out
+        return copy.deepcopy(self._doc)

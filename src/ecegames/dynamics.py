@@ -141,11 +141,3 @@ def unicycle(num_agents: int, dt: float) -> DynamicsModel:
 
     return DynamicsModel(n, action_dims, step, jacobians)
 
-
-def position_indices(kind: str, num_agents: int) -> list[Array]:
-    """Indices of each agent's position coordinates in the joint state."""
-    if kind == "double_integrator":
-        return [np.array([4 * i, 4 * i + 1]) for i in range(num_agents)]
-    if kind == "unicycle":
-        return [np.array([3 * i, 3 * i + 1]) for i in range(num_agents)]
-    raise ValueError(f"no canonical position layout for dynamics kind {kind!r}")

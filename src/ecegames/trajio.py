@@ -168,6 +168,16 @@ def _not_utf8(cells: Sequence[str]) -> bool:
     return False
 
 
+def _csv_rows(fh, path: str | Path):
+    """The rows of ``fh``; a csv.Error, such as a cell over the csv module's
+    field size limit, becomes an IngestError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_by_line(
     path: str | Path, state_dim: int, action_dims: Sequence[int]
 ) -> TrajectoryBatch:
@@ -178,7 +188,7 @@ def _read_by_line(
     values = array("d")  # the value columns of every row, row after row
     trials: list[list[int]] = []  # [trial, first t, last t, rows] in file order
     with _open(path, errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -296,6 +296,10 @@ def input_files(tmp_path_factory, lq_config):
     cfg["horizon"] = str(cfg["horizon"])
     string_config = root / "string_horizon.json"
     string_config.write_text(json.dumps(cfg))
+    cfg["horizon"] = int(cfg["horizon"])
+    cfg["noise"] = {"kind": "matrix", "gain": [[1.0]], "covariance": [[1.0]]}
+    short_gain_config = root / "short_gain.json"
+    short_gain_config.write_text(json.dumps(cfg))
     # The same trials one step shorter, and one step longer (last row repeated).
     horizon = load_scenario(lq_config).horizon
     header, *rows = demos.read_text().splitlines()
@@ -317,11 +321,20 @@ def input_files(tmp_path_factory, lq_config):
     lines[3] = lines[3].replace(b",", b",\xff", 1)
     not_utf8_demos = root / "not_utf8_demos.csv"
     not_utf8_demos.write_bytes(b"\n".join(lines))
+    # A number longer than the csv module's field size limit, then a malformed row.
+    lines = demos.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = "0." + "1" * 140001
+    lines[3] = ",".join(cells)
+    lines[6] = "not,a,number"
+    huge_cell_demos = root / "huge_cell_demos.csv"
+    huge_cell_demos.write_text("\n".join(lines) + "\n")
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
             "bad_config": str(bad_config), "nan_config": str(nan_config),
             "string_config": str(string_config), "short_demos": str(short_demos),
             "long_demos": str(long_demos), "list_weights": str(list_weights),
-            "not_utf8_demos": str(not_utf8_demos), "out": str(root / "out")}
+            "not_utf8_demos": str(not_utf8_demos), "short_gain_config": str(short_gain_config),
+            "huge_cell_demos": str(huge_cell_demos), "out": str(root / "out")}
 
 
 # (command with {placeholders} for input_files and {lq}, expected exit code)
@@ -344,6 +357,8 @@ INPUT_ERRORS = [
     (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{list_weights}",
       "--trials", "1", "--out", "{out}"], 1),
     (["validate", "--config", "{lq}", "--trajectories", "{not_utf8_demos}"], 1),
+    (["solve", "--config", "{short_gain_config}", "--out-policy", "{out}"], 2),
+    (["validate", "--config", "{lq}", "--trajectories", "{huge_cell_demos}"], 1),
 ]
 
 

@@ -17,6 +17,7 @@ from ecegames import (
     simulate_mean,
     solve_ece,
 )
+from ecegames.cli import main
 from ecegames.config import parse_scenario
 from ecegames import trajio
 
@@ -139,6 +140,53 @@ class TestParsing:
         game = scenario.make_game(scenario.true_weights())
         assert game.state_dim == 2
 
+    def test_to_dict_writes_every_default(self):
+        assert parse_scenario(minimal_config()).to_dict() == {
+            "schema_version": 1,
+            "name": "mini",
+            "num_agents": 1,
+            "horizon": 5,
+            "dt": 0.1,
+            "dynamics": {"kind": "double_integrator"},
+            "noise": {"kind": "none"},
+            "agents": [
+                {
+                    "start": [0.0, 0.0],
+                    "goal": [1.0, 0.0],
+                    "features": [{"kind": "reference_tracking"}, {"kind": "control_effort"}],
+                    "temperature": 1.0,
+                    "true_weights": [1.0, 1.0],
+                }
+            ],
+            "solver": {
+                "max_iterations": 100,
+                "convergence_tol": 1e-4,
+                "max_step_deviation": 10.0,
+                "min_step": 0.015625,
+                "strict_paper": False,
+            },
+            "learner": {
+                "learning_rate": 0.05,
+                "samples_per_expectation": 50,
+                "max_outer_iterations": 200,
+                "residual_tol": 0.05,
+                "mode": "joint",
+                "standardize_gaps": True,
+                "effort_weight_floor": 0.001,
+            },
+        }
+
+    def test_default_initial_state_heads_unicycles_to_their_goals(self, config_dir):
+        doc = json.loads((config_dir / "two_agent_crossing.json").read_text())
+        doc["dynamics"] = {"kind": "unicycle"}
+        scenario = parse_scenario(doc)
+        initial = scenario.make_game(scenario.true_weights()).initial_state
+        # (x, y, heading) per agent: agent 0 drives from (-2, 0) to (2, 0), agent 1
+        # from (0, -2) to (0, 2).
+        expected = [-2.0, 0.0, np.arctan2(0.0, 4.0), 0.0, -2.0, np.arctan2(4.0, 0.0)]
+        assert np.array_equal(initial.mean, expected)
+        assert initial.covariance is None
+
     def test_config_round_trip_preserves_game(self, crossing_scenario):
         doc = crossing_scenario.to_dict()
         reparsed = parse_scenario(doc)
@@ -205,6 +253,9 @@ MALFORMED_VALUES = [
     (("noise",), {"kind": "scaled_identity", "scale": "big"}, "noise"),
     (("noise",), {"kind": "scaled_identity", "scale": None}, "noise"),
     (("initial_state",), {"kind": "fixed", "value": ["a", 0.0, 0.0, 0.0]}, "initial_state"),
+    # A noise gain with one row for a four-dimensional state.
+    (("noise",), {"kind": "matrix", "gain": [[1.0]], "covariance": [[1.0]]}, "noise"),
+    (("name",), [1, 2], "name"),
     # Ints from booleans or non-integral numbers, and non-finite floats.
     (("horizon",), 2.7, "horizon"),
     (("horizon",), float("inf"), "horizon"),
@@ -237,6 +288,18 @@ MALFORMED_VALUES = [
 def test_malformed_value_is_config_error_naming_its_path(keys, value, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_scenario(with_value(keys, value))
+
+
+@pytest.mark.parametrize("keys, value, path", MALFORMED_VALUES)
+def test_malformed_value_fails_solve_with_one_error_line(keys, value, path, tmp_path, capsys):
+    # solve builds the game as well, which validate does not.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(with_value(keys, value)))
+    out = tmp_path / "policy.json"
+    assert main(["solve", "--config", str(config), "--out-policy", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
 
 
 class TestSettingsRoundTrip:

@@ -150,6 +150,18 @@ def test_not_utf8_names_the_line(tmp_path):
         trajio.read_trajectories(path, STATE_DIM, ACTION_DIMS)
 
 
+def test_cell_over_csv_field_limit(tmp_path):
+    # The one file the two readers treat differently: the array path has no
+    # field size limit, the csv module does.
+    lines = replace_cell(base_lines(tmp_path), 3, "0." + "1" * 140001, [3])
+    path = tmp_path / "huge_cell.csv"
+    path.write_bytes(join(lines))
+    loaded = trajio.read_trajectories(path, STATE_DIM, ACTION_DIMS)
+    assert loaded.states[0, 2, 1] == float("0." + "1" * 140001)
+    with pytest.raises(IngestError, match=r"huge_cell\.csv: line 4: field larger than field limit"):
+        trajio._read_by_line(path, STATE_DIM, ACTION_DIMS)
+
+
 @pytest.mark.parametrize("where", ["first", "second"])
 def test_files_longer_than_one_chunk(tmp_path, where):
     """Rows past the first ``np.loadtxt`` chunk, with a blank line in one chunk."""
