@@ -12,7 +12,8 @@ error to one of them and prints a one-line ``error:`` message to stderr):
      missing, unreadable or malformed, or its horizon is not the scenario's.
   2  usage or configuration error: bad command-line arguments, a missing,
      unreadable or invalid config file, missing ``true_weights`` where the
-     command needs them, or a learner override out of range (``--lr`` < 0).
+     command needs them, or a learner override out of range (``--lr`` < 0 or
+     not finite).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ A scenario file fully describes an experiment: dynamics kind and time step,
 horizon, noise, initial-state distribution, each agent's features (with
 optional ground-truth weights) and temperature, plus solver and learner
 settings.  Parsing is strict: unknown keys anywhere are fatal, so an
-experiment cannot silently drift when the schema evolves.
+experiment cannot silently drift when the schema evolves, and every number,
+single or in nested lists, passes :func:`_coerce`, the one number rule, which
+the weights and policy file readers use as well.
 
 :func:`parse_scenario` reads a document in one pass.  It checks each block
 and builds that block's runtime object before it reads the next: the
@@ -82,28 +84,29 @@ def _check_no_extras(d: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown key {sorted(extras)[0]!r} in {path}")
 
 
-def _coerce(value: Any, type_: type, path: str, *, finite: bool = True) -> Any:
-    """``value`` as ``type_``: a bool only from a JSON boolean, a number not
-    from a JSON string, an int not from a boolean or a non-integral number, a
-    float only if finite (unless ``finite`` is false: ``dt`` and
-    ``temperature`` check their own range)."""
+def _coerce(value: Any, type_: type, path: str, *, depth: int = 0, finite: bool = True) -> Any:
+    """``value`` as ``type_``, or for ``depth`` d > 0 a JSON list of values of
+    depth d - 1, each coerced, errors naming the element (``path[0][1]``): a
+    bool only from a JSON boolean, a number only from a JSON number (not a
+    string or boolean), an int only from an integral one, a float only if
+    finite (unless ``finite`` is false: ``dt`` and ``temperature`` check it)."""
+    if depth:
+        return [_coerce(x, type_, f"{path}[{k}]", depth=depth - 1, finite=finite)
+                for k, x in enumerate(_list(value, path))]
     if type_ is bool and not isinstance(value, bool):
         raise ConfigError(f"{path} must be a JSON boolean (true or false), got {value!r}")
-    if type_ in (int, float) and isinstance(value, str):
-        raise ConfigError(f"{path} must be a JSON number, got the string {value!r}")
-    if type_ is int and (
-        isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-    ):
+    if type_ in (int, float) and isinstance(value, (str, bool)):
+        what = "string" if isinstance(value, str) else "boolean"
+        raise ConfigError(f"{path} must be a JSON number, got the {what} {value!r}")
+    if type_ is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path} must be an integer, got {value!r}")
-    with _values_of(path):
+    try:  # not `with _values_of`: a generator context per matrix entry is slow
         value = type_(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if finite and type_ is float and not math.isfinite(value):
         raise ConfigError(f"{path} must be finite, got {value!r}")
     return value
-
-
-def _floats(values: Any, path: str) -> list[float]:
-    return [_coerce(x, float, path) for x in _list(values, path)]
 
 
 def _settable(cls) -> list:
@@ -141,8 +144,6 @@ def _linear(block: dict, num_agents: int, dt: float):
     if len(positions) != num_agents:
         raise ConfigError("position_indices must list one entry per agent")
     for p in positions:
-        if p.ndim != 1:
-            raise ConfigError("dynamics.position_indices: each entry must be a list")
         if np.any(p < 0) or np.any(p >= model.state_dim):
             raise ConfigError("position index out of state range")
     return model, positions
@@ -219,12 +220,12 @@ def _proximity(block: dict, agent: _Agent, path: str) -> GaussianProximity:
 @dataclass(frozen=True)
 class _Kind:
     """One kind of a kind-tagged block.  ``keys`` are the keys it takes besides
-    "kind", in document order, each with the type its value is coerced to
-    (None: a matrix, which ``build`` converts).  ``build`` makes the block's
-    object from the coerced block.  A dynamics kind also gives ``start``, the
-    default initial-state mean."""
+    "kind", in document order, each with the entry type and list depth that
+    :func:`_coerce` reads its value with (0: one number, 2: a matrix).
+    ``build`` makes the block's object from the coerced block.  A dynamics
+    kind also gives ``start``, the default initial-state mean."""
 
-    keys: dict[str, type | None]
+    keys: dict[str, tuple[type, int]]
     build: Callable[..., Any]
     start: Callable[[int, list[Array], list[dict]], Array] | None = None
 
@@ -235,24 +236,24 @@ _KINDS: dict[str, dict[str, _Kind]] = {
     "dynamics": {
         "double_integrator": _Kind({}, _planar(dyn.double_integrator, 4), _start_positions),
         "unicycle": _Kind({}, _planar(dyn.unicycle, 3), _start_headings),
-        "linear": _Kind({"A": None, "B": None, "position_indices": None}, _linear,
-                        _explicit_start),
+        "linear": _Kind({"A": (float, 2), "B": (float, 3), "position_indices": (int, 2)},
+                        _linear, _explicit_start),
     },
     "noise": {
         "none": _Kind({}, lambda block, n: NoiseModel.none(n)),
         "scaled_identity": _Kind(
-            {"scale": float}, lambda block, n: NoiseModel.scaled_identity(n, block["scale"])
+            {"scale": (float, 0)}, lambda block, n: NoiseModel.scaled_identity(n, block["scale"])
         ),
-        "matrix": _Kind({"gain": None, "covariance": None}, _matrix_noise),
+        "matrix": _Kind({"gain": (float, 2), "covariance": (float, 2)}, _matrix_noise),
     },
     "initial_state": {
-        "fixed": _Kind({"value": None}, _initial_state),
-        "gaussian": _Kind({"mean": None, "covariance": None}, _initial_state),
+        "fixed": _Kind({"value": (float, 1)}, _initial_state),
+        "gaussian": _Kind({"mean": (float, 1), "covariance": (float, 2)}, _initial_state),
     },
     "feature": {
         "reference_tracking": _Kind({}, _tracking),
         "control_effort": _Kind({}, lambda block, agent, path: ControlEffort(agent=agent.index)),
-        "gaussian_proximity": _Kind({"target": int, "sigma": float}, _proximity),
+        "gaussian_proximity": _Kind({"target": (int, 0), "sigma": (float, 0)}, _proximity),
     },
 }
 
@@ -269,9 +270,8 @@ def _parse_kind(block: Any, name: str, path: str | None = None) -> tuple[dict, _
     entry = _KINDS[name][kind]
     _check_no_extras(block, {"kind", *entry.keys}, path)
     canonical = {"kind": kind}
-    for key, type_ in entry.keys.items():
-        value = _require(block, key, path)
-        canonical[key] = value if type_ is None else _coerce(value, type_, f"{path}.{key}")
+    for key, (type_, depth) in entry.keys.items():
+        canonical[key] = _coerce(_require(block, key, path), type_, f"{path}.{key}", depth=depth)
     return canonical, entry
 
 
@@ -327,8 +327,8 @@ class Scenario:
             path = f"agents[{i}]"
             _check_no_extras(block, _AGENT_KEYS, path)
             # Start and goal come first: the tracking feature is built from them.
-            start = _floats(_require(block, "start", path), f"{path}.start")
-            goal = _floats(_require(block, "goal", path), f"{path}.goal")
+            start = _coerce(_require(block, "start", path), float, f"{path}.start", depth=1)
+            goal = _coerce(_require(block, "goal", path), float, f"{path}.goal", depth=1)
             d = self._positions[i].shape[0]
             if len(start) != d or len(goal) != d:
                 raise ConfigError(f"{path}: start/goal must have {d} coordinates for this dynamics")
@@ -344,7 +344,7 @@ class Scenario:
             basis.append(tuple(built))
             true_weights = block.get("true_weights")
             if true_weights is not None:
-                true_weights = _floats(true_weights, f"{path}.true_weights")
+                true_weights = _coerce(true_weights, float, f"{path}.true_weights", depth=1)
                 if len(true_weights) != len(features):
                     raise ConfigError(f"{path}: true_weights length must match features")
             temperature = _coerce(

@@ -193,7 +193,7 @@ def validate_weights(basis: FeatureBasis, weights) -> list[Array]:
     for i, w in enumerate(weights):
         if w.shape != (len(basis.agents[i]),):
             raise InvalidWeightError(
-                f"agent {i}: {len(basis.agents[i])} features but {w.shape[0]} weights"
+                f"agent {i}: {len(basis.agents[i])} features but weights of shape {w.shape}"
             )
         if not np.all(np.isfinite(w)):
             raise InvalidWeightError(f"agent {i}: weights must be finite")

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EcegamesError
-from .features import FeatureBasis, eval_features, validate_weights
+from .features import ControlEffort, FeatureBasis, eval_features, validate_weights
 from .game import (
     AffineGaussianPolicySet,
     Array,
@@ -63,10 +63,16 @@ class LearnConfig:
     effort_weight_floor: float = 1e-3
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning rate must be non-negative and finite")
         if self.samples_per_expectation < 1:
             raise ValueError("need at least one sample per expectation")
+        if self.max_outer_iterations < 1:
+            raise ValueError("need at least one outer iteration")
+        if not self.residual_tol > 0.0:
+            raise ValueError("residual tolerance must be positive")
+        if not self.effort_weight_floor > 0.0:
+            raise ValueError("effort weight floor must be positive")
         if self.mode not in ("joint", "independent"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -163,7 +169,7 @@ def update_weights(
     w = np.asarray(w, dtype=float)
     gap = np.asarray(demo_mean, dtype=float) - np.asarray(model_mean, dtype=float)
     if standardize:
-        gap = gap / (np.abs(demo_mean) + 1e-8)
+        gap = _standardized(gap, demo_mean)
     new_w = w - learning_rate * gap
     floored = False
     if effort_index is not None and new_w[effort_index] < effort_floor:
@@ -174,9 +180,14 @@ def update_weights(
 
 def _effort_index(basis: FeatureBasis, agent: int) -> int | None:
     for k, f in enumerate(basis.agents[agent]):
-        if f.name == "control":
+        if isinstance(f, ControlEffort):
             return k
     return None
+
+
+def _standardized(gap: Array, demo_mean: Array) -> Array:
+    """The gap of each feature relative to the demo mean's magnitude."""
+    return gap / (np.abs(demo_mean) + 1e-8)
 
 
 def _relative_residual(gap: Array, demo_mean: Array) -> float:
@@ -185,7 +196,7 @@ def _relative_residual(gap: Array, demo_mean: Array) -> float:
     Normalizing per feature before aggregating keeps a large-magnitude
     feature (typically control effort) from masking mismatch in the others.
     """
-    rel = gap / (np.abs(demo_mean) + 1e-8)
+    rel = _standardized(gap, demo_mean)
     return float(np.sqrt(np.mean(rel * rel)))
 
 

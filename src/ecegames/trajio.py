@@ -27,7 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IngestError
+from .config import _coerce
+from .errors import ConfigError, IngestError
 from .game import AffineGaussianPolicySet, Array, TrajectoryBatch
 
 
@@ -258,17 +259,15 @@ def write_policy(path: str | Path, policies: AffineGaussianPolicySet) -> None:
 
 
 def read_policy(path: str | Path) -> AffineGaussianPolicySet:
+    # The list depth of each field: agent (but not in nominal_states), time step, row, entry.
+    depths = {"gains": 4, "offsets": 3, "covariances": 4, "nominal_states": 2, "nominal_actions": 3}
     try:
         with _open(path) as fh:
             doc = json.load(fh)
         return AffineGaussianPolicySet(
-            gains=tuple(np.asarray(P) for P in doc["gains"]),
-            offsets=tuple(np.asarray(a) for a in doc["offsets"]),
-            covariances=tuple(np.asarray(S) for S in doc["covariances"]),
-            nominal_states=np.asarray(doc["nominal_states"]),
-            nominal_actions=tuple(np.asarray(a) for a in doc["nominal_actions"]),
+            **{key: _coerce(doc[key], float, key, depth=d) for key, d in depths.items()}
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{path}: invalid policy file ({exc})") from exc
 
 
@@ -284,8 +283,8 @@ def read_weights(path: str | Path) -> list[Array]:
     try:
         with _open(path) as fh:
             doc = json.load(fh)
-        return [np.asarray(w, dtype=float) for w in doc["weights"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return [np.asarray(w) for w in _coerce(doc["weights"], float, "weights", depth=2)]
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{path}: invalid weights file ({exc})") from exc
 
 

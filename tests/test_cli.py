@@ -317,6 +317,10 @@ def input_files(tmp_path_factory, lq_config):
     long_demos.write_text("\n".join(long) + "\n")
     list_weights = root / "list_weights.json"
     list_weights.write_text("[1, 2]")
+    null_weights = root / "null_weights.json"
+    null_weights.write_text('{"weights": [null, [1, 1]]}')
+    string_weights = root / "string_weights.json"
+    string_weights.write_text('{"weights": [["1.0", "1"], ["1.0", "1"]]}')
     lines = demos.read_bytes().split(b"\n")
     lines[3] = lines[3].replace(b",", b",\xff", 1)
     not_utf8_demos = root / "not_utf8_demos.csv"
@@ -333,6 +337,7 @@ def input_files(tmp_path_factory, lq_config):
             "bad_config": str(bad_config), "nan_config": str(nan_config),
             "string_config": str(string_config), "short_demos": str(short_demos),
             "long_demos": str(long_demos), "list_weights": str(list_weights),
+            "null_weights": str(null_weights), "string_weights": str(string_weights),
             "not_utf8_demos": str(not_utf8_demos), "short_gain_config": str(short_gain_config),
             "huge_cell_demos": str(huge_cell_demos), "out": str(root / "out")}
 
@@ -359,6 +364,12 @@ INPUT_ERRORS = [
     (["validate", "--config", "{lq}", "--trajectories", "{not_utf8_demos}"], 1),
     (["solve", "--config", "{short_gain_config}", "--out-policy", "{out}"], 2),
     (["validate", "--config", "{lq}", "--trajectories", "{huge_cell_demos}"], 1),
+    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{null_weights}",
+      "--trials", "1", "--out", "{out}"], 1),
+    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{string_weights}",
+      "--trials", "1", "--out", "{out}"], 1),
+    (["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "nan",
+      "--out-weights", "{out}"], 2),
 ]
 
 

@@ -140,6 +140,28 @@ class TestParsing:
         game = scenario.make_game(scenario.true_weights())
         assert game.state_dim == 2
 
+    def test_linear_to_dict_holds_coerced_numbers(self):
+        cfg = minimal_config(
+            dynamics={"kind": "linear", "A": [[1, 0.1], [0, 1]], "B": [[[0], [1]]],
+                      "position_indices": [[0.0]]},
+            initial_state={"kind": "fixed", "value": [1, 0]},
+        )
+        cfg["agents"][0].update(start=[1], goal=[0])
+        scenario = parse_scenario(cfg)
+        dynamics = scenario.to_dict()["dynamics"]
+        assert dynamics == {"kind": "linear", "A": [[1.0, 0.1], [0.0, 1.0]], "B": [[[0.0], [1.0]]],
+                            "position_indices": [[0]]}
+        entries = [*dynamics["A"][0], *dynamics["A"][1], *(b[0] for b in dynamics["B"][0])]
+        assert all(type(x) is float for x in entries)
+        assert type(dynamics["position_indices"][0][0]) is int
+        again = parse_scenario(scenario.to_dict())
+        g1, g2 = (sc.make_game(sc.true_weights()) for sc in (scenario, again))
+        s, a = np.array([0.3, -0.7]), [np.array([0.2])]
+        assert np.array_equal(g1.dynamics.step(1, s, a), g2.dynamics.step(1, s, a))
+        (A1, B1), (A2, B2) = g1.dynamics.jacobians(1, s, a), g2.dynamics.jacobians(1, s, a)
+        assert np.array_equal(A1, A2) and np.array_equal(B1[0], B2[0])
+        assert np.array_equal(again.position_indices[0], scenario.position_indices[0])
+
     def test_to_dict_writes_every_default(self):
         assert parse_scenario(minimal_config()).to_dict() == {
             "schema_version": 1,
@@ -201,7 +223,10 @@ class TestParsing:
 
 
 def with_value(keys, value):
-    """minimal_config with the entry at ``keys`` (dict keys, list indices) set to ``value``."""
+    """minimal_config with the entry at ``keys`` (dict keys, list indices) set to
+    ``value``; with no keys, ``value`` holds top-level overrides."""
+    if not keys:
+        return minimal_config(**value)
     cfg = minimal_config()
     block = cfg
     for key in keys[:-1]:
@@ -210,7 +235,15 @@ def with_value(keys, value):
     return cfg
 
 
-# (where the malformed value goes, the value, the path the error must name)
+def linear(**keys):
+    """Top-level overrides that give minimal_config linear dynamics, with ``keys``
+    of the dynamics block replaced, and the initial state they require."""
+    dynamics = {"kind": "linear", "A": np.eye(4).tolist(), "B": [np.eye(4)[:, 2:].tolist()],
+                "position_indices": [[0, 1]], **keys}
+    return {"dynamics": dynamics, "initial_state": {"kind": "fixed", "value": [0.0] * 4}}
+
+
+# (where the malformed value goes, the value, the path (or message) the error must name)
 MALFORMED_VALUES = [
     (("num_agents",), "two", "num_agents"),
     (("horizon",), "abc", "horizon"),
@@ -281,6 +314,26 @@ MALFORMED_VALUES = [
     (("agents", 0, "start"), ["0.5", 0.0], "agents[0].start"),
     (("solver",), {"max_iterations": "10"}, "solver.max_iterations"),
     (("learner",), {"learning_rate": "0.2"}, "learner.learning_rate"),
+    # Matrix entries, vectors and floats go through the same number rule.
+    ((), linear(A=[[float("nan")] * 4] * 4), "dynamics.A[0][0] must be finite"),
+    ((), linear(B=[[[True, 0.0]] * 4]), "dynamics.B[0][0][0] must be a JSON number"),
+    ((), linear(A=[["1.0"] * 4] * 4), "dynamics.A[0][0] must be a JSON number"),
+    ((), linear(A=None), "dynamics.A must be a JSON list"),
+    ((), linear(position_indices=[[0.7, 1]]), "dynamics.position_indices[0][0] must be an integer"),
+    (("initial_state",), {"kind": "fixed", "value": ["1.0", 0.0, 0.0, 0.0]},
+     "initial_state.value[0] must be a JSON number"),
+    (("initial_state",),
+     {"kind": "gaussian", "mean": [0.0] * 4,
+      "covariance": [[float("inf"), 0.0, 0.0, 0.0]] + np.eye(4)[1:].tolist()},
+     "initial_state.covariance[0][0] must be finite"),
+    (("noise",), {"kind": "matrix", "gain": [["0.1"], [0.0], [0.0], [0.0]], "covariance": [[1.0]]},
+     "noise.gain[0][0] must be a JSON number"),
+    (("dt",), True, "dt must be a JSON number"),
+    (("agents", 0, "start"), [True, 0.0], "agents[0].start[0] must be a JSON number"),
+    # Learner settings out of range.
+    (("learner",), {"max_outer_iterations": 0}, "learner: need at least one outer iteration"),
+    (("learner",), {"residual_tol": -0.5}, "learner: residual tolerance must be positive"),
+    (("learner",), {"effort_weight_floor": -1.0}, "learner: effort weight floor must be positive"),
 ]
 
 
@@ -416,6 +469,23 @@ class TestPolicyFile:
         path = tmp_path / "bad.json"
         path.write_text("{\"gains\": []}")
         with pytest.raises(IngestError):
+            trajio.read_policy(path)
+
+    @pytest.mark.parametrize("field, value, element", [
+        ("gains", "1.5", "gains[1][0][0][0] must be a JSON number"),
+        ("offsets", True, "offsets[1][0][0] must be a JSON number"),
+        ("covariances", float("nan"), "covariances[1][0][0][0] must be finite"),
+    ])
+    def test_policy_entry_not_a_finite_number(self, tmp_path, field, value, element):
+        path = tmp_path / "policy.json"
+        trajio.write_policy(path, AffineGaussianPolicySet.zero(3, 4, (2, 1)))
+        doc = json.loads(path.read_text())
+        target = doc[field][1]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=re.escape(f"invalid policy file ({element}")):
             trajio.read_policy(path)
 
     def test_well_formed_json_of_wrong_shape(self, tmp_path):

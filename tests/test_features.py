@@ -1,5 +1,7 @@
 """Feature library: values, analytic derivatives, induced cost models."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,11 @@ class TestMakeCostModel:
     def test_weight_length_mismatch_rejected(self, basis):
         with pytest.raises(InvalidWeightError):
             make_cost_model(basis, [np.ones(2), np.ones(3)], (2, 2))
+
+    @pytest.mark.parametrize("entry, shape", [(1.0, "()"), ([[1.0, 1.0, 1.0]], "(1, 3)")])
+    def test_weight_entry_not_a_vector_reports_its_shape(self, basis, entry, shape):
+        with pytest.raises(InvalidWeightError, match=re.escape(f"weights of shape {shape}")):
+            make_cost_model(basis, [entry, np.ones(3)], (2, 2))
 
     @given(scale=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None)
