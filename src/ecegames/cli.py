@@ -160,6 +160,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecegames",
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-demos", help="sample demonstration rollouts under true weights")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_demos)
 
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["joint", "independent"], default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-weights", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_learn)
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demos", required=True)
     p.add_argument("--weights", default=None, help="weights JSON (default: config true_weights)")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory for the metric tables")
     p.set_defaults(func=cmd_eval)
 

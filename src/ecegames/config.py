@@ -171,7 +171,8 @@ def _explicit_start(n: int, positions: list[Array], agents: list[dict]) -> Array
 
 
 def _matrix_noise(block: dict, n: int) -> NoiseModel:
-    noise = NoiseModel(block["gain"], block["covariance"])
+    # An empty list is the (0, 0) covariance of zero-width noise (no noise).
+    noise = NoiseModel(block["gain"], block["covariance"] or np.zeros((0, 0)))
     if noise.gain.shape[0] != n:
         raise ConfigError(
             f"noise: gain must have {n} rows (the state dimension), got {noise.gain.shape[0]}"

@@ -109,19 +109,24 @@ def unicycle(num_agents: int, dt: float) -> DynamicsModel:
 
         x' = x + dt * v cos(theta),  y' = y + dt * v sin(theta),
         theta' = theta + dt * omega.
+
+    ``step`` broadcasts over leading axes like ``jacobians``: ``s`` (..., n)
+    and ``actions[j]`` (..., 2) give the next states (..., n).
     """
     n = 3 * num_agents
     action_dims = tuple(2 for _ in range(num_agents))
 
     def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
-        out = s.astype(float).copy()
-        for i in range(num_agents):
-            x, y, th = s[3 * i : 3 * i + 3]
-            v, om = actions[i]
-            out[3 * i] = x + dt * v * np.cos(th)
-            out[3 * i + 1] = y + dt * v * np.sin(th)
-            out[3 * i + 2] = th + dt * om
-        return out
+        # Every agent at once, on the last axis: (v_1, omega_1, v_2, ...) and
+        # the increments (dt v cos theta, dt v sin theta, dt omega) per agent.
+        a = np.concatenate(actions, axis=-1)
+        th = s[..., 2::3]
+        dv = dt * a[..., 0::2]
+        inc = np.empty(s.shape)
+        np.multiply(dv, np.cos(th), out=inc[..., 0::3])
+        np.multiply(dv, np.sin(th), out=inc[..., 1::3])
+        np.multiply(dt, a[..., 1::2], out=inc[..., 2::3])
+        return s + inc
 
     def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
         lead = s.shape[:-1]

@@ -100,7 +100,9 @@ class NoiseModel:
     """Additive Gaussian process noise G w_t with w_t ~ N(0, W).
 
     The gain is a constant (n, n_w) matrix; W must be symmetric PSD
-    (identity by default, and W = 0 or n_w = 0 disable the noise).
+    (identity by default, and W = 0 or n_w = 0 disable the noise).  The model
+    holds no random state: :func:`~ecegames.simulate.simulate_stochastic`
+    maps each trial's standard normals through :attr:`factor`.
     """
 
     gain: Array
@@ -133,17 +135,20 @@ class NoiseModel:
         return cls(np.zeros((state_dim, 0)), np.zeros((0, 0)))
 
     @cached_property
-    def _factor(self) -> Array:
-        # gain @ chol(W): one matrix applied to standard normals per step.
+    def factor(self) -> Array:
+        """(n, n_w) matrix G W^(1/2) that maps n_w standard normals to one
+        step's process noise."""
         return self.gain @ psd_factor(self.covariance)
-
-    def sample(self, rng: np.random.Generator) -> Array:
-        return self._factor @ rng.standard_normal(self.gain.shape[1])
 
 
 @dataclass(frozen=True)
 class InitialState:
-    """Fixed or Gaussian distribution of the initial joint state."""
+    """Fixed or Gaussian distribution of the initial joint state.
+
+    A Gaussian initial state is sampled by
+    :func:`~ecegames.simulate.simulate_stochastic` as ``mean + factor @ z``
+    from the first n standard normals of a trial; a fixed one is ``mean``.
+    """
 
     mean: Array
     covariance: Array | None = None
@@ -160,13 +165,10 @@ class InitialState:
             psd_factor(cov)
 
     @cached_property
-    def _factor(self) -> Array | None:
+    def factor(self) -> Array | None:
+        """(n, n) square root of the covariance that maps n standard normals
+        to the initial state's deviation from its mean; None when fixed."""
         return None if self.covariance is None else psd_factor(self.covariance)
-
-    def sample(self, rng: np.random.Generator) -> Array:
-        if self._factor is None:
-            return self.mean.copy()
-        return self.mean + self._factor @ rng.standard_normal(self.mean.shape[0])
 
 
 @dataclass(frozen=True)
@@ -450,14 +452,6 @@ class AffineGaussianPolicySet:
             offsets=[np.zeros((horizon, m)) for m in action_dims],
             covariances=[np.tile(np.eye(m), (horizon, 1, 1)) for m in action_dims],
         )
-
-    def mean_actions(self, k: int, s: Array) -> list[Array]:
-        """Mean actions of all agents at 0-based step index k in state s."""
-        ds = s - self.nominal_states[k]
-        return [
-            self.nominal_actions[i][k] - self.gains[i][k] @ ds - self.offsets[i][k]
-            for i in range(self.num_agents)
-        ]
 
     @cached_property
     def covariance_factors(self) -> tuple[Array, ...]:

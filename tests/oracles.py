@@ -457,3 +457,74 @@ def write_trajectories_by_cell(path, batch):
             ).tolist()
 
     trajio.write_csv(path, trajio.trajectory_header(batch.state_dim, batch.action_dims), rows())
+
+
+# -- per-step-draw reference sampler ------------------------------------------
+
+
+def mean_actions_per_agent(policies, k, s):
+    """Every agent's mean action a = abar - P (s - sbar) - alpha at 0-based
+    step index k, one agent at a time."""
+    ds = s - policies.nominal_states[k]
+    return [
+        policies.nominal_actions[i][k] - policies.gains[i][k] @ ds - policies.offsets[i][k]
+        for i in range(policies.num_agents)
+    ]
+
+
+def unicycle_step_per_agent(dt, s, actions):
+    """The unicycle drift one agent and one scalar at a time."""
+    out = s.astype(float).copy()
+    for i, (v, om) in enumerate(actions):
+        x, y, th = s[3 * i : 3 * i + 3]
+        out[3 * i] = x + dt * v * np.cos(th)
+        out[3 * i + 1] = y + dt * v * np.sin(th)
+        out[3 * i + 2] = th + dt * om
+    return out
+
+
+def simulate_per_step(game, policies, seed=None):
+    """``simulate_stochastic`` (or, with ``seed=None``, ``simulate_mean``)
+    drawing each piece of noise with its own ``standard_normal`` call, in
+    order: the initial state (when Gaussian), then per step each agent's
+    action noise and the process noise (none after the last step).
+
+    Returns (states (T, n), [actions (T, m_i)]); raises
+    ``SimulationDivergedError`` at the first non-finite state.
+    """
+    from ecegames import SimulationDivergedError
+    from ecegames.game import psd_factor
+
+    T, n = game.horizon, game.state_dim
+    initial = game.initial_state
+    s = initial.mean.copy()
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        if initial.covariance is not None:
+            s = initial.mean + psd_factor(initial.covariance) @ rng.standard_normal(n)
+        factors = policies.covariance_factors
+        G = game.noise.gain @ psd_factor(game.noise.covariance)
+    states = np.empty((T, n))
+    actions = [np.empty((T, m)) for m in game.action_dims]
+    for k in range(T):
+        if not np.all(np.isfinite(s)):
+            raise SimulationDivergedError(time_step=k + 1)
+        states[k] = s
+        acts = mean_actions_per_agent(policies, k, s)
+        if seed is not None:
+            acts = [
+                mu + factors[i][k] @ rng.standard_normal(mu.shape[0]) for i, mu in enumerate(acts)
+            ]
+        for i, a in enumerate(acts):
+            actions[i][k] = a
+        if k + 1 < T:
+            s = game.dynamics.step(k + 1, s, acts)
+            if seed is not None:
+                s = s + G @ rng.standard_normal(G.shape[1])
+    return states, actions
+
+
+def rollout_batch_per_step(game, policies, trials, base_seed):
+    """``rollout_batch`` as stacked ``simulate_per_step`` trials."""
+    runs = [simulate_per_step(game, policies, base_seed + k) for k in range(trials)]
+    return np.stack([r[0] for r in runs]), [np.stack(a) for a in zip(*(r[1] for r in runs))]

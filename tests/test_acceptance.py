@@ -32,6 +32,7 @@ from oracles import (
     central_difference_hessian,
     central_difference_jacobian,
     deterministic_nash_lq,
+    mean_actions_per_agent,
     relative_error,
     textbook_lqr,
 )
@@ -132,9 +133,9 @@ def test_criterion_3_equilibrium_fixed_point():
     max_dev_over_se = 0.0
     for i in range(2):
         j = 1 - i
-        mu_i = float(sol.policies.mean_actions(0, np.array([s]))[i][0])
+        mu_i = float(mean_actions_per_agent(sol.policies, 0, np.array([s]))[i][0])
         var_i = float(sol.policies.covariances[i][0, 0, 0])
-        mu_j = float(sol.policies.mean_actions(0, np.array([s]))[j][0])
+        mu_j = float(mean_actions_per_agent(sol.policies, 0, np.array([s]))[j][0])
         var_j = float(sol.policies.covariances[j][0, 0, 0])
         term_std = [float(np.sqrt(sol.policies.covariances[k][1, 0, 0])) for k in range(2)]
         grid = mu_i + 2.0 * np.sqrt(var_i) * np.linspace(-1.0, 1.0, 9)

@@ -25,6 +25,23 @@ def read_bytes(path):
         return fh.read()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["gen-demos", "--trials", "1", "--out", "{out}.csv"],
+     ["learn", "--demos", "{out}.csv", "--out-weights", "{out}.json"],
+     ["eval", "--demos", "{out}.csv", "--trials", "1", "--out", "{out}"]],
+)
+def test_negative_seed_is_usage_error(command, tmp_path, lq_config, capsys):
+    args = [a.format(out=tmp_path / "out") for a in command]
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--config", lq_config, "--seed", "-5"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "error: argument --seed: must be a non-negative integer" in stderr
+    assert "Traceback" not in stderr
+    assert not list(tmp_path.iterdir())
+
+
 class TestGenDemos:
     def test_writes_expected_rows(self, tmp_path, lq_config):
         out = tmp_path / "demos.csv"

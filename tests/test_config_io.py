@@ -112,6 +112,28 @@ class TestParsing:
         game = scenario.make_game(scenario.true_weights())
         assert game.initial_state.covariance is not None
 
+    def test_zero_width_matrix_noise(self, tmp_path, config_dir):
+        # A (4, 0) gain and an empty covariance: noise of width 0, i.e. none.
+        scenario = parse_scenario(
+            minimal_config(noise={"kind": "matrix", "gain": [[]] * 4, "covariance": []})
+        )
+        noise = scenario.make_game(scenario.true_weights()).noise
+        assert noise.gain.shape == (4, 0) and noise.covariance.shape == (0, 0)
+        assert parse_scenario(scenario.to_dict()).to_dict() == scenario.to_dict()
+        cfg = json.loads((config_dir / "lq_tracking.json").read_text())
+        outputs = []
+        for name, block in (("none", {"kind": "none"}),
+                            ("matrix", {"kind": "matrix", "gain": [[]] * 8, "covariance": []})):
+            cfg["noise"] = block
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"{name}.csv"
+            rc = main(["gen-demos", "--config", str(path), "--trials", "3", "--seed", "5",
+                       "--out", str(out)])
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_linear_dynamics_kind(self):
         cfg = {
             "schema_version": 1,

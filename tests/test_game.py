@@ -21,7 +21,7 @@ from ecegames import (
 from ecegames.features import eval_features
 from ecegames.game import CostModel, pin_other_agents
 
-from oracles import central_difference_jacobian, finite_difference_jacobians
+from oracles import central_difference_jacobian, finite_difference_jacobians, simulate_per_step
 
 
 def scalar_game(horizon=3, a=1.0, b=1.0, q=1.0, l=0.0, r=1.0, s1=1.0, noise=None):
@@ -74,10 +74,14 @@ class TestSimulateMean:
         assert traj.actions[0][0, 0] == pytest.approx(-0.5)
 
     def test_divergence_names_time_step(self):
+        # s_t = 10^(t-1) 1e305 is finite up to t = 4 and overflows at t = 5.
         game = scalar_game(horizon=5, a=10.0, s1=1e305)
-        with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError) as err:
-            simulate_mean(game, scalar_policy(5))
-        assert err.value.time_step >= 2
+        with np.errstate(over="ignore"):
+            with pytest.raises(SimulationDivergedError) as expected:
+                simulate_per_step(game, scalar_policy(5))
+            with pytest.raises(SimulationDivergedError) as err:
+                simulate_mean(game, scalar_policy(5))
+        assert err.value.time_step == expected.value.time_step == 5
 
 
 class TestSimulateStochastic:
@@ -88,6 +92,15 @@ class TestSimulateStochastic:
         ref = simulate_mean(game, mean_policy)
         sampled = simulate_stochastic(game, tiny, seed=5)
         assert np.max(np.abs(sampled.states - ref.states)) < 1e-5
+
+    def test_divergence_names_time_step(self):
+        game = scalar_game(horizon=5, a=10.0, s1=1e305, noise=NoiseModel.identity(1))
+        with np.errstate(over="ignore"):
+            with pytest.raises(SimulationDivergedError) as expected:
+                simulate_per_step(game, scalar_policy(5), 9)
+            with pytest.raises(SimulationDivergedError) as err:
+                simulate_stochastic(game, scalar_policy(5), seed=9)
+        assert err.value.time_step == expected.value.time_step == 5
 
     def test_seed_determinism(self):
         game = scalar_game(horizon=5, noise=NoiseModel.identity(1))

@@ -28,6 +28,8 @@ from ecegames.irl import (
     update_weights,
 )
 
+from oracles import mean_actions_per_agent
+
 
 def scalar_tracking_scenario(horizon=2, target=0.5, noise=False, temperature=1.0):
     """One agent on the line, s' = s + a, tracking a fixed point plus effort."""
@@ -107,7 +109,7 @@ class TestEstimateFeatureExpectation:
         p = 2000
         means, policies, _ = estimate_feature_expectation(game, basis, p, 123)
         s1 = game.initial_state.mean
-        mu1 = policies.mean_actions(0, s1)[0]
+        mu1 = mean_actions_per_agent(policies, 0, s1)[0]
         closed = (
             float(mu1 @ mu1)
             + float(np.trace(policies.covariances[0][0]))
