@@ -342,6 +342,9 @@ class Scenario:
                 with _values_of("agents"):
                     built.append(entry.build(feature, agent, fpath))
                 features.append(feature)
+            if not any(isinstance(f, ControlEffort) for f in built):
+                raise ConfigError(f"{path}.features must include a control_effort feature:"
+                                  " its weight is the agent's own action cost R^ii")
             basis.append(tuple(built))
             true_weights = block.get("true_weights")
             if true_weights is not None:

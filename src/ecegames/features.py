@@ -95,8 +95,13 @@ class GaussianProximity:
     def __post_init__(self):
         object.__setattr__(self, "position_index", np.asarray(self.position_index, dtype=int))
         object.__setattr__(self, "target_index", np.asarray(self.target_index, dtype=int))
-        if self.sigma <= 0.0:
-            raise ValueError("proximity length scale sigma must be positive")
+        # sigma**2 divides the exponent and every derivative, so it must be a
+        # positive normal float: 1e200 ** 2 raises OverflowError, 1e-200 ** 2 is 0.0.
+        if not (self.sigma > 0.0 and np.finfo(float).tiny <= self.sigma * self.sigma < np.inf):
+            raise ValueError(
+                "proximity length scale sigma must be positive, with a square that is a"
+                f" finite normal float (about 1.5e-154 to 1.3e154), got {self.sigma!r}"
+            )
 
     @property
     def name(self) -> str:

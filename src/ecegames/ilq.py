@@ -52,7 +52,6 @@ class SolverConfig:
     convergence_tol: float = 1e-4
     max_step_deviation: float = 10.0
     min_step: float = 1.0 / 64.0
-    strict_paper: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -110,18 +109,13 @@ def _project_psd(H: Array) -> Array:
     return Q
 
 
-def quadratize(
-    game: GameSpec,
-    nominal: Trajectory,
-    *,
-    strict_paper: bool = False,
-) -> tuple[list[Array], list[Array], list[Array]]:
+def quadratize(game: GameSpec, nominal: Trajectory) -> tuple[list[Array], list[Array], list[Array]]:
     """Second-order cost data (Q_t^i, l_t^i, r_t^i) along the nominal.
 
     Q is the state-cost Hessian (PSD-projected), l the state-cost gradient,
     and r the linear own-action term 2 R^{ii} abar from recentering the
-    action quadratic on the nominal actions (dropped in strict mode).  Each
-    agent's cost is expanded at all T nominal states in one stacked call.
+    action quadratic on the nominal actions.  Each agent's cost is expanded
+    at all T nominal states in one stacked call.
     """
     steps = np.arange(1, game.horizon + 1)
     Q, l, r = [], [], []
@@ -133,17 +127,11 @@ def quadratize(
             raise QuadratizationError(time_step=int(np.argmax(bad)) + 1, agent=i)
         Q.append(_project_psd(H))
         l.append(g)
-        a = nominal.actions[i]
-        r.append(np.zeros_like(a) if strict_paper else 2.0 * a @ cost.action_cost[i].T)
+        r.append(2.0 * nominal.actions[i] @ cost.action_cost[i].T)
     return Q, l, r
 
 
-def stage_game_around(
-    game: GameSpec,
-    nominal: Trajectory,
-    *,
-    strict_paper: bool = False,
-) -> LqStageGame:
+def stage_game_around(game: GameSpec, nominal: Trajectory) -> LqStageGame:
     """The delta-variable LQ-Gaussian game obtained by expanding at the nominal.
 
     The exact Taylor expansion of the action cost sum_j a_j'R_j a_j about
@@ -152,7 +140,7 @@ def stage_game_around(
     linear terms from :func:`quadratize`.
     """
     A, B = linearize(game, nominal)
-    Q, l, r = quadratize(game, nominal, strict_paper=strict_paper)
+    Q, l, r = quadratize(game, nominal)
     R = tuple(
         tuple(2.0 * Rij for Rij in cost.action_cost) for cost in game.costs
     )
@@ -184,8 +172,7 @@ def solve_ece(
     trace = IterationTrace()
     policies = init
     for it in range(1, cfg.max_iterations + 1):
-        stage = stage_game_around(game, nominal, strict_paper=cfg.strict_paper)
-        lq = solve_lq_ece(stage, game.temperatures, strict_paper=cfg.strict_paper)
+        lq = solve_lq_ece(stage_game_around(game, nominal), game.temperatures)
 
         eps = 1.0
         candidate = None

@@ -75,6 +75,8 @@ class LearnConfig:
             raise ValueError("effort weight floor must be positive")
         if self.mode not in ("joint", "independent"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
 
 @dataclass(frozen=True)

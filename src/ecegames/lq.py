@@ -17,9 +17,15 @@ terminal conditions Z^i_T = Q^i_T, xi^i_T = l^i_T.  The entropy temperature
 gamma^i scales only the covariance; gains and offsets are those of the
 deterministic game.
 
-The xi recursion includes the stage term + l^i_t, mirroring the classical
-deterministic recursion (without it, affine state costs at intermediate
-stages would be ignored).  ``strict_paper=True`` drops that term.
+The xi recursion includes the stage term + l^i_t, as the classical
+affine-quadratic feedback-Nash recursion does (Basar & Olsder, ch. 6), and
+the iterative solver's expansion keeps the recentring term r^i = 2R^{ii}abar
+(:func:`ecegames.ilq.quadratize`); the paper's printed recursion omits both.
+Without them the iteration settles on policies that are not equilibria: on
+``lq_tracking``, whose agents are decoupled so each mean is its own LQR
+optimum, it stopped after 46 iterations at a cost of 68.5 per agent, where
+the direct LQ solution costs 10.38; on ``two_agent_crossing`` it stopped at
+costs 718.7/704.7 against 53.9/27.1.
 
 Layout: agent-stacked arrays are the only layout.  :class:`LqStageGame`
 stacks the per-agent blocks once (B (N, T-1, n, m), Q (N, T, n, n),
@@ -265,8 +271,6 @@ def backward_value_update(
     Q_t: Array,
     l_t: Array,
     r_t: Array | None = None,
-    *,
-    include_stage_linear: bool = True,
 ) -> tuple[Array, Array]:
     """Propagate every agent's quadratic value coefficients one step back.
 
@@ -278,14 +282,12 @@ def backward_value_update(
 
         Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t
         xi^i = F'(xi^i_next + Z^i_next beta) + sum_j P^j'R^{ij}alpha^j
-               [+ l^i_t] [- P^i' r^i_t]
+               + l^i_t [- P^i' r^i_t]
 
     with Z symmetrized after the update to control rounding drift.  The sums
-    over j add one agent's term at a time, in order.  The stage linear state
-    cost l^i_t mirrors the classical deterministic recursion (skipped under
-    ``include_stage_linear=False``); the -P'r term carries the own-action
-    linear cost into the value, which makes recentered games (where
-    r = 2 R abar) have their exact expansion point as a fixed point.
+    over j add one agent's term at a time, in order.  The -P'r term carries
+    the own-action linear cost into the value, which makes recentered games
+    (where r = 2 R abar) have their exact expansion point as a fixed point.
 
     Returns Z (N, n, n) and xi (N, n).
     """
@@ -297,9 +299,7 @@ def backward_value_update(
     PtRP = Pt[None] @ (R @ P[None])
     PtRa = (Pt[None] @ (R @ alpha[None, ..., None]))[..., 0]
     Z = sum(PtRP.swapaxes(0, 1), F.T @ Z_next @ F + Q_t)
-    xi = sum(PtRa.swapaxes(0, 1), (F.T @ (xi_next + Z_next @ beta)[..., None])[..., 0])
-    if include_stage_linear:
-        xi = xi + l_t
+    xi = sum(PtRa.swapaxes(0, 1), (F.T @ (xi_next + Z_next @ beta)[..., None])[..., 0]) + l_t
     if r_t is not None:
         xi = xi - (Pt @ r_t[..., None])[..., 0]
     return (Z + Z.transpose(0, 2, 1)) / 2.0, xi
@@ -312,12 +312,7 @@ class LqSolution:
     report: StageSolveReport
 
 
-def solve_lq_ece(
-    game: LqStageGame,
-    temperatures: tuple[float, ...] | None = None,
-    *,
-    strict_paper: bool = False,
-) -> LqSolution:
+def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
     """Solve an LQ-Gaussian game for its entropic-cost-equilibrium policies.
 
     Backward in time from the terminal conditions Z^i_T = Q^i_T,
@@ -359,8 +354,7 @@ def solve_lq_ece(
         gains[:, k] = P
         offsets[:, k] = alpha
         Z, xi = backward_value_update(
-            P, alpha, Z, xi, game.A[k], B[:, k], R, game.Q[:, k], game.l[:, k], r[:, k],
-            include_stage_linear=not strict_paper,
+            P, alpha, Z, xi, game.A[k], B[:, k], R, game.Q[:, k], game.l[:, k], r[:, k]
         )
         Z_hist[:, k] = Z
         xi_hist[:, k] = xi

@@ -183,7 +183,7 @@ def project_psd_single(H, floor):
     return (V * w) @ V.T
 
 
-def quadratize_per_step(game, nominal, *, floor, strict_paper=False):
+def quadratize_per_step(game, nominal, *, floor):
     """Per-time-step cost expansion (Q, l, r) from one-row cost-model calls.
 
     Returns the lists of per-agent stacks plus, per agent, a boolean (T,) mask
@@ -200,7 +200,7 @@ def quadratize_per_step(game, nominal, *, floor, strict_paper=False):
             Q_i[k] = project_psd_single(H, floor)
             neg[k] = np.linalg.eigvalsh((H + H.T) / 2.0)[0] < 0.0
             l_i[k] = cost.state_gradient(k + 1, nominal.states[k])
-            r_i[k] = 0.0 if strict_paper else 2.0 * Rii @ nominal.actions[i][k]
+            r_i[k] = 2.0 * Rii @ nominal.actions[i][k]
         Q.append(Q_i)
         l.append(l_i)
         r.append(r_i)
@@ -355,9 +355,7 @@ def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r=None, *, time_step
     return P, alpha, cond, shift
 
 
-def backward_value_update_per_agent(
-    P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t, r_t=None, *, include_stage_linear=True
-):
+def backward_value_update_per_agent(P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t, r_t=None):
     """Every agent's (Z, xi) one step back, one agent and one pair at a time."""
     N = len(B)
     F = A - sum(B[j] @ P[j] for j in range(N))
@@ -370,8 +368,7 @@ def backward_value_update_per_agent(
             RP = R[i][j] @ P[j]
             Z = Z + P[j].T @ RP
             xi = xi + P[j].T @ (R[i][j] @ alpha[j])
-        if include_stage_linear:
-            xi = xi + l_t[i]
+        xi = xi + l_t[i]
         if r_t is not None:
             xi = xi - P[i].T @ r_t[i]
         Z_out.append((Z + Z.T) / 2.0)
@@ -379,7 +376,7 @@ def backward_value_update_per_agent(
     return Z_out, xi_out
 
 
-def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
+def solve_lq_ece_per_agent(game, temperatures=None):
     """``lq.solve_lq_ece`` with per-agent lists through the backward loop.
 
     Reads the game's agent-stacked data back as per-agent blocks cut to their
@@ -418,8 +415,7 @@ def solve_lq_ece_per_agent(game, temperatures=None, *, strict_paper=False):
             offsets[i][k] = alpha[i]
         Z, xi = backward_value_update_per_agent(
             P, alpha, Z, xi, game.A[k], B, Rs,
-            [game.Q[i][k] for i in range(N)], [game.l[i][k] for i in range(N)], r,
-            include_stage_linear=not strict_paper,
+            [game.Q[i][k] for i in range(N)], [game.l[i][k] for i in range(N)], r
         )
         for i in range(N):
             Z_hist[i][k] = Z[i]

@@ -108,23 +108,6 @@ class TestSolve:
         rolled = simulate_mean(game, policies)
         assert np.max(np.abs(rolled.states - policies.nominal_states)) < 1e-9
 
-    def test_strict_paper_flag_changes_output_only_with_linear_terms(
-        self, tmp_path, lq_config
-    ):
-        # The tracking scenario has nonzero state gradients at the nominal, so
-        # strict mode (dropping the stage linear terms) must change the policy.
-        cfg = json.loads(open(lq_config).read())
-        cfg["solver"]["strict_paper"] = True
-        strict_path = tmp_path / "strict.json"
-        strict_path.write_text(json.dumps(cfg))
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        assert main(["solve", "--config", lq_config, "--out-policy", str(a)]) == 0
-        assert main(["solve", "--config", str(strict_path), "--out-policy", str(b)]) == 0
-        pa = trajio.read_policy(a)
-        pb = trajio.read_policy(b)
-        assert not np.allclose(pa.nominal_states, pb.nominal_states)
-
     def test_byte_identical_reruns(self, tmp_path, lq_config):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -18,7 +18,7 @@ from ecegames import (
     solve_ece,
 )
 from ecegames.cli import main
-from ecegames.config import parse_scenario
+from ecegames.config import _settable, parse_scenario
 from ecegames import trajio
 
 
@@ -207,7 +207,6 @@ class TestParsing:
                 "convergence_tol": 1e-4,
                 "max_step_deviation": 10.0,
                 "min_step": 0.015625,
-                "strict_paper": False,
             },
             "learner": {
                 "learning_rate": 0.05,
@@ -265,6 +264,15 @@ def linear(**keys):
     return {"dynamics": dynamics, "initial_state": {"kind": "fixed", "value": [0.0] * 4}}
 
 
+def proximity(sigma):
+    """Top-level overrides that give minimal_config a second agent, which agent 0
+    keeps its distance from with length scale ``sigma``."""
+    agent = minimal_config()["agents"][0]
+    features = [*agent["features"], {"kind": "gaussian_proximity", "target": 1, "sigma": sigma}]
+    first = {**agent, "features": features, "true_weights": [1.0, 1.0, 1.0]}
+    return {"num_agents": 2, "agents": [first, {**agent, "start": [0.0, 1.0]}]}
+
+
 # (where the malformed value goes, the value, the path (or message) the error must name)
 MALFORMED_VALUES = [
     (("num_agents",), "two", "num_agents"),
@@ -290,8 +298,9 @@ MALFORMED_VALUES = [
     (("solver",), "fast", "solver"),
     (("solver",), {"max_iterations": "many"}, "solver.max_iterations"),
     (("solver",), {"convergence_tol": None}, "solver.convergence_tol"),
-    (("solver",), {"strict_paper": "true"}, "solver.strict_paper"),
-    (("solver",), {"strict_paper": 1}, "solver.strict_paper"),
+    # Proximity length scales whose square overflows or underflows.
+    ((), proximity(1e200), "sigma must be positive, with a square that is a finite normal float"),
+    ((), proximity(1e-200), "sigma must be positive, with a square that is a finite normal float"),
     (("learner",), [], "learner"),
     (("learner",), {"learning_rate": None}, "learner.learning_rate"),
     (("learner",), {"samples_per_expectation": "ten"}, "learner.samples_per_expectation"),
@@ -356,6 +365,9 @@ MALFORMED_VALUES = [
     (("learner",), {"max_outer_iterations": 0}, "learner: need at least one outer iteration"),
     (("learner",), {"residual_tol": -0.5}, "learner: residual tolerance must be positive"),
     (("learner",), {"effort_weight_floor": -1.0}, "learner: effort weight floor must be positive"),
+    # No control_effort feature: the agent's own action cost R^ii would be zero.
+    (("agents", 0, "features"), [{"kind": "reference_tracking"}],
+     "agents[0].features must include a control_effort feature"),
 ]
 
 
@@ -383,7 +395,6 @@ class TestSettingsRoundTrip:
         "convergence_tol": 2e-3,
         "max_step_deviation": 3.5,
         "min_step": 0.125,
-        "strict_paper": True,
     }
     LEARNER = {
         "learning_rate": 0.3,
@@ -410,7 +421,23 @@ class TestSettingsRoundTrip:
         assert again.learn_config == LearnConfig(**self.LEARNER)
         assert again.to_dict() == scenario.to_dict()
 
-    @pytest.mark.parametrize("block, key", [("learner", "base_seed"), ("solver", "hessian_floor")])
+    def test_readme_tables_list_every_settable_field(self, config_dir):
+        # Each solver/learner row of README's settings table: block, key, default.
+        readme = (config_dir.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(solver|learner)` \| `(\w+)` \| ([^|]+?) \|", readme, re.M)
+        documented = {(block, key): json.loads(default.strip("`")) for block, key, default in rows}
+        settable = {
+            (block, f.name): f.default
+            for block, cls in (("solver", SolverConfig), ("learner", LearnConfig))
+            for f in _settable(cls)
+        }
+        assert len(rows) == len(documented) and documented == settable
+        assert all(type(documented[k]) is type(v) for k, v in settable.items())
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [("learner", "base_seed"), ("solver", "hessian_floor"), ("solver", "strict_paper")],
+    )
     def test_unsettable_key_rejected(self, block, key):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in {block}"):
             parse_scenario(minimal_config(**{block: {key: 1}}))

@@ -102,11 +102,11 @@ class TestQuadratize:
         assert np.max(np.abs(prox.state_gradient(1, s))) == 0.0
         assert prox.value(1, s, None) == pytest.approx(1.0)
 
-    def test_strict_mode_zeroes_linear_action_terms(self, small_scenario):
+    def test_linear_action_terms_recentre_on_nominal_actions(self, small_scenario):
         game = small_scenario.make_game(small_scenario.true_weights())
         policy = AffineGaussianPolicySet.zero(game.horizon, game.state_dim, game.action_dims)
         nominal = simulate_mean(game, policy)
-        # Make nominal actions nonzero so the extended mode has something to see.
+        # Make nominal actions nonzero so the linear terms have something to see.
         shifted = AffineGaussianPolicySet(
             gains=policy.gains,
             offsets=tuple(np.full_like(a, -0.3) for a in policy.offsets),
@@ -115,14 +115,12 @@ class TestQuadratize:
             nominal_actions=policy.nominal_actions,
         )
         nominal = simulate_mean(game, shifted)
-        _, _, r_ext = quadratize(game, nominal, strict_paper=False)
-        _, _, r_strict = quadratize(game, nominal, strict_paper=True)
-        assert all(np.all(r == 0.0) for r in r_strict)
-        assert any(np.max(np.abs(r)) > 0.0 for r in r_ext)
-        # Extended terms equal 2 R abar with R the model's own action block.
+        _, _, r = quadratize(game, nominal)
+        assert any(np.max(np.abs(r_i)) > 0.0 for r_i in r)
+        # The terms equal 2 R abar with R the model's own action block.
         R00 = game.costs[0].action_cost[0]
         for k in range(game.horizon):
-            assert np.allclose(r_ext[0][k], 2.0 * R00 @ nominal.actions[0][k])
+            assert np.allclose(r[0][k], 2.0 * R00 @ nominal.actions[0][k])
 
     def test_indefinite_hessian_projected_psd(self, small_scenario):
         game = small_scenario.make_game(small_scenario.true_weights())

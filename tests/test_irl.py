@@ -241,6 +241,12 @@ class TestRunMairl:
         window = min(10, max(1, len(totals) // 2))
         assert np.mean(totals[-window:]) < np.mean(totals[:window])
 
+    def test_negative_base_seed_rejected_at_construction(self, small_scenario):
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            replace(small_scenario.learn_config, base_seed=-5)
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            LearnConfig(base_seed=-1)
+
     def test_solver_failure_carries_weights(self):
         basis, factory = scalar_tracking_scenario(horizon=30, noise=True)
         bad_cfg = SolverConfig(max_iterations=1, convergence_tol=1e-14)

@@ -245,14 +245,6 @@ class TestSolveLqEce:
             for k in range(Z.shape[0]):
                 assert np.max(np.abs(Z[k] - Z[k].T)) < 1e-12
 
-    def test_strict_paper_drops_stage_linear_term(self):
-        game = scalar_stage_game(horizon=3, l=0.7)
-        default = solve_lq_ece(game)
-        strict = solve_lq_ece(game, strict_paper=True)
-        # Terminal condition is shared; interior xi differs once l != 0.
-        assert np.allclose(default.values.xi[0][-1], strict.values.xi[0][-1])
-        assert not np.allclose(default.values.xi[0][0], strict.values.xi[0][0])
-
     def test_report_shapes(self):
         game = scalar_stage_game(horizon=5)
         sol = solve_lq_ece(game)

@@ -39,9 +39,9 @@ def outputs(sol):
     }
 
 
-def assert_identical(game, temperatures=None, strict_paper=False):
-    got = outputs(solve_lq_ece(game, temperatures, strict_paper=strict_paper))
-    ref = solve_lq_ece_per_agent(game, temperatures, strict_paper=strict_paper)
+def assert_identical(game, temperatures=None):
+    got = outputs(solve_lq_ece(game, temperatures))
+    ref = solve_lq_ece_per_agent(game, temperatures)
     for name in FIELDS:
         assert len(got[name]) == len(ref[name])
         for a, b in zip(got[name], ref[name]):
@@ -87,9 +87,9 @@ def solve_stage_games(request, config_dir):
     game = scenario.make_game(scenario.true_weights())
     calls = []
 
-    def record(stage, temperatures, *, strict_paper=False):
+    def record(stage, temperatures):
         calls.append((stage, temperatures))
-        return solve_lq_ece(stage, temperatures, strict_paper=strict_paper)
+        return solve_lq_ece(stage, temperatures)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ilq, "solve_lq_ece", record)
@@ -103,10 +103,6 @@ class TestAgainstPerAgentReference:
         for stage, temperatures in solve_stage_games:
             assert_identical(stage, temperatures)
 
-    def test_strict_paper_bit_identical(self, solve_stage_games):
-        for stage, temperatures in solve_stage_games[:3]:
-            assert_identical(stage, temperatures, strict_paper=True)
-
     def test_random_equal_dim_games_bit_identical(self):
         games = random_games(31, 60, equal_dims=True)
         assert {g.num_agents for g in games} == {2, 3}
@@ -116,7 +112,6 @@ class TestAgainstPerAgentReference:
     def test_one_agent_games_bit_identical(self):
         for game in random_games(32, 20, equal_dims=True, num_agents=1):
             assert_identical(game, (0.7,))
-            assert_identical(game, strict_paper=True)
 
     def test_unequal_action_dims_close(self):
         games = random_games(33, 40, equal_dims=False)

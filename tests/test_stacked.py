@@ -111,13 +111,10 @@ class TestStackedMatchesRows:
 
 
 class TestQuadratize:
-    @pytest.mark.parametrize("strict_paper", [False, True])
-    def test_matches_per_step_reference(self, scenario_nominal, strict_paper):
+    def test_matches_per_step_reference(self, scenario_nominal):
         _, game, nominal = scenario_nominal
-        Q, l, r = quadratize(game, nominal, strict_paper=strict_paper)
-        Q_ref, l_ref, r_ref, projected = quadratize_per_step(
-            game, nominal, strict_paper=strict_paper, floor=HESSIAN_FLOOR
-        )
+        Q, l, r = quadratize(game, nominal)
+        Q_ref, l_ref, r_ref, projected = quadratize_per_step(game, nominal, floor=HESSIAN_FLOOR)
         assert any(p.any() for p in projected), "no stage exercises the PSD projection"
         for i in range(game.num_agents):
             rel_close(Q[i], Q_ref[i])
