@@ -31,12 +31,13 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics as dyn
-from .errors import ConfigError
+from .errors import ConfigError, InvalidWeightError
 from .features import (
     ControlEffort,
     FeatureBasis,
     GaussianProximity,
     ReferenceTracking,
+    control_effort_index,
     make_cost_model,
     straight_line_reference,
 )
@@ -87,14 +88,12 @@ def _check_no_extras(d: dict, allowed: set[str], path: str) -> None:
 def _coerce(value: Any, type_: type, path: str, *, depth: int = 0, finite: bool = True) -> Any:
     """``value`` as ``type_``, or for ``depth`` d > 0 a JSON list of values of
     depth d - 1, each coerced, errors naming the element (``path[0][1]``): a
-    bool only from a JSON boolean, a number only from a JSON number (not a
-    string or boolean), an int only from an integral one, a float only if
-    finite (unless ``finite`` is false: ``dt`` and ``temperature`` check it)."""
+    number only from a JSON number (not a string or boolean), an int only
+    from an integral one, a float only if finite (unless ``finite`` is
+    false: ``dt`` and ``temperature`` check it)."""
     if depth:
         return [_coerce(x, type_, f"{path}[{k}]", depth=depth - 1, finite=finite)
                 for k, x in enumerate(_list(value, path))]
-    if type_ is bool and not isinstance(value, bool):
-        raise ConfigError(f"{path} must be a JSON boolean (true or false), got {value!r}")
     if type_ in (int, float) and isinstance(value, (str, bool)):
         what = "string" if isinstance(value, str) else "boolean"
         raise ConfigError(f"{path} must be a JSON number, got the {what} {value!r}")
@@ -342,9 +341,10 @@ class Scenario:
                 with _values_of("agents"):
                     built.append(entry.build(feature, agent, fpath))
                 features.append(feature)
-            if not any(isinstance(f, ControlEffort) for f in built):
-                raise ConfigError(f"{path}.features must include a control_effort feature:"
-                                  " its weight is the agent's own action cost R^ii")
+            try:
+                control_effort_index(built)
+            except InvalidWeightError as exc:
+                raise ConfigError(f"{path}.{exc}") from exc
             basis.append(tuple(built))
             true_weights = block.get("true_weights")
             if true_weights is not None:

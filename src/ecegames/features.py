@@ -191,6 +191,18 @@ def eval_features(basis: FeatureBasis, rollouts: Trajectory | TrajectoryBatch) -
     return out
 
 
+def control_effort_index(features) -> int:
+    """Position of the one :class:`ControlEffort` among an agent's features,
+    whose weight is the agent's own action cost R^ii (the learner floors it)."""
+    found = [k for k, f in enumerate(features) if isinstance(f, ControlEffort)]
+    if len(found) != 1:
+        raise InvalidWeightError(
+            "features must include a control_effort feature, and only one: its weight"
+            f" is the agent's own action cost R^ii (got {len(found)})"
+        )
+    return found[0]
+
+
 def validate_weights(basis: FeatureBasis, weights) -> list[Array]:
     weights = [np.asarray(w, dtype=float) for w in weights]
     if len(weights) != basis.num_agents:
@@ -210,18 +222,20 @@ def make_cost_model(
 ) -> tuple[CostModel, ...]:
     """Cost models c^i = w^i . phi^i with analytic state derivatives.
 
-    The effort weight becomes the own action-cost matrix R^{ii} = w_eff I;
-    cross blocks R^{ij} are zero (no feature couples one agent's cost to
-    another agent's action).  A non-positive effort weight is rejected since
-    it would make the own action cost singular.
+    The weight of the agent's one effort feature (:func:`control_effort_index`)
+    becomes the own action-cost matrix R^{ii} = w_eff I; cross blocks R^{ij}
+    are zero (no feature couples one agent's cost to another agent's action).
+    A non-positive effort weight is rejected since it would make the own
+    action cost singular.
     """
     weights = validate_weights(basis, weights)
     models = []
     for i, feats in enumerate(basis.agents):
         w = weights[i]
-        effort_weight = sum(
-            float(wk) for wk, f in zip(w, feats) if isinstance(f, ControlEffort)
-        )
+        try:
+            effort_weight = float(w[control_effort_index(feats)])
+        except InvalidWeightError as exc:
+            raise InvalidWeightError(f"agent {i}: {exc}") from exc
         if effort_weight <= 0.0:
             raise InvalidWeightError(
                 f"agent {i}: control-effort weight must be positive, got {effort_weight}"

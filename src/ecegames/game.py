@@ -540,15 +540,13 @@ def pin_other_agents(
 
 
 def policy_with_nominal(
-    policies: AffineGaussianPolicySet, nominal: Trajectory, *, zero_offsets: bool = False
+    policies: AffineGaussianPolicySet, nominal: Trajectory
 ) -> AffineGaussianPolicySet:
-    """Re-anchor a policy set on a new nominal trajectory."""
-    offsets = (
-        tuple(np.zeros_like(a) for a in policies.offsets) if zero_offsets else policies.offsets
-    )
+    """Re-anchor a policy set on a new nominal trajectory with zero offsets, so
+    that its mean action on each nominal state is the nominal action."""
     return replace(
         policies,
-        offsets=offsets,
+        offsets=tuple(np.zeros_like(a) for a in policies.offsets),
         nominal_states=nominal.states,
         nominal_actions=nominal.actions,
     )

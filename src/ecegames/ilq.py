@@ -204,7 +204,7 @@ def solve_ece(
                 agent_costs=evaluate_cost(game, candidate),
             )
         )
-        policies = policy_with_nominal(trial_policy, candidate, zero_offsets=True)
+        policies = policy_with_nominal(trial_policy, candidate)
         nominal = candidate
         if dev < cfg.convergence_tol:
             trace.converged = True

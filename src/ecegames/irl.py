@@ -1,14 +1,20 @@
 """Inverse learning of per-agent cost weights by feature-expectation matching.
 
 Weights are adjusted until the expected feature sums under equilibrium play
-match the empirical means of the demonstrations:
+match the empirical means of the demonstrations.  Each step divides every
+feature's gap by the magnitude of its demo mean,
 
-    w^i <- w^i - gamma (E_demo phi^i - E_model phi^i),
+    w^i <- w^i - gamma (E_demo phi^i - E_model phi^i) / (|E_demo phi^i| + 1e-8),
 
-swept agent by agent (block coordinate descent).  The model expectation is a
-Monte-Carlo average over sampled equilibrium rollouts and is refreshed after
-every weight update, since one agent's cost change moves every agent's
-equilibrium behavior.
+elementwise, so differently scaled features learn at comparable rates, and
+is swept agent by agent (block coordinate descent).  There is no raw-gap
+step: on 200 demos of ``lq_tracking`` it had not converged after 100 sweeps
+at learning rate 0.1, 0.01 or 0.001, where the standardized step at 0.1
+converges in 71; on ``two_agent_crossing`` its residuals rose from 0.53/0.37
+to 4.67/7.34 in 16 sweeps.  The model expectation is a Monte-Carlo average
+over sampled equilibrium rollouts and is refreshed after every weight
+update, since one agent's cost change moves every agent's equilibrium
+behavior.
 
 Two modes:
   * ``joint`` solves the full coupled game at the current weights;
@@ -26,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EcegamesError
-from .features import ControlEffort, FeatureBasis, eval_features, validate_weights
+from .features import FeatureBasis, control_effort_index, eval_features, validate_weights
 from .game import (
     AffineGaussianPolicySet,
     Array,
@@ -47,10 +53,12 @@ class LearnConfig:
     ``learning_rate`` is the gradient step gamma; ``samples_per_expectation``
     the Monte-Carlo sample count p; convergence is declared when every
     agent's relative feature-matching residual drops below ``residual_tol``.
-    ``standardize_gaps`` divides feature gaps by the demo-mean magnitudes
-    before stepping so differently scaled features learn at comparable
-    rates (set False for the raw update).  Every field but ``base_seed``,
-    which the CLI's ``--seed`` sets, is a key of a scenario's learner block.
+    Each step is gamma times the standardized gap (each feature's gap over
+    its demo-mean magnitude), the only step: the raw gap stalled or diverged
+    on the shipped scenarios (see the module docstring).  The own effort
+    weight is held at ``effort_weight_floor`` or above.  Every field but
+    ``base_seed``, which the CLI's ``--seed`` sets, is a key of a scenario's
+    learner block.
     """
 
     learning_rate: float = 0.05
@@ -59,7 +67,6 @@ class LearnConfig:
     residual_tol: float = 0.05
     mode: str = "joint"
     base_seed: int = field(default=0, metadata={"config": False})
-    standardize_gaps: bool = True
     effort_weight_floor: float = 1e-3
 
     def __post_init__(self):
@@ -153,26 +160,21 @@ def _solve_with_retry(game, warm_start, solver_config):
 
 def update_weights(
     w: Array,
-    demo_mean: Array,
-    model_mean: Array,
+    gap: Array,
     learning_rate: float,
     *,
-    standardize: bool = True,
     effort_index: int | None = None,
     effort_floor: float = 1e-3,
 ) -> tuple[Array, bool]:
-    """One gradient step on the feature-matching gap.
+    """One gradient step on a feature-matching gap.
 
-    Applies w <- w - gamma * (demo_mean - model_mean), optionally dividing
-    the gap elementwise by |demo_mean| + 1e-8.  The own effort weight is
-    floored to keep the induced action cost positive definite; the returned
-    flag records whether the floor was active.
+    Applies w <- w - gamma * gap, where :func:`run_mairl` passes the
+    standardized gap (demo mean - model mean) / (|demo mean| + 1e-8).  The
+    own effort weight is floored to keep the induced action cost positive
+    definite; the returned flag records whether the floor was active.
     """
     w = np.asarray(w, dtype=float)
-    gap = np.asarray(demo_mean, dtype=float) - np.asarray(model_mean, dtype=float)
-    if standardize:
-        gap = _standardized(gap, demo_mean)
-    new_w = w - learning_rate * gap
+    new_w = w - learning_rate * np.asarray(gap, dtype=float)
     floored = False
     if effort_index is not None and new_w[effort_index] < effort_floor:
         new_w[effort_index] = effort_floor
@@ -180,26 +182,9 @@ def update_weights(
     return new_w, floored
 
 
-def _effort_index(basis: FeatureBasis, agent: int) -> int | None:
-    for k, f in enumerate(basis.agents[agent]):
-        if isinstance(f, ControlEffort):
-            return k
-    return None
-
-
 def _standardized(gap: Array, demo_mean: Array) -> Array:
     """The gap of each feature relative to the demo mean's magnitude."""
     return gap / (np.abs(demo_mean) + 1e-8)
-
-
-def _relative_residual(gap: Array, demo_mean: Array) -> float:
-    """Root-mean-square of per-feature relative gaps.
-
-    Normalizing per feature before aggregating keeps a large-magnitude
-    feature (typically control effort) from masking mismatch in the others.
-    """
-    rel = _standardized(gap, demo_mean)
-    return float(np.sqrt(np.mean(rel * rel)))
 
 
 def _mean_demo_actions(demos: TrajectoryBatch) -> list[Array]:
@@ -230,6 +215,7 @@ def run_mairl(
     weights = [w.copy() for w in validate_weights(basis, init_weights)]
     demo_means = empirical_feature_mean(basis, demos)
     N = basis.num_agents
+    effort_indices = [control_effort_index(feats) for feats in basis.agents]
     p = cfg.samples_per_expectation
     trace = LearnTrace()
 
@@ -264,14 +250,16 @@ def run_mairl(
             model_mean = means[i]
 
             gap = demo_means[i] - model_mean
-            residuals[i] = _relative_residual(gap, demo_means[i])
+            # The residual is the RMS of the same per-feature relative gaps
+            # the step takes, so a large-magnitude feature (typically control
+            # effort) cannot mask mismatch in the others.
+            rel = _standardized(gap, demo_means[i])
+            residuals[i] = float(np.sqrt(np.mean(rel * rel)))
             weights[i], floored = update_weights(
                 weights[i],
-                demo_means[i],
-                model_mean,
+                rel,
                 cfg.learning_rate,
-                standardize=cfg.standardize_gaps,
-                effort_index=_effort_index(basis, i),
+                effort_index=effort_indices[i],
                 effort_floor=cfg.effort_weight_floor,
             )
             trace.records.append(

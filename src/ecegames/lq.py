@@ -198,7 +198,7 @@ def solve_stage_coupled(
     A: Array,
     B: Array,
     R: Array,
-    r: Array | None = None,
+    r: Array,
     *,
     time_step: int = 0,
     rows: Array | None = None,
@@ -229,9 +229,7 @@ def solve_stage_coupled(
     blocks = BtZ[:, None] @ B[None]
     # Every (N + 1)-th of the N * N blocks is a diagonal block (i, i).
     blocks.reshape(N * N, m, m)[:: N + 1] += R.reshape(N * N, m, m)[:: N + 1]
-    off = (Bt @ xi_next[..., None])[..., 0]
-    if r is not None:
-        off = off + r
+    off = (Bt @ xi_next[..., None])[..., 0] + r
     M = blocks.transpose(0, 2, 1, 3).reshape(N * m, N * m)
     rhs = np.concatenate([BtZ @ A, off[..., None]], axis=2).reshape(N * m, n + 1)
     if rows is not None:
@@ -270,7 +268,7 @@ def backward_value_update(
     R: Array,
     Q_t: Array,
     l_t: Array,
-    r_t: Array | None = None,
+    r_t: Array,
 ) -> tuple[Array, Array]:
     """Propagate every agent's quadratic value coefficients one step back.
 
@@ -282,7 +280,7 @@ def backward_value_update(
 
         Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t
         xi^i = F'(xi^i_next + Z^i_next beta) + sum_j P^j'R^{ij}alpha^j
-               + l^i_t [- P^i' r^i_t]
+               + l^i_t - P^i' r^i_t
 
     with Z symmetrized after the update to control rounding drift.  The sums
     over j add one agent's term at a time, in order.  The -P'r term carries
@@ -300,8 +298,7 @@ def backward_value_update(
     PtRa = (Pt[None] @ (R @ alpha[None, ..., None]))[..., 0]
     Z = sum(PtRP.swapaxes(0, 1), F.T @ Z_next @ F + Q_t)
     xi = sum(PtRa.swapaxes(0, 1), (F.T @ (xi_next + Z_next @ beta)[..., None])[..., 0]) + l_t
-    if r_t is not None:
-        xi = xi - (Pt @ r_t[..., None])[..., 0]
+    xi = xi - (Pt @ r_t[..., None])[..., 0]
     return (Z + Z.transpose(0, 2, 1)) / 2.0, xi
 
 

@@ -303,7 +303,7 @@ def absolute_offsets_per_step(policies):
 # -- per-agent reference for the agent-stacked LQ stage recursion ------------
 
 
-def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r=None, *, time_step=0):
+def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r, *, time_step=0):
     """One stage's coupled gains and offsets, assembled agent by agent.
 
     Returns per-agent P, alpha lists plus (np.linalg.cond of the solved
@@ -323,9 +323,7 @@ def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r=None, *, time_step
         row[i] = row[i] + R[i][i]
         rows.append(np.concatenate(row, axis=1))
         lin = BtZ @ A
-        off = B[i].T @ xi_next[i]
-        if r is not None:
-            off = off + r[i]
+        off = B[i].T @ xi_next[i] + r[i]
         rhs_rows.append(np.concatenate([lin, off[:, None]], axis=1))
     M = np.concatenate(rows, axis=0)
     rhs = np.concatenate(rhs_rows, axis=0)
@@ -355,7 +353,7 @@ def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r=None, *, time_step
     return P, alpha, cond, shift
 
 
-def backward_value_update_per_agent(P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t, r_t=None):
+def backward_value_update_per_agent(P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t, r_t):
     """Every agent's (Z, xi) one step back, one agent and one pair at a time."""
     N = len(B)
     F = A - sum(B[j] @ P[j] for j in range(N))
@@ -368,9 +366,7 @@ def backward_value_update_per_agent(P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t
             RP = R[i][j] @ P[j]
             Z = Z + P[j].T @ RP
             xi = xi + P[j].T @ (R[i][j] @ alpha[j])
-        xi = xi + l_t[i]
-        if r_t is not None:
-            xi = xi - P[i].T @ r_t[i]
+        xi = xi + l_t[i] - P[i].T @ r_t[i]
         Z_out.append((Z + Z.T) / 2.0)
         xi_out.append(xi)
     return Z_out, xi_out

@@ -214,7 +214,6 @@ class TestParsing:
                 "max_outer_iterations": 200,
                 "residual_tol": 0.05,
                 "mode": "joint",
-                "standardize_gaps": True,
                 "effort_weight_floor": 0.001,
             },
         }
@@ -273,101 +272,165 @@ def proximity(sigma):
     return {"num_agents": 2, "agents": [first, {**agent, "start": [0.0, 1.0]}]}
 
 
-# (where the malformed value goes, the value, the path (or message) the error must name)
+SIGMA_RANGE = "sigma must be positive, with a square that is a finite normal float"
+
+# (where the malformed value goes, the value, the path (or message) the error must name).
+# Each case has a fixed id, so adding, removing or rewording a case renames no other
+# test; the ids of the older cases are the positional names they were first run under.
 MALFORMED_VALUES = [
-    (("num_agents",), "two", "num_agents"),
-    (("horizon",), "abc", "horizon"),
-    (("horizon",), None, "horizon"),
-    (("dt",), None, "dt"),
-    (("dt",), [0.1], "dt"),
-    (("dt",), float("nan"), "dt"),
-    (("dt",), float("inf"), "dt"),
-    (("agents",), 3, "agents"),
-    (("agents",), {"start": [0.0, 0.0]}, "agents"),
-    (("agents", 0), [], "agents[0]"),
-    (("agents", 0, "start"), 1.0, "agents[0].start"),
-    (("agents", 0, "start"), [None, 0.0], "agents[0].start"),
-    (("agents", 0, "goal"), "ab", "agents[0].goal"),
-    (("agents", 0, "goal"), {"x": 1.0}, "agents[0].goal"),
-    (("agents", 0, "features"), "tracking", "agents[0].features"),
-    (("agents", 0, "true_weights"), [1.0, "x"], "agents[0].true_weights"),
-    (("agents", 0, "true_weights"), 2.0, "agents[0].true_weights"),
-    (("agents", 0, "temperature"), None, "agents[0].temperature"),
-    (("agents", 0, "temperature"), float("nan"), "agents[0]: temperature"),
-    (("solver",), [], "solver"),
-    (("solver",), "fast", "solver"),
-    (("solver",), {"max_iterations": "many"}, "solver.max_iterations"),
-    (("solver",), {"convergence_tol": None}, "solver.convergence_tol"),
+    pytest.param(("num_agents",), "two", "num_agents", id="keys0-two-num_agents"),
+    pytest.param(("horizon",), "abc", "horizon", id="keys1-abc-horizon"),
+    pytest.param(("horizon",), None, "horizon", id="keys2-None-horizon"),
+    pytest.param(("dt",), None, "dt", id="keys3-None-dt"),
+    pytest.param(("dt",), [0.1], "dt", id="keys4-value4-dt"),
+    pytest.param(("dt",), float("nan"), "dt", id="keys5-nan-dt"),
+    pytest.param(("dt",), float("inf"), "dt", id="keys6-inf-dt"),
+    pytest.param(("agents",), 3, "agents", id="keys7-3-agents"),
+    pytest.param(("agents",), {"start": [0.0, 0.0]}, "agents", id="keys8-value8-agents"),
+    pytest.param(("agents", 0), [], "agents[0]", id="keys9-value9-agents[0]"),
+    pytest.param(("agents", 0, "start"), 1.0, "agents[0].start", id="keys10-1.0-agents[0].start"),
+    pytest.param(("agents", 0, "start"), [None, 0.0], "agents[0].start",
+                 id="keys11-value11-agents[0].start"),
+    pytest.param(("agents", 0, "goal"), "ab", "agents[0].goal", id="keys12-ab-agents[0].goal"),
+    pytest.param(("agents", 0, "goal"), {"x": 1.0}, "agents[0].goal",
+                 id="keys13-value13-agents[0].goal"),
+    pytest.param(("agents", 0, "features"), "tracking", "agents[0].features",
+                 id="keys14-tracking-agents[0].features"),
+    pytest.param(("agents", 0, "true_weights"), [1.0, "x"], "agents[0].true_weights",
+                 id="keys15-value15-agents[0].true_weights"),
+    pytest.param(("agents", 0, "true_weights"), 2.0, "agents[0].true_weights",
+                 id="keys16-2.0-agents[0].true_weights"),
+    pytest.param(("agents", 0, "temperature"), None, "agents[0].temperature",
+                 id="keys17-None-agents[0].temperature"),
+    pytest.param(("agents", 0, "temperature"), float("nan"), "agents[0]: temperature",
+                 id="keys18-nan-agents[0]: temperature"),
+    pytest.param(("solver",), [], "solver", id="keys19-value19-solver"),
+    pytest.param(("solver",), "fast", "solver", id="keys20-fast-solver"),
+    pytest.param(("solver",), {"max_iterations": "many"}, "solver.max_iterations",
+                 id="keys21-value21-solver.max_iterations"),
+    pytest.param(("solver",), {"convergence_tol": None}, "solver.convergence_tol",
+                 id="keys22-value22-solver.convergence_tol"),
     # Proximity length scales whose square overflows or underflows.
-    ((), proximity(1e200), "sigma must be positive, with a square that is a finite normal float"),
-    ((), proximity(1e-200), "sigma must be positive, with a square that is a finite normal float"),
-    (("learner",), [], "learner"),
-    (("learner",), {"learning_rate": None}, "learner.learning_rate"),
-    (("learner",), {"samples_per_expectation": "ten"}, "learner.samples_per_expectation"),
-    (("learner",), {"standardize_gaps": "false"}, "learner.standardize_gaps"),
-    (("learner",), {"standardize_gaps": 0}, "learner.standardize_gaps"),
-    (("dynamics",), [], "dynamics"),
-    (("dynamics",), "double_integrator", "dynamics"),
-    (("dynamics",), {"kind": ["linear"]}, "dynamics"),
-    (("dynamics",), {"kind": "linear", "A": [[1.0]], "B": [[["x"]]], "position_indices": [[0]]},
-     "dynamics"),
-    (("dynamics",), {"kind": "linear", "A": [[1.0]], "B": [[[1.0]]], "position_indices": [0]},
-     "dynamics.position_indices"),
-    (("noise",), 0.1, "noise"),
-    (("noise",), {"kind": "scaled_identity", "scale": "big"}, "noise"),
-    (("noise",), {"kind": "scaled_identity", "scale": None}, "noise"),
-    (("initial_state",), {"kind": "fixed", "value": ["a", 0.0, 0.0, 0.0]}, "initial_state"),
+    pytest.param((), proximity(1e200), SIGMA_RANGE, id=f"keys23-value23-{SIGMA_RANGE}"),
+    pytest.param((), proximity(1e-200), SIGMA_RANGE, id=f"keys24-value24-{SIGMA_RANGE}"),
+    pytest.param(("learner",), [], "learner", id="keys25-value25-learner"),
+    pytest.param(("learner",), {"learning_rate": None}, "learner.learning_rate",
+                 id="keys26-value26-learner.learning_rate"),
+    pytest.param(("learner",), {"samples_per_expectation": "ten"},
+                 "learner.samples_per_expectation",
+                 id="keys27-value27-learner.samples_per_expectation"),
+    pytest.param(("dynamics",), [], "dynamics", id="keys30-value30-dynamics"),
+    pytest.param(("dynamics",), "double_integrator", "dynamics",
+                 id="keys31-double_integrator-dynamics"),
+    pytest.param(("dynamics",), {"kind": ["linear"]}, "dynamics", id="keys32-value32-dynamics"),
+    pytest.param(("dynamics",),
+                 {"kind": "linear", "A": [[1.0]], "B": [[["x"]]], "position_indices": [[0]]},
+                 "dynamics", id="keys33-value33-dynamics"),
+    pytest.param(("dynamics",),
+                 {"kind": "linear", "A": [[1.0]], "B": [[[1.0]]], "position_indices": [0]},
+                 "dynamics.position_indices", id="keys34-value34-dynamics.position_indices"),
+    pytest.param(("noise",), 0.1, "noise", id="keys35-0.1-noise"),
+    pytest.param(("noise",), {"kind": "scaled_identity", "scale": "big"}, "noise",
+                 id="keys36-value36-noise"),
+    pytest.param(("noise",), {"kind": "scaled_identity", "scale": None}, "noise",
+                 id="keys37-value37-noise"),
+    pytest.param(("initial_state",), {"kind": "fixed", "value": ["a", 0.0, 0.0, 0.0]},
+                 "initial_state", id="keys38-value38-initial_state"),
     # A noise gain with one row for a four-dimensional state.
-    (("noise",), {"kind": "matrix", "gain": [[1.0]], "covariance": [[1.0]]}, "noise"),
-    (("name",), [1, 2], "name"),
+    pytest.param(("noise",), {"kind": "matrix", "gain": [[1.0]], "covariance": [[1.0]]}, "noise",
+                 id="keys39-value39-noise"),
+    pytest.param(("name",), [1, 2], "name", id="keys40-value40-name"),
     # Ints from booleans or non-integral numbers, and non-finite floats.
-    (("horizon",), 2.7, "horizon"),
-    (("horizon",), float("inf"), "horizon"),
-    (("num_agents",), True, "num_agents"),
-    (("solver",), {"max_iterations": 2.5}, "solver.max_iterations"),
-    (("solver",), {"max_iterations": True}, "solver.max_iterations"),
-    (("solver",), {"max_step_deviation": float("inf")}, "solver.max_step_deviation"),
-    (("solver",), {"convergence_tol": float("nan")}, "solver.convergence_tol"),
-    (("learner",), {"learning_rate": float("nan")}, "learner.learning_rate"),
-    (("learner",), {"residual_tol": float("-inf")}, "learner.residual_tol"),
-    (("learner",), {"samples_per_expectation": 10.5}, "learner.samples_per_expectation"),
-    (("agents", 0, "start"), [float("nan"), 0.0], "agents[0].start"),
-    (("agents", 0, "goal"), [1.0, float("inf")], "agents[0].goal"),
-    (("agents", 0, "true_weights"), [1.0, float("nan")], "agents[0].true_weights"),
-    (("agents", 0, "features"),
-     [{"kind": "gaussian_proximity", "target": 0, "sigma": float("nan")}],
-     "agents[0].features[0].sigma"),
+    pytest.param(("horizon",), 2.7, "horizon", id="keys41-2.7-horizon"),
+    pytest.param(("horizon",), float("inf"), "horizon", id="keys42-inf-horizon"),
+    pytest.param(("num_agents",), True, "num_agents", id="keys43-True-num_agents"),
+    pytest.param(("solver",), {"max_iterations": 2.5}, "solver.max_iterations",
+                 id="keys44-value44-solver.max_iterations"),
+    pytest.param(("solver",), {"max_iterations": True}, "solver.max_iterations",
+                 id="keys45-value45-solver.max_iterations"),
+    pytest.param(("solver",), {"max_step_deviation": float("inf")}, "solver.max_step_deviation",
+                 id="keys46-value46-solver.max_step_deviation"),
+    pytest.param(("solver",), {"convergence_tol": float("nan")}, "solver.convergence_tol",
+                 id="keys47-value47-solver.convergence_tol"),
+    pytest.param(("learner",), {"learning_rate": float("nan")}, "learner.learning_rate",
+                 id="keys48-value48-learner.learning_rate"),
+    pytest.param(("learner",), {"residual_tol": float("-inf")}, "learner.residual_tol",
+                 id="keys49-value49-learner.residual_tol"),
+    pytest.param(("learner",), {"samples_per_expectation": 10.5},
+                 "learner.samples_per_expectation",
+                 id="keys50-value50-learner.samples_per_expectation"),
+    pytest.param(("agents", 0, "start"), [float("nan"), 0.0], "agents[0].start",
+                 id="keys51-value51-agents[0].start"),
+    pytest.param(("agents", 0, "goal"), [1.0, float("inf")], "agents[0].goal",
+                 id="keys52-value52-agents[0].goal"),
+    pytest.param(("agents", 0, "true_weights"), [1.0, float("nan")], "agents[0].true_weights",
+                 id="keys53-value53-agents[0].true_weights"),
+    pytest.param(("agents", 0, "features"),
+                 [{"kind": "gaussian_proximity", "target": 0, "sigma": float("nan")}],
+                 "agents[0].features[0].sigma",
+                 id="keys54-value54-agents[0].features[0].sigma"),
     # Numbers given as JSON strings.
-    (("horizon",), "5", "horizon"),
-    (("num_agents",), "1", "num_agents"),
-    (("dt",), "0.1", "dt"),
-    (("agents", 0, "temperature"), "2.0", "agents[0].temperature"),
-    (("agents", 0, "start"), ["0.5", 0.0], "agents[0].start"),
-    (("solver",), {"max_iterations": "10"}, "solver.max_iterations"),
-    (("learner",), {"learning_rate": "0.2"}, "learner.learning_rate"),
+    pytest.param(("horizon",), "5", "horizon", id="keys55-5-horizon"),
+    pytest.param(("num_agents",), "1", "num_agents", id="keys56-1-num_agents"),
+    pytest.param(("dt",), "0.1", "dt", id="keys57-0.1-dt"),
+    pytest.param(("agents", 0, "temperature"), "2.0", "agents[0].temperature",
+                 id="keys58-2.0-agents[0].temperature"),
+    pytest.param(("agents", 0, "start"), ["0.5", 0.0], "agents[0].start",
+                 id="keys59-value59-agents[0].start"),
+    pytest.param(("solver",), {"max_iterations": "10"}, "solver.max_iterations",
+                 id="keys60-value60-solver.max_iterations"),
+    pytest.param(("learner",), {"learning_rate": "0.2"}, "learner.learning_rate",
+                 id="keys61-value61-learner.learning_rate"),
     # Matrix entries, vectors and floats go through the same number rule.
-    ((), linear(A=[[float("nan")] * 4] * 4), "dynamics.A[0][0] must be finite"),
-    ((), linear(B=[[[True, 0.0]] * 4]), "dynamics.B[0][0][0] must be a JSON number"),
-    ((), linear(A=[["1.0"] * 4] * 4), "dynamics.A[0][0] must be a JSON number"),
-    ((), linear(A=None), "dynamics.A must be a JSON list"),
-    ((), linear(position_indices=[[0.7, 1]]), "dynamics.position_indices[0][0] must be an integer"),
-    (("initial_state",), {"kind": "fixed", "value": ["1.0", 0.0, 0.0, 0.0]},
-     "initial_state.value[0] must be a JSON number"),
-    (("initial_state",),
-     {"kind": "gaussian", "mean": [0.0] * 4,
-      "covariance": [[float("inf"), 0.0, 0.0, 0.0]] + np.eye(4)[1:].tolist()},
-     "initial_state.covariance[0][0] must be finite"),
-    (("noise",), {"kind": "matrix", "gain": [["0.1"], [0.0], [0.0], [0.0]], "covariance": [[1.0]]},
-     "noise.gain[0][0] must be a JSON number"),
-    (("dt",), True, "dt must be a JSON number"),
-    (("agents", 0, "start"), [True, 0.0], "agents[0].start[0] must be a JSON number"),
+    pytest.param((), linear(A=[[float("nan")] * 4] * 4), "dynamics.A[0][0] must be finite",
+                 id="keys62-value62-dynamics.A[0][0] must be finite"),
+    pytest.param((), linear(B=[[[True, 0.0]] * 4]), "dynamics.B[0][0][0] must be a JSON number",
+                 id="keys63-value63-dynamics.B[0][0][0] must be a JSON number"),
+    pytest.param((), linear(A=[["1.0"] * 4] * 4), "dynamics.A[0][0] must be a JSON number",
+                 id="keys64-value64-dynamics.A[0][0] must be a JSON number"),
+    pytest.param((), linear(A=None), "dynamics.A must be a JSON list",
+                 id="keys65-value65-dynamics.A must be a JSON list"),
+    pytest.param((), linear(position_indices=[[0.7, 1]]),
+                 "dynamics.position_indices[0][0] must be an integer",
+                 id="keys66-value66-dynamics.position_indices[0][0] must be an integer"),
+    pytest.param(("initial_state",), {"kind": "fixed", "value": ["1.0", 0.0, 0.0, 0.0]},
+                 "initial_state.value[0] must be a JSON number",
+                 id="keys67-value67-initial_state.value[0] must be a JSON number"),
+    pytest.param(("initial_state",),
+                 {"kind": "gaussian", "mean": [0.0] * 4,
+                  "covariance": [[float("inf"), 0.0, 0.0, 0.0]] + np.eye(4)[1:].tolist()},
+                 "initial_state.covariance[0][0] must be finite",
+                 id="keys68-value68-initial_state.covariance[0][0] must be finite"),
+    pytest.param(("noise",),
+                 {"kind": "matrix", "gain": [["0.1"], [0.0], [0.0], [0.0]], "covariance": [[1.0]]},
+                 "noise.gain[0][0] must be a JSON number",
+                 id="keys69-value69-noise.gain[0][0] must be a JSON number"),
+    pytest.param(("dt",), True, "dt must be a JSON number",
+                 id="keys70-True-dt must be a JSON number"),
+    pytest.param(("agents", 0, "start"), [True, 0.0], "agents[0].start[0] must be a JSON number",
+                 id="keys71-value71-agents[0].start[0] must be a JSON number"),
     # Learner settings out of range.
-    (("learner",), {"max_outer_iterations": 0}, "learner: need at least one outer iteration"),
-    (("learner",), {"residual_tol": -0.5}, "learner: residual tolerance must be positive"),
-    (("learner",), {"effort_weight_floor": -1.0}, "learner: effort weight floor must be positive"),
+    pytest.param(("learner",), {"max_outer_iterations": 0},
+                 "learner: need at least one outer iteration",
+                 id="keys72-value72-learner: need at least one outer iteration"),
+    pytest.param(("learner",), {"residual_tol": -0.5},
+                 "learner: residual tolerance must be positive",
+                 id="keys73-value73-learner: residual tolerance must be positive"),
+    pytest.param(("learner",), {"effort_weight_floor": -1.0},
+                 "learner: effort weight floor must be positive",
+                 id="keys74-value74-learner: effort weight floor must be positive"),
     # No control_effort feature: the agent's own action cost R^ii would be zero.
-    (("agents", 0, "features"), [{"kind": "reference_tracking"}],
-     "agents[0].features must include a control_effort feature"),
+    pytest.param(("agents", 0, "features"), [{"kind": "reference_tracking"}],
+                 "agents[0].features must include a control_effort feature",
+                 id="keys75-value75-agents[0].features must include a control_effort feature"),
+    # Two control_effort features, otherwise valid: two weights would share R^ii.
+    pytest.param((), {"agents": [{**minimal_config()["agents"][0],
+                                  "features": [{"kind": "reference_tracking"},
+                                               {"kind": "control_effort"},
+                                               {"kind": "control_effort"}],
+                                  "true_weights": [4.0, 0.5, 0.5]}]},
+                 "agents[0].features must include a control_effort feature, and only one",
+                 id="two-control-efforts"),
 ]
 
 
@@ -402,7 +465,6 @@ class TestSettingsRoundTrip:
         "max_outer_iterations": 9,
         "residual_tol": 0.2,
         "mode": "independent",
-        "standardize_gaps": False,
         "effort_weight_floor": 0.01,
     }
 
@@ -436,7 +498,12 @@ class TestSettingsRoundTrip:
 
     @pytest.mark.parametrize(
         "block, key",
-        [("learner", "base_seed"), ("solver", "hessian_floor"), ("solver", "strict_paper")],
+        [
+            ("learner", "base_seed"),
+            ("solver", "hessian_floor"),
+            ("solver", "strict_paper"),
+            ("learner", "standardize_gaps"),
+        ],
     )
     def test_unsettable_key_rejected(self, block, key):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in {block}"):

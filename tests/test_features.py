@@ -172,6 +172,16 @@ class TestMakeCostModel:
         with pytest.raises(InvalidWeightError):
             make_cost_model(basis, [np.array([1.0, -0.5, 1.0])] * 2, (2, 2))
 
+    def test_second_effort_feature_rejected(self, basis):
+        # R^ii is one weight's: two effort features are refused, whatever their weights.
+        doubled = FeatureBasis(
+            agents=(basis.agents[0] + (ControlEffort(agent=0),), basis.agents[1]),
+            position_indices=basis.position_indices,
+        )
+        weights = [np.array([1.0, 0.5, 2.0, 0.5]), np.array([1.0, 1.7, 2.0])]
+        with pytest.raises(InvalidWeightError, match="agent 0: .* and only one"):
+            make_cost_model(doubled, weights, (2, 2))
+
     def test_weight_length_mismatch_rejected(self, basis):
         with pytest.raises(InvalidWeightError):
             make_cost_model(basis, [np.ones(2), np.ones(3)], (2, 2))

@@ -29,7 +29,7 @@ class TestStageSolve:
     def test_single_agent_scalar_hand_solve(self):
         P, alpha, cond, reg = solve_stage_coupled(
             np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.ones((1, 1, 1)),
-            np.ones((1, 1, 1, 1)),
+            np.ones((1, 1, 1, 1)), np.zeros((1, 1)),
         )
         assert P[0][0, 0] == pytest.approx(0.5)
         assert alpha[0][0] == pytest.approx(0.0)
@@ -39,7 +39,8 @@ class TestStageSolve:
         # Block system [[2, 1], [1, 2]] [P1; P2] = [1; 1].
         R = np.eye(2).reshape(2, 2, 1, 1)
         P, alpha, _, _ = solve_stage_coupled(
-            np.ones((2, 1, 1)), np.zeros((2, 1)), np.eye(1), np.ones((2, 1, 1)), R
+            np.ones((2, 1, 1)), np.zeros((2, 1)), np.eye(1), np.ones((2, 1, 1)), R,
+            np.zeros((2, 1)),
         )
         assert P[0][0, 0] == pytest.approx(1.0 / 3.0)
         assert P[1][0, 0] == pytest.approx(1.0 / 3.0)
@@ -52,7 +53,8 @@ class TestStageSolve:
         B = np.ones((2, 3, 2))
         B[1, :, 1] = 0.0
         P, alpha, _, _ = solve_stage_coupled(
-            np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3), B, R, rows=action_rows((2, 1))
+            np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3), B, R, np.zeros((2, 2)),
+            rows=action_rows((2, 1)),
         )
         assert P.shape == (2, 2, 3) and alpha.shape == (2, 2)
         assert np.all(P == 0.0) and np.all(alpha == 0.0)
@@ -63,7 +65,7 @@ class TestStageSolve:
         with pytest.raises(StageSingularError) as err:
             solve_stage_coupled(
                 Z, np.zeros((1, 2)), np.eye(2), np.eye(2)[None], np.zeros((1, 1, 2, 2)),
-                time_step=7,
+                np.zeros((1, 2)), time_step=7,
             )
         assert err.value.time_step == 7
 
@@ -71,7 +73,7 @@ class TestStageSolve:
         # Rank-deficient block matrix that a small diagonal shift repairs.
         P, alpha, cond, reg = solve_stage_coupled(
             np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.zeros((1, 1, 2)),
-            np.ones((1, 1, 2, 2)),
+            np.ones((1, 1, 2, 2)), np.zeros((1, 2)),
         )
         assert reg > 0.0
         assert np.isfinite(cond) and cond <= 1e12
@@ -91,6 +93,7 @@ class TestBackwardUpdate:
             np.ones((1, 1, 1, 1)),
             np.ones((1, 1, 1)),
             np.zeros((1, 1)),
+            np.zeros((1, 1)),
         )
         assert Z[0][0, 0] == pytest.approx(1.5)
         assert xi[0][0] == pytest.approx(0.0)
@@ -109,6 +112,7 @@ class TestBackwardUpdate:
             np.zeros((2, 2, 2, 2)),
             np.zeros((2, 1, 1)),
             np.zeros((2, 1)),
+            np.zeros((2, 2)),
         )
         assert np.all(Z[0] == 0.0) and np.all(xi[0] == 0.0)
 
@@ -128,6 +132,7 @@ class TestBackwardUpdate:
             np.eye(2)[None, None],
             Q[None],
             np.zeros((1, 3)),
+            np.zeros((1, 2)),
         )
         assert np.allclose(Z[0], A.T @ Zn @ A + Q)
 

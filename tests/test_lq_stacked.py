@@ -183,9 +183,10 @@ class TestHelpers:
     @pytest.mark.parametrize("Z, xi, A, B, R, time_step", HELPER_STAGES)
     def test_stage_solve_matches_reference(self, Z, xi, A, B, R, time_step):
         # Equal action dims, so the stacked inputs need no padding.
-        stacked = [np.asarray(x) for x in (Z, xi, A, B, R)]
+        r = [np.zeros(b.shape[1]) for b in B]
+        stacked = [np.asarray(x) for x in (Z, xi, A, B, R, r)]
         try:
-            ref = solve_stage_coupled_per_agent(Z, xi, A, B, R, time_step=time_step)
+            ref = solve_stage_coupled_per_agent(Z, xi, A, B, R, r, time_step=time_step)
         except StageSingularError as exc:
             with pytest.raises(StageSingularError) as err:
                 solve_stage_coupled(*stacked, time_step=time_step)
