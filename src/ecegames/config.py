@@ -338,7 +338,7 @@ class Scenario:
             for k, fblock in enumerate(feature_blocks):
                 fpath = f"{path}.features[{k}]"
                 feature, entry = _parse_kind(fblock, "feature", fpath)
-                with _values_of("agents"):
+                with _values_of(fpath):
                     built.append(entry.build(feature, agent, fpath))
                 features.append(feature)
             try:

@@ -62,7 +62,7 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
     def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
         out = A @ s
         for B, a in zip(Bs, actions):
-            out = out + B @ a
+            out += B @ a
         return out
 
     def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):

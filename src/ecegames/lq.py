@@ -39,6 +39,16 @@ the padded diagonal.  With equal action dims nothing is padded, and every
 product is a per-slice matmul that rounds like the per-agent one, with sums
 over agents added in agent order, so results match a per-agent loop bit for
 bit.
+
+Conditioning: a stage whose block matrix has a 2-norm condition number above
+``COND_LIMIT`` is solved with its diagonal shifted by lambda I, lambda
+doubling from ``REG_INIT`` up to ``REG_MAX``.  The backward pass first
+solves each stage as it stands, stacking the stage matrices, and takes all
+conditions from one stacked singular-value call after the loop; only when a
+stage fails (a condition over the limit or not finite, a non-finite matrix,
+a failed solve) does the pass rerun from the terminal stage through the
+per-stage ladder of :func:`solve_stage_coupled`.  Both passes give the same
+results, conditions included.
 """
 
 from __future__ import annotations
@@ -192,34 +202,26 @@ def _condition(M: Array) -> float:
     return float(s[0] / s[-1]) if s[-1] != 0.0 else np.inf
 
 
-def solve_stage_coupled(
+def _stage_system(
     Z_next: Array,
     xi_next: Array,
     A: Array,
     B: Array,
     R: Array,
     r: Array,
-    *,
-    time_step: int = 0,
     rows: Array | None = None,
-) -> tuple[Array, Array, float, float]:
-    """Solve one stage's coupled linear system for all gains and offsets.
+) -> tuple[Array, Array]:
+    """One stage's coupled block matrix M and right-hand sides.
 
     Agent-indexed arguments are stacked on a leading agent axis as
     :class:`LqStageGame` stacks them, each action block zero-padded to
     m = max m_i: Z_next (N, n, n), xi_next (N, n), B (N, n, m),
     R (N, N, m, m), r (N, m), with ``rows`` from :func:`action_rows` when a
-    block is padded.
-
-    Assembles M with diagonal blocks R^{ii} + B^i'Z^i B^i and off-diagonal
-    blocks B^i'Z^i B^j, drops the padded rows and columns, then solves
-    M [P^1; ...] = [B^1'Z^1 A; ...] and M [alpha^1; ...] = [B^1'xi^1 + r^1; ...]
-    from one LU factorization with both right-hand sides stacked.  If the
-    condition estimate exceeds ``COND_LIMIT`` the diagonal is shifted by
-    lambda I (lambda doubling from REG_INIT up to REG_MAX) before giving up.
-
-    Returns the gains P (N, m, n) and offsets alpha (N, m), zero in padded
-    rows, plus (condition, shift used).
+    block is padded.  M has diagonal blocks R^{ii} + B^i'Z^i B^i and
+    off-diagonal blocks B^i'Z^i B^j; the right-hand sides stack
+    [B^1'Z^1 A; ...] and [B^1'xi^1 + r^1; ...] as n + 1 columns.  Padded rows
+    and columns are dropped, so M is (K, K) and rhs (K, n + 1) with
+    K = sum m_i.
     """
     N, n, m = B.shape
     # Per-slice gemm and (X @ v[..., None])[..., 0] round like the per-agent
@@ -234,7 +236,45 @@ def solve_stage_coupled(
     rhs = np.concatenate([BtZ @ A, off[..., None]], axis=2).reshape(N * m, n + 1)
     if rows is not None:
         M, rhs = M[np.ix_(rows, rows)], rhs[rows]
+    return M, rhs
 
+
+def _gains_offsets(sol: Array, N: int, m: int, rows: Array | None) -> tuple[Array, Array]:
+    """Split the (K, n + 1) solution of a stage system into gains P (N, m, n)
+    and offsets alpha (N, m), zero in padded rows."""
+    if rows is not None:
+        full = np.zeros((N * m, sol.shape[1]))
+        full[rows] = sol
+        sol = full
+    sol = sol.reshape(N, m, -1)
+    return sol[..., :-1], sol[..., -1]
+
+
+def solve_stage_coupled(
+    Z_next: Array,
+    xi_next: Array,
+    A: Array,
+    B: Array,
+    R: Array,
+    r: Array,
+    *,
+    time_step: int = 0,
+    rows: Array | None = None,
+) -> tuple[Array, Array, float, float]:
+    """Solve one stage's coupled linear system for all gains and offsets.
+
+    Arguments are those of :func:`_stage_system`, which assembles M; this
+    solves M [P^1; ...] = [B^1'Z^1 A; ...] and
+    M [alpha^1; ...] = [B^1'xi^1 + r^1; ...] from one LU factorization with
+    both right-hand sides stacked.  If the condition estimate exceeds
+    ``COND_LIMIT`` the diagonal is shifted by lambda I (lambda doubling from
+    REG_INIT up to REG_MAX) before giving up with
+    :class:`StageSingularError`.
+
+    Returns the gains P (N, m, n) and offsets alpha (N, m), zero in padded
+    rows, plus (condition, shift used).
+    """
+    M, rhs = _stage_system(Z_next, xi_next, A, B, R, r, rows)
     cond = _condition(M)
     shift = 0.0
     M_solve = M
@@ -249,13 +289,8 @@ def solve_stage_coupled(
             if lam >= REG_MAX:
                 raise StageSingularError(time_step=time_step, condition=cond)
             lam = min(2.0 * lam, REG_MAX)
-    sol = np.linalg.solve(M_solve, rhs)
-    if rows is not None:
-        full = np.zeros((N * m, n + 1))
-        full[rows] = sol
-        sol = full
-    sol = sol.reshape(N, m, n + 1)
-    return sol[..., :n], sol[..., n], cond, shift
+    P, alpha = _gains_offsets(np.linalg.solve(M_solve, rhs), B.shape[0], B.shape[2], rows)
+    return P, alpha, cond, shift
 
 
 def backward_value_update(
@@ -309,27 +344,19 @@ class LqSolution:
     report: StageSolveReport
 
 
-def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
-    """Solve an LQ-Gaussian game for its entropic-cost-equilibrium policies.
+def _backward_pass(game: LqStageGame, checked: bool):
+    """The backward loop of :func:`solve_lq_ece`: gains and offsets (N, T, m, ...),
+    Z and xi histories, and the stage conditions and shifts.
 
-    Backward in time from the terminal conditions Z^i_T = Q^i_T,
-    xi^i_T = l^i_T.  The terminal-stage policy has zero gain, offset
-    (R^{ii})^{-1} r^i_T and covariance gamma^i (R^{ii})^{-1}; interior stages
-    come from :func:`solve_stage_coupled` followed by
-    :func:`backward_value_update` on the game's agent-stacked data, with
-    Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.  The covariances of
-    all agents and stages are formed in one stacked pass after the backward
-    loop and checked symmetric positive definite (:class:`CovarianceError`
-    names the first failing agent and its first failing step).  Temperatures
-    must be positive and finite.  The policies are cut back to each agent's
-    action dim; the values stay agent-stacked, Z (N, T, n, n), xi (N, T, n).
+    ``checked`` solves every stage through :func:`solve_stage_coupled`, which
+    alone regularizes and raises :class:`StageSingularError`.  Unchecked, each
+    stage is solved as it stands and its matrix kept in a (T-1, K, K) stack;
+    after the loop one stacked singular-value call gives every condition.
+    An unchecked pass returns None when a stage matrix is not finite or a
+    condition is not at most ``COND_LIMIT``, and passes on the
+    ``LinAlgError`` of a failed solve: then some stage needs the checked pass.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
-    if temperatures is None:
-        temperatures = tuple(1.0 for _ in range(N))
-    if len(temperatures) != N or not temperatures_valid(temperatures):
-        raise ValueError("one positive, finite temperature required per agent")
-
     B, R, r = game.B, game.R, game.r
     m = B.shape[-1]
     rows = action_rows(game.action_dims)
@@ -339,25 +366,89 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     xi_hist = np.zeros((N, T, n))
     condition = np.zeros(max(T - 1, 0))
     regularization = np.zeros(max(T - 1, 0))
+    K = N * m if rows is None else len(rows)
+    stack = np.empty((max(T - 1, 0), K, K))
 
     Z = Z_hist[:, T - 1] = game.Q[:, T - 1]
     xi = xi_hist[:, T - 1] = game.l[:, T - 1]
     offsets[:, T - 1] = np.linalg.solve(game.R_own, r[:, T - 1, :, None])[..., 0]
 
     for k in range(T - 2, -1, -1):
-        P, alpha, condition[k], regularization[k] = solve_stage_coupled(
-            Z, xi, game.A[k], B[:, k], R, r[:, k], time_step=k + 1, rows=rows
-        )
+        A_k, B_k, r_k = game.A[k], B[:, k], r[:, k]
+        if checked:
+            P, alpha, condition[k], regularization[k] = solve_stage_coupled(
+                Z, xi, A_k, B_k, R, r_k, time_step=k + 1, rows=rows
+            )
+        else:
+            M, rhs = _stage_system(Z, xi, A_k, B_k, R, r_k, rows)
+            stack[k] = M
+            P, alpha = _gains_offsets(np.linalg.solve(M, rhs), N, m, rows)
         gains[:, k] = P
         offsets[:, k] = alpha
         Z, xi = backward_value_update(
-            P, alpha, Z, xi, game.A[k], B[:, k], R, game.Q[:, k], game.l[:, k], r[:, k]
+            P, alpha, Z, xi, A_k, B_k, R, game.Q[:, k], game.l[:, k], r_k
         )
         Z_hist[:, k] = Z
         xi_hist[:, k] = xi
 
+    if not checked and T > 1:
+        if not np.isfinite(stack).all():
+            return None
+        # The stacked call runs the per-matrix routine on each stage, so every
+        # ratio equals _condition of that stage.
+        s = np.linalg.svd(stack, compute_uv=False)
+        condition = s[:, 0] / s[:, -1]
+        if not (condition <= COND_LIMIT).all():
+            return None
+    return gains, offsets, Z_hist, xi_hist, condition, regularization
+
+
+def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
+    """Solve an LQ-Gaussian game for its entropic-cost-equilibrium policies.
+
+    Backward in time from the terminal conditions Z^i_T = Q^i_T,
+    xi^i_T = l^i_T.  The terminal-stage policy has zero gain, offset
+    (R^{ii})^{-1} r^i_T and covariance gamma^i (R^{ii})^{-1}; interior stages
+    solve the coupled stage system followed by :func:`backward_value_update`
+    on the game's agent-stacked data, with
+    Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.
+
+    The backward pass first solves every stage as it stands, keeping the
+    stage matrices in one stack, and takes all stage conditions from one
+    stacked singular-value call after the loop.  If any stage matrix is not
+    finite, any solve fails or any condition exceeds ``COND_LIMIT``, that
+    pass is discarded and the pass reruns from the terminal stage through
+    :func:`solve_stage_coupled`, whose regularization ladder shifts the
+    ill-conditioned stages or raises :class:`StageSingularError` naming the
+    first hopeless one.  Either way the results, conditions included, are
+    those of the per-stage ladder.
+
+    The covariances of all agents and stages are formed in one stacked pass
+    after the backward loop and checked symmetric positive definite
+    (:class:`CovarianceError` names the first failing agent and its first
+    failing step).  Temperatures must be positive and finite.  The policies
+    are cut back to each agent's action dim; the values stay agent-stacked,
+    Z (N, T, n, n), xi (N, T, n).
+    """
+    N, T, m = game.num_agents, game.horizon, game.B.shape[-1]
+    if temperatures is None:
+        temperatures = tuple(1.0 for _ in range(N))
+    if len(temperatures) != N or not temperatures_valid(temperatures):
+        raise ValueError("one positive, finite temperature required per agent")
+
+    # Overflow or NaN in a discarded pass must not warn; the rerun repeats it.
+    try:
+        with np.errstate(all="ignore"):
+            stages = _backward_pass(game, checked=False)
+    except np.linalg.LinAlgError:
+        stages = None
+    if stages is None:
+        stages = _backward_pass(game, checked=True)
+    gains, offsets, Z_hist, xi_hist, condition, regularization = stages
+
     # Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}, all agents and stages
     # at once; the padded diagonal of R_own keeps each block invertible.
+    B = game.B
     M = np.broadcast_to(game.R_own[:, None], (N, T, m, m)).copy()
     M[:, :-1] += B.swapaxes(2, 3) @ Z_hist[:, 1:] @ B
     M = (M + M.swapaxes(2, 3)) / 2.0

@@ -16,6 +16,13 @@ whole noise block with one ``standard_normal`` call of the Generator
 
 Reading the block in one call gives the same numbers as drawing each piece
 in this order with its own call.
+
+A rollout checks its states once, after the last step, with floating-point
+warnings off in the loop.  Once a state stops being finite the dynamics'
+``step`` keeps running on non-finite states to the end of the horizon;
+then :class:`SimulationDivergedError` names the first non-finite step, as a
+check at every step would.  A custom ``step`` must accept non-finite states
+without raising.
 """
 
 from __future__ import annotations
@@ -42,25 +49,37 @@ def _rollout(
 ) -> Trajectory:
     """Roll the feedback law and the drift forward from the initial state
     ``s``, adding ``action_noise[i]`` (T, m_i) to agent i's mean actions and
-    ``process_noise`` (T-1, n) to the drift when given."""
+    ``process_noise`` (T-1, n) to the drift when given.
+
+    The loop runs to the end without checking the states, with floating-point
+    warnings off; the first non-finite state row then names the step of
+    :class:`SimulationDivergedError`."""
     T, step = game.horizon, game.dynamics.step
     states = np.empty((T, game.state_dim))
     actions = tuple(np.empty((T, m)) for m in game.action_dims)
     laws = tuple(zip(policies.nominal_actions, policies.gains, policies.offsets, actions))
-    for k, sbar in enumerate(policies.nominal_states):
-        if not np.isfinite(s).all():
-            raise SimulationDivergedError(time_step=k + 1)
-        states[k] = s
-        # a = abar - P (s - sbar) - alpha, written straight into the action rows.
-        ds = s - sbar
-        acts = [np.subtract(ab[k] - P[k] @ ds, al[k], out=a[k]) for ab, P, al, a in laws]
-        if action_noise is not None:
-            for a, eps in zip(acts, action_noise):
-                a += eps[k]
-        if k + 1 < T:
-            s = step(k + 1, s, acts)
-            if process_noise is not None:
-                s = s + process_noise[k]
+    with np.errstate(all="ignore"):
+        for k, sbar in enumerate(policies.nominal_states):
+            states[k] = s
+            # a = abar - P (s - sbar) - alpha (+ noise), written straight into
+            # the action rows in that order.
+            ds = s - sbar
+            acts = []
+            for ab, P, al, a in laws:
+                row = a[k]
+                np.subtract(ab[k], P[k] @ ds, out=row)
+                row -= al[k]
+                acts.append(row)
+            if action_noise is not None:
+                for row, eps in zip(acts, action_noise):
+                    row += eps[k]
+            if k + 1 < T:
+                s = step(k + 1, s, acts)
+                if process_noise is not None:
+                    s = s + process_noise[k]
+    diverged = ~np.isfinite(states).all(axis=1)
+    if diverged.any():
+        raise SimulationDivergedError(time_step=int(diverged.argmax()) + 1)
     return Trajectory(states=states, actions=actions)
 
 

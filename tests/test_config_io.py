@@ -79,7 +79,8 @@ class TestParsing:
     def test_nonpositive_proximity_sigma_rejected(self, crossing_scenario):
         cfg = crossing_scenario.to_dict()
         cfg["agents"][0]["features"][2]["sigma"] = 0.0
-        with pytest.raises(ConfigError, match="agents: .*sigma must be positive"):
+        path = r"^agents\[0\]\.features\[2\]: "
+        with pytest.raises(ConfigError, match=path + ".*sigma must be positive"):
             parse_scenario(cfg)
 
     def test_weight_count_mismatch_rejected(self):

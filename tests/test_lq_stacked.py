@@ -221,3 +221,83 @@ class TestNonFiniteGuards:
         with pytest.raises(CovarianceError) as err:
             cholesky_checked(S, agent=0)
         assert (err.value.agent, err.value.time_step) == (0, 4)
+
+
+def handover_game(block, horizon=7, stage=3):
+    """Two agents with one action each in 2-D whose stage matrix at index
+    ``stage`` (t = stage + 1) is exactly ``block``; the other stages are
+    well-conditioned.
+
+    Stage ``stage + 1`` has A = B = 0, so its value is Z = Q exactly, and
+    stage ``stage`` has A = 0 and unit action columns, so its block matrix
+    is I + [[Z^1_00, Z^1_01], [Z^2_10, Z^2_11]] from that Q.  A zero A there
+    also makes the gains zero, which keeps earlier stages well-conditioned
+    whatever the shift.  Only l at ``stage + 1`` reaches the offsets.
+    """
+    rng = np.random.default_rng(41)
+    T, n = horizon, 2
+    (a, b), (c, d) = block
+    A = 0.5 * np.eye(n) + 0.1 * rng.normal(size=(T - 1, n, n))
+    B = [0.5 * rng.normal(size=(T - 1, n, 1)) for _ in range(2)]
+    Q = [np.tile(np.eye(n), (T, 1, 1)) for _ in range(2)]
+    l = [0.3 * rng.normal(size=(T, n)) for _ in range(2)]
+    A[stage] = A[stage + 1] = 0.0
+    for i, e in enumerate(np.eye(n)):
+        B[i][stage] = e[:, None]
+        B[i][stage + 1] = 0.0
+        l[i][stage + 1] = e
+    Q[0][stage + 1] = [[a - 1.0, b], [b, 0.0]]
+    Q[1][stage + 1] = [[0.0, c], [c, d - 1.0]]
+    R = ((np.eye(1), 0.1 * np.eye(1)), (0.2 * np.eye(1), np.eye(1)))
+    return LqStageGame(A=A, B=tuple(B), Q=tuple(Q), l=tuple(l), R=R)
+
+
+class TestLadderHandover:
+    """The stacked pass hands a failing stage over to the per-stage ladder,
+    which must then give the reference's results from the terminal stage on."""
+
+    def test_regularized_mid_horizon_stage_matches(self):
+        # cond = 4e13; the ladder doubles 1e-8 up to 3.2e-7, the first shift
+        # that brings 2e5 / lambda under 1e12.
+        game = handover_game([[1e5, 1e5], [1e5, 1e5 + 1e-8]])
+        sol = solve_lq_ece(game)
+        assert np.flatnonzero(sol.report.regularization).tolist() == [3]
+        assert sol.report.regularization[3] == pytest.approx(3.2e-7, rel=1e-12)
+        assert_identical(game)
+
+    def test_exactly_singular_stage_matches(self):
+        # The plain LU of this stage fails outright; the first shift fixes it.
+        block = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(block, np.ones(2))
+        game = handover_game(block)
+        sol = solve_lq_ece(game)
+        assert np.flatnonzero(sol.report.regularization).tolist() == [3]
+        assert sol.report.regularization[3] == 1e-8
+        assert_identical(game)
+
+    def test_hopeless_stage_names_reference_step(self):
+        # Singular with norm 1e12: no shift up to 1e-2 brings it under 1e12.
+        game = handover_game([[1.0, 1e6], [1e6, 1e12]])
+        with pytest.raises(StageSingularError) as got:
+            solve_lq_ece(game)
+        with pytest.raises(StageSingularError) as ref:
+            solve_lq_ece_per_agent(game)
+        assert got.value.time_step == ref.value.time_step == 4
+        assert str(got.value) == str(ref.value)
+
+    def test_non_finite_stage_behind_hopeless_stage(self):
+        # Stage t = 4 is hopeless yet LU-solvable (det 1, cond 1e24), so the
+        # stacked pass runs on to the infinite Q at t = 2 that makes the t = 1
+        # stage matrix non-finite; the ladder stops at t = 4 first.
+        game = handover_game([[1.0, 1e6], [1e6, 1e12 + 1.0]])
+        Q = game.Q.copy()
+        Q[0, 1, 0, 0] = np.inf
+        R = tuple(map(tuple, game.R))
+        game = LqStageGame(A=game.A, B=tuple(game.B), Q=tuple(Q), l=tuple(game.l), R=R)
+        with pytest.raises(StageSingularError) as got:
+            solve_lq_ece(game)
+        with pytest.raises(StageSingularError) as ref:
+            solve_lq_ece_per_agent(game)
+        assert got.value.time_step == ref.value.time_step == 4
+        assert str(got.value) == str(ref.value)

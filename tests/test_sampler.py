@@ -9,6 +9,7 @@ trajectory files reproducible across versions.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,74 @@ def test_divergence_names_the_reference_step():
         with pytest.raises(SimulationDivergedError) as err:
             simulate_stochastic(game, policies, seed=4)
     assert err.value.time_step == expected.value.time_step == 5
+
+
+def diverging_game(kind, horizon=10):
+    """Two agents whose rollouts overflow part-way, with action and process
+    noise: ``linear`` drift 1e80 s, or ``unicycle`` agents whose speed
+    feedback v = 1e9 x scales agent 0's x by about 1e8 per step."""
+    if kind == "linear":
+        game, policies = unequal_dims_game(horizon, (2, 2))
+        drift = dynamics.linear(1e80 * np.eye(3), [np.zeros((3, 2))] * 2)
+        return GameSpec(drift, game.costs, horizon, game.noise, game.initial_state), policies
+    n = 6
+    gains = np.zeros((horizon, 2, n))
+    gains[:, 0, 0] = -1e9
+    cost = quadratic_cost(np.eye(n), np.zeros(n), [np.eye(2), np.eye(2)])
+    game = GameSpec(
+        dynamics=dynamics.unicycle(2, 0.1),
+        costs=(cost, cost),
+        horizon=horizon,
+        noise=NoiseModel.identity(n),
+        initial_state=InitialState(mean=np.array([1e270, 0.0, 0.0, 1.0, 2.0, 0.5])),
+    )
+    policies = AffineGaussianPolicySet.identity_nominal(
+        [gains, np.zeros((horizon, 2, n))],
+        [np.zeros((horizon, 2))] * 2,
+        [np.tile(0.01 * np.eye(2), (horizon, 1, 1))] * 2,
+    )
+    return game, policies
+
+
+@pytest.mark.parametrize("kind", ["linear", "unicycle"])
+@pytest.mark.parametrize("seed", [None, 4], ids=["mean", "stochastic"])
+def test_divergence_raises_at_reference_step_without_warnings(kind, seed):
+    game, policies = diverging_game(kind)
+    with np.errstate(all="ignore"):
+        with pytest.raises(SimulationDivergedError) as expected:
+            simulate_per_step(game, policies, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationDivergedError) as err:
+            if seed is None:
+                simulate_mean(game, policies)
+            else:
+                simulate_stochastic(game, policies, seed=seed)
+    assert err.value.time_step == expected.value.time_step
+    assert 2 < err.value.time_step < game.horizon
+
+
+def test_final_action_overflow_is_a_trajectory_error():
+    # The states stay near 1e10; only the last step's gain 1e300 overflows.
+    T = 4
+    gains = np.zeros((T, 1, 1))
+    gains[-1] = 1e300
+    game = GameSpec(
+        dynamics=dynamics.linear(np.eye(1), [np.eye(1)]),
+        costs=(quadratic_cost(np.eye(1), np.zeros(1), [np.eye(1)]),),
+        horizon=T,
+        noise=NoiseModel.none(1),
+        initial_state=InitialState(mean=np.array([1e10])),
+    )
+    policies = AffineGaussianPolicySet.identity_nominal(
+        [gains], [np.zeros((T, 1))], [np.ones((T, 1, 1))]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite actions"):
+            simulate_mean(game, policies)
+        with pytest.raises(ValueError, match="non-finite actions"):
+            simulate_stochastic(game, policies, seed=0)
 
 
 def test_unicycle_step_matches_per_agent_reference():
