@@ -367,7 +367,7 @@ def _backward_pass(game: LqStageGame, checked: bool):
     condition = np.zeros(max(T - 1, 0))
     regularization = np.zeros(max(T - 1, 0))
     K = N * m if rows is None else len(rows)
-    stack = np.empty((max(T - 1, 0), K, K))
+    stack = None if checked else np.empty((max(T - 1, 0), K, K))
 
     Z = Z_hist[:, T - 1] = game.Q[:, T - 1]
     xi = xi_hist[:, T - 1] = game.l[:, T - 1]
