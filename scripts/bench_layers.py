@@ -1,6 +1,6 @@
 """Per-call times of the solver and sampler layers on the shipped configs.
 
-    python3 scripts/bench_layers.py [--parent REV] [--budget 0.5] [--rounds 10]
+    python3 scripts/bench_layers.py [--parent REV]
 
 For every config in ``configs/`` it solves the game under its true weights
 and times, per call:
@@ -10,8 +10,8 @@ and times, per call:
 - ``rollout_batch`` of 200 trials from seed 0;
 - a cold ``solve_ece``.
 
-Each round calls every layer for ``--budget`` seconds (at least 3 calls),
-with BLAS capped at one thread, and the table shows the least time of one
+Each of ``ROUNDS`` rounds calls every layer for ``BUDGET`` seconds (at
+least 3 calls), with BLAS capped at one thread, and the table shows the least time of one
 call over all rounds.  With ``--parent``, revision REV is extracted with
 ``git archive`` into a temporary directory (removed on exit) and its
 package is loaded next to this tree's in the same process.  The two trees
@@ -45,18 +45,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 200
+BUDGET = 0.5  # seconds per layer and round
+ROUNDS = 10
 LAYERS = ("solve_lq_ece", "simulate_mean", f"rollout_batch({TRIALS})", "solve_ece")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="git revision to compare against")
-    parser.add_argument("--budget", type=float, default=0.5, help="seconds per layer and round")
-    parser.add_argument("--rounds", type=int, default=10)
-    args = parser.parse_args(argv)
-    if not args.budget > 0 or args.rounds < 1:
-        parser.error("--budget and --rounds must be positive")
-    return args
+    return parser.parse_args(argv)
 
 
 def extract(rev: str, into: Path) -> None:
@@ -126,16 +123,16 @@ def main(argv=None) -> int:
         # times[config][layer][side]: every call's wall time, turn by turn.
         times = {c.stem: {layer: {side: [] for side in trees} for layer in LAYERS}
                  for c in configs}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             for c in configs:
                 for k, layer in enumerate(LAYERS):
                     order = list(trees)[:: 1 if (i + k) % 2 == 0 else -1]
-                    for turn in turns([calls[side][c.stem][k] for side in order], args.budget):
+                    for turn in turns([calls[side][c.stem][k] for side in order], BUDGET):
                         for side, t in zip(order, turn):
                             times[c.stem][layer][side].append(t)
             print(f"round {i} done", file=sys.stderr, flush=True)
     sides = list(trees)
-    print(f"least time per call, {args.budget:g} s per layer x {args.rounds} rounds"
+    print(f"least time per call, {BUDGET:g} s per layer x {ROUNDS} rounds"
           + (f", parent {args.parent}; ratio: median change/parent per turn" if args.parent else ""))
     print(f"{'config':20s} {'layer':20s}" + "".join(f" {s + ' ms':>10s}" for s in sides)
           + ("  change/parent  turns" if args.parent else ""))

@@ -286,6 +286,22 @@ class TestLadderHandover:
         assert got.value.time_step == ref.value.time_step == 4
         assert str(got.value) == str(ref.value)
 
+    def test_overflow_outside_stage_matrices_warns_as_reference(self):
+        # Q at t = 1 reaches only Z_1, which no stage matrix uses, and the
+        # symmetrization of its 1.7e308 diagonal overflows to inf.  Every stage
+        # matrix stays finite and well-conditioned, so only the finiteness of
+        # the outputs hands this pass over to the ladder, which warns.
+        game = handover_game(2.0 * np.eye(2))
+        Q = game.Q.copy()
+        Q[:, 0] = 1.7e308 * np.eye(2)
+        R = tuple(map(tuple, game.R))
+        game = LqStageGame(A=game.A, B=tuple(game.B), Q=tuple(Q), l=tuple(game.l), R=R)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            sol = solve_lq_ece(game)
+        assert np.isinf(sol.values.Z[:, 0]).any() and np.isfinite(sol.values.Z[:, 1:]).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert_identical(game)
+
     def test_non_finite_stage_behind_hopeless_stage(self):
         # Stage t = 4 is hopeless yet LU-solvable (det 1, cond 1e24), so the
         # stacked pass runs on to the infinite Q at t = 2 that makes the t = 1
