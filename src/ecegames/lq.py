@@ -423,7 +423,8 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     stage matrices in one stack, and takes all stage conditions from one
     stacked singular-value call after the loop.  If any stage matrix is not
     finite, any solve fails, any condition exceeds ``COND_LIMIT`` or any
-    gain, offset or value coefficient is not finite, that pass is discarded and the pass reruns from the terminal stage through
+    gain, offset or value coefficient is not finite, that pass is discarded
+    and the pass reruns from the terminal stage through
     :func:`solve_stage_coupled`, whose regularization ladder shifts the
     ill-conditioned stages or raises :class:`StageSingularError` naming the
     first hopeless one.  Either way the results, conditions included, are
