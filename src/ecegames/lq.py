@@ -27,18 +27,23 @@ optimum, it stopped after 46 iterations at a cost of 68.5 per agent, where
 the direct LQ solution costs 10.38; on ``two_agent_crossing`` it stopped at
 costs 718.7/704.7 against 53.9/27.1.
 
-Layout: agent-stacked arrays are the only layout.  :class:`LqStageGame`
-stacks the per-agent blocks once (B (N, T-1, n, m), Q (N, T, n, n),
-l (N, T, n), R (N, N, m, m), r (N, T, m)), zero-padding every action block to
-m = max m_i; the helpers take one stage of it (Z (N, n, n), xi (N, n),
-P (N, m, n), alpha (N, m)), so each stage makes the same number of array
-calls for any N.  The stage solve drops the padded rows and columns
-(:func:`action_rows`) before the condition estimate and the LU, so both see
-the unpadded block matrix; the covariance pass uses own blocks with ones on
-the padded diagonal.  With equal action dims nothing is padded, and every
-product is a per-slice matmul that rounds like the per-agent one, with sums
-over agents added in agent order, so results match a per-agent loop bit for
-bit.
+Layout: the actions of all agents are concatenated, the only layout.  With
+K = sum m_i the joint action a = [a^1; ...; a^N] has K rows, agent i's in
+rows ``slices[i]``.  :class:`LqStageGame` lays the game out once on it: B
+(T-1, n, K) concatenates the B^j, agent i's action cost is R^i =
+blockdiag_j R^{ij} (K, K), and r^i is zero outside agent i's rows.  Every
+agent's value is one array W^i = [Z^i | xi^i] (n, n + 1) and a stage's gains
+and offsets are one array [P | alpha] (K, n + 1).  Nothing is padded, and a
+stage makes the same dozen or so array calls for any N and any action dims:
+one product gives every agent's rows of the stage system [M | rhs], one
+solve gives [P | alpha], and each term of the value update is one product
+over all agents.  The stage helpers take one stage of this layout:
+``solve_stage_coupled(W_next, BA, Rr, owner)`` returns [P | alpha], the
+stage matrix, its condition and the shift, and
+``backward_value_update(S, W_next, BA, R, QL_t, r_t)`` returns the new W.
+The sums over agents happen inside the matrix products, so results agree
+with a per-agent loop to rounding (a few ulp), not bit for bit.  The
+covariances come from the diagonal blocks of the stage matrices.
 
 Conditioning: a stage whose block matrix has a 2-norm condition number above
 ``COND_LIMIT`` is solved with its diagonal shifted by lambda I, lambda
@@ -55,8 +60,8 @@ does (their largest stage condition is below 3).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,20 +75,29 @@ REG_MAX = 1e-2
 
 @dataclass(frozen=True)
 class LqStageGame:
-    """Time-indexed data of one LQ-Gaussian game, stacked on a leading agent axis.
+    """Time-indexed data of one LQ-Gaussian game, laid out on concatenated actions.
 
     Built from per-agent blocks (T = horizon, n = state dim, m_i = action
     dims): A (T-1, n, n); B[j] (T-1, n, m_j); Q[i] (T, n, n) symmetric PSD;
     l[i] (T, n); R[i][j] (m_j, m_j), constant in time, R[i][i] positive
     definite; r[i] (T, m_i) linear own-action terms (zeros reproduce the
     plain quadratic game; recentered games produced by the iterative solver
-    populate them).  Construction checks them and stacks them once, every
-    action block zero-padded to m = max m_i: B (N, T-1, n, m), Q (N, T, n, n),
-    l (N, T, n), R (N, N, m, m), r (N, T, m).  ``R_own`` holds the own blocks
-    R^{ii} (N, m, m) with ones on the padded diagonal, so each is positive
-    definite; ``action_dims`` keeps the m_i.  With unequal action dims the
-    stacked arrays are not valid constructor input: their padding would read
-    as real actions.
+    populate them).  Construction checks them and lays them out once on the
+    joint action of K = sum m_i rows, agent i's in rows ``slices[i]``, with
+    ``owner`` (K,) naming the agent of each row:
+
+    - BA (T-1, n + 1, K + n + 1) = [[B, A, 0], [0, 0, 1]], the dynamics of
+      the affine state [s; 1], read through the views B (T-1, n, K) and
+      A (T-1, n, n);
+    - QL (N, T, n, n + 1) = [Q | l], read through the views Q (N, T, n, n)
+      and l (N, T, n);
+    - R (N, K, K) holds agent i's action cost blockdiag_j R^{ij};
+    - r (N, T, K) holds r^i in agent i's rows and zeros elsewhere;
+    - Rr (T, K, K + n + 1) = [R_own | 0 | r_joint], the part of every stage
+      system that does not depend on the values, read through the views
+      R_own (K, K) = blockdiag_i R^{ii} and r_joint (T, K) = [r^1 ... r^N].
+
+    The laid-out arrays are not valid constructor input.
     """
 
     A: Array
@@ -93,7 +107,12 @@ class LqStageGame:
     R: Array
     r: Array | None = None
     action_dims: tuple[int, ...] = field(init=False)
+    owner: Array = field(init=False, repr=False)
+    BA: Array = field(init=False, repr=False)
+    QL: Array = field(init=False, repr=False)
+    Rr: Array = field(init=False, repr=False)
     R_own: Array = field(init=False, repr=False)
+    r_joint: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -116,52 +135,60 @@ class LqStageGame:
                 if np.shape(Rij) != (dims[j], dims[j]):
                     raise ValueError(f"R[{i}][{j}] must be ({dims[j]}, {dims[j]})")
 
-        m = max(dims)
-
-        def stack(blocks, shape):
-            out = np.zeros((len(blocks), *shape))
-            for k, b in enumerate(blocks):
-                out[(k, *map(slice, np.shape(b)))] = b
-            return out
-
-        R = stack([Rij for row in self.R for Rij in row], (m, m)).reshape(N, N, m, m)
-        asymmetric = ~np.isclose(R, R.swapaxes(-1, -2), rtol=0.0, atol=1e-8).all(axis=(-2, -1))
+        object.__setattr__(self, "action_dims", dims)
+        K, slices = sum(dims), self.slices
+        owner = np.repeat(np.arange(N), dims)
+        R = np.zeros((N, K, K))
+        r_agent = np.zeros((N, T, K))
+        for i, row in enumerate(self.R):
+            r_agent[i, :, slices[i]] = r[i]
+            for j, Rij in enumerate(row):
+                R[i, slices[j], slices[j]] = Rij
+        asymmetric = ~np.isclose(R, R.swapaxes(1, 2), rtol=0.0, atol=1e-8)
         if asymmetric.any():
-            i, j = np.argwhere(asymmetric)[0]
-            raise ValueError(f"R[{i}][{j}] is not symmetric")
-        own = R[np.arange(N), np.arange(N)]
-        pad_agent, pad_row = np.nonzero(np.arange(m) >= np.array(dims)[:, None])
-        own[pad_agent, pad_row, pad_row] = 1.0
+            i, a, _ = np.argwhere(asymmetric)[0]
+            raise ValueError(f"R[{i}][{owner[a]}] is not symmetric")
+        # Agent i's rows of R_own are its rows of R^i, which are zero outside
+        # its own block R^{ii}.
+        own = R[owner, np.arange(K)]
         try:
             np.linalg.cholesky(own)
         except np.linalg.LinAlgError:
-            i = int(np.argmax(np.linalg.eigvalsh(own)[:, 0] <= 0.0))
+            least = np.array([np.linalg.eigvalsh(own[s, s])[0] for s in slices])
+            i = int(np.argmax(least <= 0.0))
             raise ValueError(f"R[{i}][{i}] must be positive definite") from None
+        BA = np.zeros((T - 1, n + 1, K + n + 1))
+        BA[:, :n, : K + n] = np.concatenate([*self.B, A], axis=2)
+        BA[:, n, -1] = 1.0
+        QL = np.empty((N, T, n, n + 1))
+        QL[..., :n], QL[..., n] = self.Q, self.l
+        Rr = np.zeros((T, K, K + n + 1))
+        Rr[..., :K] = own
+        Rr[..., -1] = r_agent.sum(axis=0)
         for name, value in (
-            ("A", A), ("B", stack(self.B, (T - 1, n, m))), ("Q", stack(self.Q, (T, n, n))),
-            ("l", stack(self.l, (T, n))), ("R", R), ("r", stack(r, (T, m))),
-            ("action_dims", dims), ("R_own", own),
+            ("A", BA[:, :n, K:-1]), ("B", BA[:, :n, :K]), ("Q", QL[..., :n]),
+            ("l", QL[..., n]), ("R", R), ("r", r_agent), ("owner", owner),
+            ("BA", BA), ("QL", QL), ("Rr", Rr), ("R_own", Rr[0, :, :K]), ("r_joint", Rr[..., -1]),
         ):
             object.__setattr__(self, name, value)
 
     @property
     def num_agents(self) -> int:
-        return self.B.shape[0]
+        return len(self.action_dims)
 
     @property
     def horizon(self) -> int:
-        return self.Q.shape[1]
+        return self.QL.shape[1]
 
     @property
     def state_dim(self) -> int:
-        return self.Q.shape[2]
+        return self.QL.shape[2]
 
-    def per_agent(self, stacked: Array, square: bool = False) -> tuple[Array, ...]:
-        """Agent i's block of an agent-stacked (N, T, m, ...) array, cut back to
-        its m_i action rows (and columns too when ``square``)."""
-        return tuple(
-            X[:, :d, :d] if square else X[:, :d] for X, d in zip(stacked, self.action_dims)
-        )
+    @property
+    def slices(self) -> tuple[slice, ...]:
+        """Every agent's rows of the joint action."""
+        dims = self.action_dims
+        return tuple(slice(e - d, e) for e, d in zip(accumulate(dims), dims))
 
 
 @dataclass(frozen=True)
@@ -185,18 +212,6 @@ class StageSolveReport:
     regularization: Array
 
 
-def action_rows(action_dims: Sequence[int]) -> Array | None:
-    """Rows of the real actions in an agent-stacked action vector.
-
-    Every agent's action block is zero-padded to m = max m_i, so agent i's
-    a-th action sits at row i*m + a.  None when no block is padded.
-    """
-    m = max(action_dims)
-    if all(d == m for d in action_dims):
-        return None
-    return np.concatenate([i * m + np.arange(d) for i, d in enumerate(action_dims)])
-
-
 def _condition(M: Array) -> float:
     """2-norm condition number of M, as ``np.linalg.cond`` gives it (inf when
     M is singular), from one singular-value call."""
@@ -204,86 +219,48 @@ def _condition(M: Array) -> float:
     return float(s[0] / s[-1]) if s[-1] != 0.0 else np.inf
 
 
-def _stage_system(
-    Z_next: Array,
-    xi_next: Array,
-    A: Array,
-    B: Array,
-    R: Array,
-    r: Array,
-    rows: Array | None = None,
-) -> tuple[Array, Array]:
-    """One stage's coupled block matrix M and right-hand sides.
+def _stage_system(W_next: Array, BA: Array, Rr: Array, owner: Array) -> Array:
+    """One stage's coupled system [M | rhs] (K, K + n + 1).
 
-    Agent-indexed arguments are stacked on a leading agent axis as
-    :class:`LqStageGame` stacks them, each action block zero-padded to
-    m = max m_i: Z_next (N, n, n), xi_next (N, n), B (N, n, m),
-    R (N, N, m, m), r (N, m), with ``rows`` from :func:`action_rows` when a
-    block is padded.  M has diagonal blocks R^{ii} + B^i'Z^i B^i and
-    off-diagonal blocks B^i'Z^i B^j; the right-hand sides stack
-    [B^1'Z^1 A; ...] and [B^1'xi^1 + r^1; ...] as n + 1 columns.  Padded rows
-    and columns are dropped, so M is (K, K) and rhs (K, n + 1) with
-    K = sum m_i.
+    Arguments are one stage of the :class:`LqStageGame` layout: W_next
+    (N, n, n + 1) stacks every agent's [Z^i | xi^i] at t + 1, BA
+    (n + 1, K + n + 1) is [[B, A, 0], [0, 0, 1]], Rr (K, K + n + 1) is
+    [R_own | 0 | r_joint] and owner (K,) names the agent of each action row.
+    Agent i's rows of the block matrix M (K, K) are B^i'Z^i B plus R^{ii} in
+    its diagonal block; its rows of the right-hand sides (K, n + 1) are
+    [B^i'Z^i A | B^i'xi^i + r^i].
     """
-    N, n, m = B.shape
-    # Per-slice gemm and (X @ v[..., None])[..., 0] round like the per-agent
-    # products B^i'Z^i B^j and B^i'xi^i.
-    Bt = B.transpose(0, 2, 1)
-    BtZ = Bt @ Z_next
-    blocks = BtZ[:, None] @ B[None]
-    # Every (N + 1)-th of the N * N blocks is a diagonal block (i, i).
-    blocks.reshape(N * N, m, m)[:: N + 1] += R.reshape(N * N, m, m)[:: N + 1]
-    off = (Bt @ xi_next[..., None])[..., 0] + r
-    M = blocks.transpose(0, 2, 1, 3).reshape(N * m, N * m)
-    rhs = np.concatenate([BtZ @ A, off[..., None]], axis=2).reshape(N * m, n + 1)
-    if rows is not None:
-        M, rhs = M[np.ix_(rows, rows)], rhs[rows]
-    return M, rhs
-
-
-def _gains_offsets(sol: Array, N: int, m: int, rows: Array | None) -> tuple[Array, Array]:
-    """Split the (K, n + 1) solution of a stage system into gains P (N, m, n)
-    and offsets alpha (N, m), zero in padded rows."""
-    if rows is not None:
-        full = np.zeros((N * m, sol.shape[1]))
-        full[rows] = sol
-        sol = full
-    sol = sol.reshape(N, m, -1)
-    return sol[..., :-1], sol[..., -1]
+    K, n = len(owner), BA.shape[0] - 1
+    # Agent i's rows of B'[Z^i | xi^i], for every agent at once.
+    G = (BA[:n, :K].T @ W_next)[owner, np.arange(K)]
+    system = G @ BA
+    system += Rr
+    return system
 
 
 def solve_stage_coupled(
-    Z_next: Array,
-    xi_next: Array,
-    A: Array,
-    B: Array,
-    R: Array,
-    r: Array,
-    *,
-    time_step: int = 0,
-    rows: Array | None = None,
+    W_next: Array, BA: Array, Rr: Array, owner: Array, *, time_step: int = 0
 ) -> tuple[Array, Array, float, float]:
     """Solve one stage's coupled linear system for all gains and offsets.
 
-    Arguments are those of :func:`_stage_system`, which assembles M; this
-    solves M [P^1; ...] = [B^1'Z^1 A; ...] and
-    M [alpha^1; ...] = [B^1'xi^1 + r^1; ...] from one LU factorization with
-    both right-hand sides stacked.  If the condition estimate exceeds
+    Arguments are those of :func:`_stage_system`, which assembles
+    [M | rhs]; this solves M [P | alpha] = rhs for both right-hand sides
+    from one LU factorization.  If the condition estimate exceeds
     ``COND_LIMIT`` the diagonal is shifted by lambda I (lambda doubling from
-    REG_INIT up to REG_MAX) before giving up with
-    :class:`StageSingularError`.
+    REG_INIT up to REG_MAX) before giving up with :class:`StageSingularError`.
 
-    Returns the gains P (N, m, n) and offsets alpha (N, m), zero in padded
-    rows, plus (condition, shift used).
+    Returns [P | alpha] (K, n + 1), agent i's gains and offsets in its rows,
+    the unshifted M, the condition and the shift used.
     """
-    M, rhs = _stage_system(Z_next, xi_next, A, B, R, r, rows)
+    K = len(owner)
+    system = _stage_system(W_next, BA, Rr, owner)
+    M = M_solve = system[:, :K]
     cond = _condition(M)
     shift = 0.0
-    M_solve = M
     if not cond <= COND_LIMIT:  # also true for an infinite or NaN condition
         lam = REG_INIT
         while True:
-            M_solve = M + lam * np.eye(M.shape[0])
+            M_solve = M + lam * np.eye(K)
             cond = _condition(M_solve)
             shift = lam
             if cond <= COND_LIMIT:
@@ -291,52 +268,44 @@ def solve_stage_coupled(
             if lam >= REG_MAX:
                 raise StageSingularError(time_step=time_step, condition=cond)
             lam = min(2.0 * lam, REG_MAX)
-    P, alpha = _gains_offsets(np.linalg.solve(M_solve, rhs), B.shape[0], B.shape[2], rows)
-    return P, alpha, cond, shift
+    return np.linalg.solve(M_solve, system[:, K:]), M, cond, shift
 
 
 def backward_value_update(
-    P: Array,
-    alpha: Array,
-    Z_next: Array,
-    xi_next: Array,
-    A: Array,
-    B: Array,
-    R: Array,
-    Q_t: Array,
-    l_t: Array,
-    r_t: Array,
-) -> tuple[Array, Array]:
-    """Propagate every agent's quadratic value coefficients one step back.
+    S: Array, W_next: Array, BA: Array, R: Array, QL_t: Array, r_t: Array
+) -> Array:
+    """Propagate every agent's value W^i = [Z^i | xi^i] one step back.
 
-    Arguments are stacked on a leading agent axis as in
-    :func:`solve_stage_coupled` (P (N, m, n), alpha (N, m), Q_t (N, n, n),
-    l_t (N, n)).  Padded action rows are zero and add nothing.
-    F = A - sum_j B^j P^j and beta = -sum_j B^j alpha^j are the closed-loop
-    drift and offset; then
+    Arguments are one stage of the :class:`LqStageGame` layout: S (K, n + 1)
+    is the [P | alpha] of :func:`solve_stage_coupled`, W_next (N, n, n + 1),
+    BA (n + 1, K + n + 1) = [[B, A, 0], [0, 0, 1]], R (N, K, K),
+    QL_t (N, n, n + 1) = [Q_t | l_t] and r_t (N, K) holds r^i_t in agent i's
+    rows.  The closed loop of the affine state [s; 1] is
+    [[F, beta], [0, 1]] = [[A, 0], [0, 1]] - [[B], [0]] [P | alpha], with F
+    the closed-loop drift and beta its offset; then
 
-        Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t
-        xi^i = F'(xi^i_next + Z^i_next beta) + sum_j P^j'R^{ij}alpha^j
-               + l^i_t - P^i' r^i_t
+        W^i = F'(Z^i_next [F | beta] + [0 | xi^i_next])
+              + P'(R^i [P | alpha] - [0 | r^i_t]) + [Q^i_t | l^i_t],
 
-    with Z symmetrized after the update to control rounding drift.  The sums
-    over j add one agent's term at a time, in order.  The -P'r term carries
-    the own-action linear cost into the value, which makes recentered games
-    (where r = 2 R abar) have their exact expansion point as a fixed point.
+    that is Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t and
+    xi^i = F'(Z^i_next beta + xi^i_next) + sum_j P^j'R^{ij}alpha^j
+    - P^i'r^i_t + l^i_t, with Z symmetrized to control rounding drift.  The
+    -P'r term carries the own-action linear cost into the value, which makes
+    recentered games (where r = 2 R abar) have their exact expansion point as
+    a fixed point.
 
-    Returns Z (N, n, n) and xi (N, n).
+    Returns W (N, n, n + 1).
     """
-    Pt = P.transpose(0, 2, 1)
-    F = A - sum(B @ P)
-    beta = -sum((B @ alpha[..., None])[..., 0])
-    # [i, j] holds P^j'R^{ij}P^j and P^j'R^{ij}alpha^j; sum() over the j axis
-    # adds them to the start value one agent at a time.
-    PtRP = Pt[None] @ (R @ P[None])
-    PtRa = (Pt[None] @ (R @ alpha[None, ..., None]))[..., 0]
-    Z = sum(PtRP.swapaxes(0, 1), F.T @ Z_next @ F + Q_t)
-    xi = sum(PtRa.swapaxes(0, 1), (F.T @ (xi_next + Z_next @ beta)[..., None])[..., 0]) + l_t
-    xi = xi - (Pt @ r_t[..., None])[..., 0]
-    return (Z + Z.transpose(0, 2, 1)) / 2.0, xi
+    K, n = S.shape[0], S.shape[1] - 1
+    F = BA[:, K:] - BA[:, :K] @ S
+    ZF = W_next @ F
+    RS = R @ S
+    RS[..., n] -= r_t
+    W = F[:n, :n].T @ ZF + S[:, :n].T @ RS + QL_t
+    Z = W[..., :n]
+    Z += Z.swapaxes(1, 2)
+    Z *= 0.5
+    return W
 
 
 @dataclass(frozen=True)
@@ -347,57 +316,46 @@ class LqSolution:
 
 
 def _backward_pass(game: LqStageGame, checked: bool):
-    """The backward loop of :func:`solve_lq_ece`: gains and offsets (N, T, m, ...),
-    Z and xi histories, and the stage conditions and shifts.
+    """The backward loop of :func:`solve_lq_ece`: the [P | alpha] (T, K, n + 1)
+    and W (N, T, n, n + 1) histories, the unshifted stage matrices
+    (T-1, K, K), and the stage conditions and shifts.
 
     ``checked`` solves every stage through :func:`solve_stage_coupled`, which
     alone regularizes and raises :class:`StageSingularError`.  Unchecked, each
-    stage is solved as it stands and its matrix kept in a (T-1, K, K) stack;
-    after the loop one stacked singular-value call gives every condition.
-    An unchecked pass returns None when a stage matrix, a gain, an offset or
-    a value coefficient is not finite or a condition is not at most
-    ``COND_LIMIT``, and passes on the ``LinAlgError`` of a failed solve: then
-    the checked pass must decide.
+    stage is solved as it stands; after the loop one stacked singular-value
+    call on the stage matrices gives every condition.  An unchecked pass
+    returns None when a stage matrix, a gain, an offset or a value
+    coefficient is not finite or a condition is not at most ``COND_LIMIT``,
+    and passes on the ``LinAlgError`` of a failed solve: then the checked
+    pass must decide.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
-    B, R, r = game.B, game.R, game.r
-    m = B.shape[-1]
-    rows = action_rows(game.action_dims)
-    gains = np.zeros((N, T, m, n))
-    offsets = np.zeros((N, T, m))
-    Z_hist = np.zeros((N, T, n, n))
-    xi_hist = np.zeros((N, T, n))
-    condition = np.zeros(max(T - 1, 0))
-    regularization = np.zeros(max(T - 1, 0))
-    K = N * m if rows is None else len(rows)
-    stack = None if checked else np.empty((max(T - 1, 0), K, K))
+    BA, R, r, QL, Rr, owner = game.BA, game.R, game.r, game.QL, game.Rr, game.owner
+    K = len(owner)
+    S_hist = np.zeros((T, K, n + 1))
+    W_hist = np.empty((N, T, n, n + 1))
+    stack = np.empty((T - 1, K, K))
+    condition = np.zeros(T - 1)
+    regularization = np.zeros(T - 1)
 
-    Z = Z_hist[:, T - 1] = game.Q[:, T - 1]
-    xi = xi_hist[:, T - 1] = game.l[:, T - 1]
-    offsets[:, T - 1] = np.linalg.solve(game.R_own, r[:, T - 1, :, None])[..., 0]
-
+    W = W_hist[:, T - 1] = QL[:, T - 1]
+    S_hist[T - 1, :, n] = np.linalg.solve(game.R_own, game.r_joint[T - 1])
     for k in range(T - 2, -1, -1):
-        A_k, B_k, r_k = game.A[k], B[:, k], r[:, k]
         if checked:
-            P, alpha, condition[k], regularization[k] = solve_stage_coupled(
-                Z, xi, A_k, B_k, R, r_k, time_step=k + 1, rows=rows
+            S, stack[k], condition[k], regularization[k] = solve_stage_coupled(
+                W, BA[k], Rr[k], owner, time_step=k + 1
             )
         else:
-            M, rhs = _stage_system(Z, xi, A_k, B_k, R, r_k, rows)
-            stack[k] = M
-            P, alpha = _gains_offsets(np.linalg.solve(M, rhs), N, m, rows)
-        gains[:, k] = P
-        offsets[:, k] = alpha
-        Z, xi = backward_value_update(
-            P, alpha, Z, xi, A_k, B_k, R, game.Q[:, k], game.l[:, k], r_k
-        )
-        Z_hist[:, k] = Z
-        xi_hist[:, k] = xi
+            system = _stage_system(W, BA[k], Rr[k], owner)
+            stack[k] = system[:, :K]
+            S = np.linalg.solve(stack[k], system[:, K:])
+        S_hist[k] = S
+        W = W_hist[:, k] = backward_value_update(S, W, BA[k], R, QL[:, k], r[:, k])
 
     if not checked:
         # Only a pass that is finite throughout is kept, so an overflow or NaN
         # the errstate of the caller hid always reruns the pass, which warns.
-        if not all(np.isfinite(x).all() for x in (stack, gains, offsets, Z_hist, xi_hist)):
+        if not all(np.isfinite(x).all() for x in (stack, S_hist, W_hist)):
             return None
         if T > 1:
             # The stacked call runs the per-matrix routine on each stage, so
@@ -406,7 +364,7 @@ def _backward_pass(game: LqStageGame, checked: bool):
             condition = s[:, 0] / s[:, -1]
             if not (condition <= COND_LIMIT).all():
                 return None
-    return gains, offsets, Z_hist, xi_hist, condition, regularization
+    return S_hist, W_hist, stack, condition, regularization
 
 
 def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
@@ -416,7 +374,7 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     xi^i_T = l^i_T.  The terminal-stage policy has zero gain, offset
     (R^{ii})^{-1} r^i_T and covariance gamma^i (R^{ii})^{-1}; interior stages
     solve the coupled stage system followed by :func:`backward_value_update`
-    on the game's agent-stacked data, with
+    on the game's concatenated-action layout, with
     Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.
 
     The backward pass first solves every stage as it stands, keeping the
@@ -434,10 +392,11 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     after the backward loop and checked symmetric positive definite
     (:class:`CovarianceError` names the first failing agent and its first
     failing step).  Temperatures must be positive and finite.  The policies
-    are cut back to each agent's action dim; the values stay agent-stacked,
-    Z (N, T, n, n), xi (N, T, n).
+    are cut to each agent's rows of the joint action; the values are
+    agent-stacked views of one [Z | xi] history, Z (N, T, n, n) and
+    xi (N, T, n).
     """
-    N, T, m = game.num_agents, game.horizon, game.B.shape[-1]
+    N, n = game.num_agents, game.state_dim
     if temperatures is None:
         temperatures = tuple(1.0 for _ in range(N))
     if len(temperatures) != N or not temperatures_valid(temperatures):
@@ -451,20 +410,22 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
         stages = None
     if stages is None:
         stages = _backward_pass(game, checked=True)
-    gains, offsets, Z_hist, xi_hist, condition, regularization = stages
+    S_hist, W_hist, stack, condition, regularization = stages
 
-    # Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}, all agents and stages
-    # at once; the padded diagonal of R_own keeps each block invertible.
-    B = game.B
-    M = np.broadcast_to(game.R_own[:, None], (N, T, m, m)).copy()
-    M[:, :-1] += B.swapaxes(2, 3) @ Z_hist[:, 1:] @ B
-    M = (M + M.swapaxes(2, 3)) / 2.0
-    gamma = np.asarray(temperatures, dtype=float)[:, None, None, None]
-    covs = cholesky_checked(gamma * np.linalg.inv(M))[0]
+    # R^{ii} + B^i'Z^i_{t+1}B^i is agent i's diagonal block of the unshifted
+    # stage matrix (R^{ii} at t = T); inverting the block-diagonal part of
+    # the stack inverts every agent's block at once.
+    owner = game.owner
+    M = np.concatenate([stack, game.R_own[None]]) * (owner[:, None] == owner)
+    M = (M + M.swapaxes(1, 2)) / 2.0
+    covs = np.asarray(temperatures, dtype=float)[owner, None] * np.linalg.inv(M)
 
+    slices = game.slices
     policies = AffineGaussianPolicySet.identity_nominal(
-        game.per_agent(gains), game.per_agent(offsets), game.per_agent(covs, square=True)
+        [S_hist[:, s, :n] for s in slices],
+        [S_hist[:, s, n] for s in slices],
+        [cholesky_checked(covs[:, s, s], i)[0] for i, s in enumerate(slices)],
     )
-    values = ValueRecursion(Z=Z_hist, xi=xi_hist)
+    values = ValueRecursion(Z=W_hist[..., :n], xi=W_hist[..., n])
     report = StageSolveReport(condition=condition, regularization=regularization)
     return LqSolution(policies=policies, values=values, report=report)

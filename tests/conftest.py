@@ -57,6 +57,20 @@ def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon, r=None) -> LqStageGame:
     )
 
 
+def stage_args(Z, xi, A, B, R_own, r, owner):
+    """One stage in the ``LqStageGame`` layout, as the stage helpers take it:
+    W_next = [Z | xi] from Z (N, n, n) and xi (N, n); BA = [[B, A, 0], [0, 0, 1]]
+    from A (n, n) and the concatenated B (n, K); Rr = [R_own | 0 | r] from
+    R_own (K, K) and r (K,); and owner (K,)."""
+    (n, K), xi = np.shape(B), np.asarray(xi, dtype=float)
+    W = np.concatenate([np.asarray(Z, dtype=float), xi[..., None]], axis=2)
+    BA = np.zeros((n + 1, K + n + 1))
+    BA[:n, :K], BA[:n, K:-1], BA[n, -1] = B, A, 1.0
+    Rr = np.zeros((K, K + n + 1))
+    Rr[:, :K], Rr[:, -1] = R_own, r
+    return W, BA, Rr, np.asarray(owner)
+
+
 def game_spec_from_data(A, Bs, Qs, ls, Rs, horizon, s1=None, rng=None) -> GameSpec:
     n = A.shape[0]
     if s1 is None:

@@ -300,7 +300,7 @@ def absolute_offsets_per_step(policies):
     return out
 
 
-# -- per-agent reference for the agent-stacked LQ stage recursion ------------
+# -- per-agent reference for the concatenated-action LQ stage recursion -----
 
 
 def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r, *, time_step=0):
@@ -375,16 +375,16 @@ def backward_value_update_per_agent(P, alpha, Z_next, xi_next, A, B, R, Q_t, l_t
 def solve_lq_ece_per_agent(game, temperatures=None):
     """``lq.solve_lq_ece`` with per-agent lists through the backward loop.
 
-    Reads the game's agent-stacked data back as per-agent blocks cut to their
-    action dims.  Returns a dict of per-agent gains, offsets, covariances
-    (symmetrised), Z and xi stacks plus the per-stage condition and
-    regularization arrays.
+    Reads the game's concatenated-action data back as per-agent blocks, each
+    agent's action rows cut out by ``game.slices``.  Returns a dict of
+    per-agent gains, offsets, covariances (symmetrised), Z and xi stacks plus
+    the per-stage condition and regularization arrays.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
-    m_dims = game.action_dims
-    Bs = [game.B[j][..., : m_dims[j]] for j in range(N)]
-    Rs = [[game.R[i][j][: m_dims[j], : m_dims[j]] for j in range(N)] for i in range(N)]
-    rs = [game.r[i][:, : m_dims[i]] for i in range(N)]
+    m_dims, s = game.action_dims, game.slices
+    Bs = [game.B[..., s[j]] for j in range(N)]
+    Rs = [[game.R[i][s[j], s[j]] for j in range(N)] for i in range(N)]
+    rs = [game.r[i][:, s[i]] for i in range(N)]
     if temperatures is None:
         temperatures = (1.0,) * N
     gains = [np.zeros((T, m, n)) for m in m_dims]

@@ -342,34 +342,45 @@ def input_files(tmp_path_factory, lq_config):
             "huge_cell_demos": str(huge_cell_demos), "out": str(root / "out")}
 
 
-# (command with {placeholders} for input_files and {lq}, expected exit code)
+# (command with {placeholders} for input_files and {lq}, expected exit code).
+# The ids are explicit, so removing or editing an entry renames no other test.
 INPUT_ERRORS = [
-    (["validate", "--config", "{missing}", "--trajectories", "{demos}"], 2),
-    (["validate", "--config", "{dir}", "--trajectories", "{demos}"], 2),
-    (["gen-demos", "--config", "{bad_config}", "--trials", "1", "--out", "{out}"], 2),
-    (["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "-0.1",
-      "--out-weights", "{out}"], 2),
-    (["learn", "--config", "{lq}", "--demos", "{missing}", "--out-weights", "{out}"], 1),
-    (["validate", "--config", "{lq}", "--trajectories", "{missing}"], 1),
-    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{missing}",
-      "--trials", "1", "--out", "{out}"], 1),
-    (["learn", "--config", "{nan_config}", "--demos", "{demos}", "--out-weights", "{out}"], 2),
-    (["gen-demos", "--config", "{string_config}", "--trials", "1", "--out", "{out}"], 2),
-    (["eval", "--config", "{lq}", "--demos", "{long_demos}", "--trials", "1",
-      "--out", "{out}"], 1),
-    (["eval", "--config", "{lq}", "--demos", "{short_demos}", "--trials", "1",
-      "--out", "{out}"], 1),
-    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{list_weights}",
-      "--trials", "1", "--out", "{out}"], 1),
-    (["validate", "--config", "{lq}", "--trajectories", "{not_utf8_demos}"], 1),
-    (["solve", "--config", "{short_gain_config}", "--out-policy", "{out}"], 2),
-    (["validate", "--config", "{lq}", "--trajectories", "{huge_cell_demos}"], 1),
-    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{null_weights}",
-      "--trials", "1", "--out", "{out}"], 1),
-    (["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{string_weights}",
-      "--trials", "1", "--out", "{out}"], 1),
-    (["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "nan",
-      "--out-weights", "{out}"], 2),
+    pytest.param(["validate", "--config", "{missing}", "--trajectories", "{demos}"], 2,
+                 id="command0-2"),
+    pytest.param(["validate", "--config", "{dir}", "--trajectories", "{demos}"], 2,
+                 id="command1-2"),
+    pytest.param(["gen-demos", "--config", "{bad_config}", "--trials", "1", "--out", "{out}"], 2,
+                 id="command2-2"),
+    pytest.param(["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "-0.1",
+                  "--out-weights", "{out}"], 2, id="command3-2"),
+    pytest.param(["learn", "--config", "{lq}", "--demos", "{missing}", "--out-weights", "{out}"], 1,
+                 id="command4-1"),
+    pytest.param(["validate", "--config", "{lq}", "--trajectories", "{missing}"], 1,
+                 id="command5-1"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{missing}",
+                  "--trials", "1", "--out", "{out}"], 1, id="command6-1"),
+    pytest.param(["learn", "--config", "{nan_config}", "--demos", "{demos}",
+                  "--out-weights", "{out}"], 2, id="command7-2"),
+    pytest.param(["gen-demos", "--config", "{string_config}", "--trials", "1", "--out", "{out}"], 2,
+                 id="command8-2"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{long_demos}", "--trials", "1",
+                  "--out", "{out}"], 1, id="command9-1"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{short_demos}", "--trials", "1",
+                  "--out", "{out}"], 1, id="command10-1"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{list_weights}",
+                  "--trials", "1", "--out", "{out}"], 1, id="command11-1"),
+    pytest.param(["validate", "--config", "{lq}", "--trajectories", "{not_utf8_demos}"], 1,
+                 id="command12-1"),
+    pytest.param(["solve", "--config", "{short_gain_config}", "--out-policy", "{out}"], 2,
+                 id="command13-2"),
+    pytest.param(["validate", "--config", "{lq}", "--trajectories", "{huge_cell_demos}"], 1,
+                 id="command14-1"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{null_weights}",
+                  "--trials", "1", "--out", "{out}"], 1, id="command15-1"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{string_weights}",
+                  "--trials", "1", "--out", "{out}"], 1, id="command16-1"),
+    pytest.param(["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "nan",
+                  "--out-weights", "{out}"], 2, id="command17-2"),
 ]
 
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecegames import StageSingularError, solve_lq_ece
-from ecegames.lq import LqStageGame, action_rows, backward_value_update, solve_stage_coupled
+from ecegames.lq import LqStageGame, backward_value_update, solve_stage_coupled
 
-from conftest import random_lq_data, stage_game_from_data
+from conftest import random_lq_data, stage_args, stage_game_from_data
 from oracles import deterministic_nash_lq, textbook_lqr
 
 
@@ -24,97 +24,78 @@ def scalar_stage_game(horizon=2, a=1.0, b=1.0, q=1.0, l=0.0, r=1.0):
 
 
 class TestStageSolve:
-    """Hand-solved stages; inputs are agent-stacked as ``LqStageGame`` stacks them."""
+    """Hand-solved stages, in the layout of ``LqStageGame``: the actions of
+    all agents concatenated, each agent's value one [Z | xi] array."""
 
     def test_single_agent_scalar_hand_solve(self):
-        P, alpha, cond, reg = solve_stage_coupled(
-            np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.ones((1, 1, 1)),
-            np.ones((1, 1, 1, 1)), np.zeros((1, 1)),
+        S, M, cond, reg = solve_stage_coupled(
+            *stage_args(np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.ones((1, 1)),
+                        np.eye(1), np.zeros(1), [0])
         )
-        assert P[0][0, 0] == pytest.approx(0.5)
-        assert alpha[0][0] == pytest.approx(0.0)
-        assert reg == 0.0
+        assert S[0, 0] == pytest.approx(0.5)
+        assert S[0, 1] == pytest.approx(0.0)
+        assert M.tolist() == [[2.0]] and reg == 0.0
 
     def test_two_agent_scalar_hand_solve(self):
         # Block system [[2, 1], [1, 2]] [P1; P2] = [1; 1].
-        R = np.eye(2).reshape(2, 2, 1, 1)
-        P, alpha, _, _ = solve_stage_coupled(
-            np.ones((2, 1, 1)), np.zeros((2, 1)), np.eye(1), np.ones((2, 1, 1)), R,
-            np.zeros((2, 1)),
+        S, _, _, _ = solve_stage_coupled(
+            *stage_args(np.ones((2, 1, 1)), np.zeros((2, 1)), np.eye(1), np.ones((1, 2)),
+                        np.eye(2), np.zeros(2), [0, 1])
         )
-        assert P[0][0, 0] == pytest.approx(1.0 / 3.0)
-        assert P[1][0, 0] == pytest.approx(1.0 / 3.0)
+        assert S[0, 0] == pytest.approx(1.0 / 3.0)
+        assert S[1, 0] == pytest.approx(1.0 / 3.0)
 
     def test_zero_value_and_offset_rhs_gives_zero_policy(self):
-        # Action dims (2, 1): agent 1's block is padded to 2 and its pad dropped.
-        R = np.zeros((2, 2, 2, 2))
-        R[0, 0] = np.eye(2)
-        R[1, 1, 0, 0] = 1.0
-        B = np.ones((2, 3, 2))
-        B[1, :, 1] = 0.0
-        P, alpha, _, _ = solve_stage_coupled(
-            np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3), B, R, np.zeros((2, 2)),
-            rows=action_rows((2, 1)),
+        # Action dims (2, 1): three joint action rows, two of them agent 0's.
+        S, _, _, _ = solve_stage_coupled(
+            *stage_args(np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3), np.ones((3, 3)),
+                        np.eye(3), np.zeros(3), [0, 0, 1])
         )
-        assert P.shape == (2, 2, 3) and alpha.shape == (2, 2)
-        assert np.all(P == 0.0) and np.all(alpha == 0.0)
+        assert S.shape == (3, 4)
+        assert np.all(S == 0.0)
 
     def test_singular_stage_raises_with_time_index(self):
         # Spread of singular values too wide for the capped diagonal shift.
         Z = np.diag([1e14, 0.0])[None]
         with pytest.raises(StageSingularError) as err:
             solve_stage_coupled(
-                Z, np.zeros((1, 2)), np.eye(2), np.eye(2)[None], np.zeros((1, 1, 2, 2)),
-                np.zeros((1, 2)), time_step=7,
+                *stage_args(Z, np.zeros((1, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)),
+                            np.zeros(2), [0, 0]),
+                time_step=7,
             )
         assert err.value.time_step == 7
 
     def test_regularization_path_reports_shift(self):
         # Rank-deficient block matrix that a small diagonal shift repairs.
-        P, alpha, cond, reg = solve_stage_coupled(
-            np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.zeros((1, 1, 2)),
-            np.ones((1, 1, 2, 2)), np.zeros((1, 2)),
+        S, M, cond, reg = solve_stage_coupled(
+            *stage_args(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.zeros((1, 2)),
+                        np.ones((2, 2)), np.zeros(2), [0, 0])
         )
-        assert reg > 0.0
+        assert reg > 0.0 and M.tolist() == [[1.0, 1.0], [1.0, 1.0]]
         assert np.isfinite(cond) and cond <= 1e12
 
 
 class TestBackwardUpdate:
-    """Hand-checked value updates on agent-stacked inputs."""
+    """Hand-checked value updates in the layout of ``LqStageGame``."""
 
     def test_scalar_hand_update(self):
-        Z, xi = backward_value_update(
-            np.full((1, 1, 1), 0.5),
-            np.zeros((1, 1)),
-            np.ones((1, 1, 1)),
-            np.zeros((1, 1)),
-            np.eye(1),
-            np.ones((1, 1, 1)),
-            np.ones((1, 1, 1, 1)),
-            np.ones((1, 1, 1)),
-            np.zeros((1, 1)),
+        W, BA, _, _ = stage_args(np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1),
+                                 np.ones((1, 1)), np.eye(1), np.zeros(1), [0])
+        W = backward_value_update(
+            np.array([[0.5, 0.0]]), W, BA, np.ones((1, 1, 1)), np.array([[[1.0, 0.0]]]),
             np.zeros((1, 1)),
         )
-        assert Z[0][0, 0] == pytest.approx(1.5)
-        assert xi[0][0] == pytest.approx(0.0)
+        assert W[0, 0, 0] == pytest.approx(1.5)
+        assert W[0, 0, 1] == pytest.approx(0.0)
 
     def test_zero_cost_agent_stays_zero(self):
-        # Action dims (2, 1): agent 1's padded column of B is zero.
-        B = np.ones((2, 1, 2))
-        B[1, :, 1] = 0.0
-        Z, xi = backward_value_update(
-            np.zeros((2, 2, 1)),
-            np.zeros((2, 2)),
-            np.zeros((2, 1, 1)),
-            np.zeros((2, 1)),
-            np.eye(1),
-            B,
-            np.zeros((2, 2, 2, 2)),
-            np.zeros((2, 1, 1)),
-            np.zeros((2, 1)),
-            np.zeros((2, 2)),
+        # Action dims (2, 1): three joint action rows.
+        W, BA, _, _ = stage_args(np.zeros((2, 1, 1)), np.zeros((2, 1)), np.eye(1),
+                                 np.ones((1, 3)), np.eye(3), np.zeros(3), [0, 0, 1])
+        W = backward_value_update(
+            np.zeros((3, 2)), W, BA, np.zeros((2, 3, 3)), np.zeros((2, 1, 2)), np.zeros((2, 3))
         )
-        assert np.all(Z[0] == 0.0) and np.all(xi[0] == 0.0)
+        assert np.all(W[0] == 0.0)
 
     def test_uncontrolled_lyapunov_step(self):
         rng = np.random.default_rng(3)
@@ -122,19 +103,11 @@ class TestBackwardUpdate:
         Zn = rng.normal(size=(3, 3))
         Zn = Zn + Zn.T
         Q = np.eye(3) * 0.4
-        Z, xi = backward_value_update(
-            np.zeros((1, 2, 3)),
-            np.zeros((1, 2)),
-            Zn[None],
-            np.zeros((1, 3)),
-            A,
-            np.zeros((1, 3, 2)),
-            np.eye(2)[None, None],
-            Q[None],
-            np.zeros((1, 3)),
-            np.zeros((1, 2)),
-        )
-        assert np.allclose(Z[0], A.T @ Zn @ A + Q)
+        W, BA, _, _ = stage_args(Zn[None], np.zeros((1, 3)), A, np.zeros((3, 2)), np.eye(2),
+                                 np.zeros(2), [0, 0])
+        QL = np.concatenate([Q, np.zeros((3, 1))], axis=1)[None]
+        W = backward_value_update(np.zeros((2, 4)), W, BA, np.eye(2)[None], QL, np.zeros((1, 2)))
+        assert np.allclose(W[0, :, :3], A.T @ Zn @ A + Q)
 
 
 class TestSolveLqEce:
@@ -274,14 +247,21 @@ def stage_game_kwargs(T=3, n=2, dims=(2, 1)):
 
 class TestStageGameValidation:
     def test_valid_data_constructs(self):
-        game = LqStageGame(**stage_game_kwargs())
+        kwargs = stage_game_kwargs()
+        kwargs["r"] = (np.ones((3, 2)), np.full((3, 1), 2.0))
+        game = LqStageGame(**kwargs)
         assert (game.num_agents, game.horizon, game.state_dim) == (2, 3, 2)
-        assert game.action_dims == (2, 1)
-        assert game.B.shape == (2, 2, 2, 2) and np.all(game.B[1, ..., 1] == 0.0)
-        assert game.R.shape == (2, 2, 2, 2) and game.r.shape == (2, 3, 2)
-        assert game.R[1, 0, 1, 1] == 0.5 and game.R[1, 1].tolist() == [[1.0, 0.0], [0.0, 0.0]]
-        assert game.R_own[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert [X.shape for X in game.per_agent(game.r)] == [(3, 2), (3, 1)]
+        assert game.action_dims == (2, 1) and game.owner.tolist() == [0, 0, 1]
+        assert game.slices == (slice(0, 2), slice(2, 3))
+        assert game.BA.shape == (2, 3, 6) and game.BA[:, 2].tolist() == [[0.0] * 5 + [1.0]] * 2
+        assert game.B.shape == (2, 2, 3) and np.all(game.B == 1.0)
+        assert np.all(game.A == np.eye(2)) and np.all(game.BA[:, :2, -1] == 0.0)
+        assert game.QL.shape == (2, 3, 2, 3) and np.all(game.Q == np.eye(2))
+        assert game.l.shape == (2, 3, 2)
+        assert game.R.shape == (2, 3, 3) and np.all(game.R[1] == np.diag([0.5, 0.5, 1.0]))
+        assert np.all(game.R_own == np.eye(3))
+        assert game.r[1].tolist() == [[0.0, 0.0, 2.0]] * 3
+        assert game.r_joint.tolist() == [[1.0, 1.0, 2.0]] * 3
 
     @pytest.mark.parametrize(
         "field, value, message",
