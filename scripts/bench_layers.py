@@ -2,10 +2,13 @@
 
     python3 scripts/bench_layers.py [--parent REV]
 
-For every config in ``configs/`` it solves the game under its true weights
-and times, per call:
+For every config in ``configs/``, and for ``lq_tracking`` with unicycle
+dynamics (``lq_tracking_unicycle``, so that both paths of ``simulate_mean``
+are timed), it solves the game under its true weights and times, per call:
 
-- ``solve_lq_ece`` on the stage game around the converged nominal;
+- ``stage_game_around`` the converged nominal (linearize, quadratize and
+  the ``LqStageGame`` layout);
+- ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
 - ``rollout_batch`` of 200 trials from seed 0;
 - a cold ``solve_ece``.
@@ -47,7 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 200
 BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
-LAYERS = ("solve_lq_ece", "simulate_mean", f"rollout_batch({TRIALS})", "solve_ece")
+LAYERS = (
+    "stage_game_around", "solve_lq_ece", "simulate_mean", f"rollout_batch({TRIALS})", "solve_ece"
+)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -78,14 +83,24 @@ def load(tree: Path, name: str):
     return module
 
 
-def layer_calls(pkg, config: Path) -> tuple:
-    """One no-argument call per layer on ``config``, made with package ``pkg``."""
-    scenario = importlib.import_module(f"{pkg.__name__}.config").load_scenario(config)
+def scenario_docs() -> dict[str, dict]:
+    """Every timed config by name: those of ``configs/`` and the unicycle
+    variant of ``lq_tracking``."""
+    docs = {c.stem: json.loads(c.read_text()) for c in sorted((ROOT / "configs").glob("*.json"))}
+    docs["lq_tracking_unicycle"] = {**docs["lq_tracking"], "dynamics": {"kind": "unicycle"}}
+    return docs
+
+
+def layer_calls(pkg, doc: dict) -> tuple:
+    """One no-argument call per layer on config ``doc``, made with package ``pkg``."""
+    scenario = importlib.import_module(f"{pkg.__name__}.config").parse_scenario(doc)
     game = scenario.make_game(scenario.true_weights())
     solver = scenario.solver_config
     policies = pkg.solve_ece(game, config=solver).policies
-    stage = pkg.ilq.stage_game_around(game, pkg.simulate_mean(game, policies))
+    nominal = pkg.simulate_mean(game, policies)
+    stage = pkg.ilq.stage_game_around(game, nominal)
     return (
+        lambda: pkg.ilq.stage_game_around(game, nominal),
         lambda: pkg.solve_lq_ece(stage, game.temperatures),
         lambda: pkg.simulate_mean(game, policies),
         lambda: pkg.rollout_batch(game, policies, TRIALS, 0),
@@ -110,7 +125,7 @@ def turns(calls: list, budget: float) -> list[list[float]]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    configs = sorted((ROOT / "configs").glob("*.json"))
+    docs = scenario_docs()
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as tmp:
         trees = {"change": ROOT}
         if args.parent:
@@ -119,17 +134,17 @@ def main(argv=None) -> int:
         calls = {}
         for side, tree in trees.items():
             pkg = load(tree, f"ecegames_{side}")
-            calls[side] = {c.stem: layer_calls(pkg, c) for c in configs}
+            calls[side] = {name: layer_calls(pkg, doc) for name, doc in docs.items()}
         # times[config][layer][side]: every call's wall time, turn by turn.
-        times = {c.stem: {layer: {side: [] for side in trees} for layer in LAYERS}
-                 for c in configs}
+        times = {name: {layer: {side: [] for side in trees} for layer in LAYERS}
+                 for name in docs}
         for i in range(ROUNDS):
-            for c in configs:
+            for name in docs:
                 for k, layer in enumerate(LAYERS):
                     order = list(trees)[:: 1 if (i + k) % 2 == 0 else -1]
-                    for turn in turns([calls[side][c.stem][k] for side in order], BUDGET):
+                    for turn in turns([calls[side][name][k] for side in order], BUDGET):
                         for side, t in zip(order, turn):
-                            times[c.stem][layer][side].append(t)
+                            times[name][layer][side].append(t)
             print(f"round {i} done", file=sys.stderr, flush=True)
     sides = list(trees)
     print(f"least time per call, {BUDGET:g} s per layer x {ROUNDS} rounds"

@@ -11,7 +11,7 @@ t = 1..T-1 of a horizon-T game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,12 +35,19 @@ class DynamicsModel:
     custom one too) broadcasts over a leading time axis: for ``t`` an int
     array of K steps, ``s`` (K, n) and ``actions[j]`` (K, m_j) it returns A
     (K, n, n) and B_j (K, n, m_j), row k equal to the one-row call.
+
+    ``linear_maps`` is (A (n, n), B (n, K)), B = [B_1 ... B_N] on the
+    concatenated actions (K = sum m_j), for a model built by :func:`linear`
+    and None for every other model.  Only :func:`linear` sets it; it is not a
+    constructor argument.  :func:`~ecegames.simulate.simulate_mean` rolls a
+    model that has it out through the closed loop of the feedback.
     """
 
     state_dim: int
     action_dims: tuple[int, ...]
     step: StepFn
     jacobians: JacobianFn
+    linear_maps: tuple[Array, Array] | None = field(default=None, init=False, repr=False)
 
     @property
     def num_agents(self) -> int:
@@ -69,7 +76,10 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
         reps = s.shape[:-1] + (1, 1)
         return np.tile(A, reps), [np.tile(B, reps) for B in Bs]
 
-    return DynamicsModel(n, action_dims, step, jacobians)
+    model = DynamicsModel(n, action_dims, step, jacobians)
+    B_joint = np.concatenate([np.empty((n, 0)), *Bs], axis=1)
+    object.__setattr__(model, "linear_maps", (A, B_joint))
+    return model
 
 
 def double_integrator(num_agents: int, dt: float) -> DynamicsModel:

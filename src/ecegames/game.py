@@ -49,14 +49,13 @@ def temperatures_valid(temperatures: Iterable[float]) -> bool:
     return all(0.0 < g < np.inf for g in temperatures)
 
 
-def cholesky_checked(S: Array, agent: int | None = None) -> tuple[Array, Array]:
-    """Symmetrise a covariance stack and Cholesky-factorise it.
+def cholesky_checked(S: Array, agent: int) -> tuple[Array, Array]:
+    """Symmetrise agent ``agent``'s (T, m, m) covariance stack and
+    Cholesky-factorise it.
 
-    ``S`` is agent ``agent``'s (T, m, m) stack or, with ``agent=None``, an
-    agent-stacked (N, T, m, m) one.  Returns the symmetrised stack and its
-    lower factors.  Raises :class:`CovarianceError` naming the agent (the
-    first failing one when stacked) and its first 1-based time step whose
-    matrix is not positive definite or whose factor is not finite
+    Returns the symmetrised stack and its lower factors.  Raises
+    :class:`CovarianceError` naming the agent and its first 1-based time
+    step whose matrix is not positive definite or whose factor is not finite
     (``np.linalg.cholesky`` returns NaN factors for NaN input without raising).
     """
     sym = (S + np.swapaxes(S, -1, -2)) / 2.0
@@ -66,16 +65,15 @@ def cholesky_checked(S: Array, agent: int | None = None) -> tuple[Array, Array]:
             return sym, L
     except np.linalg.LinAlgError:
         pass
-    for index in np.ndindex(sym.shape[:-2]):
+    for k, M in enumerate(sym):
         try:
-            ok = np.isfinite(np.linalg.cholesky(sym[index])).all()
+            ok = np.isfinite(np.linalg.cholesky(M)).all()
         except np.linalg.LinAlgError:
             ok = False
         if not ok:
-            i, k = (agent, *index) if agent is not None else index
             raise CovarianceError(
-                f"policy covariance not positive definite for agent {i} at t={k + 1}",
-                agent=i,
+                f"policy covariance not positive definite for agent {agent} at t={k + 1}",
+                agent=agent,
                 time_step=k + 1,
             )
     raise np.linalg.LinAlgError("stacked Cholesky factorisation failed on no single step")

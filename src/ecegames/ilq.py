@@ -13,7 +13,10 @@ successive mean trajectories agree:
 The converged policies are returned re-anchored on the converged nominal
 with zero offsets (the feedforward is absorbed into the nominal actions), so
 a mean rollout of the returned policy set reproduces the converged
-trajectory exactly.  Covariances come from the final stage solves.
+trajectory: exactly for nonlinear dynamics, and to rounding for linear
+ones, whose mean rollouts run the closed loop of the feedback
+(:func:`~ecegames.simulate.simulate_mean`).  Covariances come from the final
+stage solves.
 """
 
 from __future__ import annotations

@@ -48,19 +48,27 @@ covariances come from the diagonal blocks of the stage matrices.
 Conditioning: a stage whose block matrix has a 2-norm condition number above
 ``COND_LIMIT`` is solved with its diagonal shifted by lambda I, lambda
 doubling from ``REG_INIT`` up to ``REG_MAX``.  The backward pass first
-solves each stage as it stands, stacking the stage matrices, and takes all
-conditions from one stacked singular-value call after the loop; only when a
-stage fails (a condition over the limit or not finite, a non-finite matrix,
-a failed solve) or an output is not finite does the pass rerun from the
-terminal stage through the per-stage ladder of :func:`solve_stage_coupled`.
-Both passes give the same results, conditions included.  A solve that needs
-the ladder thus pays for both passes; no solve in the benchmark workloads
-does (their largest stage condition is below 3).
+solves each stage as it stands, stacking the stage matrices, and screens
+them after the loop with one stacked call for the bound
+||M||_F ||M^-1||_F >= cond_2(M) (inf for a singular stage), which costs an
+inverse instead of a singular-value decomposition.  When every bound is at
+most ``COND_LIMIT / 2`` no stage needs a shift; otherwise one stacked
+singular-value call gives the exact conditions and they decide, so every
+decision is the one the exact conditions give.  Only when a stage fails (a condition over the limit or not
+finite, a non-finite matrix, a failed solve) or an output is not finite does
+the pass rerun from the terminal stage through the per-stage ladder of
+:func:`solve_stage_coupled`.  Both passes give the same results.  A solve
+that needs the ladder thus pays for both passes; no solve in the benchmark
+workloads does (their largest stage condition is below 3).  The report's
+stage conditions are computed from the kept stage matrices (shifted where
+the ladder shifted them) the first time they are read, so a solve whose
+conditions nobody reads takes no singular values at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -199,24 +207,45 @@ class ValueRecursion:
     xi: Array
 
 
-@dataclass(frozen=True)
-class StageSolveReport:
-    """Per-stage conditioning diagnostics for t = 1..T-1.
-
-    ``condition[k]`` estimates the condition number of the coupled block
-    matrix at t = k+1; ``regularization[k]`` is the diagonal shift that was
-    required (0 when the plain system solved).
-    """
-
-    condition: Array
-    regularization: Array
-
-
 def _condition(M: Array) -> float:
     """2-norm condition number of M, as ``np.linalg.cond`` gives it (inf when
     M is singular), from one singular-value call."""
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[0] / s[-1]) if s[-1] != 0.0 else np.inf
+
+
+def _stacked_condition(stack: Array) -> Array:
+    """:func:`_condition` of every matrix of a (T-1, K, K) stack from one
+    stacked singular-value call, which runs the per-matrix routine on each,
+    so every ratio equals the per-matrix one (inf and NaN, with a warning,
+    for a singular matrix)."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s[:, 0] / s[:, -1]
+
+
+@dataclass(frozen=True)
+class StageSolveReport:
+    """Per-stage conditioning diagnostics for t = 1..T-1.
+
+    ``regularization[k]`` is the diagonal shift that the coupled block
+    matrix at t = k+1 required (0 when the plain system solved) and
+    ``stage_matrices[k]`` that matrix unshifted.  ``condition[k]`` is the
+    2-norm condition number of the matrix that was solved, shift included.
+    It is computed the first time it is read, from the stack by
+    :func:`_stacked_condition`, so a solve whose conditions nobody reads
+    makes no singular-value call; the values equal those the per-stage
+    :func:`solve_stage_coupled` gives.
+    """
+
+    regularization: Array
+    stage_matrices: Array = field(repr=False)
+
+    @cached_property
+    def condition(self) -> Array:
+        M = self.stage_matrices.copy()
+        for k in np.flatnonzero(self.regularization):
+            M[k] += self.regularization[k] * np.eye(M.shape[-1])
+        return _stacked_condition(M)
 
 
 def _stage_system(W_next: Array, BA: Array, Rr: Array, owner: Array) -> Array:
@@ -318,16 +347,15 @@ class LqSolution:
 def _backward_pass(game: LqStageGame, checked: bool):
     """The backward loop of :func:`solve_lq_ece`: the [P | alpha] (T, K, n + 1)
     and W (N, T, n, n + 1) histories, the unshifted stage matrices
-    (T-1, K, K), and the stage conditions and shifts.
+    (T-1, K, K), and the stage shifts.
 
     ``checked`` solves every stage through :func:`solve_stage_coupled`, which
     alone regularizes and raises :class:`StageSingularError`.  Unchecked, each
-    stage is solved as it stands; after the loop one stacked singular-value
-    call on the stage matrices gives every condition.  An unchecked pass
-    returns None when a stage matrix, a gain, an offset or a value
-    coefficient is not finite or a condition is not at most ``COND_LIMIT``,
-    and passes on the ``LinAlgError`` of a failed solve: then the checked
-    pass must decide.
+    stage is solved as it stands and the stage matrices are screened after
+    the loop.  An unchecked pass returns None when a stage matrix, a gain, an
+    offset or a value coefficient is not finite or a condition is not at
+    most ``COND_LIMIT``, and passes on the ``LinAlgError`` of a failed solve:
+    then the checked pass must decide.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
     BA, R, r, QL, Rr, owner = game.BA, game.R, game.r, game.QL, game.Rr, game.owner
@@ -335,14 +363,13 @@ def _backward_pass(game: LqStageGame, checked: bool):
     S_hist = np.zeros((T, K, n + 1))
     W_hist = np.empty((N, T, n, n + 1))
     stack = np.empty((T - 1, K, K))
-    condition = np.zeros(T - 1)
     regularization = np.zeros(T - 1)
 
     W = W_hist[:, T - 1] = QL[:, T - 1]
     S_hist[T - 1, :, n] = np.linalg.solve(game.R_own, game.r_joint[T - 1])
     for k in range(T - 2, -1, -1):
         if checked:
-            S, stack[k], condition[k], regularization[k] = solve_stage_coupled(
+            S, stack[k], _, regularization[k] = solve_stage_coupled(
                 W, BA[k], Rr[k], owner, time_step=k + 1
             )
         else:
@@ -357,14 +384,13 @@ def _backward_pass(game: LqStageGame, checked: bool):
         # the errstate of the caller hid always reruns the pass, which warns.
         if not all(np.isfinite(x).all() for x in (stack, S_hist, W_hist)):
             return None
-        if T > 1:
-            # The stacked call runs the per-matrix routine on each stage, so
-            # every ratio equals _condition of that stage.
-            s = np.linalg.svd(stack, compute_uv=False)
-            condition = s[:, 0] / s[:, -1]
-            if not (condition <= COND_LIMIT).all():
+        # ||M||_F ||M^-1||_F >= cond_2(M) (inf when M is singular) costs an
+        # inverse, not an SVD.  Within half the limit every stage passes;
+        # otherwise the exact conditions decide, as the ladder's would.
+        if T > 1 and not (np.linalg.cond(stack, "fro") <= COND_LIMIT / 2).all():
+            if not (_stacked_condition(stack) <= COND_LIMIT).all():
                 return None
-    return S_hist, W_hist, stack, condition, regularization
+    return S_hist, W_hist, stack, regularization
 
 
 def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
@@ -378,15 +404,15 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.
 
     The backward pass first solves every stage as it stands, keeping the
-    stage matrices in one stack, and takes all stage conditions from one
-    stacked singular-value call after the loop.  If any stage matrix is not
-    finite, any solve fails, any condition exceeds ``COND_LIMIT`` or any
-    gain, offset or value coefficient is not finite, that pass is discarded
-    and the pass reruns from the terminal stage through
-    :func:`solve_stage_coupled`, whose regularization ladder shifts the
-    ill-conditioned stages or raises :class:`StageSingularError` naming the
-    first hopeless one.  Either way the results, conditions included, are
-    those of the per-stage ladder.
+    stage matrices in one stack, and screens their conditions after the loop
+    (module docstring).  If any stage matrix is not finite, any solve fails,
+    any condition exceeds ``COND_LIMIT`` or any gain, offset or value
+    coefficient is not finite, that pass is discarded and the pass reruns
+    from the terminal stage through :func:`solve_stage_coupled`, whose
+    regularization ladder shifts the ill-conditioned stages or raises
+    :class:`StageSingularError` naming the first hopeless one.  Either way
+    the results, and the conditions the report computes when they are read,
+    are those of the per-stage ladder.
 
     The covariances of all agents and stages are formed in one stacked pass
     after the backward loop and checked symmetric positive definite
@@ -410,7 +436,7 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
         stages = None
     if stages is None:
         stages = _backward_pass(game, checked=True)
-    S_hist, W_hist, stack, condition, regularization = stages
+    S_hist, W_hist, stack, regularization = stages
 
     # R^{ii} + B^i'Z^i_{t+1}B^i is agent i's diagonal block of the unshifted
     # stage matrix (R^{ii} at t = T); inverting the block-diagonal part of
@@ -427,5 +453,5 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
         [cholesky_checked(covs[:, s, s], i)[0] for i, s in enumerate(slices)],
     )
     values = ValueRecursion(Z=W_hist[..., :n], xi=W_hist[..., n])
-    report = StageSolveReport(condition=condition, regularization=regularization)
+    report = StageSolveReport(regularization=regularization, stage_matrices=stack)
     return LqSolution(policies=policies, values=values, report=report)

@@ -23,6 +23,18 @@ warnings off in the loop.  Once a state stops being finite the dynamics'
 then :class:`SimulationDivergedError` names the first non-finite step, as a
 check at every step would.  A custom ``step`` must accept non-finite states
 without raising.
+
+:func:`simulate_mean` has two paths, chosen from the dynamics.  For a model
+built by :func:`~ecegames.dynamics.linear` (``double_integrator`` too) it
+stacks every agent's feedback law on the concatenated actions and runs the
+closed loop s_{t+1} = (A - B P_t) s_t + c_t, one product and one sum per
+step; its results agree with the per-step loop to rounding, not bit for
+bit, and a rollout whose states are not all finite is rerun through the
+per-step loop, so the error names the same step.  Every other model
+(unicycles, custom models, the reduced games of
+:func:`~ecegames.game.pin_other_agents`) takes the per-step loop, which
+:func:`simulate_stochastic` and :func:`rollout_batch` share; those rollouts
+are bit for bit those of a per-step reference.
 """
 
 from __future__ import annotations
@@ -83,15 +95,52 @@ def _rollout(
     return Trajectory(states=states, actions=actions)
 
 
+def _closed_loop(
+    policies: AffineGaussianPolicySet, s: Array, A: Array, B: Array
+) -> tuple[Array, Array]:
+    """Mean states (T, n) and concatenated mean actions (T, K) of the
+    feedback law on linear dynamics s' = A s + B a, from the initial state
+    ``s``, without checking them.
+
+    With every agent's law stacked on the concatenated actions,
+    a_t = d_t - P_t s_t where d_t = abar_t - alpha_t + P_t sbar_t, so
+    s_{t+1} = Phi_t s_t + c_t with Phi_t = A - B P_t and c_t = B d_t: one
+    product and one sum per step.
+    """
+    P = np.concatenate(policies.gains, axis=1)
+    d = np.concatenate(policies.nominal_actions, axis=1)
+    d -= np.concatenate(policies.offsets, axis=1)
+    # (M @ x[..., None])[..., 0] is the stacked P_t x_t.
+    d += (P @ policies.nominal_states[:, :, None])[..., 0]
+    Phi = A - B @ P[:-1]
+    c = d[:-1] @ B.T
+    states = np.empty((len(d), len(s)))
+    states[0] = s
+    for F, offset, row in zip(Phi, c, states[1:]):
+        s = np.matmul(F, s, out=row)
+        s += offset
+    return states, d - (P @ states[:, :, None])[..., 0]
+
+
 def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajectory:
     """Deterministic rollout from the initial-state mean applying every
     policy's mean action.
 
     Noise and policy covariances are ignored; the result is bitwise
-    reproducible.  Raises :class:`SimulationDivergedError` naming the first
-    time step at which the state stops being finite.
+    reproducible.  Dynamics whose ``linear_maps`` are set run the closed
+    loop of the module docstring, all others the per-step loop.  Raises
+    :class:`SimulationDivergedError` naming the first time step at which the
+    per-step loop's state stops being finite.
     """
     _check_dimensions(game, policies)
+    maps = game.dynamics.linear_maps
+    if maps is not None:
+        with np.errstate(all="ignore"):
+            states, actions = _closed_loop(policies, game.initial_state.mean, *maps)
+        if np.isfinite(states).all():
+            dims = game.action_dims
+            cut = [actions[:, e - m : e].copy() for e, m in zip(np.cumsum(dims), dims)]
+            return Trajectory(states=states, actions=tuple(cut))
     return _rollout(game, policies, game.initial_state.mean.copy())
 
 

@@ -17,6 +17,7 @@ from ecegames import (
     solve_ece,
     solve_lq_ece,
 )
+from ecegames.config import parse_scenario
 from ecegames.ilq import linearize, quadratize, stage_game_around
 
 from conftest import game_spec_from_data, random_lq_data, stage_game_from_data
@@ -190,9 +191,33 @@ class TestSolveEce:
         # a separation comparable to the feature length scale.
         assert dist.min() > 0.3
 
+    def test_crossing_keeps_the_agents_apart(self, crossing_scenario):
+        # The cold crossing solve leaves the near-collision stationary point
+        # (closest approach 0.029) for the swerve (0.648 at t = 31); the
+        # golden digests and criterion 4 cannot tell the two apart.
+        game = crossing_scenario.make_game(crossing_scenario.true_weights())
+        sol = solve_ece(game, config=crossing_scenario.solver_config)
+        assert sol.trace.converged
+        nom = sol.policies.nominal_states
+        idx = crossing_scenario.position_indices
+        dist = np.linalg.norm(nom[:, idx[0]] - nom[:, idx[1]], axis=1)
+        assert dist.min() >= 0.3
+
     def test_mean_rollout_reproduces_nominal_exactly(self, small_scenario):
+        # Linear dynamics roll out through the closed loop, which reproduces
+        # the nominal to rounding; the unicycle test below asks for equality.
         game = small_scenario.make_game(small_scenario.true_weights())
         sol = solve_ece(game, config=small_scenario.solver_config)
+        rolled = simulate_mean(game, sol.policies)
+        nom = sol.policies.nominal_states
+        assert np.max(np.abs(rolled.states - nom)) <= 1e-12 * np.max(np.abs(nom))
+
+    def test_unicycle_mean_rollout_reproduces_nominal_exactly(self, small_scenario):
+        doc = small_scenario.to_dict()
+        doc["dynamics"] = {"kind": "unicycle"}
+        scenario = parse_scenario(doc)
+        game = scenario.make_game(scenario.true_weights())
+        sol = solve_ece(game, config=scenario.solver_config)
         rolled = simulate_mean(game, sol.policies)
         assert np.array_equal(rolled.states, sol.policies.nominal_states)
 

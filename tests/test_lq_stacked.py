@@ -16,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecegames import StageSingularError, ilq, solve_ece
+from ecegames import StageSingularError, ilq, lq, solve_ece
 from ecegames.config import parse_scenario
 from ecegames.errors import CovarianceError
 from ecegames.game import cholesky_checked
-from ecegames.lq import LqStageGame, solve_lq_ece, solve_stage_coupled
+from ecegames.lq import COND_LIMIT, LqStageGame, solve_lq_ece, solve_stage_coupled
 
 from conftest import random_lq_data, stage_args, stage_game_from_data
 from oracles import solve_lq_ece_per_agent, solve_stage_coupled_per_agent
@@ -369,3 +369,95 @@ class TestLadderHandover:
             solve_lq_ece_per_agent(game)
         assert got.value.time_step == ref.value.time_step == 4
         assert str(got.value) == str(ref.value)
+
+
+def assert_report_matches_ladder(game, sol):
+    """Every stage's shift and condition in the report are, bit for bit, those
+    that ``solve_stage_coupled`` gives on the solve's own values."""
+    W = np.concatenate([sol.values.Z, sol.values.xi[..., None]], axis=3)
+    for k in range(game.horizon - 1):
+        _, _, cond, shift = solve_stage_coupled(
+            W[:, k + 1], game.BA[k], game.Rr[k], game.owner, time_step=k + 1
+        )
+        assert shift == sol.report.regularization[k]
+        assert cond == sol.report.condition[k]
+
+
+def terminal_game(diagonal, horizon=3):
+    """One agent, s' = s + a with R = I and terminal cost diag(diagonal) - I,
+    so the last stage matrix is exactly diag(diagonal); for diagonal entries
+    of at least 1 the earlier stage matrices lie between I and 2 I."""
+    T, n = horizon, len(diagonal)
+    Q = np.zeros((T, n, n))
+    Q[-1] = np.diag(diagonal) - np.eye(n)
+    return LqStageGame(
+        A=np.tile(np.eye(n), (T - 1, 1, 1)),
+        B=(np.tile(np.eye(n), (T - 1, 1, 1)),),
+        Q=(Q,),
+        l=(np.zeros((T, n)),),
+        R=((np.eye(n),),),
+    )
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The stacked singular-value calls made while a test runs."""
+    calls = []
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return stacked(stack)
+
+    stacked = lq._stacked_condition
+    monkeypatch.setattr(lq, "_stacked_condition", counted)
+    return calls
+
+
+class TestConditionScreen:
+    """The unchecked pass screens the stage matrices with the bound
+    ||M||_F ||M^-1||_F >= cond_2(M) and takes exact conditions only when a
+    bound exceeds COND_LIMIT / 2; the report computes the conditions when
+    they are first read.  Shifts and conditions stay those of
+    ``solve_stage_coupled``."""
+
+    def test_lazy_conditions_match_the_ladder(self, solve_stage_games, svd_calls):
+        for stage, temperatures in solve_stage_games:
+            sol = solve_lq_ece(stage, temperatures)
+            assert not svd_calls
+            condition = sol.report.condition
+            assert len(svd_calls) == 1 and sol.report.condition is condition
+            svd_calls.clear()
+            # The stacked singular-value call of np.linalg.cond, bit for bit.
+            assert np.array_equal(condition, np.linalg.cond(sol.report.stage_matrices))
+            assert_report_matches_ladder(stage, sol)
+
+    @pytest.mark.parametrize("kappa", [0.9e12, 1.1e12], ids=["below", "above"])
+    def test_stage_at_the_limit(self, kappa, svd_calls):
+        # Stage t = 4 is diag(1, 1 / kappa), up to the rounding of 1 / kappa - 1
+        # + 1; for a 2 x 2 matrix the bound is cond_2 + 1 / cond_2, so the
+        # screen must take the exact conditions.  Above the limit the ladder
+        # shifts the stage by 1e-8.
+        game = handover_game([[1.0, 0.0], [0.0, 1.0 / kappa]])
+        sol = solve_lq_ece(game)
+        shifted = kappa > COND_LIMIT
+        assert len(svd_calls) == 1
+        assert np.flatnonzero(sol.report.regularization).tolist() == ([3] if shifted else [])
+        exact = np.linalg.cond(sol.report.stage_matrices[3])
+        assert (COND_LIMIT < exact < 1.2e12) if shifted else (0.8e12 < exact <= COND_LIMIT)
+        assert_report_matches_ladder(game, sol)
+        assert_close(game)
+
+    def test_bound_over_half_the_limit_takes_exact_conditions(self, svd_calls):
+        # diag(d, d, 1, 1): cond_2 = d = 0.4e12 is within half the limit, but
+        # the bound 2 (d + 1/d) is not, so the exact conditions decide, and
+        # no stage is shifted.
+        d = 0.4e12
+        game = terminal_game([d, d, 1.0, 1.0])
+        sol = solve_lq_ece(game)
+        M = sol.report.stage_matrices[-1]
+        assert np.array_equal(M, np.diag([d, d, 1.0, 1.0]))
+        assert np.linalg.cond(M) <= COND_LIMIT / 2 < np.linalg.cond(M, "fro")
+        assert len(svd_calls) == 1
+        assert not sol.report.regularization.any()
+        assert_report_matches_ladder(game, sol)
+        assert_close(game)

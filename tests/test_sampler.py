@@ -3,9 +3,11 @@
 ``simulate_stochastic`` draws a trial's whole noise block with one
 ``standard_normal`` call and turns it into noise arrays before stepping;
 the reference draws each piece with its own call at the step that uses it.
-Both, and ``rollout_batch`` and ``simulate_mean`` that share the rollout
-loop, must agree bit for bit: the random-stream layout is what keeps
-trajectory files reproducible across versions.
+Both, and ``rollout_batch`` that shares the rollout loop, must agree bit for
+bit: the random-stream layout is what keeps trajectory files reproducible
+across versions.  So must ``simulate_mean`` on nonlinear dynamics; on
+``linear`` dynamics it runs the closed loop of the feedback, which agrees
+with the reference to a relative 1e-12.
 """
 
 import json
@@ -28,6 +30,7 @@ from ecegames import (
     simulate_stochastic,
     solve_ece,
 )
+from ecegames import simulate as simulate_module
 from ecegames.config import parse_scenario
 
 from oracles import rollout_batch_per_step, simulate_per_step, unicycle_step_per_agent
@@ -87,9 +90,29 @@ def unequal_dims_game(horizon, dims=(1, 2), *, initial=None):
     return game, random_policies(rng, horizon, 3, dims)
 
 
+def assert_close(got, ref, rtol=1e-12):
+    """Every entry within ``rtol`` of the reference's largest entry."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= rtol * max(np.max(np.abs(ref)), 1.0)
+
+
+def assert_mean_matches_reference(game, policies):
+    """simulate_mean equals the reference bit for bit, or to a relative
+    1e-12 on linear dynamics, whose closed loop sums in another order."""
+    mean = simulate_mean(game, policies)
+    states, actions = simulate_per_step(game, policies)
+    assert len(mean.actions) == len(actions)
+    for got, ref in zip((mean.states, *mean.actions), (states, *actions)):
+        assert got.flags.c_contiguous
+        if game.dynamics.linear_maps is None:
+            assert np.array_equal(got, ref)
+        else:
+            assert_close(got, ref)
+
+
 def assert_matches_reference(game, policies):
-    """simulate_stochastic, rollout_batch and simulate_mean equal the
-    reference bit for bit."""
+    """simulate_stochastic and rollout_batch equal the reference bit for
+    bit; simulate_mean as :func:`assert_mean_matches_reference` says."""
     for seed in SEEDS:
         traj = simulate_stochastic(game, policies, seed=seed)
         states, actions = simulate_per_step(game, policies, seed)
@@ -99,10 +122,7 @@ def assert_matches_reference(game, policies):
     states, actions = rollout_batch_per_step(game, policies, TRIALS, BASE_SEED)
     assert np.array_equal(batch.states, states)
     assert all(np.array_equal(a, b) for a, b in zip(batch.actions, actions, strict=True))
-    mean = simulate_mean(game, policies)
-    states, actions = simulate_per_step(game, policies)
-    assert np.array_equal(mean.states, states)
-    assert all(np.array_equal(a, b) for a, b in zip(mean.actions, actions, strict=True))
+    assert_mean_matches_reference(game, policies)
 
 
 @pytest.mark.parametrize(
@@ -259,3 +279,44 @@ def test_negative_base_seed_rejected():
     game, policies = unequal_dims_game(3)
     with pytest.raises(ValueError, match="base_seed"):
         rollout_batch(game, policies, 2, -1)
+
+
+def test_mean_rollout_of_linear_dynamics_runs_the_closed_loop(config_dir, monkeypatch):
+    # Random nominal and nonzero offsets: the closed loop must not assume the
+    # nominal is a trajectory of the dynamics.
+    game, policies = unequal_dims_game(9, (3, 1, 2))
+    assert np.count_nonzero(np.concatenate(policies.offsets, axis=1))
+    crossing = scenario_game(config_dir, "two_agent_crossing")
+    ring = scenario_game(config_dir, "three_agent_ring")
+    unicycle = scenario_game(config_dir, "lq_tracking_unicycle")
+    reduced, _ = pin_other_agents(crossing[0], 0, list(simulate_mean(*crossing).actions))
+    assert unicycle[0].dynamics.linear_maps is None and reduced.dynamics.linear_maps is None
+
+    def per_step_loop(*args, **kwargs):
+        raise AssertionError("linear dynamics took the per-step loop")
+
+    monkeypatch.setattr(simulate_module, "_rollout", per_step_loop)
+    for linear_game, linear_policies in ((game, policies), crossing, ring):
+        assert_mean_matches_reference(linear_game, linear_policies)
+
+
+def test_non_finite_closed_loop_is_rerun_per_step():
+    # A = B = P = 1e200: the closed-loop matrix A - B P overflows, so its
+    # product with the zero state is NaN, while the per-step loop applies
+    # zero actions to zero states throughout.
+    T = 5
+    game = GameSpec(
+        dynamics=dynamics.linear(1e200 * np.eye(1), [1e200 * np.eye(1)]),
+        costs=(quadratic_cost(np.eye(1), np.zeros(1), [np.eye(1)]),),
+        horizon=T,
+        noise=NoiseModel.none(1),
+        initial_state=InitialState(mean=np.zeros(1)),
+    )
+    policies = AffineGaussianPolicySet.identity_nominal(
+        [np.full((T, 1, 1), 1e200)], [np.zeros((T, 1))], [np.ones((T, 1, 1))]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = simulate_mean(game, policies)
+    assert np.array_equal(mean.states, np.zeros((T, 1)))
+    assert np.array_equal(mean.actions[0], np.zeros((T, 1)))

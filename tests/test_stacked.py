@@ -187,14 +187,17 @@ class TestCovarianceCheck:
         sym, L = cholesky_checked(np.tile(np.array([[2.0, 1.0], [1.0, 2.0]]), (3, 1, 1)), 0)
         assert np.allclose(L @ np.swapaxes(L, 1, 2), sym)
 
-    def test_agent_stacked_helper_names_first_failing_agent(self):
+    def test_helper_names_each_agents_first_failing_step(self):
         S = np.tile(np.eye(2), (3, 5, 1, 1))
         S[2, 0] = -np.eye(2)
         S[1, 3] = np.diag([1.0, -1.0])
         S[1, 4, 0, 0] = np.nan
-        with pytest.raises(CovarianceError) as err:
-            cholesky_checked(S)
-        assert (err.value.agent, err.value.time_step) == (1, 4)
+        S[2, 2, 1, 1] = np.nan
+        cholesky_checked(S[0], 0)
+        for i, k in ((1, 4), (2, 1)):
+            with pytest.raises(CovarianceError) as err:
+                cholesky_checked(S[i], i)
+            assert (err.value.agent, err.value.time_step) == (i, k)
 
     def test_later_agent_non_spd_curvature_named(self):
         # As above with the agents swapped: agent 0 stays SPD, agent 1 fails at t = 4.
