@@ -8,10 +8,15 @@ are timed), it solves the game under its true weights and times, per call:
 
 - ``stage_game_around`` the converged nominal (linearize, quadratize and
   the ``LqStageGame`` layout);
+- ``quadratize`` at that nominal alone (cost expansion and PSD projection);
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
 - ``rollout_batch`` of 200 trials from seed 0;
 - a cold ``solve_ece``.
+
+One more case, ``ladder_60``, times ``solve_lq_ece`` on a 60-stage
+two-agent game whose stage t = 30 has condition about 4e13, so that its
+backward pass needs the regularization ladder, which no shipped config does.
 
 Each of ``ROUNDS`` rounds calls every layer for ``BUDGET`` seconds (at
 least 3 calls), with BLAS capped at one thread, and the table shows the least time of one
@@ -46,13 +51,17 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 200
 BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
 LAYERS = (
-    "stage_game_around", "solve_lq_ece", "simulate_mean", f"rollout_batch({TRIALS})", "solve_ece"
+    "stage_game_around", "quadratize", "solve_lq_ece", "simulate_mean",
+    f"rollout_batch({TRIALS})", "solve_ece",
 )
+LADDER = "ladder_60"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -91,7 +100,7 @@ def scenario_docs() -> dict[str, dict]:
     return docs
 
 
-def layer_calls(pkg, doc: dict) -> tuple:
+def layer_calls(pkg, doc: dict) -> dict:
     """One no-argument call per layer on config ``doc``, made with package ``pkg``."""
     scenario = importlib.import_module(f"{pkg.__name__}.config").parse_scenario(doc)
     game = scenario.make_game(scenario.true_weights())
@@ -99,13 +108,38 @@ def layer_calls(pkg, doc: dict) -> tuple:
     policies = pkg.solve_ece(game, config=solver).policies
     nominal = pkg.simulate_mean(game, policies)
     stage = pkg.ilq.stage_game_around(game, nominal)
-    return (
+    return dict(zip(LAYERS, (
         lambda: pkg.ilq.stage_game_around(game, nominal),
+        lambda: pkg.ilq.quadratize(game, nominal),
         lambda: pkg.solve_lq_ece(stage, game.temperatures),
         lambda: pkg.simulate_mean(game, policies),
         lambda: pkg.rollout_batch(game, policies, TRIALS, 0),
         lambda: pkg.solve_ece(game, config=solver),
-    )
+    )))
+
+
+def ladder_calls(pkg) -> dict:
+    """The ``solve_lq_ece`` call of the ``ladder_60`` case, made with package
+    ``pkg``.  Two agents with one action each in 2-D: stage t = 31 has
+    A = B = 0, so its value is its Q, and stage t = 30 has A = 0 and unit
+    action columns, so its stage matrix is I + [[Z^1_00, Z^1_01],
+    [Z^2_10, Z^2_11]] = [[1e5, 1e5], [1e5, 1e5 + 1e-8]]."""
+    rng = np.random.default_rng(41)
+    T, n, k = 61, 2, 29
+    A = 0.5 * np.eye(n) + 0.1 * rng.normal(size=(T - 1, n, n))
+    B = [0.5 * rng.normal(size=(T - 1, n, 1)) for _ in range(2)]
+    Q = [np.tile(np.eye(n), (T, 1, 1)) for _ in range(2)]
+    l = [0.3 * rng.normal(size=(T, n)) for _ in range(2)]
+    A[k] = A[k + 1] = 0.0
+    for i, e in enumerate(np.eye(n)):
+        B[i][k] = e[:, None]
+        B[i][k + 1] = 0.0
+        l[i][k + 1] = e
+    Q[0][k + 1] = [[1e5 - 1.0, 1e5], [1e5, 0.0]]
+    Q[1][k + 1] = [[0.0, 1e5], [1e5, 1e5 + 1e-8 - 1.0]]
+    R = ((np.eye(1), 0.1 * np.eye(1)), (0.2 * np.eye(1), np.eye(1)))
+    game = pkg.LqStageGame(A=A, B=tuple(B), Q=tuple(Q), l=tuple(l), R=R)
+    return {"solve_lq_ece": lambda: pkg.solve_lq_ece(game)}
 
 
 def turns(calls: list, budget: float) -> list[list[float]]:
@@ -135,14 +169,15 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             pkg = load(tree, f"ecegames_{side}")
             calls[side] = {name: layer_calls(pkg, doc) for name, doc in docs.items()}
+            calls[side][LADDER] = ladder_calls(pkg)
         # times[config][layer][side]: every call's wall time, turn by turn.
-        times = {name: {layer: {side: [] for side in trees} for layer in LAYERS}
-                 for name in docs}
+        times = {name: {layer: {side: [] for side in trees} for layer in layers}
+                 for name, layers in calls["change"].items()}
         for i in range(ROUNDS):
-            for name in docs:
-                for k, layer in enumerate(LAYERS):
+            for name, layers in times.items():
+                for k, layer in enumerate(layers):
                     order = list(trees)[:: 1 if (i + k) % 2 == 0 else -1]
-                    for turn in turns([calls[side][name][k] for side in order], BUDGET):
+                    for turn in turns([calls[side][name][layer] for side in order], BUDGET):
                         for side, t in zip(order, turn):
                             times[name][layer][side].append(t)
             print(f"round {i} done", file=sys.stderr, flush=True)

@@ -55,11 +55,9 @@ from .lq import (
 )
 from .metrics import (
     HistogramSpec,
-    TaskStatsSpec,
     goal_distance_stats,
     histogram_kl,
     kl_divergence_per_feature,
-    task_statistics,
     trajectory_rmse,
 )
 from .simulate import evaluate_cost, rollout_batch, simulate_mean, simulate_stochastic

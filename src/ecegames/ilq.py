@@ -102,14 +102,18 @@ def linearize(game: GameSpec, nominal: Trajectory) -> tuple[Array, list[Array]]:
 def _project_psd(H: Array) -> Array:
     """Clamp negative eigenvalues of a (T, n, n) stack to ``HESSIAN_FLOOR`` so
     every quadratized state cost is PSD; stages without one keep the
-    symmetrised H."""
+    symmetrised H.
+
+    One path for every stage: each is reconstructed from its ``eigh`` as
+    V diag(w') V' (w' is w with its negative entries floored), and the mask
+    of stages with a negative eigenvalue picks that reconstruction or the
+    symmetrised H.  Each stage's reconstruction is the same product as on
+    its own, so which stages are projected does not change any bit.
+    """
     Q = (H + np.swapaxes(H, 1, 2)) / 2.0
     w, V = np.linalg.eigh(Q)
-    neg = w[:, 0] < 0.0
-    if np.any(neg):
-        w, V = np.where(w[neg] < 0.0, HESSIAN_FLOOR, w[neg]), V[neg]
-        Q[neg] = (V * w[:, None, :]) @ np.swapaxes(V, 1, 2)
-    return Q
+    projected = (V * np.where(w < 0.0, HESSIAN_FLOOR, w)[:, None, :]) @ np.swapaxes(V, 1, 2)
+    return np.where(w[:, :1, None] < 0.0, projected, Q)
 
 
 def quadratize(game: GameSpec, nominal: Trajectory) -> tuple[list[Array], list[Array], list[Array]]:

@@ -41,6 +41,8 @@ over all agents.  The stage helpers take one stage of this layout:
 ``solve_stage_coupled(W_next, BA, Rr, owner)`` returns [P | alpha], the
 stage matrix, its condition and the shift, and
 ``backward_value_update(S, W_next, BA, R, QL_t, r_t)`` returns the new W.
+The backward pass runs the same stage body as they do, on operands it lays
+out once per solve, so its stages equal theirs bit for bit.
 The sums over agents happen inside the matrix products, so results agree
 with a per-agent loop to rounding (a few ulp), not bit for bit.  The
 covariances come from the diagonal blocks of the stage matrices.
@@ -51,18 +53,21 @@ doubling from ``REG_INIT`` up to ``REG_MAX``.  The backward pass first
 solves each stage as it stands, stacking the stage matrices, and screens
 them after the loop with one stacked call for the bound
 ||M||_F ||M^-1||_F >= cond_2(M) (inf for a singular stage), which costs an
-inverse instead of a singular-value decomposition.  When every bound is at
-most ``COND_LIMIT / 2`` no stage needs a shift; otherwise one stacked
-singular-value call gives the exact conditions and they decide, so every
-decision is the one the exact conditions give.  Only when a stage fails (a condition over the limit or not
-finite, a non-finite matrix, a failed solve) or an output is not finite does
-the pass rerun from the terminal stage through the per-stage ladder of
-:func:`solve_stage_coupled`.  Both passes give the same results.  A solve
-that needs the ladder thus pays for both passes; no solve in the benchmark
-workloads does (their largest stage condition is below 3).  The report's
-stage conditions are computed from the kept stage matrices (shifted where
-the ladder shifted them) the first time they are read, so a solve whose
-conditions nobody reads takes no singular values at all.
+inverse instead of a singular-value decomposition.  A stage whose bound is
+at most ``COND_LIMIT / 2`` needs no shift; the others take their exact
+conditions from one stacked singular-value call, and those decide, so every
+decision is the one the exact conditions give.  A stage fails when its
+condition is over the limit or not finite, when its matrix or any of its
+outputs is not finite, or when its solve fails.  Every stage later in time
+than the latest failing one was then solved exactly as the ladder solves
+it, so the pass resumes from that stage's value through the per-stage
+ladder of :func:`solve_stage_coupled`, and the results, shifts, warnings
+and the step a :class:`StageSingularError` names are those of a pass that
+runs the ladder from the terminal stage.  No solve in the benchmark
+workloads needs the ladder (their largest stage condition is below 3).  The
+report's stage conditions are computed from the kept stage matrices
+(shifted where the ladder shifted them) the first time they are read, so a
+solve whose conditions nobody reads takes no singular values at all.
 """
 
 from __future__ import annotations
@@ -248,23 +253,68 @@ class StageSolveReport:
         return _stacked_condition(M)
 
 
-def _stage_system(W_next: Array, BA: Array, Rr: Array, owner: Array) -> Array:
+def _stage_system(W_next: Array, Bt: Array, BA: Array, Rr: Array, rows: Array) -> Array:
     """One stage's coupled system [M | rhs] (K, K + n + 1).
 
-    Arguments are one stage of the :class:`LqStageGame` layout: W_next
-    (N, n, n + 1) stacks every agent's [Z^i | xi^i] at t + 1, BA
-    (n + 1, K + n + 1) is [[B, A, 0], [0, 0, 1]], Rr (K, K + n + 1) is
-    [R_own | 0 | r_joint] and owner (K,) names the agent of each action row.
-    Agent i's rows of the block matrix M (K, K) are B^i'Z^i B plus R^{ii} in
-    its diagonal block; its rows of the right-hand sides (K, n + 1) are
-    [B^i'Z^i A | B^i'xi^i + r^i].
+    W_next (N, n, n + 1) stacks every agent's [Z^i | xi^i] at t + 1, Bt
+    (K, n) is B' laid out contiguously, BA (n + 1, K + n + 1) is
+    [[B, A, 0], [0, 0, 1]], Rr (K, K + n + 1) is [R_own | 0 | r_joint] and
+    rows = owner * K + arange(K) gathers every action row from its owner's
+    product.  Agent i's rows of the block matrix M (K, K) are B^i'Z^i B plus
+    R^{ii} in its diagonal block; its rows of the right-hand sides
+    (K, n + 1) are [B^i'Z^i A | B^i'xi^i + r^i].
     """
-    K, n = len(owner), BA.shape[0] - 1
-    # Agent i's rows of B'[Z^i | xi^i], for every agent at once.
-    G = (BA[:n, :K].T @ W_next)[owner, np.arange(K)]
-    system = G @ BA
+    G = Bt @ W_next
+    system = G.reshape(-1, G.shape[-1]).take(rows, axis=0) @ BA
     system += Rr
     return system
+
+
+def _value_update(
+    S: Array, W_next: Array, F0: Array, Bpad: Array, R: Array, QL_t: Array, r0_t: Array
+) -> Array:
+    """The body of :func:`backward_value_update`, on operands laid out once
+    per solve: F0 (n + 1, n + 1) = [[A, 0], [0, 1]], Bpad (n + 1, K) =
+    [[B], [0]] and r0_t (N, K, n + 1) = [0 | r_t]."""
+    n = S.shape[1] - 1
+    F = F0 - Bpad @ S
+    ZF = W_next @ F
+    RS = R @ S
+    RS -= r0_t
+    W = F[:n, :n].T @ ZF
+    W += S[:, :n].T @ RS
+    W += QL_t
+    # Through a temporary: an in-place add against Z's own transpose makes
+    # numpy copy the overlapping operand first, which costs more.
+    Z = W[..., :n]
+    Z_sym = Z + Z.swapaxes(1, 2)
+    Z_sym *= 0.5
+    W[..., :n] = Z_sym
+    return W
+
+
+def _split(BA: Array, K: int) -> tuple[Array, Array, Array]:
+    """B' (..., K, n) and the halves [[A, 0], [0, 1]] (..., n + 1, n + 1) and
+    [[B], [0]] (..., n + 1, K) of BA, each laid out contiguously, for one
+    stage or a stack of them."""
+    n = BA.shape[-2] - 1
+    Bt = np.ascontiguousarray(BA[..., :n, :K].swapaxes(-1, -2))
+    return Bt, BA[..., K:].copy(), BA[..., :K].copy()
+
+
+def _rows(owner: Array) -> Array:
+    """Every action row's index in the rows of B'[Z^i | xi^i] of all agents
+    stacked: row a of its owner's block."""
+    K = len(owner)
+    return owner * K + np.arange(K)
+
+
+def _padded_offsets(r: Array, width: int) -> Array:
+    """[0 | r]: the linear action terms r (..., K) as the last column of a
+    zero array (..., K, width), shaped like R [P | alpha]."""
+    r0 = np.zeros((*r.shape, width))
+    r0[..., -1] = r
+    return r0
 
 
 def solve_stage_coupled(
@@ -272,17 +322,21 @@ def solve_stage_coupled(
 ) -> tuple[Array, Array, float, float]:
     """Solve one stage's coupled linear system for all gains and offsets.
 
-    Arguments are those of :func:`_stage_system`, which assembles
-    [M | rhs]; this solves M [P | alpha] = rhs for both right-hand sides
-    from one LU factorization.  If the condition estimate exceeds
-    ``COND_LIMIT`` the diagonal is shifted by lambda I (lambda doubling from
-    REG_INIT up to REG_MAX) before giving up with :class:`StageSingularError`.
+    Arguments are one stage of the :class:`LqStageGame` layout: W_next
+    (N, n, n + 1) stacks every agent's [Z^i | xi^i] at t + 1, BA
+    (n + 1, K + n + 1) is [[B, A, 0], [0, 0, 1]], Rr (K, K + n + 1) is
+    [R_own | 0 | r_joint] and owner (K,) names the agent of each action
+    row.  This assembles the stage system [M | rhs] as the backward pass
+    does and solves M [P | alpha] = rhs for both right-hand sides from one
+    LU factorization.  If the condition exceeds ``COND_LIMIT`` the diagonal
+    is shifted by lambda I (lambda doubling from REG_INIT up to REG_MAX)
+    before giving up with :class:`StageSingularError`.
 
     Returns [P | alpha] (K, n + 1), agent i's gains and offsets in its rows,
     the unshifted M, the condition and the shift used.
     """
     K = len(owner)
-    system = _stage_system(W_next, BA, Rr, owner)
+    system = _stage_system(W_next, _split(BA, K)[0], BA, Rr, _rows(owner))
     M = M_solve = system[:, :K]
     cond = _condition(M)
     shift = 0.0
@@ -321,20 +375,13 @@ def backward_value_update(
     - P^i'r^i_t + l^i_t, with Z symmetrized to control rounding drift.  The
     -P'r term carries the own-action linear cost into the value, which makes
     recentered games (where r = 2 R abar) have their exact expansion point as
-    a fixed point.
+    a fixed point.  The backward pass runs the same body on operands it lays
+    out once per solve.
 
     Returns W (N, n, n + 1).
     """
-    K, n = S.shape[0], S.shape[1] - 1
-    F = BA[:, K:] - BA[:, :K] @ S
-    ZF = W_next @ F
-    RS = R @ S
-    RS[..., n] -= r_t
-    W = F[:n, :n].T @ ZF + S[:, :n].T @ RS + QL_t
-    Z = W[..., :n]
-    Z += Z.swapaxes(1, 2)
-    Z *= 0.5
-    return W
+    _, F0, Bpad = _split(BA, S.shape[0])
+    return _value_update(S, W_next, F0, Bpad, R, QL_t, _padded_offsets(r_t, S.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -344,53 +391,93 @@ class LqSolution:
     report: StageSolveReport
 
 
-def _backward_pass(game: LqStageGame, checked: bool):
+def _backward_pass(game: LqStageGame, checked: bool = False):
     """The backward loop of :func:`solve_lq_ece`: the [P | alpha] (T, K, n + 1)
     and W (N, T, n, n + 1) histories, the unshifted stage matrices
     (T-1, K, K), and the stage shifts.
 
     ``checked`` solves every stage through :func:`solve_stage_coupled`, which
-    alone regularizes and raises :class:`StageSingularError`.  Unchecked, each
-    stage is solved as it stands and the stage matrices are screened after
-    the loop.  An unchecked pass returns None when a stage matrix, a gain, an
-    offset or a value coefficient is not finite or a condition is not at
-    most ``COND_LIMIT``, and passes on the ``LinAlgError`` of a failed solve:
-    then the checked pass must decide.
+    alone regularizes and raises :class:`StageSingularError`.  Otherwise
+    :func:`_unchecked_stages` first solves every stage as it stands and
+    names the latest stage that failed, and only that stage and the earlier
+    ones go through :func:`solve_stage_coupled`: every later stage was
+    solved exactly as the ladder solves it.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
-    BA, R, r, QL, Rr, owner = game.BA, game.R, game.r, game.QL, game.Rr, game.owner
-    K = len(owner)
+    K = len(game.owner)
     S_hist = np.zeros((T, K, n + 1))
     W_hist = np.empty((N, T, n, n + 1))
     stack = np.empty((T - 1, K, K))
     regularization = np.zeros(T - 1)
 
-    W = W_hist[:, T - 1] = QL[:, T - 1]
+    W_hist[:, T - 1] = game.QL[:, T - 1]
     S_hist[T - 1, :, n] = np.linalg.solve(game.R_own, game.r_joint[T - 1])
-    for k in range(T - 2, -1, -1):
-        if checked:
-            S, stack[k], _, regularization[k] = solve_stage_coupled(
-                W, BA[k], Rr[k], owner, time_step=k + 1
-            )
-        else:
-            system = _stage_system(W, BA[k], Rr[k], owner)
-            stack[k] = system[:, :K]
-            S = np.linalg.solve(stack[k], system[:, K:])
-        S_hist[k] = S
-        W = W_hist[:, k] = backward_value_update(S, W, BA[k], R, QL[:, k], r[:, k])
-
+    ladder_from = T - 2
     if not checked:
-        # Only a pass that is finite throughout is kept, so an overflow or NaN
-        # the errstate of the caller hid always reruns the pass, which warns.
-        if not all(np.isfinite(x).all() for x in (stack, S_hist, W_hist)):
-            return None
-        # ||M||_F ||M^-1||_F >= cond_2(M) (inf when M is singular) costs an
-        # inverse, not an SVD.  Within half the limit every stage passes;
-        # otherwise the exact conditions decide, as the ladder's would.
-        if T > 1 and not (np.linalg.cond(stack, "fro") <= COND_LIMIT / 2).all():
-            if not (_stacked_condition(stack) <= COND_LIMIT).all():
-                return None
+        # Overflow or NaN in a stage the ladder reruns must not warn here;
+        # the rerun repeats it.
+        with np.errstate(all="ignore"):
+            ladder_from = _unchecked_stages(game, S_hist, W_hist, stack)
+    BA, Rr, R, r, QL, owner = game.BA, game.Rr, game.R, game.r, game.QL, game.owner
+    for k in range(ladder_from, -1, -1):
+        W_next = W_hist[:, k + 1]
+        S, stack[k], _, regularization[k] = solve_stage_coupled(
+            W_next, BA[k], Rr[k], owner, time_step=k + 1
+        )
+        S_hist[k] = S
+        W_hist[:, k] = backward_value_update(S, W_next, BA[k], R, QL[:, k], r[:, k])
     return S_hist, W_hist, stack, regularization
+
+
+def _unchecked_stages(game: LqStageGame, S_hist: Array, W_hist: Array, stack: Array) -> int:
+    """Solve the stages t = T-1, ..., 1 of :func:`_backward_pass` as they
+    stand, into its histories, and return the index k (t = k + 1) of the
+    latest stage that failed, or -1 when none did.
+
+    The operands are laid out once: B' (T-1, K, n), the halves of BA,
+    [0 | r] padded to the shape of R [P | alpha], and [Q | l] in time-major
+    order.  A stage fails when its solve raises ``LinAlgError`` (the loop
+    stops there), when its stage matrix, gains, offsets or value
+    coefficients are not finite, or when its condition exceeds
+    ``COND_LIMIT``.  The conditions are screened with one stacked call for
+    the bound ||M||_F ||M^-1||_F >= cond_2(M) (inf for a singular stage),
+    which costs an inverse instead of a singular-value decomposition; only
+    the stages whose bound exceeds ``COND_LIMIT / 2`` take their exact
+    conditions, which then decide as the ladder's would.
+    """
+    T, n = game.horizon, game.state_dim
+    K = len(game.owner)
+    BA, Rr = game.BA, game.Rr
+    Bt, F0, Bpad = _split(BA, K)
+    r0 = _padded_offsets(game.r.swapaxes(0, 1), n + 1)
+    QL = np.ascontiguousarray(game.QL.swapaxes(0, 1))
+    R, rows = game.R, _rows(game.owner)
+
+    W = W_hist[:, T - 1]
+    stopped = -1
+    for k in range(T - 2, -1, -1):
+        system = _stage_system(W, Bt[k], BA[k], Rr[k], rows)
+        stack[k] = system[:, :K]
+        try:
+            S = np.linalg.solve(stack[k], system[:, K:])
+        except np.linalg.LinAlgError:
+            stopped = k
+            break
+        S_hist[k] = S
+        W = W_hist[:, k] = _value_update(S, W, F0[k], Bpad[k], R, QL[k], r0[k])
+
+    # Whether each stage after the one the loop stopped at passed.
+    done = slice(stopped + 1, T - 1)
+    M = stack[done]
+    ok = np.isfinite(M).all(axis=(1, 2))
+    ok &= np.isfinite(S_hist[done]).all(axis=(1, 2))
+    ok &= np.isfinite(W_hist[:, done]).all(axis=(0, 2, 3))
+    if len(M):
+        screened = ok & ~(np.linalg.cond(M, "fro") <= COND_LIMIT / 2)
+        if screened.any():
+            ok[screened] = _stacked_condition(M[screened]) <= COND_LIMIT
+    failed = np.flatnonzero(~ok)
+    return stopped + 1 + int(failed[-1]) if failed.size else stopped
 
 
 def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
@@ -405,14 +492,14 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
 
     The backward pass first solves every stage as it stands, keeping the
     stage matrices in one stack, and screens their conditions after the loop
-    (module docstring).  If any stage matrix is not finite, any solve fails,
-    any condition exceeds ``COND_LIMIT`` or any gain, offset or value
-    coefficient is not finite, that pass is discarded and the pass reruns
-    from the terminal stage through :func:`solve_stage_coupled`, whose
-    regularization ladder shifts the ill-conditioned stages or raises
-    :class:`StageSingularError` naming the first hopeless one.  Either way
-    the results, and the conditions the report computes when they are read,
-    are those of the per-stage ladder.
+    (module docstring).  If a stage matrix is not finite, a solve fails, a
+    condition exceeds ``COND_LIMIT`` or a gain, offset or value coefficient
+    is not finite, the pass resumes from the latest such stage through
+    :func:`solve_stage_coupled`, whose regularization ladder shifts the
+    ill-conditioned stages or raises :class:`StageSingularError` naming the
+    first hopeless one in the backward order; the later stages are kept.
+    Either way the results, and the conditions the report computes when they
+    are read, are those of the per-stage ladder.
 
     The covariances of all agents and stages are formed in one stacked pass
     after the backward loop and checked symmetric positive definite
@@ -428,15 +515,7 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     if len(temperatures) != N or not temperatures_valid(temperatures):
         raise ValueError("one positive, finite temperature required per agent")
 
-    # Overflow or NaN in a discarded pass must not warn; the rerun repeats it.
-    try:
-        with np.errstate(all="ignore"):
-            stages = _backward_pass(game, checked=False)
-    except np.linalg.LinAlgError:
-        stages = None
-    if stages is None:
-        stages = _backward_pass(game, checked=True)
-    S_hist, W_hist, stack, regularization = stages
+    S_hist, W_hist, stack, regularization = _backward_pass(game)
 
     # R^{ii} + B^i'Z^i_{t+1}B^i is agent i's diagonal block of the unshifted
     # stage matrix (R^{ii} at t = T); inverting the block-diagonal part of

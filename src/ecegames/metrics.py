@@ -1,4 +1,4 @@
-"""Experiment metrics: feature-distribution KL, goal distances, RMSE, task stats.
+"""Experiment metrics: feature-distribution KL, goal distances, RMSE.
 
 All metrics are pure functions of their inputs.  The KL estimator histograms
 per-trajectory feature sums on bins shared between the two samples (pooled
@@ -9,11 +9,10 @@ non-negative; with identical batches it is exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .features import FeatureBasis, eval_features
 from .game import Array, Trajectory, TrajectoryBatch
 
@@ -112,38 +111,3 @@ def trajectory_rmse(
     # rows in that order even where np.sum(axis=0) would add them pairwise.
     total = np.cumsum(sq.reshape(count, T), axis=0)[-1]
     return np.sqrt(total / count)
-
-
-@dataclass(frozen=True)
-class TaskStatsSpec:
-    """Names state components for scalar task summaries.
-
-    ``speeds`` maps a label to the state indices of one agent's velocity
-    components; ``distances`` maps a label to a pair of position index
-    arrays whose Euclidean separation is averaged.
-    """
-
-    speeds: Mapping[str, Sequence[int]]
-    distances: Mapping[str, tuple[Sequence[int], Sequence[int]]]
-
-
-def task_statistics(batch: TrajectoryBatch, spec: TaskStatsSpec) -> dict[str, float]:
-    """Averages over time and trajectories of named speeds and separations."""
-    n = batch.state_dim
-    out: dict[str, float] = {}
-    for label, idx in spec.speeds.items():
-        idx = np.asarray(idx, dtype=int)
-        if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
-            raise ConfigError(f"speed indices for {label!r} out of range")
-        speeds = np.linalg.norm(batch.states[:, :, idx], axis=-1)
-        out[f"avg_speed_{label}"] = float(np.mean(np.mean(speeds, axis=1)))
-    for label, (ia, ib) in spec.distances.items():
-        ia = np.asarray(ia, dtype=int)
-        ib = np.asarray(ib, dtype=int)
-        if ia.shape != ib.shape or ia.size == 0 or np.any(ia < 0) or np.any(ia >= n) or np.any(
-            ib < 0
-        ) or np.any(ib >= n):
-            raise ConfigError(f"distance indices for {label!r} invalid")
-        dists = np.linalg.norm(batch.states[:, :, ia] - batch.states[:, :, ib], axis=-1)
-        out[f"avg_dist_{label}"] = float(np.mean(np.mean(dists, axis=1)))
-    return out

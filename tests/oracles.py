@@ -183,6 +183,19 @@ def project_psd_single(H, floor):
     return (V * w) @ V.T
 
 
+def project_psd_masked(H, floor):
+    """The stacked projection that reconstructs only the stages with a
+    negative eigenvalue: it gathers their eigenvectors and eigenvalues and
+    scatters the reconstructions back into the symmetrised H."""
+    Q = (H + np.swapaxes(H, 1, 2)) / 2.0
+    w, V = np.linalg.eigh(Q)
+    neg = w[:, 0] < 0.0
+    if np.any(neg):
+        w, V = np.where(w[neg] < 0.0, floor, w[neg]), V[neg]
+        Q[neg] = (V * w[:, None, :]) @ np.swapaxes(V, 1, 2)
+    return Q
+
+
 def quadratize_per_step(game, nominal, *, floor):
     """Per-time-step cost expansion (Q, l, r) from one-row cost-model calls.
 
@@ -259,21 +272,6 @@ def trajectory_rmse_per_trajectory(ref_states, trajectories, position_indices, T
             sq += np.sum(err * err, axis=1)
             count += 1
     return np.sqrt(sq / count)
-
-
-def task_statistics_per_trajectory(trajectories, spec):
-    """Averages over time and trajectories of named speeds and separations."""
-    out = {}
-    for label, idx in spec.speeds.items():
-        vals = [np.mean(np.linalg.norm(traj.states[:, idx], axis=1)) for traj in trajectories]
-        out[f"avg_speed_{label}"] = float(np.mean(vals))
-    for label, (ia, ib) in spec.distances.items():
-        vals = [
-            np.mean(np.linalg.norm(traj.states[:, ia] - traj.states[:, ib], axis=1))
-            for traj in trajectories
-        ]
-        out[f"avg_dist_{label}"] = float(np.mean(vals))
-    return out
 
 
 def linearize_per_step(game, nominal):

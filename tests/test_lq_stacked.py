@@ -6,7 +6,8 @@
 the per-agent, per-pair loops.  The solver sums over agents inside its
 matrix products, so the two agree to rounding: every output to a relative
 1e-12, while the regularization shifts and the time step of every
-``StageSingularError`` are equal.
+``StageSingularError`` are equal.  Within the solver, the unchecked pass,
+the ladder pass and the exported stage helpers agree byte for byte.
 """
 
 import json
@@ -16,11 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecegames import StageSingularError, ilq, lq, solve_ece
+from ecegames import StageSingularError, ilq, lq, simulate_mean, solve_ece
 from ecegames.config import parse_scenario
 from ecegames.errors import CovarianceError
 from ecegames.game import cholesky_checked
-from ecegames.lq import COND_LIMIT, LqStageGame, solve_lq_ece, solve_stage_coupled
+from ecegames.lq import (
+    COND_LIMIT,
+    LqStageGame,
+    backward_value_update,
+    solve_lq_ece,
+    solve_stage_coupled,
+)
 
 from conftest import random_lq_data, stage_args, stage_game_from_data
 from oracles import solve_lq_ece_per_agent, solve_stage_coupled_per_agent
@@ -68,19 +75,24 @@ def random_games(seed, count, equal_dims, **kwargs):
     return games
 
 
-@pytest.fixture(
-    scope="module",
-    params=["two_agent_crossing", "three_agent_ring", "lq_tracking", "lq_tracking_unicycle"],
-)
-def solve_stage_games(request, config_dir):
-    """Every stage game an equilibrium solve of a shipped scenario passes to
-    ``solve_lq_ece``, with the temperatures it passes."""
-    name = request.param
+SHIPPED = ["two_agent_crossing", "three_agent_ring", "lq_tracking", "lq_tracking_unicycle"]
+
+
+def shipped_game(config_dir, name):
+    """A shipped scenario and its game under the true weights; a name ending
+    in ``_unicycle`` gives the scenario with unicycle dynamics."""
     doc = json.loads((config_dir / f"{name.removesuffix('_unicycle')}.json").read_text())
     if name.endswith("_unicycle"):
         doc["dynamics"] = {"kind": "unicycle"}
     scenario = parse_scenario(doc)
-    game = scenario.make_game(scenario.true_weights())
+    return scenario, scenario.make_game(scenario.true_weights())
+
+
+@pytest.fixture(scope="module", params=SHIPPED)
+def solve_stage_games(request, config_dir):
+    """Every stage game an equilibrium solve of a shipped scenario passes to
+    ``solve_lq_ece``, with the temperatures it passes."""
+    scenario, game = shipped_game(config_dir, request.param)
     calls = []
 
     def record(stage, temperatures):
@@ -461,3 +473,101 @@ class TestConditionScreen:
         assert not sol.report.regularization.any()
         assert_report_matches_ladder(game, sol)
         assert_close(game)
+
+
+def assert_same_bytes(got, want):
+    """Equal arrays byte for byte, so that signed zeros count."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module", params=SHIPPED)
+def converged_stage_game(request, config_dir):
+    """The stage game around a shipped scenario's converged nominal."""
+    scenario, game = shipped_game(config_dir, request.param)
+    policies = solve_ece(game, config=scenario.solver_config).policies
+    return ilq.stage_game_around(game, simulate_mean(game, policies))
+
+
+class TestOneStageBody:
+    """The unchecked pass, the ladder pass and the exported stage helpers
+    run one stage body, so they agree byte for byte."""
+
+    def test_unchecked_pass_equals_checked_pass(self, converged_stage_game):
+        unchecked = lq._backward_pass(converged_stage_game)
+        assert not unchecked[3].any()
+        assert_same_bytes(unchecked, lq._backward_pass(converged_stage_game, checked=True))
+
+    def test_unchecked_pass_equals_checked_pass_unequal_dims(self):
+        data, _ = cross_cost_data(3, (1, 3, 2), 12, 5)
+        game = LqStageGame(**data)
+        assert_same_bytes(lq._backward_pass(game), lq._backward_pass(game, checked=True))
+
+    def test_helpers_equal_the_loop_stage(self, converged_stage_game):
+        game = converged_stage_game
+        S_hist, W_hist, stack, _ = lq._backward_pass(game)
+        for k in range(game.horizon - 1):
+            W_next = W_hist[:, k + 1]
+            S, M, _, shift = solve_stage_coupled(W_next, game.BA[k], game.Rr[k], game.owner)
+            W = backward_value_update(S, W_next, game.BA[k], game.R, game.QL[:, k], game.r[:, k])
+            assert shift == 0.0
+            assert_same_bytes((S, M, W), (S_hist[k], stack[k], W_hist[:, k]))
+
+
+@pytest.fixture
+def ladder_steps(monkeypatch):
+    """The time steps ``solve_stage_coupled`` is called for, in order."""
+    steps = []
+
+    def spy(*args, time_step):
+        steps.append(time_step)
+        return ladder(*args, time_step=time_step)
+
+    ladder = lq.solve_stage_coupled
+    monkeypatch.setattr(lq, "solve_stage_coupled", spy)
+    return steps
+
+
+class TestLadderFromFailingStage:
+    """A pass with a failing stage reruns through the ladder from the latest
+    failing stage on: every later stage was solved as the ladder solves it,
+    so the results are those of a pass that runs the ladder throughout."""
+
+    def test_rerun_equals_full_checked_pass(self, ladder_steps):
+        # 60 stages, of which t = 30 has condition about 4e13.
+        game = LqStageGame(**handover_data([[1e5, 1e5], [1e5, 1e5 + 1e-8]], horizon=61, stage=29))
+        full = lq._backward_pass(game, checked=True)
+        ladder_steps.clear()
+        rerun = lq._backward_pass(game)
+        assert ladder_steps == list(range(30, 0, -1))
+        assert np.flatnonzero(rerun[3]).tolist() == [29]
+        assert 1e13 < np.linalg.cond(rerun[2][29]) < 1e14
+        assert_same_bytes(rerun, full)
+
+    def test_failed_solve_behind_ill_conditioned_stage(self, ladder_steps):
+        # The exactly singular stage t = 10 stops the unchecked loop; the
+        # latest failing stage is still t = 30, where the rerun starts.
+        data = handover_data([[1e5, 1e5], [1e5, 1e5 + 1e-8]], horizon=61, stage=29)
+        singular = handover_data([[1.0, 1.0], [1.0, 1.0]], horizon=61, stage=9)
+        data["A"][9:11] = singular["A"][9:11]
+        for name in ("B", "Q", "l"):
+            for x, y in zip(data[name], singular[name]):
+                x[9:11] = y[9:11]
+        game = LqStageGame(**data)
+        full = lq._backward_pass(game, checked=True)
+        ladder_steps.clear()
+        rerun = lq._backward_pass(game)
+        assert ladder_steps == list(range(30, 0, -1))
+        assert np.flatnonzero(rerun[3]).tolist() == [9, 29]
+        assert_same_bytes(rerun, full)
+        assert_close(game)
+
+    def test_hopeless_stage_names_step_of_full_checked_pass(self):
+        game = LqStageGame(**handover_data([[1.0, 1e6], [1e6, 1e12]], horizon=61, stage=29))
+        with pytest.raises(StageSingularError) as got:
+            solve_lq_ece(game)
+        with pytest.raises(StageSingularError) as full:
+            lq._backward_pass(game, checked=True)
+        assert got.value.time_step == full.value.time_step == 30
+        assert str(got.value) == str(full.value)

@@ -1,4 +1,4 @@
-"""Distribution divergences, goal statistics, RMSE, task summaries."""
+"""Distribution divergences, goal statistics, RMSE."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ecegames import ConfigError, Trajectory, TrajectoryBatch
+from ecegames import Trajectory, TrajectoryBatch
 from ecegames.features import ControlEffort, FeatureBasis
 from ecegames.metrics import (
     HistogramSpec,
-    TaskStatsSpec,
     goal_distance_stats,
     histogram_kl,
     kl_divergence_per_feature,
-    task_statistics,
     trajectory_rmse,
 )
 
@@ -147,41 +145,3 @@ class TestRmse:
         batch = batch_from_positions([np.ones((5, 2))])
         rmse = trajectory_rmse(ref, batch, [np.array([0, 1])], horizon_cut=3)
         assert rmse.shape == (3,)
-
-
-class TestTaskStatistics:
-    def test_constant_speed(self):
-        states = np.zeros((4, 4))
-        states[:, 2] = 3.0  # vx
-        batch = TrajectoryBatch.from_trajectories(
-            (Trajectory(states=states, actions=(np.zeros((4, 1)),)),)
-        )
-        spec = TaskStatsSpec(speeds={"m": [2, 3]}, distances={})
-        out = task_statistics(batch, spec)
-        assert out["avg_speed_m"] == pytest.approx(3.0)
-
-    def test_constant_separation(self):
-        states = np.zeros((4, 4))
-        states[:, 2] = 7.0  # agent 2 x-position
-        batch = TrajectoryBatch.from_trajectories(
-            (Trajectory(states=states, actions=(np.zeros((4, 1)),)),)
-        )
-        spec = TaskStatsSpec(speeds={}, distances={"pair": ([0, 1], [2, 3])})
-        out = task_statistics(batch, spec)
-        assert out["avg_dist_pair"] == pytest.approx(7.0)
-
-    def test_order_invariance(self):
-        rng = np.random.default_rng(5)
-        trajs = [
-            Trajectory(states=rng.normal(size=(4, 4)), actions=(np.zeros((4, 1)),))
-            for _ in range(4)
-        ]
-        spec = TaskStatsSpec(speeds={"a": [0, 1]}, distances={"p": ([0, 1], [2, 3])})
-        fwd = task_statistics(TrajectoryBatch.from_trajectories(trajs), spec)
-        rev = task_statistics(TrajectoryBatch.from_trajectories(reversed(trajs)), spec)
-        assert fwd == pytest.approx(rev)
-
-    def test_bad_indices_raise_config_error(self):
-        batch = batch_from_positions([np.zeros((3, 2))])
-        with pytest.raises(ConfigError):
-            task_statistics(batch, TaskStatsSpec(speeds={"x": [5]}, distances={}))

@@ -27,7 +27,7 @@ from ecegames.lq import LqStageGame, solve_lq_ece
 from ecegames.simulate import evaluate_cost
 
 from conftest import game_spec_from_data, random_lq_data
-from oracles import project_psd_single, quadratize_per_step
+from oracles import project_psd_masked, project_psd_single, quadratize_per_step
 
 
 def rel_close(a, b, rtol=1e-12):
@@ -132,6 +132,27 @@ class TestQuadratize:
         # Stages with no negative eigenvalue keep the symmetrised H exactly.
         sym = (H[::3] + np.swapaxes(H[::3], 1, 2)) / 2.0
         assert np.array_equal(Q[::3], sym)
+
+    @pytest.mark.parametrize("negative", ["every", "none", "every third"])
+    def test_one_path_projection_bytes_equal_masked_formula(self, negative):
+        # Reconstructing every stage and picking with the mask must give the
+        # bytes, signed zeros included, of reconstructing only the projected
+        # stages; so must the stages that keep the symmetrised H.
+        # The PSD stages have eigenvalues of at least 1 - 6e-3; a projected
+        # stage has v'Hv < 0 for a unit v, and a zero row and column, whose
+        # reconstructed entries are rounding noise of either sign.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(45, 6, 6))
+        H = X @ np.swapaxes(X, 1, 2) / 6.0 + np.eye(6) + 1e-3 * rng.normal(size=(45, 6, 6))
+        stages = {"every": slice(None), "none": slice(0), "every third": slice(None, None, 3)}
+        v = np.zeros(6)
+        v[:5] = rng.normal(size=5)
+        v /= np.linalg.norm(v)
+        H[stages[negative]] -= 100.0 * np.outer(v, v)
+        H[stages[negative], 5, :] = H[stages[negative], :, 5] = 0.0
+        neg = np.linalg.eigvalsh((H + np.swapaxes(H, 1, 2)) / 2.0)[:, 0] < 0.0
+        assert np.array_equal(np.flatnonzero(neg), np.arange(45)[stages[negative]])
+        assert _project_psd(H).tobytes() == project_psd_masked(H, HESSIAN_FLOOR).tobytes()
 
     def test_non_finite_hessian_names_agent_and_earliest_step(self):
         A, Bs, Qs, ls, Rs, _ = random_lq_data(np.random.default_rng(2), num_agents=2, n=2)

@@ -2,11 +2,11 @@
 
 A :class:`TrajectoryBatch` holds its K rollouts as (K, T, .) arrays, and every
 consumer of a rollout set (feature sums and means, the Monte-Carlo feature
-expectation, goal statistics, RMSE, task statistics, the trajectory CSV
-writer and reader) works on the whole stack at once.  The references in
-``oracles.py`` keep the per-trajectory loops; the stacked code must match
-them bit for bit, as must the one-call ``linearize`` and ``as_absolute``
-against their per-step references.
+expectation, goal statistics, RMSE, the trajectory CSV writer and reader)
+works on the whole stack at once.  The references in ``oracles.py`` keep the
+per-trajectory loops; the stacked code must match them bit for bit, as must
+the one-call ``linearize`` and ``as_absolute`` against their per-step
+references.
 """
 
 import json
@@ -36,7 +36,7 @@ from ecegames import (
 from ecegames.config import parse_scenario
 from ecegames.features import ControlEffort, FeatureBasis
 from ecegames.irl import _mean_demo_actions, empirical_feature_mean, estimate_feature_expectation
-from ecegames.metrics import TaskStatsSpec, goal_distance_stats, task_statistics, trajectory_rmse
+from ecegames.metrics import goal_distance_stats, trajectory_rmse
 
 from oracles import (
     absolute_offsets_per_step,
@@ -44,7 +44,6 @@ from oracles import (
     goal_distance_stats_per_trajectory,
     linearize_per_step,
     mean_feature_sums,
-    task_statistics_per_trajectory,
     trajectory_rmse_per_trajectory,
     write_trajectories_by_cell,
 )
@@ -166,15 +165,6 @@ class TestMatchesPerTrajectoryLoops:
         rmse = trajectory_rmse(ref, model, pos, horizon_cut=cut)
         assert rmse.shape == (T,)
         assert np.array_equal(rmse, trajectory_rmse_per_trajectory(ref, model, pos, T))
-
-    def test_task_statistics(self, rollouts):
-        scenario, _, _, batch = rollouts
-        pos = scenario.position_indices
-        spec = TaskStatsSpec(
-            speeds={f"agent{i}": p + 1 for i, p in enumerate(pos)},
-            distances={f"{i}{j}": (pos[i], pos[j]) for i in range(len(pos)) for j in range(i)},
-        )
-        assert task_statistics(batch, spec) == task_statistics_per_trajectory(batch, spec)
 
     def test_mean_demo_actions(self, rollouts):
         batch = rollouts[3]
