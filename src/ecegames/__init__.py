@@ -49,9 +49,7 @@ from .lq import (
     LqStageGame,
     StageSolveReport,
     ValueRecursion,
-    backward_value_update,
     solve_lq_ece,
-    solve_stage_coupled,
 )
 from .metrics import (
     HistogramSpec,

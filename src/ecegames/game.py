@@ -121,10 +121,6 @@ class NoiseModel:
         psd_factor(self.covariance)  # raises if not PSD
 
     @classmethod
-    def identity(cls, state_dim: int) -> "NoiseModel":
-        return cls(np.eye(state_dim), np.eye(state_dim))
-
-    @classmethod
     def scaled_identity(cls, state_dim: int, scale: float) -> "NoiseModel":
         return cls(scale * np.eye(state_dim), np.eye(state_dim))
 
@@ -349,19 +345,6 @@ class TrajectoryBatch(_RolloutLayout):
         if self.states.shape[0] == 0:
             raise ValueError("trajectory batch may not be empty")
 
-    @classmethod
-    def from_trajectories(cls, trajectories: Iterable[Trajectory]) -> "TrajectoryBatch":
-        """Stack rollouts that share their dimensions."""
-        trajectories = tuple(trajectories)
-        if not trajectories:
-            raise ValueError("trajectory batch may not be empty")
-        if len({(t.states.shape, t.action_dims) for t in trajectories}) > 1:
-            raise ValueError("trajectories in a batch must share dimensions")
-        return cls(
-            states=np.stack([t.states for t in trajectories]),
-            actions=tuple(np.stack(a) for a in zip(*(t.actions for t in trajectories))),
-        )
-
     def __len__(self) -> int:
         return self.states.shape[0]
 
@@ -455,19 +438,6 @@ class AffineGaussianPolicySet:
     def covariance_factors(self) -> tuple[Array, ...]:
         """Cholesky factors of every Sigma_t^i, computed once per policy set."""
         return tuple(cholesky_checked(S, i)[1] for i, S in enumerate(self.covariances))
-
-    def as_absolute(self) -> tuple[list[Array], list[Array]]:
-        """Re-express the policy means as a = -P s - alpha_abs (no nominal).
-
-        Useful for comparing policies computed around different nominals.
-        """
-        # Row-for-row matmul, which rounds like the one-step P_t @ sbar_t.
-        sbar = self.nominal_states[:, :, None]
-        alphas = [
-            al - ab - (P @ sbar)[:, :, 0]
-            for P, al, ab in zip(self.gains, self.offsets, self.nominal_actions)
-        ]
-        return [P.copy() for P in self.gains], alphas
 
 
 def pin_other_agents(

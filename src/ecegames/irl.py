@@ -207,9 +207,12 @@ def run_mairl(
     gradient step on that agent's weights, and continue with the refreshed
     set.  Equilibrium solves are warm-started from the previous iteration.
     Convergence requires every agent's relative feature-matching residual
-    (RMS of per-feature relative gaps) below tolerance within one sweep; if
-    the budget runs out the trace is flagged and the best-residual weights
-    are returned.
+    (RMS of per-feature relative gaps) below tolerance within one sweep.
+    Each residual is measured at the weights its agent had before its step,
+    but the weights returned are those after a whole sweep's steps: the
+    converging sweep's, or, when the budget runs out (the trace is flagged),
+    those after the sweep with the smallest total residual, at which no
+    residual was measured.
     """
     cfg = cfg or LearnConfig()
     weights = [w.copy() for w in validate_weights(basis, init_weights)]

@@ -37,37 +37,27 @@ and offsets are one array [P | alpha] (K, n + 1).  Nothing is padded, and a
 stage makes the same dozen or so array calls for any N and any action dims:
 one product gives every agent's rows of the stage system [M | rhs], one
 solve gives [P | alpha], and each term of the value update is one product
-over all agents.  The stage helpers take one stage of this layout:
-``solve_stage_coupled(W_next, BA, Rr, owner)`` returns [P | alpha], the
-stage matrix, its condition and the shift, and
-``backward_value_update(S, W_next, BA, R, QL_t, r_t)`` returns the new W.
-The backward pass runs the same stage body as they do, on operands it lays
-out once per solve, so its stages equal theirs bit for bit.
-The sums over agents happen inside the matrix products, so results agree
-with a per-agent loop to rounding (a few ulp), not bit for bit.  The
-covariances come from the diagonal blocks of the stage matrices.
+over all agents.  The sums over agents happen inside the matrix products, so
+results agree with a per-agent loop to rounding (a few ulp), not bit for
+bit.  The covariances come from the diagonal blocks of the stage matrices.
 
 Conditioning: a stage whose block matrix has a 2-norm condition number above
-``COND_LIMIT`` is solved with its diagonal shifted by lambda I, lambda
-doubling from ``REG_INIT`` up to ``REG_MAX``.  The backward pass first
-solves each stage as it stands, stacking the stage matrices, and screens
-them after the loop with one stacked call for the bound
-||M||_F ||M^-1||_F >= cond_2(M) (inf for a singular stage), which costs an
-inverse instead of a singular-value decomposition.  A stage whose bound is
-at most ``COND_LIMIT / 2`` needs no shift; the others take their exact
-conditions from one stacked singular-value call, and those decide, so every
-decision is the one the exact conditions give.  A stage fails when its
-condition is over the limit or not finite, when its matrix or any of its
-outputs is not finite, or when its solve fails.  Every stage later in time
-than the latest failing one was then solved exactly as the ladder solves
-it, so the pass resumes from that stage's value through the per-stage
-ladder of :func:`solve_stage_coupled`, and the results, shifts, warnings
-and the step a :class:`StageSingularError` names are those of a pass that
-runs the ladder from the terminal stage.  No solve in the benchmark
-workloads needs the ladder (their largest stage condition is below 3).  The
-report's stage conditions are computed from the kept stage matrices
-(shifted where the ladder shifted them) the first time they are read, so a
-solve whose conditions nobody reads takes no singular values at all.
+``COND_LIMIT`` (or that is not finite) is solved with its diagonal shifted
+by lambda I, lambda doubling from ``REG_INIT`` up to ``REG_MAX``, and a
+stage that no shift brings under the limit raises
+:class:`StageSingularError`.  One stage loop runs both passes of a solve.
+The first runs without this ladder and solves each stage as it stands; the
+stage matrices it keeps are then screened for the stages that fail
+(:func:`_latest_failure`).  Every stage later in time than the latest
+failing one was solved exactly as the ladder solves it, so the second
+pass, with the ladder, resumes from that stage's value, and the results,
+shifts, warnings and the step a :class:`StageSingularError` names are
+those of a pass that runs the ladder from the terminal stage.  A solve in
+which no stage fails, as in every benchmark workload (their largest stage
+condition is below 3), makes no second pass.  The report's stage
+conditions are computed from the kept stage matrices (shifted where the
+ladder shifted them) the first time they are read, so a solve whose
+conditions nobody reads takes no singular values at all.
 """
 
 from __future__ import annotations
@@ -213,17 +203,20 @@ class ValueRecursion:
 
 
 def _condition(M: Array) -> float:
-    """2-norm condition number of M, as ``np.linalg.cond`` gives it (inf when
-    M is singular), from one singular-value call."""
+    """2-norm condition number of M, as ``np.linalg.cond`` gives it, from one
+    singular-value call; inf when M is singular or not finite, for which the
+    singular-value decomposition would not converge."""
+    if not np.isfinite(M).all():
+        return np.inf
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[0] / s[-1]) if s[-1] != 0.0 else np.inf
 
 
 def _stacked_condition(stack: Array) -> Array:
-    """:func:`_condition` of every matrix of a (T-1, K, K) stack from one
-    stacked singular-value call, which runs the per-matrix routine on each,
-    so every ratio equals the per-matrix one (inf and NaN, with a warning,
-    for a singular matrix)."""
+    """:func:`_condition` of every matrix of a finite (T-1, K, K) stack from
+    one stacked singular-value call, which runs the per-matrix routine on
+    each, so every ratio equals the per-matrix one (inf and NaN, with a
+    warning, for a singular matrix)."""
     s = np.linalg.svd(stack, compute_uv=False)
     return s[:, 0] / s[:, -1]
 
@@ -238,8 +231,8 @@ class StageSolveReport:
     2-norm condition number of the matrix that was solved, shift included.
     It is computed the first time it is read, from the stack by
     :func:`_stacked_condition`, so a solve whose conditions nobody reads
-    makes no singular-value call; the values equal those the per-stage
-    :func:`solve_stage_coupled` gives.
+    makes no singular-value call; the values equal the per-stage
+    :func:`_condition` of the matrices the ladder solved.
     """
 
     regularization: Array
@@ -251,6 +244,13 @@ class StageSolveReport:
         for k in np.flatnonzero(self.regularization):
             M[k] += self.regularization[k] * np.eye(M.shape[-1])
         return _stacked_condition(M)
+
+
+@dataclass(frozen=True)
+class LqSolution:
+    policies: AffineGaussianPolicySet
+    values: ValueRecursion
+    report: StageSolveReport
 
 
 def _stage_system(W_next: Array, Bt: Array, BA: Array, Rr: Array, rows: Array) -> Array:
@@ -273,9 +273,25 @@ def _stage_system(W_next: Array, Bt: Array, BA: Array, Rr: Array, rows: Array) -
 def _value_update(
     S: Array, W_next: Array, F0: Array, Bpad: Array, R: Array, QL_t: Array, r0_t: Array
 ) -> Array:
-    """The body of :func:`backward_value_update`, on operands laid out once
-    per solve: F0 (n + 1, n + 1) = [[A, 0], [0, 1]], Bpad (n + 1, K) =
-    [[B], [0]] and r0_t (N, K, n + 1) = [0 | r_t]."""
+    """Propagate every agent's value W^i = [Z^i | xi^i] one step back.
+
+    S (K, n + 1) is the stage's [P | alpha], W_next (N, n, n + 1),
+    F0 (n + 1, n + 1) = [[A, 0], [0, 1]], Bpad (n + 1, K) = [[B], [0]],
+    R (N, K, K), QL_t (N, n, n + 1) = [Q_t | l_t] and r0_t (N, K, n + 1) =
+    [0 | r_t], r^i_t in agent i's rows.  The closed loop of the affine state
+    [s; 1] is [[F, beta], [0, 1]] = F0 - Bpad [P | alpha], with F the
+    closed-loop drift and beta its offset; then
+
+        W^i = F'(Z^i_next [F | beta] + [0 | xi^i_next])
+              + P'(R^i [P | alpha] - [0 | r^i_t]) + [Q^i_t | l^i_t],
+
+    that is Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t and
+    xi^i = F'(Z^i_next beta + xi^i_next) + sum_j P^j'R^{ij}alpha^j
+    - P^i'r^i_t + l^i_t, with Z symmetrized to control rounding drift.  The
+    -P'r term carries the own-action linear cost into the value, which makes
+    recentered games (where r = 2 R abar) have their exact expansion point as
+    a fixed point.  Returns W (N, n, n + 1).
+    """
     n = S.shape[1] - 1
     F = F0 - Bpad @ S
     ZF = W_next @ F
@@ -293,181 +309,83 @@ def _value_update(
     return W
 
 
-def _split(BA: Array, K: int) -> tuple[Array, Array, Array]:
-    """B' (..., K, n) and the halves [[A, 0], [0, 1]] (..., n + 1, n + 1) and
-    [[B], [0]] (..., n + 1, K) of BA, each laid out contiguously, for one
-    stage or a stack of them."""
-    n = BA.shape[-2] - 1
-    Bt = np.ascontiguousarray(BA[..., :n, :K].swapaxes(-1, -2))
-    return Bt, BA[..., K:].copy(), BA[..., :K].copy()
+def _ladder(M: Array, time_step: int) -> tuple[Array, float]:
+    """The matrix to solve for the stage matrix M at ``time_step``, and its
+    diagonal shift.
 
-
-def _rows(owner: Array) -> Array:
-    """Every action row's index in the rows of B'[Z^i | xi^i] of all agents
-    stacked: row a of its owner's block."""
-    K = len(owner)
-    return owner * K + np.arange(K)
-
-
-def _padded_offsets(r: Array, width: int) -> Array:
-    """[0 | r]: the linear action terms r (..., K) as the last column of a
-    zero array (..., K, width), shaped like R [P | alpha]."""
-    r0 = np.zeros((*r.shape, width))
-    r0[..., -1] = r
-    return r0
-
-
-def solve_stage_coupled(
-    W_next: Array, BA: Array, Rr: Array, owner: Array, *, time_step: int = 0
-) -> tuple[Array, Array, float, float]:
-    """Solve one stage's coupled linear system for all gains and offsets.
-
-    Arguments are one stage of the :class:`LqStageGame` layout: W_next
-    (N, n, n + 1) stacks every agent's [Z^i | xi^i] at t + 1, BA
-    (n + 1, K + n + 1) is [[B, A, 0], [0, 0, 1]], Rr (K, K + n + 1) is
-    [R_own | 0 | r_joint] and owner (K,) names the agent of each action
-    row.  This assembles the stage system [M | rhs] as the backward pass
-    does and solves M [P | alpha] = rhs for both right-hand sides from one
-    LU factorization.  If the condition exceeds ``COND_LIMIT`` the diagonal
-    is shifted by lambda I (lambda doubling from REG_INIT up to REG_MAX)
-    before giving up with :class:`StageSingularError`.
-
-    Returns [P | alpha] (K, n + 1), agent i's gains and offsets in its rows,
-    the unshifted M, the condition and the shift used.
+    M itself and 0 when its condition is at most ``COND_LIMIT``; otherwise
+    M + lambda I for the first lambda, doubling from ``REG_INIT`` up to
+    ``REG_MAX``, that brings the condition under the limit, or
+    :class:`StageSingularError` when none does.
     """
-    K = len(owner)
-    system = _stage_system(W_next, _split(BA, K)[0], BA, Rr, _rows(owner))
-    M = M_solve = system[:, :K]
-    cond = _condition(M)
-    shift = 0.0
-    if not cond <= COND_LIMIT:  # also true for an infinite or NaN condition
-        lam = REG_INIT
-        while True:
-            M_solve = M + lam * np.eye(K)
-            cond = _condition(M_solve)
-            shift = lam
-            if cond <= COND_LIMIT:
-                break
-            if lam >= REG_MAX:
-                raise StageSingularError(time_step=time_step, condition=cond)
-            lam = min(2.0 * lam, REG_MAX)
-    return np.linalg.solve(M_solve, system[:, K:]), M, cond, shift
+    if _condition(M) <= COND_LIMIT:  # false for an infinite or NaN condition
+        return M, 0.0
+    lam = REG_INIT
+    while True:
+        M_solve = M + lam * np.eye(len(M))
+        cond = _condition(M_solve)
+        if cond <= COND_LIMIT:
+            return M_solve, lam
+        if lam >= REG_MAX:
+            raise StageSingularError(time_step=time_step, condition=cond)
+        lam = min(2.0 * lam, REG_MAX)
 
 
-def backward_value_update(
-    S: Array, W_next: Array, BA: Array, R: Array, QL_t: Array, r_t: Array
-) -> Array:
-    """Propagate every agent's value W^i = [Z^i | xi^i] one step back.
+def _stages(game: LqStageGame, hist: tuple[Array, ...], start: int, ladder: bool) -> int:
+    """Solve the stages k = start, ..., 0 (t = k + 1) backward from the value
+    W^{start + 1} into the histories ``hist`` = ([P | alpha], W, stage
+    matrices, shifts) of :func:`_backward_pass`.
 
-    Arguments are one stage of the :class:`LqStageGame` layout: S (K, n + 1)
-    is the [P | alpha] of :func:`solve_stage_coupled`, W_next (N, n, n + 1),
-    BA (n + 1, K + n + 1) = [[B, A, 0], [0, 0, 1]], R (N, K, K),
-    QL_t (N, n, n + 1) = [Q_t | l_t] and r_t (N, K) holds r^i_t in agent i's
-    rows.  The closed loop of the affine state [s; 1] is
-    [[F, beta], [0, 1]] = [[A, 0], [0, 1]] - [[B], [0]] [P | alpha], with F
-    the closed-loop drift and beta its offset; then
-
-        W^i = F'(Z^i_next [F | beta] + [0 | xi^i_next])
-              + P'(R^i [P | alpha] - [0 | r^i_t]) + [Q^i_t | l^i_t],
-
-    that is Z^i = F'Z^i_next F + sum_j P^j'R^{ij}P^j + Q^i_t and
-    xi^i = F'(Z^i_next beta + xi^i_next) + sum_j P^j'R^{ij}alpha^j
-    - P^i'r^i_t + l^i_t, with Z symmetrized to control rounding drift.  The
-    -P'r term carries the own-action linear cost into the value, which makes
-    recentered games (where r = 2 R abar) have their exact expansion point as
-    a fixed point.  The backward pass runs the same body on operands it lays
-    out once per solve.
-
-    Returns W (N, n, n + 1).
+    The operands are laid out once per call: B' (T-1, K, n), the halves
+    [[A, 0], [0, 1]] and [[B], [0]] of BA, [0 | r] padded to the shape of
+    R [P | alpha], and [Q | l] in time-major order.  Each stage assembles
+    its system, passes the stage matrix through :func:`_ladder` when
+    ``ladder`` is on, solves, and updates the values.  With the ladder off a
+    ``LinAlgError`` stops the loop; returns the k it stopped at, or -1.
     """
-    _, F0, Bpad = _split(BA, S.shape[0])
-    return _value_update(S, W_next, F0, Bpad, R, QL_t, _padded_offsets(r_t, S.shape[1]))
-
-
-@dataclass(frozen=True)
-class LqSolution:
-    policies: AffineGaussianPolicySet
-    values: ValueRecursion
-    report: StageSolveReport
-
-
-def _backward_pass(game: LqStageGame, checked: bool = False):
-    """The backward loop of :func:`solve_lq_ece`: the [P | alpha] (T, K, n + 1)
-    and W (N, T, n, n + 1) histories, the unshifted stage matrices
-    (T-1, K, K), and the stage shifts.
-
-    ``checked`` solves every stage through :func:`solve_stage_coupled`, which
-    alone regularizes and raises :class:`StageSingularError`.  Otherwise
-    :func:`_unchecked_stages` first solves every stage as it stands and
-    names the latest stage that failed, and only that stage and the earlier
-    ones go through :func:`solve_stage_coupled`: every later stage was
-    solved exactly as the ladder solves it.
-    """
+    S_hist, W_hist, stack, regularization = hist
     N, T, n = game.num_agents, game.horizon, game.state_dim
     K = len(game.owner)
-    S_hist = np.zeros((T, K, n + 1))
-    W_hist = np.empty((N, T, n, n + 1))
-    stack = np.empty((T - 1, K, K))
-    regularization = np.zeros(T - 1)
+    BA, Rr, R = game.BA, game.Rr, game.R
+    Bt = np.ascontiguousarray(BA[:, :n, :K].swapaxes(1, 2))
+    F0, Bpad = BA[..., K:].copy(), BA[..., :K].copy()
+    r0 = np.zeros((T, N, K, n + 1))
+    r0[..., n] = game.r.swapaxes(0, 1)
+    QL = np.ascontiguousarray(game.QL.swapaxes(0, 1))
+    rows = game.owner * K + np.arange(K)
 
-    W_hist[:, T - 1] = game.QL[:, T - 1]
-    S_hist[T - 1, :, n] = np.linalg.solve(game.R_own, game.r_joint[T - 1])
-    ladder_from = T - 2
-    if not checked:
-        # Overflow or NaN in a stage the ladder reruns must not warn here;
-        # the rerun repeats it.
-        with np.errstate(all="ignore"):
-            ladder_from = _unchecked_stages(game, S_hist, W_hist, stack)
-    BA, Rr, R, r, QL, owner = game.BA, game.Rr, game.R, game.r, game.QL, game.owner
-    for k in range(ladder_from, -1, -1):
-        W_next = W_hist[:, k + 1]
-        S, stack[k], _, regularization[k] = solve_stage_coupled(
-            W_next, BA[k], Rr[k], owner, time_step=k + 1
-        )
+    W = W_hist[:, start + 1]
+    for k in range(start, -1, -1):
+        system = _stage_system(W, Bt[k], BA[k], Rr[k], rows)
+        M = stack[k] = system[:, :K]
+        if ladder:
+            M, regularization[k] = _ladder(M, k + 1)
+        try:
+            S = np.linalg.solve(M, system[:, K:])
+        except np.linalg.LinAlgError:
+            if ladder:
+                raise
+            return k
         S_hist[k] = S
-        W_hist[:, k] = backward_value_update(S, W_next, BA[k], R, QL[:, k], r[:, k])
-    return S_hist, W_hist, stack, regularization
+        W = W_hist[:, k] = _value_update(S, W, F0[k], Bpad[k], R, QL[k], r0[k])
+    return -1
 
 
-def _unchecked_stages(game: LqStageGame, S_hist: Array, W_hist: Array, stack: Array) -> int:
-    """Solve the stages t = T-1, ..., 1 of :func:`_backward_pass` as they
-    stand, into its histories, and return the index k (t = k + 1) of the
-    latest stage that failed, or -1 when none did.
+def _latest_failure(hist: tuple[Array, ...], stopped: int) -> int:
+    """The k (t = k + 1) of the latest stage of a pass run without the ladder
+    that failed, or -1 when none did; ``stopped`` is the k at which a
+    ``LinAlgError`` stopped the pass (-1 when it ran through).
 
-    The operands are laid out once: B' (T-1, K, n), the halves of BA,
-    [0 | r] padded to the shape of R [P | alpha], and [Q | l] in time-major
-    order.  A stage fails when its solve raises ``LinAlgError`` (the loop
-    stops there), when its stage matrix, gains, offsets or value
-    coefficients are not finite, or when its condition exceeds
+    A stage after that one fails when its stage matrix, gains, offsets or
+    value coefficients are not finite, or when its condition exceeds
     ``COND_LIMIT``.  The conditions are screened with one stacked call for
     the bound ||M||_F ||M^-1||_F >= cond_2(M) (inf for a singular stage),
     which costs an inverse instead of a singular-value decomposition; only
     the stages whose bound exceeds ``COND_LIMIT / 2`` take their exact
     conditions, which then decide as the ladder's would.
     """
-    T, n = game.horizon, game.state_dim
-    K = len(game.owner)
-    BA, Rr = game.BA, game.Rr
-    Bt, F0, Bpad = _split(BA, K)
-    r0 = _padded_offsets(game.r.swapaxes(0, 1), n + 1)
-    QL = np.ascontiguousarray(game.QL.swapaxes(0, 1))
-    R, rows = game.R, _rows(game.owner)
-
-    W = W_hist[:, T - 1]
-    stopped = -1
-    for k in range(T - 2, -1, -1):
-        system = _stage_system(W, Bt[k], BA[k], Rr[k], rows)
-        stack[k] = system[:, :K]
-        try:
-            S = np.linalg.solve(stack[k], system[:, K:])
-        except np.linalg.LinAlgError:
-            stopped = k
-            break
-        S_hist[k] = S
-        W = W_hist[:, k] = _value_update(S, W, F0[k], Bpad[k], R, QL[k], r0[k])
-
-    # Whether each stage after the one the loop stopped at passed.
-    done = slice(stopped + 1, T - 1)
+    S_hist, W_hist, stack, _ = hist
+    done = slice(stopped + 1, len(stack))
     M = stack[done]
     ok = np.isfinite(M).all(axis=(1, 2))
     ok &= np.isfinite(S_hist[done]).all(axis=(1, 2))
@@ -480,26 +398,49 @@ def _unchecked_stages(game: LqStageGame, S_hist: Array, W_hist: Array, stack: Ar
     return stopped + 1 + int(failed[-1]) if failed.size else stopped
 
 
+def _backward_pass(game: LqStageGame, checked: bool = False):
+    """The backward loop of :func:`solve_lq_ece`: the [P | alpha] (T, K, n + 1)
+    and W (N, T, n, n + 1) histories, the unshifted stage matrices
+    (T-1, K, K), and the stage shifts.
+
+    ``checked`` runs every stage through the ladder.  Otherwise every stage
+    is first solved as it stands and :func:`_latest_failure` names the
+    latest one that failed; only that stage and the earlier ones rerun with
+    the ladder, because every later stage was solved exactly as the ladder
+    solves it.  A pass in which nothing failed makes no ladder call.
+    """
+    N, T, n = game.num_agents, game.horizon, game.state_dim
+    K = len(game.owner)
+    hist = (
+        np.zeros((T, K, n + 1)), np.empty((N, T, n, n + 1)), np.empty((T - 1, K, K)),
+        np.zeros(T - 1),
+    )
+    S_hist, W_hist = hist[:2]
+    W_hist[:, T - 1] = game.QL[:, T - 1]
+    S_hist[T - 1, :, n] = np.linalg.solve(game.R_own, game.r_joint[T - 1])
+    start = T - 2
+    if not checked:
+        # Overflow or NaN in a stage the ladder reruns must not warn here;
+        # the rerun repeats it.
+        with np.errstate(all="ignore"):
+            start = _latest_failure(hist, _stages(game, hist, start, ladder=False))
+    if start >= 0:
+        _stages(game, hist, start, ladder=True)
+    return hist
+
+
 def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = None) -> LqSolution:
     """Solve an LQ-Gaussian game for its entropic-cost-equilibrium policies.
 
     Backward in time from the terminal conditions Z^i_T = Q^i_T,
     xi^i_T = l^i_T.  The terminal-stage policy has zero gain, offset
     (R^{ii})^{-1} r^i_T and covariance gamma^i (R^{ii})^{-1}; interior stages
-    solve the coupled stage system followed by :func:`backward_value_update`
-    on the game's concatenated-action layout, with
-    Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.
-
-    The backward pass first solves every stage as it stands, keeping the
-    stage matrices in one stack, and screens their conditions after the loop
-    (module docstring).  If a stage matrix is not finite, a solve fails, a
-    condition exceeds ``COND_LIMIT`` or a gain, offset or value coefficient
-    is not finite, the pass resumes from the latest such stage through
-    :func:`solve_stage_coupled`, whose regularization ladder shifts the
-    ill-conditioned stages or raises :class:`StageSingularError` naming the
-    first hopeless one in the backward order; the later stages are kept.
-    Either way the results, and the conditions the report computes when they
-    are read, are those of the per-stage ladder.
+    solve the coupled stage system and propagate the values on the game's
+    concatenated-action layout, with
+    Sigma^i_t = gamma^i (R^{ii} + B^i'Z^i_{t+1}B^i)^{-1}.  Stages whose
+    system is ill-conditioned, singular or not finite are shifted by the
+    regularization ladder, or raise :class:`StageSingularError` naming the
+    first hopeless one in the backward order (module docstring).
 
     The covariances of all agents and stages are formed in one stacked pass
     after the backward loop and checked symmetric positive definite

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import FeatureBasis, eval_features
-from .game import Array, Trajectory, TrajectoryBatch
+from .game import Array, TrajectoryBatch
 
 
 @dataclass(frozen=True)
@@ -86,26 +86,20 @@ def goal_distance_stats(
 
 
 def trajectory_rmse(
-    reference: Trajectory | Array,
-    rollouts: TrajectoryBatch,
-    position_indices: Sequence[Array],
-    horizon_cut: int | None = None,
+    reference: Array, rollouts: TrajectoryBatch, position_indices: Sequence[Array]
 ) -> Array:
-    """Per-time-step RMSE of agent positions against a reference trajectory.
+    """Per-time-step RMSE of agent positions against reference states.
 
-    At each step the squared position errors are averaged over rollouts and
-    agents before taking the root.  ``reference`` may be a trajectory or a
-    raw (T, n) state array (e.g. the per-step mean of a demo batch).
+    ``reference`` (T, n) holds a state per step of the rollouts (e.g. the
+    per-step mean of a demo batch).  At each step the squared position
+    errors are averaged over rollouts and agents before taking the root.
     """
-    ref_states = reference.states if isinstance(reference, Trajectory) else np.asarray(reference)
-    T = rollouts.horizon if horizon_cut is None else horizon_cut
-    if T > rollouts.horizon or T > ref_states.shape[0]:
-        raise ValueError("horizon_cut exceeds available trajectory length")
+    T, reference = rollouts.horizon, np.asarray(reference)
     count = len(rollouts) * len(position_indices)
     sq = np.empty((len(rollouts), len(position_indices), T))
     for i, idx in enumerate(position_indices):
         idx = np.asarray(idx, dtype=int)
-        err = rollouts.states[:, :T, idx] - ref_states[:T, idx]
+        err = rollouts.states[..., idx] - reference[:, idx]
         sq[:, i] = np.sum(err * err, axis=-1)
     # Added up trial by trial, agents in order within a trial: cumsum adds the
     # rows in that order even where np.sum(axis=0) would add them pairwise.

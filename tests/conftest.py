@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecegames import GameSpec, InitialState, NoiseModel, dynamics, quadratic_cost
+from ecegames import GameSpec, InitialState, NoiseModel, TrajectoryBatch, dynamics, quadratic_cost
 from ecegames.config import parse_scenario
 from ecegames.lq import LqStageGame
 
@@ -57,18 +57,13 @@ def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon, r=None) -> LqStageGame:
     )
 
 
-def stage_args(Z, xi, A, B, R_own, r, owner):
-    """One stage in the ``LqStageGame`` layout, as the stage helpers take it:
-    W_next = [Z | xi] from Z (N, n, n) and xi (N, n); BA = [[B, A, 0], [0, 0, 1]]
-    from A (n, n) and the concatenated B (n, K); Rr = [R_own | 0 | r] from
-    R_own (K, K) and r (K,); and owner (K,)."""
-    (n, K), xi = np.shape(B), np.asarray(xi, dtype=float)
-    W = np.concatenate([np.asarray(Z, dtype=float), xi[..., None]], axis=2)
-    BA = np.zeros((n + 1, K + n + 1))
-    BA[:n, :K], BA[:n, K:-1], BA[n, -1] = B, A, 1.0
-    Rr = np.zeros((K, K + n + 1))
-    Rr[:, :K], Rr[:, -1] = R_own, r
-    return W, BA, Rr, np.asarray(owner)
+def stack_trajectories(trajectories) -> TrajectoryBatch:
+    """Rollouts that share their dimensions as one batch."""
+    trajectories = list(trajectories)
+    return TrajectoryBatch(
+        states=np.stack([t.states for t in trajectories]),
+        actions=tuple(np.stack(a) for a in zip(*(t.actions for t in trajectories))),
+    )
 
 
 def game_spec_from_data(A, Bs, Qs, ls, Rs, horizon, s1=None, rng=None) -> GameSpec:
@@ -80,7 +75,7 @@ def game_spec_from_data(A, Bs, Qs, ls, Rs, horizon, s1=None, rng=None) -> GameSp
         dynamics=dynamics.linear(A, Bs),
         costs=costs,
         horizon=horizon,
-        noise=NoiseModel.identity(n),
+        noise=NoiseModel(np.eye(n), np.eye(n)),
         initial_state=InitialState(mean=np.asarray(s1, dtype=float)),
     )
 

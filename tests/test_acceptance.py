@@ -28,6 +28,7 @@ from ecegames.metrics import HistogramSpec, kl_divergence_per_feature
 
 from conftest import game_spec_from_data, random_lq_data, stage_game_from_data
 from oracles import (
+    absolute_offsets_per_step,
     central_difference_gradient,
     central_difference_hessian,
     central_difference_jacobian,
@@ -195,8 +196,8 @@ def test_criterion_4_nonlinear_solver(crossing_scenario):
         direct = solve_lq_ece(stage_game_from_data(*data))
         it = solve_ece(lq_game, config=SolverConfig(max_step_deviation=1e9))
         lq_ok &= len(it.trace) == 2
-        P_i, a_i = it.policies.as_absolute()
-        P_d, a_d = direct.policies.as_absolute()
+        P_i, a_i = it.policies.gains, absolute_offsets_per_step(it.policies)
+        P_d, a_d = direct.policies.gains, absolute_offsets_per_step(direct.policies)
         for i in range(lq_game.num_agents):
             worst = max(worst, float(np.max(np.abs(P_i[i] - P_d[i]))))
             worst = max(worst, float(np.max(np.abs(a_i[i] - a_d[i]))))

@@ -133,6 +133,23 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert [row["iteration"] for row in rows] == ["1"]
 
+    def test_singular_stage_fails_with_one_error_line(self, tmp_path, config_dir, capsys):
+        # Weights of 1e307 overflow the values, and the first non-finite stage
+        # matrix is one that no diagonal shift makes solvable.
+        cfg = json.loads((config_dir / "two_agent_crossing.json").read_text())
+        for agent in cfg["agents"]:
+            agent["true_weights"] = [1e307, 1e307, 6.0]
+        path = tmp_path / "huge_weights.json"
+        path.write_text(json.dumps(cfg))
+        policy_path = tmp_path / "policy.json"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["solve", "--config", str(path), "--out-policy", str(policy_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: coupled stage system singular at t=57 (condition estimate inf)\n"
+        )
+        assert not policy_path.exists()
+
 
 @pytest.fixture(scope="module")
 def small_config(tmp_path_factory, config_dir):

@@ -94,7 +94,7 @@ class TestSimulateStochastic:
         assert np.max(np.abs(sampled.states - ref.states)) < 1e-5
 
     def test_divergence_names_time_step(self):
-        game = scalar_game(horizon=5, a=10.0, s1=1e305, noise=NoiseModel.identity(1))
+        game = scalar_game(horizon=5, a=10.0, s1=1e305, noise=NoiseModel(np.eye(1), np.eye(1)))
         with np.errstate(over="ignore"):
             with pytest.raises(SimulationDivergedError) as expected:
                 simulate_per_step(game, scalar_policy(5), 9)
@@ -103,7 +103,7 @@ class TestSimulateStochastic:
         assert err.value.time_step == expected.value.time_step == 5
 
     def test_seed_determinism(self):
-        game = scalar_game(horizon=5, noise=NoiseModel.identity(1))
+        game = scalar_game(horizon=5, noise=NoiseModel(np.eye(1), np.eye(1)))
         policy = scalar_policy(5, gain=0.2)
         a = simulate_stochastic(game, policy, seed=123)
         b = simulate_stochastic(game, policy, seed=123)
@@ -113,7 +113,7 @@ class TestSimulateStochastic:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_seed_determinism_property(self, seed):
-        game = scalar_game(horizon=3, noise=NoiseModel.identity(1))
+        game = scalar_game(horizon=3, noise=NoiseModel(np.eye(1), np.eye(1)))
         policy = scalar_policy(3, gain=0.1)
         a = simulate_stochastic(game, policy, seed=seed)
         b = simulate_stochastic(game, policy, seed=seed)

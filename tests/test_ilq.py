@@ -21,7 +21,7 @@ from ecegames.config import parse_scenario
 from ecegames.ilq import linearize, quadratize, stage_game_around
 
 from conftest import game_spec_from_data, random_lq_data, stage_game_from_data
-from oracles import finite_difference_jacobians
+from oracles import absolute_offsets_per_step, finite_difference_jacobians
 
 BIG_STEP = SolverConfig(max_step_deviation=1e9)
 
@@ -150,8 +150,8 @@ class TestSolveEce:
             game = game_spec_from_data(*data, rng=rng)
             direct = solve_lq_ece(stage_game_from_data(*data), game.temperatures)
             sol = solve_ece(game, config=BIG_STEP)
-            P_it, al_it = sol.policies.as_absolute()
-            P_d, al_d = direct.policies.as_absolute()
+            P_it, al_it = sol.policies.gains, absolute_offsets_per_step(sol.policies)
+            P_d, al_d = direct.policies.gains, absolute_offsets_per_step(direct.policies)
             for i in range(game.num_agents):
                 assert np.max(np.abs(P_it[i] - P_d[i])) < 1e-8
                 assert np.max(np.abs(al_it[i] - al_d[i])) < 1e-8

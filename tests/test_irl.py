@@ -28,6 +28,7 @@ from ecegames.irl import (
     update_weights,
 )
 
+from conftest import stack_trajectories
 from oracles import mean_actions_per_agent
 
 
@@ -45,7 +46,7 @@ def scalar_tracking_scenario(horizon=2, target=0.5, noise=False, temperature=1.0
             dynamics=dynamics.linear(np.eye(1), [np.eye(1)]),
             costs=costs,
             horizon=horizon,
-            noise=NoiseModel.identity(1) if noise else NoiseModel.none(1),
+            noise=NoiseModel(np.eye(1), np.eye(1)) if noise else NoiseModel.none(1),
             initial_state=InitialState(mean=np.zeros(1)),
             temperatures=(temperature,),
         )
@@ -67,7 +68,7 @@ class TestEmpiricalFeatureMean:
         basis, _ = scalar_tracking_scenario(horizon=3)
         t1 = Trajectory(states=np.zeros((3, 1)), actions=(np.array([[np.sqrt(2)], [0.0], [0.0]]),))
         t2 = Trajectory(states=np.zeros((3, 1)), actions=(np.array([[2.0], [0.0], [0.0]]),))
-        means = empirical_feature_mean(basis, TrajectoryBatch.from_trajectories((t1, t2)))
+        means = empirical_feature_mean(basis, stack_trajectories((t1, t2)))
         assert means[0][1] == pytest.approx(3.0)
 
     def test_order_invariance(self, small_scenario):
@@ -76,14 +77,14 @@ class TestEmpiricalFeatureMean:
         batch = rollout_batch(game, sol.policies, 5, 0)
         fwd = empirical_feature_mean(small_scenario.basis, batch)
         rev = empirical_feature_mean(
-            small_scenario.basis, TrajectoryBatch.from_trajectories(reversed(list(batch)))
+            small_scenario.basis, stack_trajectories(reversed(list(batch)))
         )
         for a, b in zip(fwd, rev):
             assert np.allclose(a, b)
 
     def test_empty_batch_rejected(self, small_scenario):
-        with pytest.raises(ValueError):
-            TrajectoryBatch.from_trajectories(())
+        with pytest.raises(ValueError, match="empty"):
+            TrajectoryBatch(states=np.zeros((0, 3, 1)), actions=(np.zeros((0, 3, 1)),))
 
 
 class TestEstimateFeatureExpectation:

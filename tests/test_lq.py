@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecegames import StageSingularError, solve_lq_ece
-from ecegames.lq import LqStageGame, backward_value_update, solve_stage_coupled
+from ecegames.lq import LqStageGame
 
-from conftest import random_lq_data, stage_args, stage_game_from_data
+from conftest import random_lq_data, stage_game_from_data
 from oracles import deterministic_nash_lq, textbook_lqr
 
 
@@ -23,79 +23,97 @@ def scalar_stage_game(horizon=2, a=1.0, b=1.0, q=1.0, l=0.0, r=1.0):
     )
 
 
+def two_stage_game(Z, xi, A, B, R, Q=None):
+    """A game with one interior stage: dynamics A (n, n), B[j] (n, m_j) and the
+    action costs R at t = 1, terminal values Z^i = Q^i_T and xi^i = l^i_T, and
+    state costs Q^i (zero by default) at t = 1."""
+    Q = np.zeros_like(Z) if Q is None else Q
+    return LqStageGame(
+        A=np.asarray(A, dtype=float)[None],
+        B=tuple(np.asarray(b, dtype=float)[None] for b in B),
+        Q=tuple(np.stack([q, z]) for q, z in zip(Q, Z)),
+        l=tuple(np.stack([np.zeros_like(x), x]) for x in xi),
+        R=R,
+    )
+
+
 class TestStageSolve:
-    """Hand-solved stages, in the layout of ``LqStageGame``: the actions of
-    all agents concatenated, each agent's value one [Z | xi] array."""
+    """Hand-solved stages: the one interior stage of a 2-stage game."""
 
     def test_single_agent_scalar_hand_solve(self):
-        S, M, cond, reg = solve_stage_coupled(
-            *stage_args(np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.ones((1, 1)),
-                        np.eye(1), np.zeros(1), [0])
-        )
-        assert S[0, 0] == pytest.approx(0.5)
-        assert S[0, 1] == pytest.approx(0.0)
-        assert M.tolist() == [[2.0]] and reg == 0.0
+        sol = solve_lq_ece(scalar_stage_game(horizon=2))
+        assert sol.policies.gains[0][0, 0, 0] == pytest.approx(0.5)
+        assert sol.policies.offsets[0][0, 0] == pytest.approx(0.0)
+        assert sol.report.stage_matrices.tolist() == [[[2.0]]]
+        assert sol.report.regularization.tolist() == [0.0]
 
     def test_two_agent_scalar_hand_solve(self):
         # Block system [[2, 1], [1, 2]] [P1; P2] = [1; 1].
-        S, _, _, _ = solve_stage_coupled(
-            *stage_args(np.ones((2, 1, 1)), np.zeros((2, 1)), np.eye(1), np.ones((1, 2)),
-                        np.eye(2), np.zeros(2), [0, 1])
-        )
-        assert S[0, 0] == pytest.approx(1.0 / 3.0)
-        assert S[1, 0] == pytest.approx(1.0 / 3.0)
+        ones = np.ones((2, 1, 1))
+        R = ((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1)))
+        sol = solve_lq_ece(two_stage_game(ones, np.zeros((2, 1)), np.eye(1), ones, R))
+        assert sol.report.stage_matrices.tolist() == [[[2.0, 1.0], [1.0, 2.0]]]
+        assert sol.policies.gains[0][0, 0, 0] == pytest.approx(1.0 / 3.0)
+        assert sol.policies.gains[1][0, 0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_zero_value_and_offset_rhs_gives_zero_policy(self):
         # Action dims (2, 1): three joint action rows, two of them agent 0's.
-        S, _, _, _ = solve_stage_coupled(
-            *stage_args(np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3), np.ones((3, 3)),
-                        np.eye(3), np.zeros(3), [0, 0, 1])
-        )
-        assert S.shape == (3, 4)
-        assert np.all(S == 0.0)
+        R = ((np.eye(2), np.zeros((1, 1))), (np.zeros((2, 2)), np.eye(1)))
+        sol = solve_lq_ece(two_stage_game(
+            np.zeros((2, 3, 3)), np.zeros((2, 3)), np.eye(3),
+            (np.ones((3, 2)), np.ones((3, 1))), R,
+        ))
+        for P, alpha in zip(sol.policies.gains, sol.policies.offsets):
+            assert np.all(P[0] == 0.0) and np.all(alpha[0] == 0.0)
 
     def test_singular_stage_raises_with_time_index(self):
-        # Spread of singular values too wide for the capped diagonal shift.
-        Z = np.diag([1e14, 0.0])[None]
+        # Spread of singular values too wide for the capped diagonal shift:
+        # cond(1e-6 I + diag(1e14, 0)) = 1e20 at t = 7.
+        T = 8
+        Q = np.zeros((T, 2, 2))
+        Q[-1] = np.diag([1e14, 0.0])
+        game = LqStageGame(
+            A=np.tile(np.eye(2), (T - 1, 1, 1)),
+            B=(np.tile(np.eye(2), (T - 1, 1, 1)),),
+            Q=(Q,),
+            l=(np.zeros((T, 2)),),
+            R=((1e-6 * np.eye(2),),),
+        )
         with pytest.raises(StageSingularError) as err:
-            solve_stage_coupled(
-                *stage_args(Z, np.zeros((1, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)),
-                            np.zeros(2), [0, 0]),
-                time_step=7,
-            )
+            solve_lq_ece(game)
         assert err.value.time_step == 7
 
     def test_regularization_path_reports_shift(self):
-        # Rank-deficient block matrix that a small diagonal shift repairs.
-        S, M, cond, reg = solve_stage_coupled(
-            *stage_args(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1), np.zeros((1, 2)),
-                        np.ones((2, 2)), np.zeros(2), [0, 0])
-        )
-        assert reg > 0.0 and M.tolist() == [[1.0, 1.0], [1.0, 1.0]]
-        assert np.isfinite(cond) and cond <= 1e12
+        # Two one-action agents whose block matrix is [[1, 1], [1, 1]], which
+        # the first diagonal shift repairs.
+        Z = np.tile([[0.0, 1.0], [1.0, 0.0]], (2, 1, 1))
+        R = ((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1)))
+        game = two_stage_game(Z, np.zeros((2, 2)), np.eye(2), (np.eye(2)[:, :1], np.eye(2)[:, 1:]), R)
+        sol = solve_lq_ece(game)
+        assert sol.report.regularization.tolist() == [1e-8]
+        assert sol.report.stage_matrices.tolist() == [[[1.0, 1.0], [1.0, 1.0]]]
+        assert np.isfinite(sol.report.condition[0]) and sol.report.condition[0] <= 1e12
 
 
 class TestBackwardUpdate:
-    """Hand-checked value updates in the layout of ``LqStageGame``."""
+    """Hand-checked value updates: the values at t = 1 of a 2-stage game."""
 
     def test_scalar_hand_update(self):
-        W, BA, _, _ = stage_args(np.ones((1, 1, 1)), np.zeros((1, 1)), np.eye(1),
-                                 np.ones((1, 1)), np.eye(1), np.zeros(1), [0])
-        W = backward_value_update(
-            np.array([[0.5, 0.0]]), W, BA, np.ones((1, 1, 1)), np.array([[[1.0, 0.0]]]),
-            np.zeros((1, 1)),
-        )
-        assert W[0, 0, 0] == pytest.approx(1.5)
-        assert W[0, 0, 1] == pytest.approx(0.0)
+        sol = solve_lq_ece(scalar_stage_game(horizon=2))
+        assert sol.values.Z[0][0, 0, 0] == pytest.approx(1.5)
+        assert sol.values.xi[0][0, 0] == pytest.approx(0.0)
 
     def test_zero_cost_agent_stays_zero(self):
-        # Action dims (2, 1): three joint action rows.
-        W, BA, _, _ = stage_args(np.zeros((2, 1, 1)), np.zeros((2, 1)), np.eye(1),
-                                 np.ones((1, 3)), np.eye(3), np.zeros(3), [0, 0, 1])
-        W = backward_value_update(
-            np.zeros((3, 2)), W, BA, np.zeros((2, 3, 3)), np.zeros((2, 1, 2)), np.zeros((2, 3))
-        )
-        assert np.all(W[0] == 0.0)
+        # Action dims (2, 1).  Agent 0 has no state cost and no cost on agent
+        # 1's action, so its own gains are zero and so are its values, however
+        # agent 1 acts.
+        Z = np.stack([np.zeros((1, 1)), np.ones((1, 1))])
+        R = ((np.eye(2), np.zeros((1, 1))), (np.zeros((2, 2)), np.eye(1)))
+        sol = solve_lq_ece(two_stage_game(
+            Z, np.array([[0.0], [1.0]]), np.eye(1), (np.ones((1, 2)), np.ones((1, 1))), R,
+        ))
+        assert np.any(sol.policies.gains[1][0] != 0.0)
+        assert np.all(sol.values.Z[0] == 0.0) and np.all(sol.values.xi[0] == 0.0)
 
     def test_uncontrolled_lyapunov_step(self):
         rng = np.random.default_rng(3)
@@ -103,11 +121,10 @@ class TestBackwardUpdate:
         Zn = rng.normal(size=(3, 3))
         Zn = Zn + Zn.T
         Q = np.eye(3) * 0.4
-        W, BA, _, _ = stage_args(Zn[None], np.zeros((1, 3)), A, np.zeros((3, 2)), np.eye(2),
-                                 np.zeros(2), [0, 0])
-        QL = np.concatenate([Q, np.zeros((3, 1))], axis=1)[None]
-        W = backward_value_update(np.zeros((2, 4)), W, BA, np.eye(2)[None], QL, np.zeros((1, 2)))
-        assert np.allclose(W[0, :, :3], A.T @ Zn @ A + Q)
+        game = two_stage_game(Zn[None], np.zeros((1, 3)), A, (np.zeros((3, 2)),),
+                              ((np.eye(2),),), Q=Q[None])
+        sol = solve_lq_ece(game)
+        assert np.allclose(sol.values.Z[0][0], A.T @ Zn @ A + Q)
 
 
 class TestSolveLqEce:
@@ -222,6 +239,18 @@ class TestSolveLqEce:
         for Z in sol.values.Z:
             for k in range(Z.shape[0]):
                 assert np.max(np.abs(Z[k] - Z[k].T)) < 1e-12
+
+    def test_non_finite_terminal_cost_is_singular_stage(self):
+        # A NaN in Q_T makes the last stage matrix NaN, which no diagonal shift
+        # repairs; its condition is reported as inf.
+        T = 4
+        Q = np.ones((T, 1, 1))
+        Q[-1] = np.nan
+        game = LqStageGame(A=np.ones((T - 1, 1, 1)), B=(np.ones((T - 1, 1, 1)),), Q=(Q,),
+                           l=(np.zeros((T, 1)),), R=((np.eye(1),),))
+        with pytest.raises(StageSingularError) as err:
+            solve_lq_ece(game)
+        assert err.value.time_step == T - 1 and err.value.condition == np.inf
 
     def test_report_shapes(self):
         game = scalar_stage_game(horizon=5)

@@ -6,8 +6,9 @@
 the per-agent, per-pair loops.  The solver sums over agents inside its
 matrix products, so the two agree to rounding: every output to a relative
 1e-12, while the regularization shifts and the time step of every
-``StageSingularError`` are equal.  Within the solver, the unchecked pass,
-the ladder pass and the exported stage helpers agree byte for byte.
+``StageSingularError`` are equal.  Within the solver, the pass without the
+regularization ladder and the pass with it run one stage loop and agree
+byte for byte.
 """
 
 import json
@@ -21,15 +22,9 @@ from ecegames import StageSingularError, ilq, lq, simulate_mean, solve_ece
 from ecegames.config import parse_scenario
 from ecegames.errors import CovarianceError
 from ecegames.game import cholesky_checked
-from ecegames.lq import (
-    COND_LIMIT,
-    LqStageGame,
-    backward_value_update,
-    solve_lq_ece,
-    solve_stage_coupled,
-)
+from ecegames.lq import COND_LIMIT, LqStageGame, solve_lq_ece
 
-from conftest import random_lq_data, stage_args, stage_game_from_data
+from conftest import random_lq_data, stage_game_from_data
 from oracles import solve_lq_ece_per_agent, solve_stage_coupled_per_agent
 
 FIELDS = ("gains", "offsets", "covariances", "Z", "xi")
@@ -222,8 +217,8 @@ def cross_cost_data(n, dims, horizon, seed):
     return data, tuple(rng.uniform(0.2, 3.0, size=N))
 
 
-# The helper inputs of tests/test_lq.py, as per-agent sequences for the reference:
-# (Z_next, xi_next, A, B, R, time_step).
+# One stage each, as per-agent sequences for the reference:
+# (Z_next, xi_next, A, B, R, lead), where ``lead`` counts the stages before it.
 HELPER_STAGES = [
     ([np.eye(1)], [np.zeros(1)], np.eye(1), [np.eye(1)], ((np.eye(1),),), 0),
     (
@@ -234,35 +229,50 @@ HELPER_STAGES = [
         ((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1))),
         0,
     ),
-    ([np.zeros((1, 1))], [np.zeros(1)], np.eye(1), [np.zeros((1, 2))], ((np.ones((2, 2)),),), 0),
-    ([np.diag([1e14, 0.0])], [np.zeros(2)], np.eye(2), [np.eye(2)], ((np.zeros((2, 2)),),), 7),
+    # Block matrix I + [[Z^1_00, Z^1_01], [Z^2_10, Z^2_11]] = [[1, 1], [1, 1]]:
+    # singular, repaired by the first shift.
+    (
+        [np.array([[0.0, 1.0], [1.0, 0.0]])] * 2,
+        [np.zeros(2)] * 2,
+        np.eye(2),
+        [np.eye(2)[:, :1], np.eye(2)[:, 1:]],
+        ((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1))),
+        0,
+    ),
+    # cond(1e-6 I + diag(1e14, 0)) = 1e20: no shift up to 1e-2 repairs it.
+    ([np.diag([1e14, 0.0])], [np.zeros(2)], np.eye(2), [np.eye(2)], ((1e-6 * np.eye(2),),), 7),
 ]
 
 
 class TestHelpers:
-    @pytest.mark.parametrize("Z, xi, A, B, R, time_step", HELPER_STAGES)
-    def test_stage_solve_matches_reference(self, Z, xi, A, B, R, time_step):
-        dims = [b.shape[1] for b in B]
-        r = [np.zeros(m) for m in dims]
-        ends = np.cumsum(dims)
-        R_own = np.zeros((ends[-1], ends[-1]))
-        for i, (e, m) in enumerate(zip(ends, dims)):
-            R_own[e - m : e, e - m : e] = R[i][i]
-        owner = np.repeat(np.arange(len(dims)), dims)
-        args = stage_args(np.stack(Z), np.stack(xi), A, np.hstack(B), R_own, np.hstack(r), owner)
+    """The last interior stage of a game whose terminal values are Z_next and
+    xi_next against the reference's per-agent stage solve."""
+
+    @pytest.mark.parametrize("Z, xi, A, B, R, lead", HELPER_STAGES)
+    def test_stage_solve_matches_reference(self, Z, xi, A, B, R, lead):
+        T = lead + 2
+        game = LqStageGame(
+            A=np.tile(A, (T - 1, 1, 1)),
+            B=tuple(np.tile(b, (T - 1, 1, 1)) for b in B),
+            Q=tuple(np.concatenate([np.zeros((T - 1, *z.shape)), z[None]]) for z in Z),
+            l=tuple(np.concatenate([np.zeros((T - 1, *x.shape)), x[None]]) for x in xi),
+            R=R,
+        )
+        r = [np.zeros(b.shape[1]) for b in B]
         try:
-            ref = solve_stage_coupled_per_agent(Z, xi, A, B, R, r, time_step=time_step)
+            ref = solve_stage_coupled_per_agent(Z, xi, A, B, R, r, time_step=T - 1)
         except StageSingularError as exc:
             with pytest.raises(StageSingularError) as err:
-                solve_stage_coupled(*args, time_step=time_step)
-            assert err.value.time_step == exc.time_step
+                solve_lq_ece(game)
+            assert err.value.time_step == exc.time_step == lead + 1
             assert err.value.condition == pytest.approx(exc.condition, rel=1e-12)
             return
-        S, _, cond, shift = solve_stage_coupled(*args, time_step=time_step)
-        assert cond == pytest.approx(ref[2], rel=1e-12) and shift == ref[3]
-        n = A.shape[0]
-        assert np.allclose(S[:, :n], np.vstack(ref[0]), rtol=0.0, atol=1e-12)
-        assert np.allclose(S[:, n], np.hstack(ref[1]), rtol=0.0, atol=1e-12)
+        sol = solve_lq_ece(game)
+        assert sol.report.condition[-1] == pytest.approx(ref[2], rel=1e-12)
+        assert sol.report.regularization[-1] == ref[3]
+        for i in range(len(B)):
+            assert np.allclose(sol.policies.gains[i][-2], ref[0][i], rtol=0.0, atol=1e-12)
+            assert np.allclose(sol.policies.offsets[i][-2], ref[1][i], rtol=0.0, atol=1e-12)
 
 
 class TestNonFiniteGuards:
@@ -385,14 +395,11 @@ class TestLadderHandover:
 
 def assert_report_matches_ladder(game, sol):
     """Every stage's shift and condition in the report are, bit for bit, those
-    that ``solve_stage_coupled`` gives on the solve's own values."""
-    W = np.concatenate([sol.values.Z, sol.values.xi[..., None]], axis=3)
-    for k in range(game.horizon - 1):
-        _, _, cond, shift = solve_stage_coupled(
-            W[:, k + 1], game.BA[k], game.Rr[k], game.owner, time_step=k + 1
-        )
+    that the ladder gives on the solve's own stage matrices."""
+    for k, M in enumerate(sol.report.stage_matrices):
+        M_solve, shift = lq._ladder(M, k + 1)
         assert shift == sol.report.regularization[k]
-        assert cond == sol.report.condition[k]
+        assert lq._condition(M_solve) == sol.report.condition[k]
 
 
 def terminal_game(diagonal, horizon=3):
@@ -429,8 +436,8 @@ class TestConditionScreen:
     """The unchecked pass screens the stage matrices with the bound
     ||M||_F ||M^-1||_F >= cond_2(M) and takes exact conditions only when a
     bound exceeds COND_LIMIT / 2; the report computes the conditions when
-    they are first read.  Shifts and conditions stay those of
-    ``solve_stage_coupled``."""
+    they are first read.  Shifts and conditions stay those of the per-stage
+    ladder."""
 
     def test_lazy_conditions_match_the_ladder(self, solve_stage_games, svd_calls):
         for stage, temperatures in solve_stage_games:
@@ -491,8 +498,9 @@ def converged_stage_game(request, config_dir):
 
 
 class TestOneStageBody:
-    """The unchecked pass, the ladder pass and the exported stage helpers
-    run one stage body, so they agree byte for byte."""
+    """The pass without the ladder and the pass with it run one stage loop,
+    so they agree byte for byte, and each stage depends on its own data and
+    the next stage's values alone."""
 
     def test_unchecked_pass_equals_checked_pass(self, converged_stage_game):
         unchecked = lq._backward_pass(converged_stage_game)
@@ -505,27 +513,38 @@ class TestOneStageBody:
         assert_same_bytes(lq._backward_pass(game), lq._backward_pass(game, checked=True))
 
     def test_helpers_equal_the_loop_stage(self, converged_stage_game):
+        # Every stage equals, byte for byte, the only interior stage of the
+        # 2-stage game made of its data and the values the pass gave t + 1.
         game = converged_stage_game
+        N, n, s = game.num_agents, game.state_dim, game.slices
+        R = tuple(tuple(game.R[i][sj, sj] for sj in s) for i in range(N))
         S_hist, W_hist, stack, _ = lq._backward_pass(game)
         for k in range(game.horizon - 1):
-            W_next = W_hist[:, k + 1]
-            S, M, _, shift = solve_stage_coupled(W_next, game.BA[k], game.Rr[k], game.owner)
-            W = backward_value_update(S, W_next, game.BA[k], game.R, game.QL[:, k], game.r[:, k])
-            assert shift == 0.0
-            assert_same_bytes((S, M, W), (S_hist[k], stack[k], W_hist[:, k]))
+            QL = np.stack([game.QL[:, k], W_hist[:, k + 1]], axis=1)
+            two = LqStageGame(
+                A=game.A[k : k + 1],
+                B=tuple(game.B[k : k + 1, :, sj] for sj in s),
+                Q=tuple(QL[..., :n]),
+                l=tuple(QL[..., n]),
+                R=R,
+                r=tuple(game.r[i][k : k + 2, s[i]] for i in range(N)),
+            )
+            S, W, M, shift = lq._backward_pass(two)
+            assert shift[0] == 0.0
+            assert_same_bytes((S[0], M[0], W[:, 0]), (S_hist[k], stack[k], W_hist[:, k]))
 
 
 @pytest.fixture
 def ladder_steps(monkeypatch):
-    """The time steps ``solve_stage_coupled`` is called for, in order."""
+    """The time steps the ladder is called for, in order."""
     steps = []
 
-    def spy(*args, time_step):
+    def spy(M, time_step):
         steps.append(time_step)
-        return ladder(*args, time_step=time_step)
+        return ladder(M, time_step)
 
-    ladder = lq.solve_stage_coupled
-    monkeypatch.setattr(lq, "solve_stage_coupled", spy)
+    ladder = lq._ladder
+    monkeypatch.setattr(lq, "_ladder", spy)
     return steps
 
 

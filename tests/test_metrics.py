@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ecegames import Trajectory, TrajectoryBatch
+from ecegames import Trajectory
 from ecegames.features import ControlEffort, FeatureBasis
 from ecegames.metrics import (
     HistogramSpec,
@@ -16,6 +16,8 @@ from ecegames.metrics import (
     trajectory_rmse,
 )
 
+from conftest import stack_trajectories
+
 
 def batch_from_positions(positions_list):
     """One-agent planar batch; state = position, single scalar action."""
@@ -23,7 +25,7 @@ def batch_from_positions(positions_list):
     for pos in positions_list:
         pos = np.asarray(pos, dtype=float)
         trajs.append(Trajectory(states=pos, actions=(np.zeros((pos.shape[0], 1)),)))
-    return TrajectoryBatch.from_trajectories(trajs)
+    return stack_trajectories(trajs)
 
 
 def effort_basis():
@@ -39,7 +41,7 @@ def effort_batch(effort_values, horizon=4):
         a = np.zeros((horizon, 1))
         a[0, 0] = np.sqrt(v)
         trajs.append(Trajectory(states=np.zeros((horizon, 2)), actions=(a,)))
-    return TrajectoryBatch.from_trajectories(trajs)
+    return stack_trajectories(trajs)
 
 
 class TestHistogramKl:
@@ -139,9 +141,3 @@ class TestRmse:
         )
         assert np.allclose(base, moved)
         assert np.all(base >= 0.0)
-
-    def test_horizon_cut(self):
-        ref = np.zeros((5, 2))
-        batch = batch_from_positions([np.ones((5, 2))])
-        rmse = trajectory_rmse(ref, batch, [np.array([0, 1])], horizon_cut=3)
-        assert rmse.shape == (3,)

@@ -210,7 +210,7 @@ def diverging_game(kind, horizon=10):
         dynamics=dynamics.unicycle(2, 0.1),
         costs=(cost, cost),
         horizon=horizon,
-        noise=NoiseModel.identity(n),
+        noise=NoiseModel(np.eye(n), np.eye(n)),
         initial_state=InitialState(mean=np.array([1e270, 0.0, 0.0, 1.0, 2.0, 0.5])),
     )
     policies = AffineGaussianPolicySet.identity_nominal(

@@ -5,8 +5,7 @@ consumer of a rollout set (feature sums and means, the Monte-Carlo feature
 expectation, goal statistics, RMSE, the trajectory CSV writer and reader)
 works on the whole stack at once.  The references in ``oracles.py`` keep the
 per-trajectory loops; the stacked code must match them bit for bit, as must
-the one-call ``linearize`` and ``as_absolute`` against their per-step
-references.
+the one-call ``linearize`` against its per-step reference.
 """
 
 import json
@@ -38,8 +37,8 @@ from ecegames.features import ControlEffort, FeatureBasis
 from ecegames.irl import _mean_demo_actions, empirical_feature_mean, estimate_feature_expectation
 from ecegames.metrics import goal_distance_stats, trajectory_rmse
 
+from conftest import stack_trajectories
 from oracles import (
-    absolute_offsets_per_step,
     feature_sums_per_trajectory,
     goal_distance_stats_per_trajectory,
     linearize_per_step,
@@ -94,20 +93,15 @@ class TestBatchLayout:
             assert_lists_equal(batch[k].actions, traj.actions)
 
     def test_from_trajectories_round_trip(self, rollouts):
+        # The trials a batch iterates over stack back into the batch.
         batch = rollouts[3]
-        again = TrajectoryBatch.from_trajectories(batch)
+        again = stack_trajectories(batch)
         assert np.array_equal(again.states, batch.states)
         assert_lists_equal(again.actions, batch.actions)
 
     def test_invalid_batches_rejected(self):
-        traj = Trajectory(states=np.zeros((3, 2)), actions=(np.zeros((3, 1)),))
-        longer = Trajectory(states=np.zeros((4, 2)), actions=(np.zeros((4, 1)),))
-        with pytest.raises(ValueError, match="empty"):
-            TrajectoryBatch.from_trajectories([])
         with pytest.raises(ValueError, match="empty"):
             TrajectoryBatch(states=np.zeros((0, 3, 2)), actions=(np.zeros((0, 3, 1)),))
-        with pytest.raises(ValueError, match="share dimensions"):
-            TrajectoryBatch.from_trajectories([traj, longer])
         with pytest.raises(ValueError, match=r"\(K, T, m_i\)"):
             TrajectoryBatch(states=np.zeros((2, 3, 2)), actions=(np.zeros((2, 4, 1)),))
         with pytest.raises(ValueError, match=r"\(K, T, n\)"):
@@ -149,10 +143,8 @@ class TestMatchesPerTrajectoryLoops:
 
     # The last case is a one-step batch of final states: one column per
     # (trial, agent) row, the layout in which np.sum(axis=0) adds pairwise.
-    @pytest.mark.parametrize(
-        "steps, cut", [(slice(None), None), (slice(None), 7), (slice(-1, None), None)]
-    )
-    def test_trajectory_rmse_against_demo_mean(self, rollouts, steps, cut):
+    @pytest.mark.parametrize("steps", [slice(None), slice(-1, None)])
+    def test_trajectory_rmse_against_demo_mean(self, rollouts, steps):
         scenario, game, policies, batch = rollouts
         demo_mean = np.mean(batch.states, axis=0)
         assert np.array_equal(demo_mean, np.mean([traj.states for traj in batch], axis=0))
@@ -160,11 +152,10 @@ class TestMatchesPerTrajectoryLoops:
         model = TrajectoryBatch(
             states=model.states[:, steps], actions=tuple(a[:, steps] for a in model.actions)
         )
-        T = model.horizon if cut is None else cut
         ref, pos = demo_mean[steps], scenario.position_indices
-        rmse = trajectory_rmse(ref, model, pos, horizon_cut=cut)
-        assert rmse.shape == (T,)
-        assert np.array_equal(rmse, trajectory_rmse_per_trajectory(ref, model, pos, T))
+        rmse = trajectory_rmse(ref, model, pos)
+        assert rmse.shape == (model.horizon,)
+        assert np.array_equal(rmse, trajectory_rmse_per_trajectory(ref, model, pos, model.horizon))
 
     def test_mean_demo_actions(self, rollouts):
         batch = rollouts[3]
@@ -255,12 +246,6 @@ class TestStackedLinearize:
             A_ref, B_ref = linearize_per_step(g, nom)
             assert np.array_equal(A, A_ref)
             assert_lists_equal(B, B_ref)
-
-    def test_as_absolute_matches_per_step(self, rollouts):
-        policies = rollouts[2]
-        gains, alphas = policies.as_absolute()
-        assert_lists_equal(alphas, absolute_offsets_per_step(policies))
-        assert_lists_equal(gains, policies.gains)
 
     def test_non_finite_jacobian_names_earliest_step(self):
         model = dynamics.unicycle(1, 0.1)
