@@ -9,6 +9,13 @@ are timed), it solves the game under its true weights and times, per call:
 - ``stage_game_around`` the converged nominal (linearize, quadratize and
   the ``LqStageGame`` layout);
 - ``quadratize`` at that nominal alone (cost expansion and PSD projection);
+- ``cost_derivatives``, every agent's cost-model state gradient and Hessian
+  along that nominal (the feature sums inside ``quadratize``);
+- ``refresh_stage``, the stage game that an iteration after the first
+  builds there: for linear dynamics the stage game of the first iteration
+  with its costs laid out again (``LqStageGame.with_costs`` of
+  ``quadratize``), for other dynamics, and in a tree without
+  ``with_costs``, the whole ``stage_game_around``;
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
 - ``rollout_batch`` of 200 trials from seed 0;
@@ -58,8 +65,8 @@ TRIALS = 200
 BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
 LAYERS = (
-    "stage_game_around", "quadratize", "solve_lq_ece", "simulate_mean",
-    f"rollout_batch({TRIALS})", "solve_ece",
+    "stage_game_around", "quadratize", "cost_derivatives", "refresh_stage", "solve_lq_ece",
+    "simulate_mean", f"rollout_batch({TRIALS})", "solve_ece",
 )
 LADDER = "ladder_60"
 
@@ -108,9 +115,23 @@ def layer_calls(pkg, doc: dict) -> dict:
     policies = pkg.solve_ece(game, config=solver).policies
     nominal = pkg.simulate_mean(game, policies)
     stage = pkg.ilq.stage_game_around(game, nominal)
+    steps = np.arange(1, game.horizon + 1)
+
+    def cost_derivatives():
+        for cost in game.costs:
+            cost.state_gradient(steps, nominal.states)
+            cost.state_hessian(steps, nominal.states)
+
+    def refresh_stage():
+        if game.dynamics.linear_maps is None or not hasattr(stage, "with_costs"):
+            return pkg.ilq.stage_game_around(game, nominal)
+        return stage.with_costs(*pkg.ilq.quadratize(game, nominal))
+
     return dict(zip(LAYERS, (
         lambda: pkg.ilq.stage_game_around(game, nominal),
         lambda: pkg.ilq.quadratize(game, nominal),
+        cost_derivatives,
+        refresh_stage,
         lambda: pkg.solve_lq_ece(stage, game.temperatures),
         lambda: pkg.simulate_mean(game, policies),
         lambda: pkg.rollout_batch(game, policies, TRIALS, 0),

@@ -24,6 +24,7 @@ equals the one-row call at (t[k], s[k]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,8 +32,27 @@ from .errors import InvalidWeightError
 from .game import Array, CostModel, Trajectory, TrajectoryBatch
 
 
+def _assemble(pairs, t: int | Array, s: Array, hessian: bool = False) -> Array:
+    """sum_k w_k D_s phi_k (or D_ss) over (w_k, phi_k) ``pairs``, added in order to zeros."""
+    out = np.zeros(s.shape + s.shape[-1:] * hessian)
+    for w, f in pairs:
+        (f.add_state_hessian if hessian else f.add_state_gradient)(out, t, s, w)
+    return out
+
+
+class _Feature:
+    """``add_state_gradient(out, t, s, w)`` and ``add_state_hessian`` add w times
+    the feature's derivatives to ``out``, in place; the public ones are w = 1."""
+
+    def state_gradient(self, t: int | Array, s: Array) -> Array:
+        return _assemble(((1.0, self),), t, s)
+
+    def state_hessian(self, t: int | Array, s: Array) -> Array:
+        return _assemble(((1.0, self),), t, s, hessian=True)
+
+
 @dataclass(frozen=True)
-class ReferenceTracking:
+class ReferenceTracking(_Feature):
     """||p_t - ref_t||^2 for one agent's position against a sampled reference."""
 
     position_index: Array
@@ -53,19 +73,15 @@ class ReferenceTracking:
         d = self._offset(t, s)
         return np.sum(d * d, axis=-1)
 
-    def state_gradient(self, t: int | Array, s: Array) -> Array:
-        g = np.zeros(s.shape)
-        g[..., self.position_index] = 2.0 * self._offset(t, s)
-        return g
+    def add_state_gradient(self, out: Array, t: int | Array, s: Array, w: float) -> None:
+        out[..., self.position_index] += w * (2.0 * self._offset(t, s))
 
-    def state_hessian(self, t: int | Array, s: Array) -> Array:
-        H = np.zeros(s.shape + s.shape[-1:])
-        H[..., self.position_index, self.position_index] = 2.0
-        return H
+    def add_state_hessian(self, out: Array, t: int | Array, s: Array, w: float) -> None:
+        out[..., self.position_index, self.position_index] += w * 2.0
 
 
 @dataclass(frozen=True)
-class ControlEffort:
+class ControlEffort(_Feature):
     """||a^i_t||^2 for the owning agent; purely an action feature."""
 
     agent: int
@@ -76,15 +92,14 @@ class ControlEffort:
         a = actions[self.agent]
         return np.sum(a * a, axis=-1)
 
-    def state_gradient(self, t: int | Array, s: Array) -> Array:
-        return np.zeros(s.shape)
+    def add_state_gradient(self, out: Array, t: int | Array, s: Array, w: float) -> None:
+        """No state part: adds nothing."""
 
-    def state_hessian(self, t: int | Array, s: Array) -> Array:
-        return np.zeros(s.shape + s.shape[-1:])
+    add_state_hessian = add_state_gradient
 
 
 @dataclass(frozen=True)
-class GaussianProximity:
+class GaussianProximity(_Feature):
     """exp(-||p_i - p_j||^2 / (2 sigma^2)) between two agents' positions."""
 
     position_index: Array
@@ -119,27 +134,23 @@ class GaussianProximity:
     def value(self, t: int | Array, s: Array, actions) -> Array:
         return self._separation(s)[1]
 
-    def state_gradient(self, t: int | Array, s: Array) -> Array:
+    def add_state_gradient(self, out: Array, t: int | Array, s: Array, w: float) -> None:
         d, phi = self._separation(s)
-        gd = -(phi / self.sigma**2)[..., None] * d
-        g = np.zeros(s.shape)
-        g[..., self.position_index] += gd
-        g[..., self.target_index] -= gd
-        return g
+        gd = w * (-(phi / self.sigma**2)[..., None] * d)
+        out[..., self.position_index] += gd
+        out[..., self.target_index] -= gd
 
-    def state_hessian(self, t: int | Array, s: Array) -> Array:
+    def add_state_hessian(self, out: Array, t: int | Array, s: Array, w: float) -> None:
         d, phi = self._separation(s)
         sig2 = self.sigma**2
         # Hessian of phi wrt the separation vector d.
         dd = d[..., :, None] * d[..., None, :]
-        Hd = (phi / sig2)[..., None, None] * (dd / sig2 - np.eye(d.shape[-1]))
+        Hd = w * ((phi / sig2)[..., None, None] * (dd / sig2 - np.eye(d.shape[-1])))
         p, q = self.position_index, self.target_index
-        H = np.zeros(s.shape + s.shape[-1:])
-        H[..., p[:, None], p] += Hd
-        H[..., q[:, None], q] += Hd
-        H[..., p[:, None], q] -= Hd
-        H[..., q[:, None], p] -= Hd
-        return H
+        out[..., p[:, None], p] += Hd
+        out[..., q[:, None], q] += Hd
+        out[..., p[:, None], q] -= Hd
+        out[..., q[:, None], p] -= Hd
 
 
 Feature = ReferenceTracking | ControlEffort | GaussianProximity
@@ -220,7 +231,9 @@ def validate_weights(basis: FeatureBasis, weights) -> list[Array]:
 def make_cost_model(
     basis: FeatureBasis, weights, action_dims: tuple[int, ...]
 ) -> tuple[CostModel, ...]:
-    """Cost models c^i = w^i . phi^i with analytic state derivatives.
+    """Cost models c^i = w^i . phi^i with analytic state derivatives, which
+    each feature adds w_k times its own to, in place and in order: bit for bit
+    the dense sum of weighted arrays, as that sum never holds -0.0.
 
     The weight of the agent's one effort feature (:func:`control_effort_index`)
     becomes the own action-cost matrix R^{ii} = w_eff I; cross blocks R^{ij}
@@ -241,19 +254,15 @@ def make_cost_model(
                 f"agent {i}: control-effort weight must be positive, got {effort_weight}"
             )
         pairs = tuple(zip(w, feats))
+        state = tuple((wk, f) for wk, f in pairs if not isinstance(f, ControlEffort))
 
         def stage_cost(t: int | Array, s: Array, actions, pairs=pairs) -> Array:
             return sum(wk * f.value(t, s, actions) for wk, f in pairs)
-
-        def state_gradient(t: int | Array, s: Array, pairs=pairs) -> Array:
-            return sum(wk * f.state_gradient(t, s) for wk, f in pairs)
-
-        def state_hessian(t: int | Array, s: Array, pairs=pairs) -> Array:
-            return sum(wk * f.state_hessian(t, s) for wk, f in pairs)
 
         action_cost = tuple(
             effort_weight * np.eye(m) if j == i else np.zeros((m, m))
             for j, m in enumerate(action_dims)
         )
-        models.append(CostModel(stage_cost, state_gradient, state_hessian, action_cost))
+        grad, hess = partial(_assemble, state), partial(_assemble, state, hessian=True)
+        models.append(CostModel(stage_cost, grad, hess, action_cost))
     return tuple(models)

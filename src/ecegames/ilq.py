@@ -170,7 +170,9 @@ def solve_ece(
     trajectory moves less than ``convergence_tol``.  Raises
     :class:`NonConvergenceError` (carrying the trace and last iterate) if the
     iteration budget runs out, :class:`LineSearchError` if no admissible step
-    exists.
+    exists.  With linear dynamics (``linear_maps`` set) the linearization and
+    the stage game's dynamics half are built once per solve, on the first
+    iteration (:meth:`~ecegames.lq.LqStageGame.with_costs` lays out the rest).
     """
     cfg = config or SolverConfig()
     if init is None:
@@ -179,10 +181,13 @@ def solve_ece(
     trace = IterationTrace()
     policies = init
     for it in range(1, cfg.max_iterations + 1):
-        lq = solve_lq_ece(stage_game_around(game, nominal), game.temperatures)
+        if it == 1 or game.dynamics.linear_maps is None:
+            stage = stage_game_around(game, nominal)
+        else:  # linear dynamics: only the cost half changes
+            stage = stage.with_costs(*quadratize(game, nominal))
+        lq = solve_lq_ece(stage, game.temperatures)
 
         eps = 1.0
-        candidate = None
         while True:
             trial_policy = AffineGaussianPolicySet(
                 gains=lq.policies.gains,
@@ -197,7 +202,6 @@ def solve_ece(
             except SimulationDivergedError:
                 dev = np.inf
             if dev <= cfg.max_step_deviation:
-                candidate = rolled
                 break
             if eps <= cfg.min_step:
                 raise LineSearchError(iteration=it, min_step=cfg.min_step)
@@ -208,11 +212,11 @@ def solve_ece(
                 iteration=it,
                 max_deviation=dev,
                 step_size=eps,
-                agent_costs=evaluate_cost(game, candidate),
+                agent_costs=evaluate_cost(game, rolled),
             )
         )
-        policies = policy_with_nominal(trial_policy, candidate)
-        nominal = candidate
+        policies = policy_with_nominal(trial_policy, rolled)
+        nominal = rolled
         if dev < cfg.convergence_tol:
             trace.converged = True
             return EceSolution(policies=policies, trace=trace)

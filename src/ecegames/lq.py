@@ -62,9 +62,11 @@ conditions nobody reads takes no singular values at all.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -97,9 +99,12 @@ class LqStageGame:
     - R (N, K, K) holds agent i's action cost blockdiag_j R^{ij};
     - r (N, T, K) holds r^i in agent i's rows and zeros elsewhere;
     - Rr (T, K, K + n + 1) = [R_own | 0 | r_joint], the part of every stage
-      system that does not depend on the values, read through the views
-      R_own (K, K) = blockdiag_i R^{ii} and r_joint (T, K) = [r^1 ... r^N].
+      system that does not depend on the values, with R_own (K, K) =
+      blockdiag_i R^{ii} and the view r_joint (T, K) = [r^1 ... r^N];
+    - Bt = B', F0 = [[A, 0], [0, 1]] and Bpad = [[B], [0]], the loop operands.
 
+    :meth:`with_costs` lays out the cost half (QL, r, Rr) alone, so a solve with
+    linear dynamics builds the rest once (:func:`ecegames.ilq.solve_ece`).
     The laid-out arrays are not valid constructor input.
     """
 
@@ -116,21 +121,19 @@ class LqStageGame:
     Rr: Array = field(init=False, repr=False)
     R_own: Array = field(init=False, repr=False)
     r_joint: Array = field(init=False, repr=False)
+    Bt: Array = field(init=False, repr=False)
+    F0: Array = field(init=False, repr=False)
+    Bpad: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         N, (T, n) = len(self.B), np.shape(self.Q[0])[:2]
         dims = tuple(np.shape(b)[-1] for b in self.B)
-        r = [np.zeros((T, d)) for d in dims] if self.r is None else self.r
         if A.shape != (T - 1, n, n):
             raise ValueError(f"A must be (T-1, n, n), got {A.shape}")
-        for i in range(N):
-            if np.shape(self.B[i]) != (T - 1, n, dims[i]):
-                raise ValueError(f"B[{i}] must be (T-1, n, m_j), got {np.shape(self.B[i])}")
-            if np.shape(self.Q[i]) != (T, n, n) or np.shape(self.l[i]) != (T, n):
-                raise ValueError(f"Q[{i}]/l[{i}] shapes inconsistent")
-            if np.shape(r[i]) != (T, dims[i]):
-                raise ValueError(f"r[{i}] must be (T, m_i), got {np.shape(r[i])}")
+        for i, b in enumerate(self.B):
+            if np.shape(b) != (T - 1, n, dims[i]):
+                raise ValueError(f"B[{i}] must be (T-1, n, m_j), got {np.shape(b)}")
         if len(self.R) != N or any(len(row) != N for row in self.R):
             raise ValueError("R must be an N x N table of blocks")
         for i, row in enumerate(self.R):
@@ -138,13 +141,11 @@ class LqStageGame:
                 if np.shape(Rij) != (dims[j], dims[j]):
                     raise ValueError(f"R[{i}][{j}] must be ({dims[j]}, {dims[j]})")
 
-        object.__setattr__(self, "action_dims", dims)
+        self._set(action_dims=dims)
         K, slices = sum(dims), self.slices
         owner = np.repeat(np.arange(N), dims)
         R = np.zeros((N, K, K))
-        r_agent = np.zeros((N, T, K))
         for i, row in enumerate(self.R):
-            r_agent[i, :, slices[i]] = r[i]
             for j, Rij in enumerate(row):
                 R[i, slices[j], slices[j]] = Rij
         asymmetric = ~np.isclose(R, R.swapaxes(1, 2), rtol=0.0, atol=1e-8)
@@ -163,17 +164,39 @@ class LqStageGame:
         BA = np.zeros((T - 1, n + 1, K + n + 1))
         BA[:, :n, : K + n] = np.concatenate([*self.B, A], axis=2)
         BA[:, n, -1] = 1.0
-        QL = np.empty((N, T, n, n + 1))
-        QL[..., :n], QL[..., n] = self.Q, self.l
-        Rr = np.zeros((T, K, K + n + 1))
-        Rr[..., :K] = own
-        Rr[..., -1] = r_agent.sum(axis=0)
-        for name, value in (
-            ("A", BA[:, :n, K:-1]), ("B", BA[:, :n, :K]), ("Q", QL[..., :n]),
-            ("l", QL[..., n]), ("R", R), ("r", r_agent), ("owner", owner),
-            ("BA", BA), ("QL", QL), ("Rr", Rr), ("R_own", Rr[0, :, :K]), ("r_joint", Rr[..., -1]),
-        ):
+        self._set(
+            A=BA[:, :n, K:-1], B=BA[:, :n, :K], R=R, owner=owner, R_own=own, BA=BA,
+            Bt=np.ascontiguousarray(BA[:, :n, :K].swapaxes(1, 2)),
+            F0=BA[..., K:].copy(), Bpad=BA[..., :K].copy(),
+        )
+        self._lay_out_costs(self.Q, self.l, self.r)
+
+    def with_costs(self, Q, l, r=None) -> LqStageGame:
+        """The game with costs Q, l, r instead; every other array is this one's."""
+        return copy.copy(self)._lay_out_costs(Q, l, r)
+
+    def _set(self, **fields) -> LqStageGame:
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
+        return self
+
+    def _lay_out_costs(self, Q, l, r) -> LqStageGame:
+        """Check the per-agent cost blocks, and lay out the cost half."""
+        N, K, T, n = self.num_agents, len(self.owner), len(self.BA) + 1, self.BA.shape[1] - 1
+        r = [np.zeros((T, d)) for d in self.action_dims] if r is None else r
+        r_agent = np.zeros((N, T, K))
+        for i, s in enumerate(self.slices):
+            if np.shape(Q[i]) != (T, n, n) or np.shape(l[i]) != (T, n):
+                raise ValueError(f"Q[{i}]/l[{i}] shapes inconsistent")
+            if np.shape(r[i]) != (T, self.action_dims[i]):
+                raise ValueError(f"r[{i}] must be (T, m_i), got {np.shape(r[i])}")
+            r_agent[i, :, s] = r[i]
+        QL = np.empty((N, T, n, n + 1))
+        QL[..., :n], QL[..., n] = Q, l
+        Rr = np.zeros((T, K, K + n + 1))
+        Rr[..., :K] = self.R_own
+        Rr[..., -1] = r_agent.sum(axis=0)
+        return self._set(Q=QL[..., :n], l=QL[..., n], r=r_agent, QL=QL, Rr=Rr, r_joint=Rr[..., -1])
 
     @property
     def num_agents(self) -> int:
@@ -336,19 +359,16 @@ def _stages(game: LqStageGame, hist: tuple[Array, ...], start: int, ladder: bool
     W^{start + 1} into the histories ``hist`` = ([P | alpha], W, stage
     matrices, shifts) of :func:`_backward_pass`.
 
-    The operands are laid out once per call: B' (T-1, K, n), the halves
-    [[A, 0], [0, 1]] and [[B], [0]] of BA, [0 | r] padded to the shape of
-    R [P | alpha], and [Q | l] in time-major order.  Each stage assembles
-    its system, passes the stage matrix through :func:`_ladder` when
-    ``ladder`` is on, solves, and updates the values.  With the ladder off a
-    ``LinAlgError`` stops the loop; returns the k it stopped at, or -1.
+    The dynamics operands are the game's; [0 | r] padded to the shape of
+    R [P | alpha] and [Q | l] in time-major order are laid out per call.
+    Each stage assembles its system, runs :func:`_ladder` on the stage
+    matrix when ``ladder`` is on, solves, and updates the values.  Without
+    the ladder a ``LinAlgError`` stops the loop; returns that k, or -1.
     """
     S_hist, W_hist, stack, regularization = hist
     N, T, n = game.num_agents, game.horizon, game.state_dim
     K = len(game.owner)
-    BA, Rr, R = game.BA, game.Rr, game.R
-    Bt = np.ascontiguousarray(BA[:, :n, :K].swapaxes(1, 2))
-    F0, Bpad = BA[..., K:].copy(), BA[..., :K].copy()
+    BA, Rr, R, Bt, F0, Bpad = game.BA, game.Rr, game.R, game.Bt, game.F0, game.Bpad
     r0 = np.zeros((T, N, K, n + 1))
     r0[..., n] = game.r.swapaxes(0, 1)
     QL = np.ascontiguousarray(game.QL.swapaxes(0, 1))
@@ -445,8 +465,8 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     The covariances of all agents and stages are formed in one stacked pass
     after the backward loop and checked symmetric positive definite
     (:class:`CovarianceError` names the first failing agent and its first
-    failing step).  Temperatures must be positive and finite.  The policies
-    are cut to each agent's rows of the joint action; the values are
+    failing step, also a singular one).  Temperatures must be positive and
+    finite.  The policies are cut to each agent's rows of the joint action; the values are
     agent-stacked views of one [Z | xi] history, Z (N, T, n, n) and
     xi (N, T, n).
     """
@@ -464,9 +484,16 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     owner = game.owner
     M = np.concatenate([stack, game.R_own[None]]) * (owner[:, None] == owner)
     M = (M + M.swapaxes(1, 2)) / 2.0
-    covs = np.asarray(temperatures, dtype=float)[owner, None] * np.linalg.inv(M)
-
     slices = game.slices
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # a singular block (the ladder shifted its stage)
+        inv = np.full(M.shape, np.nan)  # NaN fails its agent's covariance check
+        for k, s in product(range(len(M)), slices):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[k, s, s] = np.linalg.inv(M[k, s, s])
+    covs = np.asarray(temperatures, dtype=float)[owner, None] * inv
+
     policies = AffineGaussianPolicySet.identity_nominal(
         [S_hist[:, s, :n] for s in slices],
         [S_hist[:, s, n] for s in slices],

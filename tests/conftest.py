@@ -57,6 +57,16 @@ def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon, r=None) -> LqStageGame:
     )
 
 
+def shipped_game(config_dir, name):
+    """A shipped scenario and its game under the true weights; a name ending
+    in ``_unicycle`` gives the scenario with unicycle dynamics."""
+    doc = json.loads((config_dir / f"{name.removesuffix('_unicycle')}.json").read_text())
+    if name.endswith("_unicycle"):
+        doc["dynamics"] = {"kind": "unicycle"}
+    scenario = parse_scenario(doc)
+    return scenario, scenario.make_game(scenario.true_weights())
+
+
 def stack_trajectories(trajectories) -> TrajectoryBatch:
     """Rollouts that share their dimensions as one batch."""
     trajectories = list(trajectories)

@@ -221,6 +221,15 @@ def quadratize_per_step(game, nominal, *, floor):
     return Q, l, r, projected
 
 
+def dense_cost_derivatives(features, weights, t, s):
+    """State gradient and Hessian of the cost w . phi as dense sums over the
+    features of w_k times each feature's full gradient and Hessian arrays,
+    the control-effort feature's zero arrays included."""
+    g = sum(w * f.state_gradient(t, s) for w, f in zip(weights, features))
+    H = sum(w * f.state_hessian(t, s) for w, f in zip(weights, features))
+    return g, H
+
+
 # -- per-trajectory references for the trial-stacked rollout sets ------------
 
 

@@ -16,7 +16,13 @@ from ecegames.features import (
     straight_line_reference,
 )
 
-from oracles import central_difference_gradient, central_difference_hessian, relative_error
+from conftest import shipped_game
+from oracles import (
+    central_difference_gradient,
+    central_difference_hessian,
+    dense_cost_derivatives,
+    relative_error,
+)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +209,75 @@ class TestMakeCostModel:
         assert scaled[0].stage_cost(1, s, acts) == pytest.approx(
             scale * base[0].stage_cost(1, s, acts)
         )
+
+
+def signed_zero_states(basis, T, n, seed):
+    """(T, n) states around the tracking references, with signed zeros in the
+    derivatives: every third row sits on the references (offsets +0.0),
+    the next row on their negatives (offsets -0.0 where a reference is 0.0),
+    and every fifth row has the agents 1e3 apart (proximity underflows to
+    0.0, its gradient to -0.0)."""
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(T, n))
+    for feats in basis.agents:
+        for f in feats:
+            if isinstance(f, ReferenceTracking):
+                states[:, f.position_index] += f.reference
+                states[0::3, f.position_index] = f.reference[0::3]
+                states[1::3, f.position_index] = -f.reference[1::3]
+    for j, p in enumerate(basis.position_indices):
+        states[2::5, p] += 1e3 * j
+    return states
+
+
+class TestInPlaceAssembly:
+    """The cost model's state gradient and Hessian, assembled in place, equal
+    the dense sums of ``oracles.dense_cost_derivatives`` byte for byte, for
+    stacked and one-row calls."""
+
+    def assert_dense_equal(self, basis, weights, action_dims, states):
+        models = make_cost_model(basis, weights, action_dims)
+        steps = np.arange(1, len(states) + 1)
+        calls = [(steps, states)] + [(int(t), s) for t, s in zip(steps, states)]
+        for feats, w, model in zip(basis.agents, weights, models):
+            for t, s in calls:
+                dense = dense_cost_derivatives(feats, w, t, s)
+                got = model.state_gradient(t, s), model.state_hessian(t, s)
+                for a, b in zip(got, dense):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["two_agent_crossing", "three_agent_ring", "lq_tracking"])
+    @pytest.mark.parametrize("tracking_sign", [1.0, -1.0])
+    def test_shipped_configs(self, config_dir, name, tracking_sign):
+        scenario, game = shipped_game(config_dir, name)
+        weights = []
+        for feats, w in zip(scenario.basis.agents, scenario.true_weights()):
+            w = np.array(w, dtype=float)
+            w[[isinstance(f, ReferenceTracking) for f in feats]] *= tracking_sign
+            weights.append(w)
+        states = signed_zero_states(scenario.basis, game.horizon, game.state_dim, seed=7)
+        self.assert_dense_equal(scenario.basis, weights, game.action_dims, states)
+
+    def test_proximity_before_tracking(self, basis):
+        reordered = FeatureBasis(
+            agents=tuple((fs[2], fs[1], fs[0]) for fs in basis.agents),
+            position_indices=basis.position_indices,
+        )
+        weights = [np.array([2.5, 0.7, -1.3]), np.array([-0.4, 1.1, 3.0])]
+        for seed in range(3):
+            states = signed_zero_states(reordered, 5, 4, seed)
+            self.assert_dense_equal(reordered, weights, (2, 2), states)
+
+    def test_only_state_features_are_called(self, basis, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the effort feature's zero derivatives were built")
+
+        monkeypatch.setattr(ControlEffort, "state_gradient", unused)
+        monkeypatch.setattr(ControlEffort, "state_hessian", unused)
+        model = make_cost_model(basis, [np.array([1.0, 1.0, 2.0])] * 2, (2, 2))[0]
+        s = np.ones((5, 4))
+        assert model.state_hessian(np.arange(1, 6), s).shape == (5, 4, 4)
+        assert model.state_gradient(np.arange(1, 6), s).shape == (5, 4)
 
 
 class TestReference:

@@ -1,5 +1,7 @@
 """Iterative linearize-quadratize-solve loop for nonlinear games."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from ecegames import (
     solve_ece,
     solve_lq_ece,
 )
+from ecegames import ilq
 from ecegames.config import parse_scenario
 from ecegames.ilq import linearize, quadratize, stage_game_around
+from ecegames.lq import LqStageGame
 
-from conftest import game_spec_from_data, random_lq_data, stage_game_from_data
+from conftest import game_spec_from_data, random_lq_data, shipped_game, stage_game_from_data
 from oracles import absolute_offsets_per_step, finite_difference_jacobians
 
 BIG_STEP = SolverConfig(max_step_deviation=1e9)
@@ -265,3 +269,53 @@ class TestSolveEce:
             assert np.allclose(
                 hot.policies.covariances[i], 2.0 * base.policies.covariances[i], rtol=1e-12
             )
+
+
+class TestStageGameOncePerSolve:
+    """With linear dynamics a solve builds the stage game's dynamics half on
+    its first iteration and lays out only the costs after that; the stage
+    game each iteration solves is the one a full build gives, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["two_agent_crossing", "three_agent_ring", "lq_tracking"])
+    def test_refreshed_stage_games_equal_fresh_builds(self, config_dir, name, monkeypatch):
+        scenario, game = shipped_game(config_dir, name)
+        nominals, stages = [], []
+
+        def spy_quadratize(game, nominal):
+            nominals.append(nominal)
+            return quadratize(game, nominal)
+
+        def spy_solve(stage, temperatures):
+            stages.append(stage)
+            return solve_lq_ece(stage, temperatures)
+
+        monkeypatch.setattr(ilq, "quadratize", spy_quadratize)
+        monkeypatch.setattr(ilq, "solve_lq_ece", spy_solve)
+        iterations = len(solve_ece(game, config=scenario.solver_config).trace)
+        monkeypatch.undo()
+        assert len(nominals) == len(stages) == iterations >= 2
+        for nominal, stage in zip(nominals, stages):
+            fresh = stage_game_around(game, nominal)
+            for field in dataclasses.fields(LqStageGame):
+                got, want = getattr(stage, field.name), getattr(fresh, field.name)
+                if isinstance(want, tuple):
+                    assert got == want, field.name
+                else:
+                    assert got.shape == want.shape and got.dtype == want.dtype, field.name
+                    assert got.tobytes() == want.tobytes(), field.name
+
+    @pytest.mark.parametrize(
+        "name", ["two_agent_crossing", "three_agent_ring", "lq_tracking", "lq_tracking_unicycle"]
+    )
+    def test_linearize_once_per_linear_solve(self, config_dir, name, monkeypatch):
+        scenario, game = shipped_game(config_dir, name)
+        calls = []
+
+        def spy(game, nominal):
+            calls.append(nominal)
+            return linearize(game, nominal)
+
+        monkeypatch.setattr(ilq, "linearize", spy)
+        iterations = len(solve_ece(game, config=scenario.solver_config).trace)
+        assert iterations >= 2
+        assert len(calls) == (iterations if name.endswith("_unicycle") else 1)

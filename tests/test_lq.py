@@ -1,5 +1,7 @@
 """Linear-quadratic-Gaussian equilibrium solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,3 +335,32 @@ class TestStageGameValidation:
         kwargs["R"] = tuple(tuple(row) for row in rows)
         with pytest.raises(ValueError, match=rf"R\[{agent}\]\[{agent}\] must be positive definite"):
             LqStageGame(**kwargs)
+
+    def test_with_costs_equals_a_fresh_build(self):
+        kwargs = stage_game_kwargs()
+        game = LqStageGame(**kwargs)
+        before = game.QL.copy()
+        rng = np.random.default_rng(3)
+        costs = {key: tuple(rng.normal(size=np.shape(x)) for x in kwargs[key]) for key in "Qlr"}
+        for r in (costs["r"], None):
+            refreshed = game.with_costs(costs["Q"], costs["l"], r)
+            fresh = LqStageGame(**{**kwargs, **costs, "r": r})
+            for field in dataclasses.fields(LqStageGame):
+                got, want = getattr(refreshed, field.name), getattr(fresh, field.name)
+                assert np.shape(got) == np.shape(want), field.name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+        assert game.QL.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("Q", (np.zeros((3, 2, 2)), np.zeros((2, 2, 2))), r"Q\[1\]/l\[1\] shapes inconsistent"),
+            ("l", (np.zeros((3, 3)), np.zeros((3, 2))), r"Q\[0\]/l\[0\] shapes inconsistent"),
+            ("r", (np.zeros((3, 2)), np.zeros((3, 2))), r"r\[1\] must be \(T, m_i\)"),
+        ],
+    )
+    def test_with_costs_rejects_bad_shapes(self, field, value, message):
+        kwargs = stage_game_kwargs()
+        costs = {key: kwargs[key] for key in "Qlr"} | {field: value}
+        with pytest.raises(ValueError, match=message):
+            LqStageGame(**kwargs).with_costs(**costs)

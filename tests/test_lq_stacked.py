@@ -11,20 +11,17 @@ regularization ladder and the pass with it run one stage loop and agree
 byte for byte.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecegames import StageSingularError, ilq, lq, simulate_mean, solve_ece
-from ecegames.config import parse_scenario
 from ecegames.errors import CovarianceError
 from ecegames.game import cholesky_checked
 from ecegames.lq import COND_LIMIT, LqStageGame, solve_lq_ece
 
-from conftest import random_lq_data, stage_game_from_data
+from conftest import random_lq_data, shipped_game, stage_game_from_data
 from oracles import solve_lq_ece_per_agent, solve_stage_coupled_per_agent
 
 FIELDS = ("gains", "offsets", "covariances", "Z", "xi")
@@ -71,16 +68,6 @@ def random_games(seed, count, equal_dims, **kwargs):
 
 
 SHIPPED = ["two_agent_crossing", "three_agent_ring", "lq_tracking", "lq_tracking_unicycle"]
-
-
-def shipped_game(config_dir, name):
-    """A shipped scenario and its game under the true weights; a name ending
-    in ``_unicycle`` gives the scenario with unicycle dynamics."""
-    doc = json.loads((config_dir / f"{name.removesuffix('_unicycle')}.json").read_text())
-    if name.endswith("_unicycle"):
-        doc["dynamics"] = {"kind": "unicycle"}
-    scenario = parse_scenario(doc)
-    return scenario, scenario.make_game(scenario.true_weights())
 
 
 @pytest.fixture(scope="module", params=SHIPPED)
@@ -281,6 +268,29 @@ class TestNonFiniteGuards:
         game = random_games(35, 1, equal_dims=True, num_agents=2)[0]
         with pytest.raises(ValueError, match="temperature"):
             solve_lq_ece(game, (1.0, gamma))
+
+    def test_singular_own_block_is_a_covariance_error(self):
+        # The ladder solves the stage t = 1 block I + [[0, 1], [1, 0]] with a
+        # shift, but that block, the inverse covariance, stays singular.
+        game = LqStageGame(
+            A=np.eye(2)[None], B=(np.eye(2)[None],), R=((np.eye(2),),),
+            Q=(np.array([np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]]]),), l=(np.zeros((2, 2)),),
+        )
+        with pytest.raises(CovarianceError) as err:
+            solve_lq_ece(game)
+        assert (err.value.agent, err.value.time_step) == (0, 1)
+
+    def test_singular_block_names_its_own_agent(self):
+        # Agent 1's block is singular at t = 1; agent 0's covariances are fine.
+        game = LqStageGame(
+            A=np.eye(2)[None], B=(np.eye(2)[:, :1][None], np.eye(2)[None]),
+            R=((np.eye(1), np.zeros((2, 2))), (np.zeros((1, 1)), np.eye(2))),
+            Q=(np.zeros((2, 2, 2)), np.array([np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]]])),
+            l=(np.zeros((2, 2)), np.zeros((2, 2))),
+        )
+        with pytest.raises(CovarianceError) as err:
+            solve_lq_ece(game)
+        assert (err.value.agent, err.value.time_step) == (1, 1)
 
     def test_cholesky_names_first_non_finite_factor(self):
         S = np.tile(np.eye(2), (6, 1, 1))
