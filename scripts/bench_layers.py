@@ -18,7 +18,9 @@ are timed), it solves the game under its true weights and times, per call:
   ``with_costs``, the whole ``stage_game_around``;
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
-- ``rollout_batch`` of 200 trials from seed 0;
+- ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
+  learner's ``samples_per_expectation``, 1000 the ``--trials`` of the
+  ``sample-eval`` benchmark workload);
 - a cold ``solve_ece``.
 
 One more case, ``ladder_60``, times ``solve_lq_ece`` on a 60-stage
@@ -61,12 +63,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-TRIALS = 200
+TRIALS = (50, 200, 1000)
 BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
 LAYERS = (
     "stage_game_around", "quadratize", "cost_derivatives", "refresh_stage", "solve_lq_ece",
-    "simulate_mean", f"rollout_batch({TRIALS})", "solve_ece",
+    "simulate_mean", *(f"rollout_batch({k})" for k in TRIALS), "solve_ece",
 )
 LADDER = "ladder_60"
 
@@ -134,7 +136,7 @@ def layer_calls(pkg, doc: dict) -> dict:
         refresh_stage,
         lambda: pkg.solve_lq_ece(stage, game.temperatures),
         lambda: pkg.simulate_mean(game, policies),
-        lambda: pkg.rollout_batch(game, policies, TRIALS, 0),
+        *(lambda k=k: pkg.rollout_batch(game, policies, k, 0) for k in TRIALS),
         lambda: pkg.solve_ece(game, config=solver),
     )))
 

@@ -31,10 +31,12 @@ class DynamicsModel:
     ``jacobians(t, s, actions)`` returns ``(A, [B_1, ..., B_N])`` with shapes
     (n, n) and (n, m_j), evaluated at the given point.
 
-    Like the :class:`~ecegames.game.CostModel` callables, ``jacobians`` (a
-    custom one too) broadcasts over a leading time axis: for ``t`` an int
-    array of K steps, ``s`` (K, n) and ``actions[j]`` (K, m_j) it returns A
-    (K, n, n) and B_j (K, n, m_j), row k equal to the one-row call.
+    Like the :class:`~ecegames.game.CostModel` callables, both (custom ones
+    too) broadcast over K leading rows, ``s`` (K, n) and ``actions[j]``
+    (K, m_j), row k equal to the one-row call.  ``step`` gets one int ``t``
+    (the sampler steps K trials together) and must return (K, n); the
+    sampler raises ``ValueError`` on any other shape.  ``jacobians`` gets
+    ``t`` an int array of K steps and returns A (K, n, n) and B_j (K, n, m_j).
 
     ``linear_maps`` is (A (n, n), B (n, K)), B = [B_1 ... B_N] on the
     concatenated actions (K = sum m_j), for a model built by :func:`linear`
@@ -67,10 +69,11 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
     action_dims = tuple(B.shape[1] for B in Bs)
 
     def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
-        out = A @ s
+        # On (..., n, 1) columns: M @ x row by row, rounded like M @ x.
+        out = A @ s[..., None]
         for B, a in zip(Bs, actions):
-            out += B @ a
-        return out
+            out += B @ a[..., None]
+        return out[..., 0]
 
     def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
         reps = s.shape[:-1] + (1, 1)

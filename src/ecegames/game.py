@@ -446,11 +446,12 @@ def pin_other_agents(
     """Reduce a game to a single decision maker with the rest on open-loop replay.
 
     Agent ``agent`` keeps its cost and action channel; every other agent's
-    action at step t is pinned to ``replay_actions[j][t-1]``.  Returns the
-    reduced single-agent game (full joint state retained) and an embedding
-    that rebuilds a joint :class:`Trajectory` or :class:`TrajectoryBatch`
-    from a single-agent one by re-inserting the replayed actions, broadcast
-    over the trials of a batch.
+    action at step t is pinned to ``replay_actions[j][t-1]``, broadcast to
+    the leading shape of the agent's actions when the reduced ``step`` gets
+    stacked trials.  Returns the reduced single-agent game (full joint state
+    retained) and an embedding that rebuilds a joint :class:`Trajectory` or
+    :class:`TrajectoryBatch` from a single-agent one by re-inserting the
+    replayed actions, broadcast over the trials of a batch.
     """
     N = game.num_agents
     if not 0 <= agent < N:
@@ -468,7 +469,9 @@ def pin_other_agents(
     dyn = game.dynamics
 
     def expand(t: int | Array, a: Array) -> list[Array]:
-        acts = [replay[j][t - 1] for j in range(N)]
+        acts = [r[t - 1] for r in replay]
+        if getattr(t, "ndim", 0) < a.ndim - 1:  # one step of stacked trials
+            acts = [np.broadcast_to(x, a.shape[:-1] + x.shape) for x in acts]
         acts[agent] = a
         return acts
 

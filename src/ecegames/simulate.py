@@ -2,7 +2,9 @@
 
 Sampling is fully seed-driven.  Batches derive trial seeds as
 ``base_seed + trial_index``, so any subset of trials can be reproduced (or
-computed in parallel) independently of scheduling.
+computed in parallel) independently of scheduling: trial k of
+:func:`rollout_batch` is :func:`simulate_stochastic` with seed
+``base_seed + k``, bit for bit.
 
 The random stream of one trial is a compatibility contract: trajectory files
 written by earlier versions are reproduced byte for byte.  A trial draws its
@@ -15,13 +17,18 @@ whole noise block with one ``standard_normal`` call of the Generator
    which has no process noise.
 
 Reading the block in one call gives the same numbers as drawing each piece
-in this order with its own call.
+in this order with its own call.  A batch steps all its trials together, as
+one (K, n) stack per step, and each trial still reads its own block in this
+order, so stepping trials together changes no bit of any trial.  The
+dynamics' ``step`` is therefore called on stacked states; see
+:class:`~ecegames.dynamics.DynamicsModel` for the broadcast it must do.
 
 A rollout checks its states once, after the last step, with floating-point
 warnings off in the loop.  Once a state stops being finite the dynamics'
 ``step`` keeps running on non-finite states to the end of the horizon;
-then :class:`SimulationDivergedError` names the first non-finite step, as a
-check at every step would.  A custom ``step`` must accept non-finite states
+then :class:`SimulationDivergedError` names the first non-finite step of
+the first diverging trial in trial order, the step a per-trial check at
+every step would name.  A custom ``step`` must accept non-finite states
 without raising.
 
 :func:`simulate_mean` has two paths, chosen from the dynamics.  For a model
@@ -32,9 +39,9 @@ step; its results agree with the per-step loop to rounding, not bit for
 bit, and a rollout whose states are not all finite is rerun through the
 per-step loop, so the error names the same step.  Every other model
 (unicycles, custom models, the reduced games of
-:func:`~ecegames.game.pin_other_agents`) takes the per-step loop, which
-:func:`simulate_stochastic` and :func:`rollout_batch` share; those rollouts
-are bit for bit those of a per-step reference.
+:func:`~ecegames.game.pin_other_agents`) takes the per-step loop with one
+trial and no noise; it is the loop that samples, and its rollouts are bit
+for bit those of a per-step reference.
 """
 
 from __future__ import annotations
@@ -46,53 +53,50 @@ import numpy as np
 from .errors import SimulationDivergedError
 from .game import AffineGaussianPolicySet, Array, GameSpec, Trajectory, TrajectoryBatch
 
+CHUNK = 128  # trials per noise draw of a batch
+
 
 def _check_dimensions(game: GameSpec, policies: AffineGaussianPolicySet) -> None:
     if policies.horizon != game.horizon or policies.state_dim != game.state_dim:
         raise ValueError("policy set dimensions do not match the game")
 
 
-def _rollout(
-    game: GameSpec,
-    policies: AffineGaussianPolicySet,
-    s: Array,
-    action_noise: Sequence[Array] | None = None,
-    process_noise: Array | None = None,
-) -> Trajectory:
-    """Roll the feedback law and the drift forward from the initial state
-    ``s``, adding ``action_noise[i]`` (T, m_i) to agent i's mean actions and
-    ``process_noise`` (T-1, n) to the drift when given.
+def _rollout(game: GameSpec, policies: AffineGaussianPolicySet, states: Array,
+             actions: Sequence[Array], noisy: bool) -> None:
+    """Roll the feedback law and the drift forward in place, for one trial
+    (``states`` (T, n), ``actions[i]`` (T, m_i)) or for K trials at once on a
+    leading trial axis.  Row 0 of ``states`` holds the initial states.  With
+    ``noisy`` the other rows hold the process noise and ``actions`` the
+    action noise, and the means are added to them: IEEE addition commutes,
+    so noise + mean has the bits of mean + noise.
 
     The loop runs to the end without checking the states, with floating-point
-    warnings off; the first non-finite state row then names the step of
-    :class:`SimulationDivergedError`."""
+    warnings off; then the first non-finite state row of the first trial
+    that has one names the step of :class:`SimulationDivergedError`."""
     T, step = game.horizon, game.dynamics.step
-    states = np.empty((T, game.state_dim))
-    actions = tuple(np.empty((T, m)) for m in game.action_dims)
-    laws = tuple(zip(policies.nominal_actions, policies.gains, policies.offsets, actions))
+    # Step-major views: S[k] and a[k] are step k's states and actions.
+    S, cols = states.swapaxes(0, -2), [a.swapaxes(0, -2) for a in actions]
+    laws = tuple(zip(policies.nominal_actions, policies.gains, policies.offsets, cols))
     with np.errstate(all="ignore"):
         for k, sbar in enumerate(policies.nominal_states):
-            states[k] = s
-            # a = abar - P (s - sbar) - alpha (+ noise), written straight into
-            # the action rows in that order.
-            ds = s - sbar
-            acts = []
+            s = S[k]
+            ds = (s - sbar)[..., None]
             for ab, P, al, a in laws:
+                # a = abar - P (s - sbar) - alpha (+ noise)
                 row = a[k]
-                np.subtract(ab[k], P[k] @ ds, out=row)
-                row -= al[k]
-                acts.append(row)
-            if action_noise is not None:
-                for row, eps in zip(acts, action_noise):
-                    row += eps[k]
+                mean = np.subtract(ab[k], (P[k] @ ds)[..., 0], out=None if noisy else row)
+                mean -= al[k]
+                if noisy:
+                    row += mean
             if k + 1 < T:
-                s = step(k + 1, s, acts)
-                if process_noise is not None:
-                    s = s + process_noise[k]
-    diverged = ~np.isfinite(states).all(axis=1)
-    if diverged.any():
-        raise SimulationDivergedError(time_step=int(diverged.argmax()) + 1)
-    return Trajectory(states=states, actions=actions)
+                drift = step(k + 1, s, [a[k] for a in cols])
+                if getattr(drift, "shape", None) != s.shape:
+                    raise ValueError(f"dynamics step returned {np.shape(drift)}, not {s.shape}")
+                S[k + 1] = S[k + 1] + drift if noisy else drift
+    finite = np.isfinite(states).all(axis=-1).reshape(-1, T)
+    if not finite.all():
+        trial = finite.all(axis=1).argmin()
+        raise SimulationDivergedError(time_step=int(finite[trial].argmin()) + 1)
 
 
 def _closed_loop(
@@ -141,7 +145,11 @@ def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajecto
             dims = game.action_dims
             cut = [actions[:, e - m : e].copy() for e, m in zip(np.cumsum(dims), dims)]
             return Trajectory(states=states, actions=tuple(cut))
-    return _rollout(game, policies, game.initial_state.mean.copy())
+    states = np.empty((game.horizon, game.state_dim))
+    states[0] = game.initial_state.mean
+    actions = tuple(np.empty((game.horizon, m)) for m in game.action_dims)
+    _rollout(game, policies, states, actions, noisy=False)
+    return Trajectory(states=states, actions=actions)
 
 
 def simulate_stochastic(
@@ -151,30 +159,12 @@ def simulate_stochastic(
     distribution, actions from each agent's Gaussian policy, states through
     the dynamics plus additive process noise.
 
-    The noise is read from one draw of ``default_rng(seed)`` in the order the
-    module docstring sets down, so identical seeds produce identical
-    trajectories.  Raises :class:`SimulationDivergedError` like
-    :func:`simulate_mean`.
+    It is the one-trial :func:`rollout_batch`: the noise is read from one
+    draw of ``default_rng(seed)`` in the order the module docstring sets
+    down, so identical seeds produce identical trajectories.  Raises
+    :class:`SimulationDivergedError` like :func:`simulate_mean`.
     """
-    _check_dimensions(game, policies)
-    T, n = game.horizon, game.state_dim
-    rng = np.random.default_rng(seed)
-    initial, dims = game.initial_state, game.action_dims
-    G = game.noise.factor
-    n0 = 0 if initial.factor is None else n
-    # One row per step: the agents' action noise, then the process noise.  The
-    # last row's process-noise slot lies past every value the trial uses.
-    block = rng.standard_normal(n0 + T * (sum(dims) + G.shape[1]))
-    s = initial.mean.copy() if n0 == 0 else initial.mean + initial.factor @ block[:n0]
-    rows = block[n0:].reshape(T, -1)
-    ends = np.cumsum(dims)
-    # (M @ x[..., None])[..., 0] applies M row by row and rounds like M @ x.
-    action_noise = [
-        (L @ rows[:, end - m : end, None])[..., 0]
-        for L, m, end in zip(policies.covariance_factors, dims, ends)
-    ]
-    process_noise = (G @ rows[:-1, ends[-1] :, None])[..., 0]
-    return _rollout(game, policies, s, action_noise, process_noise)
+    return rollout_batch(game, policies, 1, seed)[0]
 
 
 def rollout_batch(
@@ -184,18 +174,37 @@ def rollout_batch(
     base_seed: int,
 ) -> TrajectoryBatch:
     """Sample ``trials`` trajectories with trial seeds ``base_seed + k``;
-    ``base_seed`` must be non-negative, as ``default_rng`` seeds are."""
+    ``base_seed`` must be non-negative, as ``default_rng`` seeds are.
+
+    The noise blocks are drawn ``CHUNK`` trials at a time straight into the
+    output arrays, and then all trials are stepped together."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if base_seed < 0:
         raise ValueError("base_seed must be non-negative")
-    states = np.empty((trials, game.horizon, game.state_dim))
-    actions = tuple(np.empty((trials, game.horizon, m)) for m in game.action_dims)
-    for k in range(trials):
-        traj = simulate_stochastic(game, policies, seed=base_seed + k)
-        states[k] = traj.states
-        for stack, a in zip(actions, traj.actions):
-            stack[k] = a
+    _check_dimensions(game, policies)
+    K, T, n = trials, game.horizon, game.state_dim
+    initial, dims, G = game.initial_state, game.action_dims, game.noise.factor
+    n0 = 0 if initial.factor is None else n
+    ends = np.cumsum(dims)
+    states = np.empty((K, T, n))
+    actions = tuple(np.empty((K, T, m)) for m in dims)
+    # One row per step: the agents' action noise, then the process noise.  The
+    # last row's process-noise slot lies past every value a trial uses.
+    draws = np.empty((min(K, CHUNK), n0 + T * (ends[-1] + G.shape[1])))
+    for c in range(0, K, CHUNK):
+        block, chunk = draws[: K - c], slice(c, c + CHUNK)
+        for seed, z in enumerate(block, base_seed + c):
+            np.random.default_rng(seed).standard_normal(out=z)
+        # (M @ x[..., None])[..., 0] applies M row by row and rounds like M @ x.
+        states[chunk, 0] = initial.mean
+        if n0:
+            states[chunk, 0] += (initial.factor @ block[:, :n0, None])[..., 0]
+        rows = block[:, n0:].reshape(len(block), T, -1)
+        for L, m, end, a in zip(policies.covariance_factors, dims, ends, actions):
+            a[chunk] = (L @ rows[..., end - m : end, None])[..., 0]
+        states[chunk, 1:] = (G @ rows[:, :-1, ends[-1] :, None])[..., 0]
+    _rollout(game, policies, states, actions, noisy=True)
     return TrajectoryBatch(states=states, actions=actions)
 
 

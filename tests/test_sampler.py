@@ -1,13 +1,15 @@
 """The sampler against the per-step-draw reference in ``oracles.py``.
 
-``simulate_stochastic`` draws a trial's whole noise block with one
-``standard_normal`` call and turns it into noise arrays before stepping;
-the reference draws each piece with its own call at the step that uses it.
-Both, and ``rollout_batch`` that shares the rollout loop, must agree bit for
-bit: the random-stream layout is what keeps trajectory files reproducible
-across versions.  So must ``simulate_mean`` on nonlinear dynamics; on
-``linear`` dynamics it runs the closed loop of the feedback, which agrees
-with the reference to a relative 1e-12.
+``rollout_batch`` draws each trial's whole noise block with one
+``standard_normal`` call, in chunks of trials, and steps all its trials
+together; ``simulate_stochastic`` is its one-trial call.  The reference runs
+one trial at a time and draws each piece with its own call at the step that
+uses it.  They must agree bit for bit, at every batch size: the
+random-stream layout is what keeps trajectory files reproducible across
+versions.  So must ``simulate_mean`` on nonlinear dynamics, which runs the
+same loop with one trial and no noise; on ``linear`` dynamics it runs the
+closed loop of the feedback, which agrees with the reference to a relative
+1e-12.
 """
 
 import json
@@ -36,7 +38,7 @@ from ecegames.config import parse_scenario
 from oracles import rollout_batch_per_step, simulate_per_step, unicycle_step_per_agent
 
 SEEDS = (0, 1, 7, 2**31 - 1, 10**12)
-TRIALS = 6
+TRIALS = (1, 2, 129, 300)  # batch sizes on both sides of CHUNK = 128 trials
 BASE_SEED = 40
 
 
@@ -111,17 +113,23 @@ def assert_mean_matches_reference(game, policies):
 
 
 def assert_matches_reference(game, policies):
-    """simulate_stochastic and rollout_batch equal the reference bit for
-    bit; simulate_mean as :func:`assert_mean_matches_reference` says."""
+    """simulate_stochastic and rollout_batch of every size in ``TRIALS``
+    equal the reference bit for bit; simulate_mean as
+    :func:`assert_mean_matches_reference` says."""
     for seed in SEEDS:
         traj = simulate_stochastic(game, policies, seed=seed)
         states, actions = simulate_per_step(game, policies, seed)
-        assert np.array_equal(traj.states, states)
-        assert all(np.array_equal(a, b) for a, b in zip(traj.actions, actions, strict=True))
-    batch = rollout_batch(game, policies, TRIALS, BASE_SEED)
-    states, actions = rollout_batch_per_step(game, policies, TRIALS, BASE_SEED)
-    assert np.array_equal(batch.states, states)
-    assert all(np.array_equal(a, b) for a, b in zip(batch.actions, actions, strict=True))
+        assert traj.states.tobytes() == states.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(traj.actions, actions, strict=True))
+    # Reference trial k depends only on its seed BASE_SEED + k, so the
+    # largest reference batch holds every smaller one.
+    assert simulate_module.CHUNK == 128
+    states, actions = rollout_batch_per_step(game, policies, max(TRIALS), BASE_SEED)
+    for trials in TRIALS:
+        batch = rollout_batch(game, policies, trials, BASE_SEED)
+        assert batch.states.tobytes() == states[:trials].tobytes()
+        for got, ref in zip(batch.actions, actions, strict=True):
+            assert got.tobytes() == ref[:trials].tobytes()
     assert_mean_matches_reference(game, policies)
 
 
@@ -164,17 +172,86 @@ def test_one_step_horizon():
 
 
 def test_reduced_game_of_pin_other_agents(config_dir):
+    # Linear and unicycle dynamics; the reduced step broadcasts the replayed
+    # actions over stacked trials.
+    for name, agent in (("two_agent_crossing", 0), ("lq_tracking_unicycle", 1)):
+        game, policies = scenario_game(config_dir, name)
+        replay = list(simulate_mean(game, policies).actions)
+        reduced, _ = pin_other_agents(game, agent, replay)
+        own = AffineGaussianPolicySet(
+            gains=policies.gains[agent : agent + 1],
+            offsets=policies.offsets[agent : agent + 1],
+            covariances=policies.covariances[agent : agent + 1],
+            nominal_states=policies.nominal_states,
+            nominal_actions=policies.nominal_actions[agent : agent + 1],
+        )
+        assert_matches_reference(reduced, own)
+
+
+def test_batch_trials_are_the_single_trial_samples(config_dir):
+    # Any trial of any batch is simulate_stochastic at its own seed, so a
+    # batch is also any other batch shifted by the difference of base seeds.
     game, policies = scenario_game(config_dir, "two_agent_crossing")
-    replay = list(simulate_mean(game, policies).actions)
-    reduced, _ = pin_other_agents(game, 0, replay)
-    own = AffineGaussianPolicySet(
-        gains=policies.gains[:1],
-        offsets=policies.offsets[:1],
-        covariances=policies.covariances[:1],
-        nominal_states=policies.nominal_states,
-        nominal_actions=policies.nominal_actions[:1],
-    )
-    assert_matches_reference(reduced, own)
+    batch = rollout_batch(game, policies, 131, 7)
+    shifted = rollout_batch(game, policies, 5, 7 + 126)
+    for k in (0, 1, 126, 127, 128, 129, 130):
+        traj = simulate_stochastic(game, policies, seed=7 + k)
+        assert batch[k].states.tobytes() == traj.states.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(batch[k].actions, traj.actions))
+    assert shifted.states.tobytes() == batch.states[126:].tobytes()
+
+
+def test_batch_divergence_names_the_first_diverging_trial():
+    # Trial 3 of the batch first goes non-finite at step 7, trial 5 at step
+    # 4: the error names step 7, as running the trials one by one would.
+    game, policies = unequal_dims_game(10)
+    clean = rollout_batch(game, policies, 8, BASE_SEED)
+    first = {3: 7, 5: 4}  # trial -> first non-finite step
+
+    def step(t, s, actions):
+        # The step from t to t + 1 sends the trial's clean state at t to inf;
+        # states stay bit for bit those of ``clean`` until then.
+        out = game.dynamics.step(t, s, actions)
+        for k, bad in first.items():
+            if t == bad - 1:
+                out[np.all(s == clean.states[k, t - 1], axis=-1)] = np.inf
+        return out
+
+    model = dynamics.DynamicsModel(3, game.action_dims, step, game.dynamics.jacobians)
+    poisoned = GameSpec(model, game.costs, game.horizon, game.noise, game.initial_state)
+    for seed, expected in ((BASE_SEED, 7), (BASE_SEED + 4, 4)):
+        with pytest.raises(SimulationDivergedError) as err:
+            rollout_batch(poisoned, policies, 8 - (seed - BASE_SEED), seed)
+        assert err.value.time_step == expected
+    for k, bad in first.items():
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate_stochastic(poisoned, policies, seed=BASE_SEED + k)
+        assert err.value.time_step == bad
+    # Trials before the first diverging one are unaffected.
+    ok = rollout_batch(poisoned, policies, 3, BASE_SEED)
+    assert ok.states.tobytes() == clean.states[:3].tobytes()
+
+
+def test_step_that_returns_another_shape_is_refused():
+    game, policies = unequal_dims_game(5)
+
+    def with_step(step):
+        model = dynamics.DynamicsModel(3, game.action_dims, step, game.dynamics.jacobians)
+        return GameSpec(model, game.costs, game.horizon, game.noise, game.initial_state)
+
+    def one_row(t, s, actions):
+        return np.atleast_2d(game.dynamics.step(t, s, actions))[0]
+
+    def widened(t, s, actions):
+        out = game.dynamics.step(t, s, actions)
+        return np.concatenate([out, out[..., :1]], axis=-1)
+
+    with pytest.raises(ValueError, match=r"dynamics step returned \(3,\), not \(4, 3\)"):
+        rollout_batch(with_step(one_row), policies, 4, 0)
+    with pytest.raises(ValueError, match=r"dynamics step returned \(1, 4\), not \(1, 3\)"):
+        rollout_batch(with_step(widened), policies, 1, 0)
+    with pytest.raises(ValueError, match=r"dynamics step returned \(4,\), not \(3,\)"):
+        simulate_mean(with_step(widened), policies)
 
 
 def test_divergence_names_the_reference_step():
