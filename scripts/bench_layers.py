@@ -25,7 +25,9 @@ are timed), it solves the game under its true weights and times, per call:
 
 One more case, ``ladder_60``, times ``solve_lq_ece`` on a 60-stage
 two-agent game whose stage t = 30 has condition about 4e13, so that its
-backward pass needs the regularization ladder, which no shipped config does.
+backward pass needs the regularization ladder, which no shipped config does:
+the pass without the ladder fails its screen, and the whole pass of 60
+stages reruns with the ladder from the terminal stage.
 
 Each of ``ROUNDS`` rounds calls every layer for ``BUDGET`` seconds (at
 least 3 calls), with BLAS capped at one thread, and the table shows the least time of one

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -216,16 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a package error becomes its exit code and one stderr line."""
+    """Run one command; a package error becomes its exit code and one stderr line.
+
+    Warnings are held while the command runs and shown when it ends, unless
+    it ends in an error line, which is then all that stderr holds."""
     args = build_parser().parse_args(argv)
+    message = None
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            return args.func(args)
     except ConfigError as exc:
         code, message = USAGE_ERROR, str(exc)
     except NonConvergenceError as exc:
         code, message = RUNTIME_ERROR, f"equilibrium solve did not converge: {exc}"
     except EcegamesError as exc:
         code, message = RUNTIME_ERROR, str(exc)
+    finally:
+        if message is None:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -163,22 +163,21 @@ def update_weights(
     gap: Array,
     learning_rate: float,
     *,
-    effort_index: int | None = None,
-    effort_floor: float = 1e-3,
+    effort_index: int,
+    effort_floor: float,
 ) -> tuple[Array, bool]:
     """One gradient step on a feature-matching gap.
 
     Applies w <- w - gamma * gap, where :func:`run_mairl` passes the
     standardized gap (demo mean - model mean) / (|demo mean| + 1e-8).  The
-    own effort weight is floored to keep the induced action cost positive
-    definite; the returned flag records whether the floor was active.
+    own effort weight, at ``effort_index``, is floored at ``effort_floor`` to
+    keep the induced action cost positive definite; the returned flag
+    records whether the floor was active.
     """
-    w = np.asarray(w, dtype=float)
-    new_w = w - learning_rate * np.asarray(gap, dtype=float)
-    floored = False
-    if effort_index is not None and new_w[effort_index] < effort_floor:
+    new_w = np.asarray(w, dtype=float) - learning_rate * np.asarray(gap, dtype=float)
+    floored = bool(new_w[effort_index] < effort_floor)
+    if floored:
         new_w[effort_index] = effort_floor
-        floored = True
     return new_w, floored
 
 

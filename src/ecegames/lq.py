@@ -46,17 +46,15 @@ Conditioning: a stage whose block matrix has a 2-norm condition number above
 by lambda I, lambda doubling from ``REG_INIT`` up to ``REG_MAX``, and a
 stage that no shift brings under the limit raises
 :class:`StageSingularError`.  One stage loop runs both passes of a solve.
-The first runs without this ladder and solves each stage as it stands; the
-stage matrices it keeps are then screened for the stages that fail
-(:func:`_latest_failure`).  Every stage later in time than the latest
-failing one was solved exactly as the ladder solves it, so the second
-pass, with the ladder, resumes from that stage's value, and the results,
-shifts, warnings and the step a :class:`StageSingularError` names are
-those of a pass that runs the ladder from the terminal stage.  A solve in
-which no stage fails, as in every benchmark workload (their largest stage
-condition is below 3), makes no second pass.  The report's stage
-conditions are computed from the kept stage matrices (shifted where the
-ladder shifted them) the first time they are read, so a solve whose
+The first runs without this ladder and solves each stage as it stands.
+When it stops on a singular stage, or when one screen of what it kept
+fails (:func:`_failed`), the second pass reruns the whole horizon with the
+ladder from the terminal stage, so the results, shifts, warnings and the
+step a :class:`StageSingularError` names are those of the ladder alone.  A
+solve that passes the screen, as in every benchmark workload (their
+largest stage condition is below 3), makes no second pass.  The report's
+stage conditions are computed from the kept stage matrices (shifted where
+the ladder shifted them) the first time they are read, so a solve whose
 conditions nobody reads takes no singular values at all.
 """
 
@@ -253,9 +251,9 @@ class StageSolveReport:
     ``stage_matrices[k]`` that matrix unshifted.  ``condition[k]`` is the
     2-norm condition number of the matrix that was solved, shift included.
     It is computed the first time it is read, from the stack by
-    :func:`_stacked_condition`, so a solve whose conditions nobody reads
-    makes no singular-value call; the values equal the per-stage
-    :func:`_condition` of the matrices the ladder solved.
+    :func:`_stacked_condition`; the screen (:func:`_failed`) takes none, so
+    a solve whose conditions nobody reads makes no singular-value call.  The
+    values equal the per-stage :func:`_condition` of the matrices solved.
     """
 
     regularization: Array
@@ -354,16 +352,17 @@ def _ladder(M: Array, time_step: int) -> tuple[Array, float]:
         lam = min(2.0 * lam, REG_MAX)
 
 
-def _stages(game: LqStageGame, hist: tuple[Array, ...], start: int, ladder: bool) -> int:
-    """Solve the stages k = start, ..., 0 (t = k + 1) backward from the value
-    W^{start + 1} into the histories ``hist`` = ([P | alpha], W, stage
+def _stages(game: LqStageGame, hist: tuple[Array, ...], ladder: bool) -> bool:
+    """Solve every stage k = T-2, ..., 0 (t = k + 1) backward from the
+    terminal value into the histories ``hist`` = ([P | alpha], W, stage
     matrices, shifts) of :func:`_backward_pass`.
 
     The dynamics operands are the game's; [0 | r] padded to the shape of
     R [P | alpha] and [Q | l] in time-major order are laid out per call.
     Each stage assembles its system, runs :func:`_ladder` on the stage
     matrix when ``ladder`` is on, solves, and updates the values.  Without
-    the ladder a ``LinAlgError`` stops the loop; returns that k, or -1.
+    the ladder a ``LinAlgError`` stops the loop and returns False; True
+    when every stage solved.
     """
     S_hist, W_hist, stack, regularization = hist
     N, T, n = game.num_agents, game.horizon, game.state_dim
@@ -374,8 +373,8 @@ def _stages(game: LqStageGame, hist: tuple[Array, ...], start: int, ladder: bool
     QL = np.ascontiguousarray(game.QL.swapaxes(0, 1))
     rows = game.owner * K + np.arange(K)
 
-    W = W_hist[:, start + 1]
-    for k in range(start, -1, -1):
+    W = W_hist[:, T - 1]
+    for k in range(T - 2, -1, -1):
         system = _stage_system(W, Bt[k], BA[k], Rr[k], rows)
         M = stack[k] = system[:, :K]
         if ladder:
@@ -385,37 +384,25 @@ def _stages(game: LqStageGame, hist: tuple[Array, ...], start: int, ladder: bool
         except np.linalg.LinAlgError:
             if ladder:
                 raise
-            return k
+            return False
         S_hist[k] = S
         W = W_hist[:, k] = _value_update(S, W, F0[k], Bpad[k], R, QL[k], r0[k])
-    return -1
+    return True
 
 
-def _latest_failure(hist: tuple[Array, ...], stopped: int) -> int:
-    """The k (t = k + 1) of the latest stage of a pass run without the ladder
-    that failed, or -1 when none did; ``stopped`` is the k at which a
-    ``LinAlgError`` stopped the pass (-1 when it ran through).
+def _failed(hist: tuple[Array, ...]) -> bool:
+    """Whether a pass that ran through without the ladder fails the screen:
+    a stage's gains, offsets or value coefficients are not finite, or the
+    bound ||M||_F ||M^-1||_F >= cond_2(M) of a stage matrix exceeds
+    ``COND_LIMIT / 2`` (it is inf or NaN for a singular or non-finite M).
 
-    A stage after that one fails when its stage matrix, gains, offsets or
-    value coefficients are not finite, or when its condition exceeds
-    ``COND_LIMIT``.  The conditions are screened with one stacked call for
-    the bound ||M||_F ||M^-1||_F >= cond_2(M) (inf for a singular stage),
-    which costs an inverse instead of a singular-value decomposition; only
-    the stages whose bound exceeds ``COND_LIMIT / 2`` take their exact
-    conditions, which then decide as the ladder's would.
+    The bound costs one stacked inverse, not a singular-value decomposition.
+    A stage it flags whose exact condition is under the limit costs a ladder
+    pass, which solves that stage unshifted.
     """
     S_hist, W_hist, stack, _ = hist
-    done = slice(stopped + 1, len(stack))
-    M = stack[done]
-    ok = np.isfinite(M).all(axis=(1, 2))
-    ok &= np.isfinite(S_hist[done]).all(axis=(1, 2))
-    ok &= np.isfinite(W_hist[:, done]).all(axis=(0, 2, 3))
-    if len(M):
-        screened = ok & ~(np.linalg.cond(M, "fro") <= COND_LIMIT / 2)
-        if screened.any():
-            ok[screened] = _stacked_condition(M[screened]) <= COND_LIMIT
-    failed = np.flatnonzero(~ok)
-    return stopped + 1 + int(failed[-1]) if failed.size else stopped
+    finite = np.isfinite(S_hist[:-1]).all() and np.isfinite(W_hist[:, :-1]).all()
+    return not (finite and (np.linalg.cond(stack, "fro") <= COND_LIMIT / 2).all())
 
 
 def _backward_pass(game: LqStageGame, checked: bool = False):
@@ -424,10 +411,9 @@ def _backward_pass(game: LqStageGame, checked: bool = False):
     (T-1, K, K), and the stage shifts.
 
     ``checked`` runs every stage through the ladder.  Otherwise every stage
-    is first solved as it stands and :func:`_latest_failure` names the
-    latest one that failed; only that stage and the earlier ones rerun with
-    the ladder, because every later stage was solved exactly as the ladder
-    solves it.  A pass in which nothing failed makes no ladder call.
+    is first solved as it stands, and the whole pass reruns with the ladder
+    from the terminal stage when a ``LinAlgError`` stopped it or it fails
+    :func:`_failed`.  A pass that passes the screen makes no ladder call.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
     K = len(game.owner)
@@ -438,14 +424,12 @@ def _backward_pass(game: LqStageGame, checked: bool = False):
     S_hist, W_hist = hist[:2]
     W_hist[:, T - 1] = game.QL[:, T - 1]
     S_hist[T - 1, :, n] = np.linalg.solve(game.R_own, game.r_joint[T - 1])
-    start = T - 2
-    if not checked:
-        # Overflow or NaN in a stage the ladder reruns must not warn here;
-        # the rerun repeats it.
-        with np.errstate(all="ignore"):
-            start = _latest_failure(hist, _stages(game, hist, start, ladder=False))
-    if start >= 0:
-        _stages(game, hist, start, ladder=True)
+    # Overflow or NaN in a pass the ladder reruns must not warn here; the
+    # rerun repeats it.
+    with np.errstate(all="ignore"):
+        rerun = checked or not _stages(game, hist, ladder=False) or _failed(hist)
+    if rerun:
+        _stages(game, hist, ladder=True)
     return hist
 
 

@@ -58,11 +58,19 @@ def stage_game_from_data(A, Bs, Qs, ls, Rs, horizon, r=None) -> LqStageGame:
 
 
 def shipped_game(config_dir, name):
-    """A shipped scenario and its game under the true weights; a name ending
-    in ``_unicycle`` gives the scenario with unicycle dynamics."""
-    doc = json.loads((config_dir / f"{name.removesuffix('_unicycle')}.json").read_text())
+    """A shipped scenario and its game under the true weights.  A name ending
+    in ``_unicycle`` gives the scenario with unicycle dynamics, and one ending
+    in ``_jittered`` gives it true weights w exp(0.2 z), z standard normal from
+    a fixed seed, as the ``solve-mix`` benchmark pool draws them."""
+    base = name.removesuffix("_unicycle").removesuffix("_jittered")
+    doc = json.loads((config_dir / f"{base}.json").read_text())
     if name.endswith("_unicycle"):
         doc["dynamics"] = {"kind": "unicycle"}
+    if name.endswith("_jittered"):
+        rng = np.random.default_rng(2022)
+        for agent in doc["agents"]:
+            w = np.asarray(agent["true_weights"])
+            agent["true_weights"] = (w * np.exp(0.2 * rng.standard_normal(w.size))).tolist()
     scenario = parse_scenario(doc)
     return scenario, scenario.make_game(scenario.true_weights())
 

@@ -293,6 +293,7 @@ def _write_config(path, scenario_dict):
     return str(path)
 
 
+@pytest.mark.slow
 def test_criterion_6_weight_recovery(crossing_scenario, tmp_path, config_dir):
     t0 = time.monotonic()
     config_path = str(config_dir / "two_agent_crossing.json")
@@ -340,6 +341,7 @@ def test_criterion_6_weight_recovery(crossing_scenario, tmp_path, config_dir):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_baseline_ordering(crossing_scenario, tmp_path):
     from dataclasses import replace
 

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecegames import simulate_mean, trajio
+from ecegames import cli, simulate_mean, trajio
 from ecegames.cli import main
 from ecegames.config import load_scenario
 
@@ -133,22 +134,59 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert [row["iteration"] for row in rows] == ["1"]
 
-    def test_singular_stage_fails_with_one_error_line(self, tmp_path, config_dir, capsys):
+    def test_singular_stage_fails_with_one_error_line(self, huge_weights_config, capsys):
         # Weights of 1e307 overflow the values, and the first non-finite stage
-        # matrix is one that no diagonal shift makes solvable.
-        cfg = json.loads((config_dir / "two_agent_crossing.json").read_text())
-        for agent in cfg["agents"]:
-            agent["true_weights"] = [1e307, 1e307, 6.0]
-        path = tmp_path / "huge_weights.json"
-        path.write_text(json.dumps(cfg))
-        policy_path = tmp_path / "policy.json"
-        with pytest.warns(RuntimeWarning):
-            rc = main(["solve", "--config", str(path), "--out-policy", str(policy_path)])
+        # matrix is one that no diagonal shift makes solvable.  The overflow
+        # warns, but a command that fails shows only its error line.
+        path, policy_path = huge_weights_config
+        rc = main(["solve", "--config", str(path), "--out-policy", str(policy_path)])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: coupled stage system singular at t=57 (condition estimate inf)\n"
-        )
+        assert capsys.readouterr().err == SINGULAR_STAGE_ERROR
         assert not policy_path.exists()
+
+    def test_singular_stage_stderr_is_one_line(self, huge_weights_config):
+        path, policy_path = huge_weights_config
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecegames.cli", "solve", "--config", str(path),
+             "--out-policy", str(policy_path)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == SINGULAR_STAGE_ERROR
+        assert not policy_path.exists()
+
+
+SINGULAR_STAGE_ERROR = "error: coupled stage system singular at t=57 (condition estimate inf)\n"
+
+
+@pytest.fixture
+def huge_weights_config(tmp_path, config_dir):
+    """The crossing with both agents' true weights [1e307, 1e307, 6.0], and
+    a policy path for its solve."""
+    cfg = json.loads((config_dir / "two_agent_crossing.json").read_text())
+    for agent in cfg["agents"]:
+        agent["true_weights"] = [1e307, 1e307, 6.0]
+    path = tmp_path / "huge_weights.json"
+    path.write_text(json.dumps(cfg))
+    return path, tmp_path / "policy.json"
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_warnings_shown_after_success(monkeypatch, tmp_path, config_dir):
+    # main holds warnings while a command runs; one that succeeds shows them.
+    def command(args):
+        warnings.warn("held back", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_validate", command)
+    config = str(config_dir / "lq_tracking.json")
+    with pytest.warns(RuntimeWarning, match="held back"):
+        assert main(["validate", "--config", config, "--trajectories", str(tmp_path / "x.csv")]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -404,10 +442,8 @@ INPUT_ERRORS = [
 @pytest.mark.parametrize("command, code", INPUT_ERRORS)
 def test_input_error_exit_code_without_traceback(command, code, input_files, lq_config):
     args = [a.format(lq=lq_config, **input_files) for a in command]
-    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run([sys.executable, "-m", "ecegames.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -119,6 +119,7 @@ class TestSimulateStochastic:
         b = simulate_stochastic(game, policy, seed=seed)
         assert np.array_equal(a.states, b.states)
 
+    @pytest.mark.slow
     def test_standard_normal_moments(self):
         # P = alpha = 0, Sigma = 1, W = 0: first actions are iid N(0, 1).
         game = scalar_game(horizon=1)

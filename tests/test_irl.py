@@ -125,19 +125,21 @@ class TestEstimateFeatureExpectation:
 class TestUpdateWeights:
     def test_identity_at_feature_match(self):
         w = np.array([1.0, 2.0, 3.0])
-        new, floored = update_weights(w, np.zeros(3), 0.1)
+        new, floored = update_weights(w, np.zeros(3), 0.1, effort_index=2, effort_floor=1e-3)
         assert np.array_equal(new, w)
         assert not floored
 
     def test_excess_model_proximity_raises_weight(self):
         # The model's proximity sum exceeds the demos', so the gap is negative.
         w = np.array([1.0])
-        new, _ = update_weights(w, np.array([-1.5]), 0.1)
+        new, _ = update_weights(w, np.array([-1.5]), 0.1, effort_index=0, effort_floor=1e-3)
         assert new[0] == pytest.approx(1.0 + 0.1 * 1.5)
 
     def test_zero_learning_rate_is_identity(self):
         w = np.array([1.0, 2.0])
-        new, _ = update_weights(w, np.array([9.0, -4.0]), 0.0)
+        new, _ = update_weights(
+            w, np.array([9.0, -4.0]), 0.0, effort_index=1, effort_floor=1e-3
+        )
         assert np.array_equal(new, w)
 
     def test_effort_floor(self):

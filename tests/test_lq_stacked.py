@@ -68,12 +68,14 @@ def random_games(seed, count, equal_dims, **kwargs):
 
 
 SHIPPED = ["two_agent_crossing", "three_agent_ring", "lq_tracking", "lq_tracking_unicycle"]
+JITTERED = ["two_agent_crossing_jittered", "three_agent_ring_jittered"]
 
 
-@pytest.fixture(scope="module", params=SHIPPED)
+@pytest.fixture(scope="module", params=SHIPPED + JITTERED)
 def solve_stage_games(request, config_dir):
-    """Every stage game an equilibrium solve of a shipped scenario passes to
-    ``solve_lq_ece``, with the temperatures it passes."""
+    """Every stage game an equilibrium solve of a shipped scenario, or of a
+    crossing or ring with jittered true weights, passes to ``solve_lq_ece``,
+    with the temperatures it passes."""
     scenario, game = shipped_game(config_dir, request.param)
     calls = []
 
@@ -444,49 +446,54 @@ def svd_calls(monkeypatch):
 
 class TestConditionScreen:
     """The unchecked pass screens the stage matrices with the bound
-    ||M||_F ||M^-1||_F >= cond_2(M) and takes exact conditions only when a
-    bound exceeds COND_LIMIT / 2; the report computes the conditions when
-    they are first read.  Shifts and conditions stay those of the per-stage
-    ladder."""
+    ||M||_F ||M^-1||_F >= cond_2(M), which takes no singular values, and
+    reruns the whole pass through the ladder when a bound exceeds
+    COND_LIMIT / 2; the report computes the conditions when they are first
+    read.  Shifts and conditions stay those of the per-stage ladder."""
 
-    def test_lazy_conditions_match_the_ladder(self, solve_stage_games, svd_calls):
+    def test_lazy_conditions_match_the_ladder(self, solve_stage_games, svd_calls, ladder_steps):
+        # No solve of these scenarios needs the ladder: every stage game
+        # passes the screen, so no stage runs through the ladder.
         for stage, temperatures in solve_stage_games:
             sol = solve_lq_ece(stage, temperatures)
-            assert not svd_calls
+            assert not svd_calls and not ladder_steps
             condition = sol.report.condition
             assert len(svd_calls) == 1 and sol.report.condition is condition
             svd_calls.clear()
             # The stacked singular-value call of np.linalg.cond, bit for bit.
             assert np.array_equal(condition, np.linalg.cond(sol.report.stage_matrices))
             assert_report_matches_ladder(stage, sol)
+            ladder_steps.clear()
 
     @pytest.mark.parametrize("kappa", [0.9e12, 1.1e12], ids=["below", "above"])
-    def test_stage_at_the_limit(self, kappa, svd_calls):
+    def test_stage_at_the_limit(self, kappa, svd_calls, ladder_steps):
         # Stage t = 4 is diag(1, 1 / kappa), up to the rounding of 1 / kappa - 1
         # + 1; for a 2 x 2 matrix the bound is cond_2 + 1 / cond_2, so the
-        # screen must take the exact conditions.  Above the limit the ladder
-        # shifts the stage by 1e-8.
+        # screen flags it either way and the ladder reruns the whole pass.
+        # Above the limit the ladder shifts the stage by 1e-8.
         game = handover_game([[1.0, 0.0], [0.0, 1.0 / kappa]])
         sol = solve_lq_ece(game)
         shifted = kappa > COND_LIMIT
-        assert len(svd_calls) == 1
+        assert not svd_calls
+        assert ladder_steps == list(range(6, 0, -1))
         assert np.flatnonzero(sol.report.regularization).tolist() == ([3] if shifted else [])
         exact = np.linalg.cond(sol.report.stage_matrices[3])
         assert (COND_LIMIT < exact < 1.2e12) if shifted else (0.8e12 < exact <= COND_LIMIT)
         assert_report_matches_ladder(game, sol)
         assert_close(game)
 
-    def test_bound_over_half_the_limit_takes_exact_conditions(self, svd_calls):
+    def test_bound_over_half_the_limit_takes_exact_conditions(self, svd_calls, ladder_steps):
         # diag(d, d, 1, 1): cond_2 = d = 0.4e12 is within half the limit, but
-        # the bound 2 (d + 1/d) is not, so the exact conditions decide, and
-        # no stage is shifted.
+        # the bound 2 (d + 1/d) is not, so the ladder pass decides with the
+        # exact conditions, and no stage is shifted.
         d = 0.4e12
         game = terminal_game([d, d, 1.0, 1.0])
         sol = solve_lq_ece(game)
         M = sol.report.stage_matrices[-1]
         assert np.array_equal(M, np.diag([d, d, 1.0, 1.0]))
         assert np.linalg.cond(M) <= COND_LIMIT / 2 < np.linalg.cond(M, "fro")
-        assert len(svd_calls) == 1
+        assert not svd_calls
+        assert ladder_steps == [2, 1]
         assert not sol.report.regularization.any()
         assert_report_matches_ladder(game, sol)
         assert_close(game)
@@ -559,9 +566,9 @@ def ladder_steps(monkeypatch):
 
 
 class TestLadderFromFailingStage:
-    """A pass with a failing stage reruns through the ladder from the latest
-    failing stage on: every later stage was solved as the ladder solves it,
-    so the results are those of a pass that runs the ladder throughout."""
+    """A pass with a failing stage reruns whole through the ladder, from the
+    terminal stage, so the results are those of a pass that runs the ladder
+    throughout."""
 
     def test_rerun_equals_full_checked_pass(self, ladder_steps):
         # 60 stages, of which t = 30 has condition about 4e13.
@@ -569,14 +576,14 @@ class TestLadderFromFailingStage:
         full = lq._backward_pass(game, checked=True)
         ladder_steps.clear()
         rerun = lq._backward_pass(game)
-        assert ladder_steps == list(range(30, 0, -1))
+        assert ladder_steps == list(range(60, 0, -1))
         assert np.flatnonzero(rerun[3]).tolist() == [29]
         assert 1e13 < np.linalg.cond(rerun[2][29]) < 1e14
         assert_same_bytes(rerun, full)
 
     def test_failed_solve_behind_ill_conditioned_stage(self, ladder_steps):
-        # The exactly singular stage t = 10 stops the unchecked loop; the
-        # latest failing stage is still t = 30, where the rerun starts.
+        # The exactly singular stage t = 10 stops the unchecked loop, behind
+        # the ill-conditioned t = 30; the rerun starts at the terminal stage.
         data = handover_data([[1e5, 1e5], [1e5, 1e5 + 1e-8]], horizon=61, stage=29)
         singular = handover_data([[1.0, 1.0], [1.0, 1.0]], horizon=61, stage=9)
         data["A"][9:11] = singular["A"][9:11]
@@ -587,7 +594,7 @@ class TestLadderFromFailingStage:
         full = lq._backward_pass(game, checked=True)
         ladder_steps.clear()
         rerun = lq._backward_pass(game)
-        assert ladder_steps == list(range(30, 0, -1))
+        assert ladder_steps == list(range(60, 0, -1))
         assert np.flatnonzero(rerun[3]).tolist() == [9, 29]
         assert_same_bytes(rerun, full)
         assert_close(game)
