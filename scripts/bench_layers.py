@@ -14,8 +14,7 @@ are timed), it solves the game under its true weights and times, per call:
 - ``refresh_stage``, the stage game that an iteration after the first
   builds there: for linear dynamics the stage game of the first iteration
   with its costs laid out again (``LqStageGame.with_costs`` of
-  ``quadratize``), for other dynamics, and in a tree without
-  ``with_costs``, the whole ``stage_game_around``;
+  ``quadratize``), for other dynamics the whole ``stage_game_around``;
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
 - ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
@@ -52,17 +51,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import importlib
 import importlib.util
-import io
 import json
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+from bench_pairs import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIALS = (50, 200, 1000)
@@ -79,16 +77,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="git revision to compare against")
     return parser.parse_args(argv)
-
-
-def extract(rev: str, into: Path) -> None:
-    """Write the files of revision ``rev`` under ``into``."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-        capture_output=True, check=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
 
 
 def load(tree: Path, name: str):
@@ -127,7 +115,7 @@ def layer_calls(pkg, doc: dict) -> dict:
             cost.state_hessian(steps, nominal.states)
 
     def refresh_stage():
-        if game.dynamics.linear_maps is None or not hasattr(stage, "with_costs"):
+        if game.dynamics.linear_maps is None:
             return pkg.ilq.stage_game_around(game, nominal)
         return stage.with_costs(*pkg.ilq.quadratize(game, nominal))
 

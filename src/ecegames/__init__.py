@@ -52,7 +52,6 @@ from .lq import (
     solve_lq_ece,
 )
 from .metrics import (
-    HistogramSpec,
     goal_distance_stats,
     histogram_kl,
     kl_divergence_per_feature,

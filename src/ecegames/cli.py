@@ -6,10 +6,13 @@ error to one of them and prints a one-line ``error:`` message to stderr):
 
   0  success.
   1  runtime failure: the equilibrium solve did not converge ("equilibrium
-     solve did not converge: ...") or failed; ``learn`` ran out of sweeps
-     before its residuals met the tolerance (weights and trace are still
-     written); or a ``--demos``, ``--trajectories`` or ``--weights`` file is
-     missing, unreadable or malformed, or its horizon is not the scenario's.
+     solve did not converge: ...") or failed (``solve --trace`` and
+     ``learn --trace`` still get the rows made before the failure);
+     ``learn`` ran out of sweeps before its residuals met the tolerance
+     (weights and trace are still written); a ``--demos``, ``--trajectories``
+     or ``--weights`` file is missing, unreadable or malformed, or its
+     horizon is not the scenario's; or an output file or directory cannot
+     be written ("<path>: cannot write (...)").
   2  usage or configuration error: bad command-line arguments, a missing,
      unreadable or invalid config file, missing ``true_weights`` where the
      command needs them, or a learner override out of range (``--lr`` < 0 or
@@ -29,13 +32,8 @@ import numpy as np
 from .config import Scenario, load_scenario
 from .errors import EcegamesError, ConfigError, IngestError, NonConvergenceError
 from .ilq import solve_ece
-from .irl import run_mairl
-from .metrics import (
-    HistogramSpec,
-    goal_distance_stats,
-    kl_divergence_per_feature,
-    trajectory_rmse,
-)
+from .irl import LearnSolveError, run_mairl
+from .metrics import goal_distance_stats, kl_divergence_per_feature, trajectory_rmse
 from .simulate import rollout_batch
 from . import trajio
 
@@ -100,14 +98,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise ConfigError(f"learner: {exc}") from exc
 
     init = [np.ones(len(feats)) for feats in scenario.basis.agents]
-    weights, trace = run_mairl(
-        scenario.make_game,
-        scenario.basis,
-        demos,
-        init,
-        cfg,
-        solver_config=scenario.solver_config,
-    )
+    try:
+        weights, trace = run_mairl(
+            scenario.make_game, scenario.basis, demos, init, cfg,
+            solver_config=scenario.solver_config,
+        )
+    except LearnSolveError as exc:
+        if args.trace:
+            trajio.write_learn_trace(args.trace, exc.trace)
+        raise
     names = [scenario.basis.feature_names(i) for i in range(scenario.num_agents)]
     trajio.write_weights(args.out_weights, weights, names)
     if args.trace:
@@ -132,7 +131,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kls = kl_divergence_per_feature(demos, model, scenario.basis, HistogramSpec())
+    kls = kl_divergence_per_feature(demos, model, scenario.basis)
     names = [scenario.basis.feature_names(i) for i in range(scenario.num_agents)]
     trajio.write_kl_table(out_dir / "kl.csv", kls, names)
     stats = goal_distance_stats(model, scenario.goals, scenario.position_indices)
@@ -232,6 +231,11 @@ def main(argv: list[str] | None = None) -> int:
         code, message = RUNTIME_ERROR, f"equilibrium solve did not converge: {exc}"
     except EcegamesError as exc:
         code, message = RUNTIME_ERROR, str(exc)
+    except OSError as exc:
+        # Reads raise the package's own errors, so this one comes from an output;
+        # a write that fails after the open (a full disk) names no file.
+        path = exc.filename or "output"
+        code, message = RUNTIME_ERROR, f"{path}: cannot write ({exc.strerror or exc})"
     finally:
         if message is None:
             for w in caught:

@@ -37,10 +37,10 @@ StateDerivFn = Callable[[int | Array, Array], Array]
 _SYM_TOL = 1e-9
 
 
-def _check_symmetric(M: Array, name: str, tol: float = _SYM_TOL) -> None:
+def _check_symmetric(M: Array, name: str) -> None:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, atol=tol, rtol=0.0):
+    if not np.allclose(M, M.T, atol=_SYM_TOL, rtol=0.0):
         raise ValueError(f"{name} is not symmetric")
 
 
@@ -85,8 +85,6 @@ def psd_factor(M: Array) -> Array:
     Tolerates exact zeros and tiny negative eigenvalues from rounding, which a
     Cholesky factorization would reject.
     """
-    if M.size == 0:
-        return M.reshape(M.shape)
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     if np.min(w, initial=0.0) < -1e-10 * max(1.0, float(np.max(np.abs(w), initial=0.0))):
         raise ValueError("matrix is not positive semi-definite")
@@ -100,11 +98,14 @@ class NoiseModel:
     The gain is a constant (n, n_w) matrix; W must be symmetric PSD
     (identity by default, and W = 0 or n_w = 0 disable the noise).  The model
     holds no random state: :func:`~ecegames.simulate.simulate_stochastic`
-    maps each trial's standard normals through :attr:`factor`.
+    maps each trial's standard normals through the field ``factor``, the
+    (n, n_w) matrix G W^(1/2) set at construction, where factoring W also
+    checks that it is PSD.
     """
 
     gain: Array
     covariance: Array
+    factor: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gain", np.asarray(self.gain, dtype=float))
@@ -118,7 +119,7 @@ class NoiseModel:
             )
         if n_w:
             _check_symmetric(self.covariance, "noise covariance")
-        psd_factor(self.covariance)  # raises if not PSD
+        object.__setattr__(self, "factor", self.gain @ psd_factor(self.covariance))
 
     @classmethod
     def scaled_identity(cls, state_dim: int, scale: float) -> "NoiseModel":
@@ -128,12 +129,6 @@ class NoiseModel:
     def none(cls, state_dim: int) -> "NoiseModel":
         return cls(np.zeros((state_dim, 0)), np.zeros((0, 0)))
 
-    @cached_property
-    def factor(self) -> Array:
-        """(n, n_w) matrix G W^(1/2) that maps n_w standard normals to one
-        step's process noise."""
-        return self.gain @ psd_factor(self.covariance)
-
 
 @dataclass(frozen=True)
 class InitialState:
@@ -142,10 +137,14 @@ class InitialState:
     A Gaussian initial state is sampled by
     :func:`~ecegames.simulate.simulate_stochastic` as ``mean + factor @ z``
     from the first n standard normals of a trial; a fixed one is ``mean``.
+    The field ``factor``, set at construction, is the (n, n) square root of
+    the covariance (factoring it also checks that it is PSD), or None when
+    the state is fixed.
     """
 
     mean: Array
     covariance: Array | None = None
+    factor: Array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -156,13 +155,7 @@ class InitialState:
             if cov.shape != (n, n):
                 raise ValueError("initial-state covariance shape mismatch")
             _check_symmetric(cov, "initial-state covariance")
-            psd_factor(cov)
-
-    @cached_property
-    def factor(self) -> Array | None:
-        """(n, n) square root of the covariance that maps n standard normals
-        to the initial state's deviation from its mean; None when fixed."""
-        return None if self.covariance is None else psd_factor(self.covariance)
+            object.__setattr__(self, "factor", psd_factor(cov))
 
 
 @dataclass(frozen=True)

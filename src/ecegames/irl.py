@@ -104,11 +104,16 @@ class LearnTrace:
 
 
 class LearnSolveError(EcegamesError):
-    """Equilibrium solve failed during learning; carries the offending weights."""
+    """Equilibrium solve failed during learning.
 
-    def __init__(self, agent: int, weights: Sequence[Array], cause: Exception):
+    Carries the offending weights and the trace of the updates made before
+    the failure.
+    """
+
+    def __init__(self, agent: int, weights: Sequence[Array], cause: Exception, trace: LearnTrace):
         self.agent = agent
         self.weights = [np.asarray(w) for w in weights]
+        self.trace = trace
         super().__init__(f"equilibrium solve failed while updating agent {agent}: {cause}")
 
 
@@ -248,7 +253,7 @@ def run_mairl(
                     embed=embed,
                 )
             except EcegamesError as exc:
-                raise LearnSolveError(agent=i, weights=weights, cause=exc) from exc
+                raise LearnSolveError(agent=i, weights=weights, cause=exc, trace=trace) from exc
             model_mean = means[i]
 
             gap = demo_means[i] - model_mean

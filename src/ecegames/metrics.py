@@ -8,7 +8,6 @@ non-negative; with identical batches it is exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,19 +15,8 @@ import numpy as np
 from .features import FeatureBasis, eval_features
 from .game import Array, TrajectoryBatch
 
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """Shared-range histogram estimator settings for distribution divergences."""
-
-    bins: int = 20
-    smoothing: float = 1e-3
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError("need at least two histogram bins")
-        if self.smoothing <= 0.0:
-            raise ValueError("smoothing mass must be positive")
+BINS = 20  # equal-width bins over the pooled range of both samples
+SMOOTHING = 1e-3  # mass added to every bin count
 
 
 def histogram_kl(p_counts: Array, q_counts: Array, smoothing: float = 0.0) -> float:
@@ -41,28 +29,24 @@ def histogram_kl(p_counts: Array, q_counts: Array, smoothing: float = 0.0) -> fl
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def _sample_kl(x: Array, y: Array, spec: HistogramSpec) -> float:
+def _sample_kl(x: Array, y: Array) -> float:
     lo = min(float(np.min(x)), float(np.min(y)))
     hi = max(float(np.max(x)), float(np.max(y)))
     if hi <= lo:
         # Degenerate range: both samples concentrated on one value.
         return 0.0
-    edges = np.linspace(lo, hi, spec.bins + 1)
+    edges = np.linspace(lo, hi, BINS + 1)
     px, _ = np.histogram(x, bins=edges)
     qy, _ = np.histogram(y, bins=edges)
-    return histogram_kl(px, qy, smoothing=spec.smoothing)
+    return histogram_kl(px, qy, smoothing=SMOOTHING)
 
 
 def kl_divergence_per_feature(
-    demo: TrajectoryBatch,
-    model: TrajectoryBatch,
-    basis: FeatureBasis,
-    spec: HistogramSpec | None = None,
+    demo: TrajectoryBatch, model: TrajectoryBatch, basis: FeatureBasis
 ) -> list[Array]:
     """KL(demo || model) of every agent's per-feature sum distribution."""
-    spec = spec or HistogramSpec()
     return [
-        np.array([_sample_kl(x[:, k], y[:, k], spec) for k in range(x.shape[1])])
+        np.array([_sample_kl(x[:, k], y[:, k]) for k in range(x.shape[1])])
         for x, y in zip(eval_features(basis, demo), eval_features(basis, model))
     ]
 

@@ -24,7 +24,7 @@ from ecegames.config import parse_scenario
 from ecegames.features import ControlEffort, GaussianProximity, ReferenceTracking
 from ecegames.irl import run_mairl
 from ecegames.lq import LqStageGame
-from ecegames.metrics import HistogramSpec, kl_divergence_per_feature
+from ecegames.metrics import kl_divergence_per_feature
 
 from conftest import game_spec_from_data, random_lq_data, stage_game_from_data
 from oracles import (
@@ -355,7 +355,7 @@ def test_criterion_7_baseline_ordering(crossing_scenario, tmp_path):
         g = crossing_scenario.make_game(weights)
         s = solve_ece(g, config=crossing_scenario.solver_config)
         model = rollout_batch(g, s.policies, 200, eval_seed)
-        kls = kl_divergence_per_feature(demos, model, crossing_scenario.basis, HistogramSpec())
+        kls = kl_divergence_per_feature(demos, model, crossing_scenario.basis)
         return float(np.sum([np.sum(v) for v in kls]))
 
     wins = 0

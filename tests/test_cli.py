@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecegames import cli, simulate_mean, trajio
+from ecegames import LineSearchError, cli, irl, simulate_mean, solve_ece, trajio
 from ecegames.cli import main
 from ecegames.config import load_scenario
 
@@ -227,6 +227,35 @@ class TestLearnAndEval:
         with open(trace_path) as fh:
             rows = list(csv.DictReader(fh))
         assert rows and set(rows[0]) >= {"iteration", "agent", "residual", "weight"}
+
+    def test_failed_learn_writes_trace_so_far(
+        self, monkeypatch, tmp_path, small_config, demo_file, capsys
+    ):
+        # Every solve after the first sweep's two fails, warm and cold alike.
+        solves = []
+
+        def first_sweep_only(game, init=None, config=None):
+            solves.append(init)
+            if len(solves) > 2:
+                raise LineSearchError(iteration=1, min_step=1e-3)
+            return solve_ece(game, init=init, config=config)
+
+        monkeypatch.setattr(irl, "solve_ece", first_sweep_only)
+        weights_path = tmp_path / "weights.json"
+        trace_path = tmp_path / "trace.csv"
+        rc = main(
+            ["learn", "--config", small_config, "--demos", demo_file, "--samples", "2",
+             "--out-weights", str(weights_path), "--trace", str(trace_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: equilibrium solve failed while updating agent 0: ")
+        assert not weights_path.exists()
+        with open(trace_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["iteration"], row["agent"]) for row in rows] == [
+            ("1", agent) for agent in "01" for _ in range(3)
+        ]
 
     def test_learn_byte_identical_reruns(self, tmp_path, small_config, demo_file):
         outs = []
@@ -450,3 +479,36 @@ def test_input_error_exit_code_without_traceback(command, code, input_files, lq_
     if "{missing}" in command:
         assert input_files["missing"] in proc.stderr
     assert not Path(input_files["out"]).exists()
+
+
+# (command, the output path it cannot write): output flags pointed into a
+# missing directory, and an eval --out under a regular file.  {ok} is a
+# writable path for a command's other output.
+OUTPUT_ERRORS = [
+    pytest.param(["solve", "--out-policy", "{missing_dir}/p.json"], "{missing_dir}/p.json",
+                 id="solve-out-policy"),
+    pytest.param(["solve", "--out-policy", "{ok}.json", "--trace", "{missing_dir}/t.csv"],
+                 "{missing_dir}/t.csv", id="solve-trace"),
+    pytest.param(["gen-demos", "--trials", "1", "--out", "{missing_dir}/d.csv"],
+                 "{missing_dir}/d.csv", id="gen-demos-out"),
+    pytest.param(["learn", "--demos", "{demos}", "--samples", "1",
+                  "--out-weights", "{missing_dir}/w.json"], "{missing_dir}/w.json",
+                 id="learn-out-weights"),
+    pytest.param(["learn", "--demos", "{demos}", "--samples", "1", "--out-weights", "{ok}.json",
+                  "--trace", "{missing_dir}/t.csv"], "{missing_dir}/t.csv", id="learn-trace"),
+    pytest.param(["eval", "--demos", "{demos}", "--trials", "1", "--out", "{demos}/out"],
+                 "{demos}/out", id="eval-out-under-file"),
+]
+
+
+@pytest.mark.parametrize("command, unwritable", OUTPUT_ERRORS)
+def test_unwritable_output_is_one_error_line(command, unwritable, input_files, lq_config,
+                                             tmp_path):
+    fields = {"missing_dir": tmp_path / "missing", "ok": tmp_path / "ok",
+              "demos": input_files["demos"]}
+    args = [a.format(**fields) for a in command]
+    proc = subprocess.run([sys.executable, "-m", "ecegames.cli", *args, "--config", lq_config],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {unwritable.format(**fields)}: cannot write (")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith(")\n")

@@ -8,12 +8,14 @@ from ecegames import (
     GameSpec,
     InitialState,
     LearnConfig,
+    LineSearchError,
     NoiseModel,
     SolverConfig,
     Trajectory,
     TrajectoryBatch,
     dynamics,
     eval_features,
+    irl,
     make_cost_model,
     rollout_batch,
     run_mairl,
@@ -250,6 +252,52 @@ class TestRunMairl:
                 LearnConfig(samples_per_expectation=2), solver_config=bad_cfg,
             )
         assert len(err.value.weights) == 1
+
+    def test_failed_warm_start_falls_back_to_cold(self, monkeypatch, small_scenario):
+        game = small_scenario.make_game(small_scenario.true_weights())
+        sol = solve_ece(game, config=small_scenario.solver_config)
+        demos = rollout_batch(game, sol.policies, 10, 500)
+        cfg = replace(
+            small_scenario.learn_config, max_outer_iterations=2, samples_per_expectation=2
+        )
+        starts = []
+
+        def learn(solve):
+            starts.clear()
+            monkeypatch.setattr(irl, "solve_ece", solve)
+            return run_mairl(
+                small_scenario.make_game, small_scenario.basis, demos,
+                [np.ones(3), np.ones(3)], cfg, solver_config=small_scenario.solver_config,
+            )
+
+        def cold_only(game, init=None, config=None):
+            return solve_ece(game, config=config)
+
+        def warm_fails(game, init=None, config=None):
+            starts.append("cold" if init is None else "warm")
+            if init is not None:
+                raise LineSearchError(iteration=1, min_step=1e-3)
+            return solve_ece(game, config=config)
+
+        def all_but_first_fail(game, init=None, config=None):
+            starts.append("cold" if init is None else "warm")
+            if len(starts) > 1:
+                raise LineSearchError(iteration=1, min_step=1e-3)
+            return solve_ece(game, init=init, config=config)
+
+        # Every update after the first tries its warm start, then solves cold,
+        # and learns exactly what cold solves alone learn.
+        weights, trace = learn(warm_fails)
+        assert starts == ["cold"] + ["warm", "cold"] * 3
+        cold_weights, cold_trace = learn(cold_only)
+        for a, b in zip(weights + [r.weights for r in trace.records],
+                        cold_weights + [r.weights for r in cold_trace.records], strict=True):
+            assert np.array_equal(a, b)
+
+        with pytest.raises(LearnSolveError, match="while updating agent 1: line search") as err:
+            learn(all_but_first_fail)
+        assert err.value.agent == 1
+        assert starts == ["cold", "warm", "cold"]
 
     def test_non_convergence_returns_flagged_best(self, small_scenario):
         true_w = small_scenario.true_weights()

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from ecegames import Trajectory
 from ecegames.features import ControlEffort, FeatureBasis
 from ecegames.metrics import (
-    HistogramSpec,
     goal_distance_stats,
     histogram_kl,
     kl_divergence_per_feature,
@@ -93,12 +92,6 @@ class TestKlPerFeature:
                 kls.append(kl_divergence_per_feature(ref, shifted, effort_basis())[0][0])
             votes += all(kls[i] <= kls[i + 1] + 1e-9 for i in range(3))
         assert votes >= 2
-
-    def test_histogram_spec_validation(self):
-        with pytest.raises(ValueError):
-            HistogramSpec(bins=1)
-        with pytest.raises(ValueError):
-            HistogramSpec(smoothing=0.0)
 
 
 class TestGoalStats:
