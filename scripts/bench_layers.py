@@ -2,9 +2,13 @@
 
     python3 scripts/bench_layers.py [--parent REV]
 
-For every config in ``configs/``, and for ``lq_tracking`` with unicycle
+For every config in ``configs/``, for ``lq_tracking`` with unicycle
 dynamics (``lq_tracking_unicycle``, so that both paths of ``simulate_mean``
-are timed), it solves the game under its true weights and times, per call:
+are timed) and for agent 0's reduced game of ``two_agent_crossing``
+(``two_agent_crossing_reduced``: ``pin_other_agents`` replaying the
+converged nominal, with agent 0's converged law as its policies, so that the
+reduced games of the independent-mode learner are timed), it solves the game
+under its true weights and times, per call:
 
 - ``stage_game_around`` the converged nominal (linearize, quadratize and
   the ``LqStageGame`` layout);
@@ -12,9 +16,9 @@ are timed), it solves the game under its true weights and times, per call:
 - ``cost_derivatives``, every agent's cost-model state gradient and Hessian
   along that nominal (the feature sums inside ``quadratize``);
 - ``refresh_stage``, the stage game that an iteration after the first
-  builds there: for linear dynamics the stage game of the first iteration
-  with its costs laid out again (``LqStageGame.with_costs`` of
-  ``quadratize``), for other dynamics the whole ``stage_game_around``;
+  builds there: for dynamics with ``linear_maps`` the stage game of the
+  first iteration with its costs laid out again (``LqStageGame.with_costs``
+  of ``quadratize``), for other dynamics the whole ``stage_game_around``;
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
 - ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
@@ -71,6 +75,7 @@ LAYERS = (
     "simulate_mean", *(f"rollout_batch({k})" for k in TRIALS), "solve_ece",
 )
 LADDER = "ladder_60"
+REDUCED = "two_agent_crossing_reduced"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -91,20 +96,36 @@ def load(tree: Path, name: str):
     return module
 
 
-def scenario_docs() -> dict[str, dict]:
-    """Every timed config by name: those of ``configs/`` and the unicycle
-    variant of ``lq_tracking``."""
+def scenario_cases() -> dict[str, tuple[dict, int | None]]:
+    """Every timed case by name: its config and the agent whose reduced game
+    is timed, or None for the joint game.  The cases are the configs of
+    ``configs/``, the unicycle variant of ``lq_tracking`` and agent 0's
+    reduced game of ``two_agent_crossing``."""
     docs = {c.stem: json.loads(c.read_text()) for c in sorted((ROOT / "configs").glob("*.json"))}
     docs["lq_tracking_unicycle"] = {**docs["lq_tracking"], "dynamics": {"kind": "unicycle"}}
-    return docs
+    cases = {name: (doc, None) for name, doc in docs.items()}
+    cases[REDUCED] = (docs["two_agent_crossing"], 0)
+    return cases
 
 
-def layer_calls(pkg, doc: dict) -> dict:
-    """One no-argument call per layer on config ``doc``, made with package ``pkg``."""
+def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
+    """One no-argument call per layer on config ``doc``, made with package
+    ``pkg``; on agent ``agent``'s reduced game unless ``agent`` is None."""
     scenario = importlib.import_module(f"{pkg.__name__}.config").parse_scenario(doc)
     game = scenario.make_game(scenario.true_weights())
     solver = scenario.solver_config
     policies = pkg.solve_ece(game, config=solver).policies
+    if agent is not None:
+        replay = pkg.simulate_mean(game, policies).actions
+        game, _ = pkg.pin_other_agents(game, agent, replay)
+        own = slice(agent, agent + 1)
+        policies = pkg.AffineGaussianPolicySet(
+            gains=policies.gains[own],
+            offsets=policies.offsets[own],
+            covariances=policies.covariances[own],
+            nominal_states=policies.nominal_states,
+            nominal_actions=policies.nominal_actions[own],
+        )
     nominal = pkg.simulate_mean(game, policies)
     stage = pkg.ilq.stage_game_around(game, nominal)
     steps = np.arange(1, game.horizon + 1)
@@ -172,7 +193,7 @@ def turns(calls: list, budget: float) -> list[list[float]]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    docs = scenario_docs()
+    cases = scenario_cases()
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as tmp:
         trees = {"change": ROOT}
         if args.parent:
@@ -181,7 +202,7 @@ def main(argv=None) -> int:
         calls = {}
         for side, tree in trees.items():
             pkg = load(tree, f"ecegames_{side}")
-            calls[side] = {name: layer_calls(pkg, doc) for name, doc in docs.items()}
+            calls[side] = {name: layer_calls(pkg, *case) for name, case in cases.items()}
             calls[side][LADDER] = ladder_calls(pkg)
         # times[config][layer][side]: every call's wall time, turn by turn.
         times = {name: {layer: {side: [] for side in trees} for layer in layers}

@@ -38,26 +38,32 @@ class DynamicsModel:
     sampler raises ``ValueError`` on any other shape.  ``jacobians`` gets
     ``t`` an int array of K steps and returns A (K, n, n) and B_j (K, n, m_j).
 
-    ``linear_maps`` is (A (n, n), B (n, K)), B = [B_1 ... B_N] on the
-    concatenated actions (K = sum m_j), for a model built by :func:`linear`
-    and None for every other model.  Only :func:`linear` sets it; it is not a
-    constructor argument.  :func:`~ecegames.simulate.simulate_mean` rolls a
-    model that has it out through the closed loop of the feedback.
+    ``linear_maps`` is (A (n, n), B (n, K), c), B = [B_1 ... B_N] on the
+    concatenated actions (K = sum m_j) and c the (T-1, n) per-step drift
+    offset or None, for a model built by :func:`linear` and None for every
+    other model.  Only :func:`linear` sets it; it is not a constructor
+    argument.  :func:`~ecegames.simulate.simulate_mean` rolls a model that
+    has it out through the closed loop of the feedback, and
+    :func:`~ecegames.ilq.solve_ece` linearizes it once per solve.
     """
 
     state_dim: int
     action_dims: tuple[int, ...]
     step: StepFn
     jacobians: JacobianFn
-    linear_maps: tuple[Array, Array] | None = field(default=None, init=False, repr=False)
+    linear_maps: tuple[Array, Array, Array | None] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def num_agents(self) -> int:
         return len(self.action_dims)
 
 
-def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
-    """Time-invariant linear drift s' = A s + sum_j B_j a_j."""
+def linear(A: Array, Bs: Sequence[Array], offset: Array | None = None) -> DynamicsModel:
+    """Time-invariant linear drift s' = A s + sum_j B_j a_j, plus
+    ``offset[t-1]`` at step t when a (T-1, n) per-step offset is given; a
+    game built on it must have horizon T."""
     A = np.asarray(A, dtype=float)
     Bs = [np.asarray(B, dtype=float) for B in Bs]
     n = A.shape[0]
@@ -66,6 +72,10 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
     for B in Bs:
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"B block shape {B.shape} inconsistent with state dim {n}")
+    if offset is not None:
+        offset = np.asarray(offset, dtype=float)
+        if offset.ndim != 2 or offset.shape[1] != n:
+            raise ValueError(f"offset shape {offset.shape} is not (T-1, {n})")
     action_dims = tuple(B.shape[1] for B in Bs)
 
     def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
@@ -73,7 +83,10 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
         out = A @ s[..., None]
         for B, a in zip(Bs, actions):
             out += B @ a[..., None]
-        return out[..., 0]
+        out = out[..., 0]
+        if offset is not None:
+            out += offset[t - 1]
+        return out
 
     def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
         reps = s.shape[:-1] + (1, 1)
@@ -81,7 +94,7 @@ def linear(A: Array, Bs: Sequence[Array]) -> DynamicsModel:
 
     model = DynamicsModel(n, action_dims, step, jacobians)
     B_joint = np.concatenate([np.empty((n, 0)), *Bs], axis=1)
-    object.__setattr__(model, "linear_maps", (A, B_joint))
+    object.__setattr__(model, "linear_maps", (A, B_joint, offset))
     return model
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .dynamics import DynamicsModel
+from .dynamics import DynamicsModel, linear
 from .errors import CovarianceError
 
 Array = npt.NDArray[np.float64]
@@ -246,6 +246,12 @@ class GameSpec:
             raise ValueError("noise gain row count must equal the state dimension")
         if self.initial_state.mean.shape != (self.dynamics.state_dim,):
             raise ValueError("initial state dimension mismatch")
+        maps = self.dynamics.linear_maps
+        if maps is not None and maps[2] is not None and len(maps[2]) != self.horizon - 1:
+            raise ValueError(
+                f"dynamics offset has {len(maps[2])} steps, horizon {self.horizon} needs "
+                f"{self.horizon - 1}"
+            )
         for i, cost in enumerate(self.costs):
             if len(cost.action_cost) != n_agents:
                 raise ValueError(f"cost model {i} must carry one action block per agent")
@@ -439,21 +445,32 @@ def pin_other_agents(
     """Reduce a game to a single decision maker with the rest on open-loop replay.
 
     Agent ``agent`` keeps its cost and action channel; every other agent's
-    action at step t is pinned to ``replay_actions[j][t-1]``, broadcast to
-    the leading shape of the agent's actions when the reduced ``step`` gets
-    stacked trials.  Returns the reduced single-agent game (full joint state
-    retained) and an embedding that rebuilds a joint :class:`Trajectory` or
+    action at step t is pinned to ``replay_actions[j][t-1]``.  The own entry
+    of ``replay_actions`` is never read (any placeholder will do).  Returns
+    the reduced single-agent game (full joint state retained) and an
+    embedding that rebuilds a joint :class:`Trajectory` or
     :class:`TrajectoryBatch` from a single-agent one by re-inserting the
     replayed actions, broadcast over the trials of a batch.
+
+    On dynamics with ``linear_maps`` the replay is a per-step drift: the
+    reduced dynamics are ``linear(A, [B_i], c)`` with
+    c_t = sum_{j != i} B_j abar_j(t) (plus the model's own offset), so
+    reduced games get the closed-loop mean rollout and the once-per-solve
+    linearization of linear games.  Other dynamics are wrapped in a ``step``
+    and ``jacobians`` that re-insert the replayed actions at every call,
+    broadcast to the leading shape of the agent's actions when ``step`` gets
+    stacked trials.  The reduced cost does the same in either case.
     """
     N = game.num_agents
     if not 0 <= agent < N:
         raise ValueError(f"agent index {agent} out of range")
-    replay = [np.asarray(a, dtype=float) for a in replay_actions]
-    if len(replay) != N:
+    if len(replay_actions) != N:
         raise ValueError("one replay action array required per agent (own entry ignored)")
-    for j, a in enumerate(replay):
-        if j != agent and a.shape != (game.horizon, game.action_dims[j]):
+    replay = {
+        j: np.asarray(a, dtype=float) for j, a in enumerate(replay_actions) if j != agent
+    }
+    for j, a in replay.items():
+        if a.shape != (game.horizon, game.action_dims[j]):
             raise ValueError(f"replay action shape mismatch for agent {j}")
 
     if N == 1:
@@ -462,18 +479,30 @@ def pin_other_agents(
     dyn = game.dynamics
 
     def expand(t: int | Array, a: Array) -> list[Array]:
-        acts = [r[t - 1] for r in replay]
+        acts = {j: r[t - 1] for j, r in replay.items()}
         if getattr(t, "ndim", 0) < a.ndim - 1:  # one step of stacked trials
-            acts = [np.broadcast_to(x, a.shape[:-1] + x.shape) for x in acts]
-        acts[agent] = a
-        return acts
+            acts = {j: np.broadcast_to(x, a.shape[:-1] + x.shape) for j, x in acts.items()}
+        return [a if j == agent else acts[j] for j in range(N)]
 
-    def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
-        return dyn.step(t, s, expand(t, actions[0]))
+    if dyn.linear_maps is not None:
+        A, B, offset = dyn.linear_maps
+        blocks = np.split(B, np.cumsum(dyn.action_dims)[:-1], axis=1)
+        # (M @ x[..., None])[..., 0] is M @ x_t at every step, rounded like it.
+        pinned = [(blocks[j] @ a[:-1, :, None])[..., 0] for j, a in replay.items()]
+        drift = sum(pinned[1:], pinned[0])
+        if offset is not None:
+            drift += offset
+        reduced_dynamics = linear(A, [np.ascontiguousarray(blocks[agent])], drift)
+    else:
 
-    def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
-        A, Bs = dyn.jacobians(t, s, expand(t, actions[0]))
-        return A, [Bs[agent]]
+        def step(t: int, s: Array, actions: Sequence[Array]) -> Array:
+            return dyn.step(t, s, expand(t, actions[0]))
+
+        def jacobians(t: int | Array, s: Array, actions: Sequence[Array]):
+            A, Bs = dyn.jacobians(t, s, expand(t, actions[0]))
+            return A, [Bs[agent]]
+
+        reduced_dynamics = DynamicsModel(dyn.state_dim, (dyn.action_dims[agent],), step, jacobians)
 
     cost = game.costs[agent]
 
@@ -487,7 +516,7 @@ def pin_other_agents(
         action_cost=(cost.action_cost[agent],),
     )
     reduced = GameSpec(
-        dynamics=DynamicsModel(dyn.state_dim, (dyn.action_dims[agent],), step, jacobians),
+        dynamics=reduced_dynamics,
         costs=(reduced_cost,),
         horizon=game.horizon,
         noise=game.noise,
@@ -496,9 +525,12 @@ def pin_other_agents(
     )
 
     def embed(traj: Trajectory | TrajectoryBatch) -> Trajectory | TrajectoryBatch:
-        actions = [np.broadcast_to(a, traj.states.shape[:-2] + a.shape) for a in replay]
-        actions[agent] = traj.actions[0]
-        return type(traj)(states=traj.states, actions=tuple(actions))
+        lead = traj.states.shape[:-2]
+        actions = tuple(
+            traj.actions[0] if j == agent else np.broadcast_to(replay[j], lead + replay[j].shape)
+            for j in range(N)
+        )
+        return type(traj)(states=traj.states, actions=actions)
 
     return reduced, embed
 

@@ -32,16 +32,17 @@ every step would name.  A custom ``step`` must accept non-finite states
 without raising.
 
 :func:`simulate_mean` has two paths, chosen from the dynamics.  For a model
-built by :func:`~ecegames.dynamics.linear` (``double_integrator`` too) it
-stacks every agent's feedback law on the concatenated actions and runs the
-closed loop s_{t+1} = (A - B P_t) s_t + c_t, one product and one sum per
-step; its results agree with the per-step loop to rounding, not bit for
-bit, and a rollout whose states are not all finite is rerun through the
-per-step loop, so the error names the same step.  Every other model
-(unicycles, custom models, the reduced games of
-:func:`~ecegames.game.pin_other_agents`) takes the per-step loop with one
-trial and no noise; it is the loop that samples, and its rollouts are bit
-for bit those of a per-step reference.
+built by :func:`~ecegames.dynamics.linear` (``double_integrator`` too, and
+the reduced games that :func:`~ecegames.game.pin_other_agents` makes of
+them, whose replayed agents are a per-step drift offset) it stacks every
+agent's feedback law on the concatenated actions and runs the closed loop
+s_{t+1} = (A - B P_t) s_t + c_t, one product and one sum per step; its
+results agree with the per-step loop to rounding, not bit for bit, and a
+rollout whose states are not all finite is rerun through the per-step loop,
+so the error names the same step.  Every other model (unicycles, custom
+models and their reduced games) takes the per-step loop with one trial and
+no noise; it is the loop that samples, and its rollouts are bit for bit
+those of a per-step reference.
 """
 
 from __future__ import annotations
@@ -100,16 +101,16 @@ def _rollout(game: GameSpec, policies: AffineGaussianPolicySet, states: Array,
 
 
 def _closed_loop(
-    policies: AffineGaussianPolicySet, s: Array, A: Array, B: Array
+    policies: AffineGaussianPolicySet, s: Array, A: Array, B: Array, offset: Array | None
 ) -> tuple[Array, Array]:
     """Mean states (T, n) and concatenated mean actions (T, K) of the
-    feedback law on linear dynamics s' = A s + B a, from the initial state
-    ``s``, without checking them.
+    feedback law on linear dynamics s' = A s + B a (+ offset_t), from the
+    initial state ``s``, without checking them.
 
     With every agent's law stacked on the concatenated actions,
     a_t = d_t - P_t s_t where d_t = abar_t - alpha_t + P_t sbar_t, so
-    s_{t+1} = Phi_t s_t + c_t with Phi_t = A - B P_t and c_t = B d_t: one
-    product and one sum per step.
+    s_{t+1} = Phi_t s_t + c_t with Phi_t = A - B P_t and
+    c_t = B d_t (+ offset_t): one product and one sum per step.
     """
     P = np.concatenate(policies.gains, axis=1)
     d = np.concatenate(policies.nominal_actions, axis=1)
@@ -118,11 +119,13 @@ def _closed_loop(
     d += (P @ policies.nominal_states[:, :, None])[..., 0]
     Phi = A - B @ P[:-1]
     c = d[:-1] @ B.T
+    if offset is not None:
+        c += offset
     states = np.empty((len(d), len(s)))
     states[0] = s
-    for F, offset, row in zip(Phi, c, states[1:]):
+    for F, c_t, row in zip(Phi, c, states[1:]):
         s = np.matmul(F, s, out=row)
-        s += offset
+        s += c_t
     return states, d - (P @ states[:, :, None])[..., 0]
 
 

@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecegames import GameSpec, InitialState, NoiseModel, TrajectoryBatch, dynamics, quadratic_cost
+from ecegames import (
+    AffineGaussianPolicySet,
+    GameSpec,
+    InitialState,
+    NoiseModel,
+    TrajectoryBatch,
+    dynamics,
+    quadratic_cost,
+)
 from ecegames.config import parse_scenario
 from ecegames.lq import LqStageGame
 
@@ -73,6 +81,24 @@ def shipped_game(config_dir, name):
             agent["true_weights"] = (w * np.exp(0.2 * rng.standard_normal(w.size))).tolist()
     scenario = parse_scenario(doc)
     return scenario, scenario.make_game(scenario.true_weights())
+
+
+def own_policy(policies, agent) -> AffineGaussianPolicySet:
+    """Agent ``agent``'s law of a joint policy set, as a one-agent set."""
+    keep = slice(agent, agent + 1)
+    return AffineGaussianPolicySet(
+        gains=policies.gains[keep],
+        offsets=policies.offsets[keep],
+        covariances=policies.covariances[keep],
+        nominal_states=policies.nominal_states,
+        nominal_actions=policies.nominal_actions[keep],
+    )
+
+
+def assert_close(got, ref, rtol=1e-12):
+    """Every entry within ``rtol`` of the reference's largest entry."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= rtol * max(np.max(np.abs(ref)), 1.0)
 
 
 def stack_trajectories(trajectories) -> TrajectoryBatch:

@@ -14,6 +14,7 @@ closed loop of the feedback, which agrees with the reference to a relative
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ecegames import (
 from ecegames import simulate as simulate_module
 from ecegames.config import parse_scenario
 
+from conftest import assert_close, own_policy
 from oracles import rollout_batch_per_step, simulate_per_step, unicycle_step_per_agent
 
 SEEDS = (0, 1, 7, 2**31 - 1, 10**12)
@@ -90,12 +92,6 @@ def unequal_dims_game(horizon, dims=(1, 2), *, initial=None):
         initial_state=initial or InitialState(mean=np.array([0.5, -1.0, 2.0])),
     )
     return game, random_policies(rng, horizon, 3, dims)
-
-
-def assert_close(got, ref, rtol=1e-12):
-    """Every entry within ``rtol`` of the reference's largest entry."""
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref), initial=0.0) <= rtol * max(np.max(np.abs(ref)), 1.0)
 
 
 def assert_mean_matches_reference(game, policies):
@@ -171,21 +167,43 @@ def test_one_step_horizon():
     assert_matches_reference(game, policies)
 
 
+def reduced_games(game, policies):
+    """Every agent's reduced game of ``pin_other_agents``, replaying the
+    mean actions of ``policies``, with the agent's own law."""
+    replay = list(simulate_mean(game, policies).actions)
+    return [
+        (pin_other_agents(game, agent, replay)[0], own_policy(policies, agent))
+        for agent in range(game.num_agents)
+    ]
+
+
 def test_reduced_game_of_pin_other_agents(config_dir):
-    # Linear and unicycle dynamics; the reduced step broadcasts the replayed
-    # actions over stacked trials.
+    # Linear dynamics, where the replay is a drift offset, and unicycle
+    # dynamics, where the reduced step broadcasts the replayed actions over
+    # stacked trials.
     for name, agent in (("two_agent_crossing", 0), ("lq_tracking_unicycle", 1)):
-        game, policies = scenario_game(config_dir, name)
-        replay = list(simulate_mean(game, policies).actions)
-        reduced, _ = pin_other_agents(game, agent, replay)
-        own = AffineGaussianPolicySet(
-            gains=policies.gains[agent : agent + 1],
-            offsets=policies.offsets[agent : agent + 1],
-            covariances=policies.covariances[agent : agent + 1],
-            nominal_states=policies.nominal_states,
-            nominal_actions=policies.nominal_actions[agent : agent + 1],
-        )
+        reduced, own = reduced_games(*scenario_game(config_dir, name))[agent]
         assert_matches_reference(reduced, own)
+
+
+def test_linear_offset_matches_the_per_step_loop():
+    game, policies = unequal_dims_game(9, (3, 1, 2))
+    A, B, _ = game.dynamics.linear_maps
+    Bs = np.split(B, np.cumsum(game.action_dims)[:-1], axis=1)
+    offset = np.random.default_rng(8).normal(size=(game.horizon - 1, game.state_dim))
+    shifted = replace(game, dynamics=dynamics.linear(A, Bs, offset))
+    assert np.array_equal(shifted.dynamics.linear_maps[2], offset)
+    rng = np.random.default_rng(9)
+    s = rng.normal(size=(4, 3))
+    actions = [rng.normal(size=(4, m)) for m in game.action_dims]
+    for t in (1, game.horizon - 1):
+        plain = game.dynamics.step(t, s, actions)
+        assert np.array_equal(shifted.dynamics.step(t, s, actions), plain + offset[t - 1])
+    assert_matches_reference(shifted, policies)
+    with pytest.raises(ValueError, match="offset has 8 steps, horizon 10 needs 9"):
+        replace(game, horizon=10, dynamics=shifted.dynamics)
+    with pytest.raises(ValueError, match="offset shape"):
+        dynamics.linear(A, Bs, offset[:, :2])
 
 
 def test_batch_trials_are_the_single_trial_samples(config_dir):
@@ -366,14 +384,19 @@ def test_mean_rollout_of_linear_dynamics_runs_the_closed_loop(config_dir, monkey
     crossing = scenario_game(config_dir, "two_agent_crossing")
     ring = scenario_game(config_dir, "three_agent_ring")
     unicycle = scenario_game(config_dir, "lq_tracking_unicycle")
-    reduced, _ = pin_other_agents(crossing[0], 0, list(simulate_mean(*crossing).actions))
-    assert unicycle[0].dynamics.linear_maps is None and reduced.dynamics.linear_maps is None
+    # Every agent's reduced game of a linear model is linear too.
+    linear_cases = [(game, policies), crossing, ring]
+    for joint in (crossing, ring):
+        linear_cases += reduced_games(*joint)
+    unicycle_reduced = reduced_games(*unicycle)
+    assert unicycle[0].dynamics.linear_maps is None
+    assert all(g.dynamics.linear_maps is None for g, _ in unicycle_reduced)
 
     def per_step_loop(*args, **kwargs):
         raise AssertionError("linear dynamics took the per-step loop")
 
     monkeypatch.setattr(simulate_module, "_rollout", per_step_loop)
-    for linear_game, linear_policies in ((game, policies), crossing, ring):
+    for linear_game, linear_policies in linear_cases:
         assert_mean_matches_reference(linear_game, linear_policies)
 
 
