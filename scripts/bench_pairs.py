@@ -13,6 +13,12 @@ number of pairs the change wins, and whether the claim rule holds: at least
 10 pairs, the change better in at least 9 of 10 of them, and its median
 better than the parent's by more than the parent's IQR.  Runs
 whose checks failed are reported; their metrics count as measured.
+
+Each metric also gets a regression verdict against its ``BENCHMARK.json``
+``bound``, a fraction of the parent's median: ``unresolved`` when the
+parent's IQR is wider than the bound and not every change run beats every
+parent run; otherwise ``REGRESSED`` when the change's median is worse than
+the parent's by more than the bound, and ``ok`` when it is not.
 """
 
 from __future__ import annotations
@@ -75,7 +81,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(name: str, higher_better: bool, parent: list[float], change: list[float]) -> dict:
+def verdict(sign: float, bound: float, parent: list[float], change: list[float]) -> str:
+    """``ok``, ``REGRESSED`` or ``unresolved`` (module docstring); ``sign`` is
+    +1 where higher is better and -1 where lower is."""
+    q1, base, q3 = quartiles(parent)
+    if q3 - q1 > bound * base and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "REGRESSED" if sign * (base - median(change)) > bound * base else "ok"
+
+
+def summarize(name: str, higher_better: bool, parent: list[float], change: list[float],
+              bound: float) -> dict:
     sign = 1.0 if higher_better else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
@@ -94,6 +110,8 @@ def summarize(name: str, higher_better: bool, parent: list[float], change: list[
         "claim_holds": len(parent) >= MIN_PAIRS
         and wins >= math.ceil(WIN_SHARE * len(parent))
         and gain > iqr,
+        "bound": bound,
+        "verdict": verdict(sign, bound, parent, change),
     }
 
 
@@ -108,6 +126,8 @@ def report(summary: dict) -> None:
         print(f"  {side:6s} median {q2:.4f}  quartiles [{q1:.4f}, {q3:.4f}]")
     print(f"  parent IQR {s['parent_iqr']:.4f}; change/parent median {s['median_ratio']:.3f}; "
           f"change wins {s['wins']}/{len(s['parent'])}; claim rule holds: {s['claim_holds']}")
+    print(f"  regression check: change/parent median {s['median_ratio']:.3f} against bound "
+          f"{s['bound']:g} of the parent median: {s['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -133,7 +153,7 @@ def main(argv=None) -> int:
     print(f"failed commands: parent {failed['parent']}, change {failed['change']}")
     summaries = [
         summarize(m["name"], m["better"] == "higher", values["parent"][m["name"]],
-                  values["change"][m["name"]])
+                  values["change"][m["name"]], m["bound"])
         for m in metrics
     ]
     for s in summaries:

@@ -38,6 +38,8 @@ from .simulate import evaluate_cost, simulate_mean
 
 # Replaces the negative eigenvalues of each quadratized state-cost Hessian.
 HESSIAN_FLOOR = 1e-6
+# Ends the line search's halving sequence 1, 1/2, 1/4, ...
+MIN_STEP = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -48,18 +50,16 @@ class SolverConfig:
     between successive mean trajectories.  ``max_step_deviation`` is the
     line-search acceptance threshold on the same metric (state units; large
     enough by default that well-scaled problems take full steps).
-    ``min_step`` ends the halving sequence 1, 1/2, 1/4, ...
     """
 
     max_iterations: int = 100
     convergence_tol: float = 1e-4
     max_step_deviation: float = 10.0
-    min_step: float = 1.0 / 64.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if min(self.convergence_tol, self.max_step_deviation, self.min_step) <= 0.0:
+        if min(self.convergence_tol, self.max_step_deviation) <= 0.0:
             raise ValueError("tolerances and step bounds must be positive")
 
 
@@ -203,8 +203,8 @@ def solve_ece(
                 dev = np.inf
             if dev <= cfg.max_step_deviation:
                 break
-            if eps <= cfg.min_step:
-                raise LineSearchError(iteration=it, min_step=cfg.min_step)
+            if eps <= MIN_STEP:
+                raise LineSearchError(iteration=it, min_step=MIN_STEP)
             eps *= 0.5
 
         trace.records.append(

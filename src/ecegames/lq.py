@@ -223,23 +223,11 @@ class ValueRecursion:
     xi: Array
 
 
-def _condition(M: Array) -> float:
-    """2-norm condition number of M, as ``np.linalg.cond`` gives it, from one
-    singular-value call; inf when M is singular or not finite, for which the
-    singular-value decomposition would not converge."""
-    if not np.isfinite(M).all():
-        return np.inf
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[0] / s[-1]) if s[-1] != 0.0 else np.inf
-
-
-def _stacked_condition(stack: Array) -> Array:
-    """:func:`_condition` of every matrix of a finite (T-1, K, K) stack from
-    one stacked singular-value call, which runs the per-matrix routine on
-    each, so every ratio equals the per-matrix one (inf and NaN, with a
-    warning, for a singular matrix)."""
-    s = np.linalg.svd(stack, compute_uv=False)
-    return s[:, 0] / s[:, -1]
+def _condition(M: Array) -> float | Array:
+    """``np.linalg.cond`` of one matrix or of every matrix of a finite stack;
+    inf for a matrix that is not finite, on which the singular-value
+    decomposition would not converge."""
+    return np.linalg.cond(M) if np.isfinite(M).all() else np.inf
 
 
 @dataclass(frozen=True)
@@ -250,10 +238,10 @@ class StageSolveReport:
     matrix at t = k+1 required (0 when the plain system solved) and
     ``stage_matrices[k]`` that matrix unshifted.  ``condition[k]`` is the
     2-norm condition number of the matrix that was solved, shift included.
-    It is computed the first time it is read, from the stack by
-    :func:`_stacked_condition`; the screen (:func:`_failed`) takes none, so
-    a solve whose conditions nobody reads makes no singular-value call.  The
-    values equal the per-stage :func:`_condition` of the matrices solved.
+    It is computed the first time it is read, by one :func:`_condition` call
+    on the stack, which gives every stage the value that :func:`_ladder`
+    gives it; the screen (:func:`_failed`) takes none, so a solve whose
+    conditions nobody reads makes no singular-value call.
     """
 
     regularization: Array
@@ -264,7 +252,7 @@ class StageSolveReport:
         M = self.stage_matrices.copy()
         for k in np.flatnonzero(self.regularization):
             M[k] += self.regularization[k] * np.eye(M.shape[-1])
-        return _stacked_condition(M)
+        return _condition(M)
 
 
 @dataclass(frozen=True)

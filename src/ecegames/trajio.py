@@ -2,9 +2,9 @@
 
 Trajectory files are flat CSV with header
 ``trial,t,s_1..s_n,a1_1..a1_m1,...,aN_1..aN_mN``, one row per (trial, time
-step), rows sorted by (trial, t) with t = 1..T per trial.  Floats are
-written with 17 significant digits so every value round-trips exactly; all
-writers are deterministic byte for byte.
+step), rows sorted by (trial, t) with t = 1..T per trial.  One formatter,
+:func:`write_csv`, writes every CSV file deterministically byte for byte,
+numbers with 17 significant digits so every value round-trips exactly.
 
 :func:`read_trajectories` parses a file with numpy, in fixed-size row chunks,
 when it starts with the exact header line, ends with a newline, and its rows,
@@ -22,6 +22,7 @@ import json
 import math
 import warnings
 from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,16 +33,16 @@ from .errors import ConfigError, IngestError
 from .game import AffineGaussianPolicySet, Array, TrajectoryBatch
 
 
-def _cell(x) -> str:
-    return x if isinstance(x, str) else format(float(x), ".17g")
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows deterministically: LF line ends, numbers to 17 digits."""
+def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write a header and blocks of rows with LF line ends, each block with one ``%``
+    on a row template built from its first row: ``%.17g`` for numbers (ints and
+    bools too), ``%s`` for text, which must hold no comma, quote or line break."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(x) for x in row] for row in rows)
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            if len(block):
+                row = ",".join("%s" if isinstance(x, str) else "%.17g" for x in block[0])
+                fh.write((row + "\n") * len(block) % tuple(chain.from_iterable(block)))
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -66,20 +67,18 @@ def trajectory_header(state_dim: int, action_dims: Sequence[int]) -> list[str]:
 
 
 def write_trajectories(path: str | Path, batch: TrajectoryBatch) -> None:
-    """Write ``batch`` as a trajectory CSV, formatting each trial's rows with one ``%``."""
-    steps = np.arange(1, batch.horizon + 1)
-    width = 2 + batch.state_dim + sum(batch.action_dims)
-    template = (",".join(["%.17g"] * width) + "\n") * batch.horizon
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(trajectory_header(batch.state_dim, batch.action_dims)) + "\n")
-        for trial in range(len(batch)):
-            rows = np.column_stack(
-                [np.full(batch.horizon, trial), steps, batch.states[trial],
-                 *(a[trial] for a in batch.actions)]
-            )
-            fh.write(template % tuple(rows.ravel().tolist()))
+    """Write ``batch`` as a trajectory CSV, ``_WRITE_TRIALS`` trials per block."""
+    K, T = len(batch), batch.horizon
+    rows = np.column_stack(
+        [np.repeat(np.arange(K), T), np.tile(np.arange(1, T + 1), K),
+         batch.states.reshape(K * T, -1), *(a.reshape(K * T, -1) for a in batch.actions)]
+    )
+    step = _WRITE_TRIALS * T
+    write_csv(path, trajectory_header(batch.state_dim, batch.action_dims),
+              (rows[lo : lo + step].tolist() for lo in range(0, K * T, step)))
 
 
+_WRITE_TRIALS = 64  # trials per block of write_trajectories
 _CHUNK_ROWS = 4096  # rows per np.loadtxt call of the array reader
 _BLOCK_BYTES = 1 << 20  # bytes per read of its line-counting pass
 
@@ -291,38 +290,38 @@ def read_weights(path: str | Path) -> list[Array]:
 def write_iteration_trace(path: str | Path, trace, num_agents: int) -> None:
     header = ["iteration", "max_deviation", "step_size"]
     header += [f"cost_agent{i}" for i in range(num_agents)]
-    rows = (
+    rows = [
         [rec.iteration, rec.max_deviation, rec.step_size, *rec.agent_costs]
         for rec in trace.records
-    )
-    write_csv(path, header, rows)
+    ]
+    write_csv(path, header, [rows])
 
 
 def write_learn_trace(path: str | Path, trace) -> None:
     header = ["iteration", "agent", "residual", "solver_iterations", "effort_floored",
               "feature", "weight", "gap"]
-    rows = (
+    rows = [
         [rec.iteration, rec.agent, rec.residual, rec.solver_iterations, rec.effort_floored,
          k, rec.weights[k], rec.gap[k]]
         for rec in trace.records
         for k in range(rec.weights.shape[0])
-    )
-    write_csv(path, header, rows)
+    ]
+    write_csv(path, header, [rows])
 
 
 def write_kl_table(path: str | Path, kls: Sequence[Array], feature_names) -> None:
-    rows = (
+    rows = [
         [i, name, value]
         for i, vec in enumerate(kls)
         for name, value in zip(feature_names[i], vec)
-    )
-    write_csv(path, ["agent", "feature", "kl"], rows)
+    ]
+    write_csv(path, ["agent", "feature", "kl"], [rows])
 
 
 def write_goal_stats(path: str | Path, stats) -> None:
-    rows = ([i, mean, std] for i, (mean, std) in enumerate(stats))
-    write_csv(path, ["agent", "mean_dist", "std_dist"], rows)
+    rows = [[i, mean, std] for i, (mean, std) in enumerate(stats)]
+    write_csv(path, ["agent", "mean_dist", "std_dist"], [rows])
 
 
 def write_rmse(path: str | Path, rmse: Array) -> None:
-    write_csv(path, ["t", "rmse"], ([k + 1, value] for k, value in enumerate(rmse)))
+    write_csv(path, ["t", "rmse"], [[[k + 1, value] for k, value in enumerate(rmse)]])

@@ -9,6 +9,8 @@ derivative checks are plain central differences.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 
@@ -438,12 +440,21 @@ def solve_lq_ece_per_agent(game, temperatures=None):
     }
 
 
-# -- cell-by-cell reference for the trajectory writer -------------------------
+# -- cell-by-cell reference for the CSV writers --------------------------------
+
+
+def write_csv_by_cell(path, header, rows):
+    """The CSV writers' output through ``csv.writer``, every number formatted
+    on its own with ``format(float(x), ".17g")`` and text as it is."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([x if isinstance(x, str) else format(float(x), ".17g") for x in row])
 
 
 def write_trajectories_by_cell(path, batch):
-    """``trajio.write_trajectories`` as ``trajio.write_csv`` rows: every cell
-    formatted on its own through ``csv.writer``."""
+    """``trajio.write_trajectories`` one trial and one cell at a time."""
     from ecegames import trajio
 
     steps = np.arange(1, batch.horizon + 1)
@@ -455,7 +466,7 @@ def write_trajectories_by_cell(path, batch):
                  *(a[trial] for a in batch.actions)]
             ).tolist()
 
-    trajio.write_csv(path, trajio.trajectory_header(batch.state_dim, batch.action_dims), rows())
+    write_csv_by_cell(path, trajio.trajectory_header(batch.state_dim, batch.action_dims), rows())
 
 
 # -- per-step-draw reference sampler ------------------------------------------

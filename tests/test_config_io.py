@@ -207,7 +207,6 @@ class TestParsing:
                 "max_iterations": 100,
                 "convergence_tol": 1e-4,
                 "max_step_deviation": 10.0,
-                "min_step": 0.015625,
             },
             "learner": {
                 "learning_rate": 0.05,
@@ -458,7 +457,6 @@ class TestSettingsRoundTrip:
         "max_iterations": 7,
         "convergence_tol": 2e-3,
         "max_step_deviation": 3.5,
-        "min_step": 0.125,
     }
     LEARNER = {
         "learning_rate": 0.3,
@@ -503,6 +501,7 @@ class TestSettingsRoundTrip:
             ("learner", "base_seed"),
             ("solver", "hessian_floor"),
             ("solver", "strict_paper"),
+            ("solver", "min_step"),
             ("learner", "standardize_gaps"),
         ],
     )

@@ -15,6 +15,7 @@ from ecegames import (
     dynamics,
     evaluate_cost,
     quadratic_cost,
+    rollout_batch,
     simulate_mean,
     simulate_stochastic,
 )
@@ -119,14 +120,12 @@ class TestSimulateStochastic:
         b = simulate_stochastic(game, policy, seed=seed)
         assert np.array_equal(a.states, b.states)
 
-    @pytest.mark.slow
     def test_standard_normal_moments(self):
-        # P = alpha = 0, Sigma = 1, W = 0: first actions are iid N(0, 1).
+        # P = alpha = 0, Sigma = 1, W = 0: first actions are iid N(0, 1).  Trial k
+        # of the batch is simulate_stochastic(seed=k) bit for bit.
         game = scalar_game(horizon=1)
         policy = scalar_policy(1)
-        draws = np.array(
-            [simulate_stochastic(game, policy, seed=k).actions[0][0, 0] for k in range(100_000)]
-        )
+        draws = rollout_batch(game, policy, 100_000, 0).actions[0][:, 0, 0]
         assert abs(draws.mean()) < 0.02
         assert 0.97 < draws.var() < 1.03
 

@@ -246,9 +246,30 @@ class TestSolveEce:
         rng = np.random.default_rng(10)
         data = random_lq_data(rng, num_agents=1, n=2, horizon=8)
         game = game_spec_from_data(*data, s1=np.array([5.0, -4.0]))
-        cfg = SolverConfig(max_step_deviation=1e-9, min_step=1 / 64)
+        cfg = SolverConfig(max_step_deviation=1e-9)
         with pytest.raises(LineSearchError):
             solve_ece(game, config=cfg)
+
+    def test_line_search_halves_then_accepts(self, config_dir):
+        # A threshold at 3/4 of the full first step's deviation makes the
+        # first iteration halve once; the half step leaves half the distance,
+        # which the next full step covers, and the solve converges where the
+        # undamped one does.
+        scenario, game = shipped_game(config_dir, "lq_tracking")
+        full = solve_ece(game, config=scenario.solver_config)
+        first = full.trace.records[0]
+        assert first.step_size == 1.0
+        cfg = dataclasses.replace(scenario.solver_config,
+                                  max_step_deviation=0.75 * first.max_deviation)
+        damped = solve_ece(game, config=cfg)
+        assert [rec.step_size for rec in damped.trace.records] == [0.5, 1.0, 1.0]
+        assert damped.trace.converged
+        # Agreement to rounding: 5.6e-16 measured, on states of size about 1.
+        tol = 1e-12
+        a, b = full.policies, damped.policies
+        for x, y in zip((a.nominal_states, *a.gains, *a.offsets, *a.nominal_actions),
+                        (b.nominal_states, *b.gains, *b.offsets, *b.nominal_actions)):
+            assert np.max(np.abs(x - y)) <= tol
 
     def test_temperatures_scale_solution_covariances(self):
         rng = np.random.default_rng(12)

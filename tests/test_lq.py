@@ -136,6 +136,8 @@ class TestSolveLqEce:
         assert np.all(sol.policies.gains[0] == 0.0)
         assert np.all(sol.policies.offsets[0] == 0.0)
         assert sol.policies.covariances[0][0, 0, 0] == pytest.approx(1.0)
+        # No interior stage: the conditions are an empty array, not an error.
+        assert sol.report.condition.shape == (0,)
 
     def test_scalar_riccati_hand_solution(self):
         sol = solve_lq_ece(scalar_stage_game(horizon=2))

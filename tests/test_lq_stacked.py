@@ -432,15 +432,17 @@ def terminal_game(diagonal, horizon=3):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """The stacked singular-value calls made while a test runs."""
+    """The stacked singular-value calls, those of :func:`lq._condition` on a
+    stack of matrices, made while a test runs."""
     calls = []
 
-    def counted(stack):
-        calls.append(stack.shape)
-        return stacked(stack)
+    def counted(M):
+        if np.ndim(M) == 3:
+            calls.append(M.shape)
+        return condition(M)
 
-    stacked = lq._stacked_condition
-    monkeypatch.setattr(lq, "_stacked_condition", counted)
+    condition = lq._condition
+    monkeypatch.setattr(lq, "_condition", counted)
     return calls
 
 
@@ -497,6 +499,20 @@ class TestConditionScreen:
         assert not sol.report.regularization.any()
         assert_report_matches_ladder(game, sol)
         assert_close(game)
+
+    @pytest.mark.parametrize(
+        "M",
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, np.nan], [0.0, 1.0]],
+         [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["singular", "zero", "nan", "inf"],
+    )
+    def test_condition_of_a_hopeless_matrix_is_infinite(self, M):
+        assert lq._condition(np.array(M)) == np.inf
+
+    def test_condition_of_a_stack(self):
+        stack = np.stack([np.diag([1.0, 4.0]), np.eye(2), np.diag([1e-3, 2.0])])
+        assert np.array_equal(lq._condition(stack), [4.0, 1.0, 2e3])
+        assert [lq._condition(M) for M in stack] == [4.0, 1.0, 2e3]
 
 
 def assert_same_bytes(got, want):

@@ -1,5 +1,6 @@
 """The array path of ``trajio.read_trajectories`` against the validating reader,
-and ``trajio.write_trajectories`` against the cell-by-cell writer.
+and ``trajio.write_trajectories`` and the table writers against the
+cell-by-cell writer.
 
 ``read_trajectories`` parses a file with numpy and hands every file it cannot
 vouch for to the line-by-line reader ``trajio._read_by_line``.  For each file
@@ -15,7 +16,9 @@ import pytest
 from ecegames import TrajectoryBatch, trajio
 from ecegames.cli import main
 from ecegames.errors import IngestError
-from oracles import write_trajectories_by_cell
+from ecegames.ilq import IterationRecord, IterationTrace
+from ecegames.irl import AgentUpdateRecord, LearnTrace
+from oracles import write_csv_by_cell, write_trajectories_by_cell
 
 STATE_DIM, ACTION_DIMS = 2, (1, 2)
 
@@ -202,15 +205,83 @@ SPECIAL = np.array([-0.0, 5e-324, 1e308, 3.0, -2.0, 1e16, 2.0**53, 0.1])
     [
         base_batch(trials=1),
         base_batch(horizon=1),
+        base_batch(trials=2 * trajio._WRITE_TRIALS + 2),  # two full blocks and a partial one
         TrajectoryBatch(states=np.ones((2, 3, 1)),
                         actions=(np.ones((2, 3, 3)), np.zeros((2, 3, 1)))),
         TrajectoryBatch(states=SPECIAL.reshape(2, 2, 2),
                         actions=(-SPECIAL[:4].reshape(2, 2, 1), SPECIAL.reshape(2, 2, 2))),
     ],
-    ids=["one_trial", "one_step", "unequal_action_dims", "special_values"],
+    ids=["one_trial", "one_step", "three_blocks", "unequal_action_dims", "special_values"],
 )
 def test_writer_matches_cell_by_cell_writer(tmp_path, batch):
     fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
     trajio.write_trajectories(fast, batch)
     write_trajectories_by_cell(reference, batch)
     assert fast.read_bytes() == reference.read_bytes()
+
+
+# Values the golden digests never see: NaN, signed infinities and zero, the
+# smallest subnormal, and integers at and past the end of exact float spacing.
+EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 2.0**53]
+
+
+class TestTableWriters:
+    """Every table writer, byte for byte equal to the cell-by-cell writer."""
+
+    def check(self, tmp_path, write, header, rows):
+        written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+        write(written)
+        write_csv_by_cell(reference, header, rows)
+        assert written.read_bytes() == reference.read_bytes()
+
+    def test_iteration_trace(self, tmp_path):
+        records = [
+            IterationRecord(iteration=k + 1, max_deviation=EDGE[k], step_size=0.5**k,
+                            agent_costs=np.array([EDGE[-1 - k], -EDGE[k]]))
+            for k in range(len(EDGE))
+        ]
+        header = ["iteration", "max_deviation", "step_size", "cost_agent0", "cost_agent1"]
+        rows = [[r.iteration, r.max_deviation, r.step_size, *r.agent_costs] for r in records]
+        self.check(tmp_path,
+                   lambda p: trajio.write_iteration_trace(p, IterationTrace(records), 2),
+                   header, rows)
+
+    @pytest.mark.parametrize("updates", [0, 3])
+    def test_learn_trace(self, tmp_path, updates):
+        # bool and int columns beside the floats; no update writes the header only.
+        records = [
+            AgentUpdateRecord(iteration=k // 2 + 1, agent=k % 2, weights=np.array(EDGE[k:k + 3]),
+                              gap=-np.array(EDGE[-3 - k:len(EDGE) - k]), residual=EDGE[k],
+                              solver_iterations=2**53 + k, effort_floored=k % 2 == 0)
+            for k in range(updates)
+        ]
+        header = ["iteration", "agent", "residual", "solver_iterations", "effort_floored",
+                  "feature", "weight", "gap"]
+        rows = [
+            [r.iteration, r.agent, r.residual, r.solver_iterations, r.effort_floored,
+             f, r.weights[f], r.gap[f]]
+            for r in records for f in range(3)
+        ]
+        self.check(tmp_path, lambda p: trajio.write_learn_trace(p, LearnTrace(records)),
+                   header, rows)
+        if not updates:
+            assert (tmp_path / "written.csv").read_text().count("\n") == 1
+
+    def test_kl_table(self, tmp_path):
+        names = [["tracking", "control"], ["tracking", "control", "obstacle0", "obstacle1"]]
+        kls = [np.array(EDGE[:2]), np.array(EDGE[2:6])]
+        rows = [[0, "tracking", EDGE[0]], [0, "control", EDGE[1]]]
+        rows += [[1, name, value] for name, value in zip(names[1], EDGE[2:6])]
+        self.check(tmp_path, lambda p: trajio.write_kl_table(p, kls, names),
+                   ["agent", "feature", "kl"], rows)
+
+    def test_goal_stats(self, tmp_path):
+        stats = list(zip(EDGE, EDGE[::-1]))
+        rows = [[i, mean, std] for i, (mean, std) in enumerate(stats)]
+        self.check(tmp_path, lambda p: trajio.write_goal_stats(p, stats),
+                   ["agent", "mean_dist", "std_dist"], rows)
+
+    def test_rmse(self, tmp_path):
+        rmse = np.array(EDGE)
+        rows = [[t, value] for t, value in zip(range(1, len(EDGE) + 1), EDGE)]
+        self.check(tmp_path, lambda p: trajio.write_rmse(p, rmse), ["t", "rmse"], rows)
