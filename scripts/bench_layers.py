@@ -24,6 +24,12 @@ under its true weights and times, per call:
 - ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
   learner's ``samples_per_expectation``, 1000 the ``--trials`` of the
   ``sample-eval`` benchmark workload);
+- ``feature_expectation``, one learner expectation of the feature sums on
+  the converged policies, as ``irl.estimate_feature_expectation`` takes it
+  after its solve: exact from ``rollout_moments`` on dynamics with
+  ``linear_maps``, and otherwise (and on a revision without
+  ``rollout_moments``) the mean over the config's
+  ``samples_per_expectation`` sampled rollouts from seed 0;
 - a cold ``solve_ece``.
 
 One more case, ``ladder_60``, times ``solve_lq_ece`` on a 60-stage
@@ -72,7 +78,8 @@ BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
 LAYERS = (
     "stage_game_around", "quadratize", "cost_derivatives", "refresh_stage", "solve_lq_ece",
-    "simulate_mean", *(f"rollout_batch({k})" for k in TRIALS), "solve_ece",
+    "simulate_mean", *(f"rollout_batch({k})" for k in TRIALS), "feature_expectation",
+    "solve_ece",
 )
 LADDER = "ladder_60"
 REDUCED = "two_agent_crossing_reduced"
@@ -115,9 +122,13 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
     game = scenario.make_game(scenario.true_weights())
     solver = scenario.solver_config
     policies = pkg.solve_ece(game, config=solver).policies
+
+    def embed(traj):
+        return traj
+
     if agent is not None:
         replay = pkg.simulate_mean(game, policies).actions
-        game, _ = pkg.pin_other_agents(game, agent, replay)
+        game, embed = pkg.pin_other_agents(game, agent, replay)
         own = slice(agent, agent + 1)
         policies = pkg.AffineGaussianPolicySet(
             gains=policies.gains[own],
@@ -135,6 +146,15 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
             cost.state_gradient(steps, nominal.states)
             cost.state_hessian(steps, nominal.states)
 
+    basis, samples = scenario.basis, scenario.learn_config.samples_per_expectation
+    moments = getattr(pkg.simulate, "rollout_moments", None)
+
+    def feature_expectation():
+        if moments is not None and game.dynamics.linear_maps is not None:
+            return pkg.features.expected_features(basis, embed(moments(game, policies)))
+        batch = pkg.rollout_batch(game, policies, samples, 0)
+        return pkg.empirical_feature_mean(basis, embed(batch))
+
     def refresh_stage():
         if game.dynamics.linear_maps is None:
             return pkg.ilq.stage_game_around(game, nominal)
@@ -148,6 +168,7 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
         lambda: pkg.solve_lq_ece(stage, game.temperatures),
         lambda: pkg.simulate_mean(game, policies),
         *(lambda k=k: pkg.rollout_batch(game, policies, k, 0) for k in TRIALS),
+        feature_expectation,
         lambda: pkg.solve_ece(game, config=solver),
     )))
 

@@ -19,6 +19,10 @@ array of K steps, ``s`` is (n,) or (K, n) and each agent's action is (m,) or
 (K, m).  ``value`` returns a scalar or (K,), ``state_gradient`` (n,) or
 (K, n) and ``state_hessian`` (n, n) or (K, n, n); row k of a stacked call
 equals the one-row call at (t[k], s[k]).
+
+Each feature's ``expectation(t, moments)`` is its exact mean at steps ``t``
+under the Gaussian marginals of a :class:`~ecegames.game.TrajectoryMoments`,
+and :func:`expected_features` sums them over time like :func:`eval_features`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidWeightError
-from .game import Array, CostModel, Trajectory, TrajectoryBatch
+from .game import Array, CostModel, Trajectory, TrajectoryBatch, TrajectoryMoments
 
 
 def _assemble(pairs, t: int | Array, s: Array, hessian: bool = False) -> Array:
@@ -73,6 +77,11 @@ class ReferenceTracking(_Feature):
         d = self._offset(t, s)
         return np.sum(d * d, axis=-1)
 
+    def expectation(self, t: Array, moments: TrajectoryMoments) -> Array:
+        """||mu_p - ref||^2 + tr Sigma_pp."""
+        var = np.diagonal(moments.state_covariances, axis1=-2, axis2=-1)[..., self.position_index]
+        return self.value(t, moments.states, moments.actions) + np.sum(var, axis=-1)
+
     def add_state_gradient(self, out: Array, t: int | Array, s: Array, w: float) -> None:
         out[..., self.position_index] += w * (2.0 * self._offset(t, s))
 
@@ -91,6 +100,11 @@ class ControlEffort(_Feature):
     def value(self, t: int | Array, s: Array, actions) -> Array:
         a = actions[self.agent]
         return np.sum(a * a, axis=-1)
+
+    def expectation(self, t: Array, moments: TrajectoryMoments) -> Array:
+        """||mu_a||^2 + tr Sigma_a."""
+        var = np.diagonal(moments.action_covariances[self.agent], axis1=-2, axis2=-1)
+        return self.value(t, moments.states, moments.actions) + np.sum(var, axis=-1)
 
     def add_state_gradient(self, out: Array, t: int | Array, s: Array, w: float) -> None:
         """No state part: adds nothing."""
@@ -133,6 +147,21 @@ class GaussianProximity(_Feature):
 
     def value(self, t: int | Array, s: Array, actions) -> Array:
         return self._separation(s)[1]
+
+    def expectation(self, t: Array, moments: TrajectoryMoments) -> Array:
+        """det(I + Sigma_d / sigma^2)^(-1/2) exp(-mu_d' (sigma^2 I + Sigma_d)^(-1) mu_d / 2)
+        for the separation d ~ N(mu_d, Sigma_d): the expected squared-exponential
+        cost of PILCO (Deisenroth & Rasmussen, ICML 2011)."""
+        p, q = self.position_index, self.target_index
+        mu = moments.states[..., p] - moments.states[..., q]
+        C, sig2 = moments.state_covariances, self.sigma**2
+        # S = sigma^2 I + Sigma_d, where Sigma_d = Cov(p_i - p_j).
+        S = C[..., p[:, None], p] + C[..., q[:, None], q]
+        S -= C[..., p[:, None], q] + C[..., q[:, None], p]
+        S += sig2 * np.eye(len(p))
+        quad = np.sum(mu * np.linalg.solve(S, mu[..., None])[..., 0], axis=-1)
+        logdet = np.linalg.slogdet(S / sig2)[1]
+        return np.exp(-0.5 * (logdet + quad))
 
     def add_state_gradient(self, out: Array, t: int | Array, s: Array, w: float) -> None:
         d, phi = self._separation(s)
@@ -200,6 +229,15 @@ def eval_features(basis: FeatureBasis, rollouts: Trajectory | TrajectoryBatch) -
             sums[..., k] = np.sum(f.value(steps, rollouts.states, rollouts.actions), axis=-1)
         out.append(sums)
     return out
+
+
+def expected_features(basis: FeatureBasis, moments: TrajectoryMoments) -> list[Array]:
+    """Per-agent expected feature sums over time, E sum_t phi^i as (F_i,)
+    vectors, under the Gaussian marginals ``moments``: each feature's
+    ``expectation`` is its exact mean under them."""
+    steps = np.arange(1, moments.horizon + 1)
+    return [np.array([np.sum(f.expectation(steps, moments)) for f in feats])
+            for feats in basis.agents]
 
 
 def control_effort_index(features) -> int:

@@ -355,6 +355,25 @@ class TrajectoryBatch(_RolloutLayout):
 
 
 @dataclass(frozen=True)
+class TrajectoryMoments:
+    """The Gaussian marginals of a stochastic rollout at every step: mean
+    states (T, n) and per-agent mean actions (T, m_i), with state covariances
+    (T, n, n) and per-agent action covariances (T, m_i, m_i).
+
+    The mean fields are named as in :class:`Trajectory`, so code that reads
+    ``states`` and ``actions`` of one trajectory reads the means here."""
+
+    states: Array
+    actions: tuple[Array, ...]
+    state_covariances: Array
+    action_covariances: tuple[Array, ...]
+
+    @property
+    def horizon(self) -> int:
+        return self.states.shape[-2]
+
+
+@dataclass(frozen=True)
 class AffineGaussianPolicySet:
     """Per-agent, per-step policies a ~ N(abar_t - P_t (s - sbar_t) - alpha_t, Sigma_t).
 
@@ -448,9 +467,11 @@ def pin_other_agents(
     action at step t is pinned to ``replay_actions[j][t-1]``.  The own entry
     of ``replay_actions`` is never read (any placeholder will do).  Returns
     the reduced single-agent game (full joint state retained) and an
-    embedding that rebuilds a joint :class:`Trajectory` or
-    :class:`TrajectoryBatch` from a single-agent one by re-inserting the
-    replayed actions, broadcast over the trials of a batch.
+    embedding that rebuilds a joint :class:`Trajectory`,
+    :class:`TrajectoryBatch` or :class:`TrajectoryMoments` from a
+    single-agent one by re-inserting the replayed actions, broadcast over
+    the trials of a batch; in moments they are the means of their agents'
+    actions, with zero covariance.
 
     On dynamics with ``linear_maps`` the replay is a per-step drift: the
     reduced dynamics are ``linear(A, [B_i], c)`` with
@@ -524,12 +545,19 @@ def pin_other_agents(
         temperatures=(game.temperatures[agent],),
     )
 
-    def embed(traj: Trajectory | TrajectoryBatch) -> Trajectory | TrajectoryBatch:
+    def embed(traj: Trajectory | TrajectoryBatch | TrajectoryMoments):
         lead = traj.states.shape[:-2]
         actions = tuple(
             traj.actions[0] if j == agent else np.broadcast_to(replay[j], lead + replay[j].shape)
             for j in range(N)
         )
+        if isinstance(traj, TrajectoryMoments):
+            # A replayed action is a constant: its mean, with zero covariance.
+            covariances = tuple(
+                traj.action_covariances[0] if j == agent else np.zeros(replay[j].shape + (m,))
+                for j, m in enumerate(game.action_dims)
+            )
+            return replace(traj, actions=actions, action_covariances=covariances)
         return type(traj)(states=traj.states, actions=actions)
 
     return reduced, embed

@@ -11,10 +11,15 @@ is swept agent by agent (block coordinate descent).  There is no raw-gap
 step: on 200 demos of ``lq_tracking`` it had not converged after 100 sweeps
 at learning rate 0.1, 0.01 or 0.001, where the standardized step at 0.1
 converges in 71; on ``two_agent_crossing`` its residuals rose from 0.53/0.37
-to 4.67/7.34 in 16 sweeps.  The model expectation is a Monte-Carlo average
-over sampled equilibrium rollouts and is refreshed after every weight
-update, since one agent's cost change moves every agent's equilibrium
-behavior.
+to 4.67/7.34 in 16 sweeps.  The model expectation is refreshed after every
+weight update, since one agent's cost change moves every agent's equilibrium
+behavior.  On linear dynamics it is exact: the equilibrium policies are
+Gaussian, so every state and action of a rollout is Gaussian, and each
+feature's mean under those moments has a closed form (see
+:func:`estimate_feature_expectation`); nothing is sampled and the learner's
+seed changes nothing.  On other dynamics it is a Monte-Carlo average over
+sampled equilibrium rollouts.  Either way the step is the feature-matching
+gradient of maximum-entropy IRL (Ziebart et al., AAAI 2008).
 
 Two modes:
   * ``joint`` solves the full coupled game at the current weights;
@@ -32,7 +37,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EcegamesError
-from .features import FeatureBasis, control_effort_index, eval_features, validate_weights
+from .features import (
+    FeatureBasis,
+    control_effort_index,
+    eval_features,
+    expected_features,
+    validate_weights,
+)
 from .game import (
     AffineGaussianPolicySet,
     Array,
@@ -41,7 +52,7 @@ from .game import (
     pin_other_agents,
 )
 from .ilq import SolverConfig, solve_ece
-from .simulate import rollout_batch
+from .simulate import rollout_batch, rollout_moments
 
 GameFactory = Callable[[Sequence[Array]], GameSpec]
 
@@ -51,8 +62,10 @@ class LearnConfig:
     """Learning-loop controls.
 
     ``learning_rate`` is the gradient step gamma; ``samples_per_expectation``
-    the Monte-Carlo sample count p; convergence is declared when every
-    agent's relative feature-matching residual drops below ``residual_tol``.
+    the Monte-Carlo sample count p, read, like ``base_seed``, only on
+    nonlinear dynamics (linear ones take the exact expectation and sample
+    nothing); convergence is declared when every agent's relative
+    feature-matching residual drops below ``residual_tol``.
     Each step is gamma times the standardized gap (each feature's gap over
     its demo-mean magnitude), the only step: the raw gap stalled or diverged
     on the shipped scenarios (see the module docstring).  The own effort
@@ -136,21 +149,30 @@ def estimate_feature_expectation(
     *,
     solver_config: SolverConfig | None = None,
     warm_start: AffineGaussianPolicySet | None = None,
-    embed: Callable[[TrajectoryBatch], TrajectoryBatch] = _identity,
+    embed: Callable = _identity,
 ) -> tuple[list[Array], AffineGaussianPolicySet, int]:
-    """Monte-Carlo feature expectations under the game's equilibrium policies.
+    """Feature expectations under the game's equilibrium policies.
 
-    Solves the equilibrium once, then averages feature sums over ``samples``
-    stochastic rollouts with trial seeds ``base_seed + j`` (initial states
-    drawn from the game's initial-state distribution), the batch mapped
-    through ``embed`` to rollouts of ``basis``'s game (the identity, or the
-    embedding :func:`~ecegames.game.pin_other_agents` returns with a reduced
-    game).  Returns the per-agent expectation vectors, the solved policies
-    (for warm starts) and the solver iteration count.
+    Solves the equilibrium once.  On dynamics whose ``linear_maps`` are set
+    the expectation is exact: the Gaussian marginals of
+    :func:`~ecegames.simulate.rollout_moments` and each feature's closed-form
+    mean under them (:func:`~ecegames.features.expected_features`), with no
+    sampling, so ``samples`` and ``base_seed`` are not read.  On other
+    dynamics it averages feature sums over ``samples`` stochastic rollouts
+    with trial seeds ``base_seed + j`` (initial states drawn from the game's
+    initial-state distribution).  Either is mapped through ``embed`` to
+    ``basis``'s game (the identity, or the embedding
+    :func:`~ecegames.game.pin_other_agents` returns with a reduced game).
+    Returns the per-agent expectation vectors, the solved policies (for warm
+    starts) and the solver iteration count.
     """
     solution = _solve_with_retry(game, warm_start, solver_config)
-    rollouts = embed(rollout_batch(game, solution.policies, samples, base_seed))
-    return empirical_feature_mean(basis, rollouts), solution.policies, len(solution.trace)
+    if game.dynamics.linear_maps is not None:
+        means = expected_features(basis, embed(rollout_moments(game, solution.policies)))
+    else:
+        rollouts = embed(rollout_batch(game, solution.policies, samples, base_seed))
+        means = empirical_feature_mean(basis, rollouts)
+    return means, solution.policies, len(solution.trace)
 
 
 def _solve_with_retry(game, warm_start, solver_config):

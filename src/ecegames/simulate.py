@@ -1,4 +1,4 @@
-"""Forward simulation of policies: mean rollouts, stochastic sampling, costs.
+"""Forward simulation of policies: mean rollouts, stochastic sampling, moments, costs.
 
 Sampling is fully seed-driven.  Batches derive trial seeds as
 ``base_seed + trial_index``, so any subset of trials can be reproduced (or
@@ -43,6 +43,10 @@ so the error names the same step.  Every other model (unicycles, custom
 models and their reduced games) takes the per-step loop with one trial and
 no noise; it is the loop that samples, and its rollouts are bit for bit
 those of a per-step reference.
+
+On the same linear models :func:`rollout_moments` runs that closed loop with
+a covariance recursion beside it, for the exact Gaussian marginals of the
+sampled trials without drawing any.
 """
 
 from __future__ import annotations
@@ -52,7 +56,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SimulationDivergedError
-from .game import AffineGaussianPolicySet, Array, GameSpec, Trajectory, TrajectoryBatch
+from .game import (
+    AffineGaussianPolicySet,
+    Array,
+    GameSpec,
+    Trajectory,
+    TrajectoryBatch,
+    TrajectoryMoments,
+)
 
 CHUNK = 128  # trials per noise draw of a batch
 
@@ -102,10 +113,11 @@ def _rollout(game: GameSpec, policies: AffineGaussianPolicySet, states: Array,
 
 def _closed_loop(
     policies: AffineGaussianPolicySet, s: Array, A: Array, B: Array, offset: Array | None
-) -> tuple[Array, Array]:
+) -> tuple[Array, Array, Array]:
     """Mean states (T, n) and concatenated mean actions (T, K) of the
     feedback law on linear dynamics s' = A s + B a (+ offset_t), from the
-    initial state ``s``, without checking them.
+    initial state ``s``, without checking them, and the closed-loop maps
+    Phi (T-1, n, n).
 
     With every agent's law stacked on the concatenated actions,
     a_t = d_t - P_t s_t where d_t = abar_t - alpha_t + P_t sbar_t, so
@@ -126,7 +138,7 @@ def _closed_loop(
     for F, c_t, row in zip(Phi, c, states[1:]):
         s = np.matmul(F, s, out=row)
         s += c_t
-    return states, d - (P @ states[:, :, None])[..., 0]
+    return states, d - (P @ states[:, :, None])[..., 0], Phi
 
 
 def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajectory:
@@ -143,7 +155,7 @@ def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajecto
     maps = game.dynamics.linear_maps
     if maps is not None:
         with np.errstate(all="ignore"):
-            states, actions = _closed_loop(policies, game.initial_state.mean, *maps)
+            states, actions, _ = _closed_loop(policies, game.initial_state.mean, *maps)
         if np.isfinite(states).all():
             dims = game.action_dims
             cut = [actions[:, e - m : e].copy() for e, m in zip(np.cumsum(dims), dims)]
@@ -153,6 +165,55 @@ def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajecto
     actions = tuple(np.empty((game.horizon, m)) for m in game.action_dims)
     _rollout(game, policies, states, actions, noisy=False)
     return Trajectory(states=states, actions=actions)
+
+
+def rollout_moments(game: GameSpec, policies: AffineGaussianPolicySet) -> TrajectoryMoments:
+    """The exact Gaussian marginals of :func:`rollout_batch`'s trials, for
+    dynamics whose ``linear_maps`` are set (``ValueError`` for others).
+
+    On linear dynamics every s_t and a_t of a trial is Gaussian.  The means
+    are those of :func:`simulate_mean`'s closed loop.  The state covariance
+    starts from the initial-state covariance (zero for a fixed initial state)
+    and follows
+
+        Sigma_{t+1} = Phi_t Sigma_t Phi_t' + B Sigma^pol_t B' + G W G',
+
+    with Phi_t = A - B P_t and Sigma^pol_t the policies' block-diagonal
+    covariance on the concatenated actions, as the agents draw independently.
+    Agent i's action covariance is P^i_t Sigma_t P^i_t' + Sigma^i_t.  Raises
+    :class:`SimulationDivergedError` naming the first step whose mean state
+    or state covariance is not finite.
+    """
+    _check_dimensions(game, policies)
+    maps = game.dynamics.linear_maps
+    if maps is None:
+        raise ValueError("moments are exact only for dynamics with linear_maps")
+    initial, dims, n = game.initial_state, game.action_dims, game.state_dim
+    ends = np.cumsum(dims)
+    with np.errstate(all="ignore"):
+        states, actions, Phi = _closed_loop(policies, initial.mean, *maps)
+        G = game.noise.factor
+        added = np.broadcast_to(G @ G.T, Phi.shape).copy()
+        for S, e, m in zip(policies.covariances, ends, dims):
+            Bi = maps[1][:, e - m : e]
+            added += Bi @ S[:-1] @ Bi.T
+        cov = np.zeros((game.horizon, n, n))
+        if initial.covariance is not None:
+            cov[0] = initial.covariance
+        for F, Q, prev, row in zip(Phi, added, cov, cov[1:]):
+            np.matmul(F @ prev, F.T, out=row)
+            row += Q
+        action_cov = tuple(P @ cov @ P.swapaxes(-1, -2) + S
+                           for P, S in zip(policies.gains, policies.covariances))
+    finite = np.isfinite(states).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
+    if not finite.all():
+        raise SimulationDivergedError(time_step=int(finite.argmin()) + 1)
+    return TrajectoryMoments(
+        states=states,
+        actions=tuple(actions[:, e - m : e] for e, m in zip(ends, dims)),
+        state_covariances=cov,
+        action_covariances=action_cov,
+    )
 
 
 def simulate_stochastic(

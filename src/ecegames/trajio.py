@@ -67,15 +67,21 @@ def trajectory_header(state_dim: int, action_dims: Sequence[int]) -> list[str]:
 
 
 def write_trajectories(path: str | Path, batch: TrajectoryBatch) -> None:
-    """Write ``batch`` as a trajectory CSV, ``_WRITE_TRIALS`` trials per block."""
+    """Write ``batch`` as a trajectory CSV, ``_WRITE_TRIALS`` trials per block;
+    each block's rows are built from its slice of the batch alone."""
     K, T = len(batch), batch.horizon
-    rows = np.column_stack(
-        [np.repeat(np.arange(K), T), np.tile(np.arange(1, T + 1), K),
-         batch.states.reshape(K * T, -1), *(a.reshape(K * T, -1) for a in batch.actions)]
-    )
-    step = _WRITE_TRIALS * T
+    steps = np.tile(np.arange(1, T + 1), _WRITE_TRIALS)
+
+    def block(lo: int) -> list:
+        trials = range(lo, min(lo + _WRITE_TRIALS, K))
+        rows = len(trials) * T
+        return np.column_stack(
+            [np.repeat(trials, T), steps[:rows], batch.states[lo : trials.stop].reshape(rows, -1),
+             *(a[lo : trials.stop].reshape(rows, -1) for a in batch.actions)]
+        ).tolist()
+
     write_csv(path, trajectory_header(batch.state_dim, batch.action_dims),
-              (rows[lo : lo + step].tolist() for lo in range(0, K * T, step)))
+              map(block, range(0, K, _WRITE_TRIALS)))
 
 
 _WRITE_TRIALS = 64  # trials per block of write_trajectories

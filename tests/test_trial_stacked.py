@@ -33,9 +33,10 @@ from ecegames import (
     trajio,
 )
 from ecegames.config import parse_scenario
-from ecegames.features import ControlEffort, FeatureBasis
+from ecegames.features import ControlEffort, FeatureBasis, expected_features
 from ecegames.irl import _mean_demo_actions, empirical_feature_mean, estimate_feature_expectation
 from ecegames.metrics import goal_distance_stats, trajectory_rmse
+from ecegames.simulate import rollout_moments
 
 from conftest import stack_trajectories
 from oracles import (
@@ -166,14 +167,22 @@ class TestMatchesPerTrajectoryLoops:
 
 
 class TestFeatureExpectation:
+    """On the unicycle the learner samples, and its estimate is the per-trial
+    rollouts' mean bit for bit.  On linear dynamics it samples nothing: its
+    expectation is the exact one of the rollouts' Gaussian moments."""
+
     def test_joint_mode_matches_per_trial_rollouts(self, rollouts):
         scenario, game, policies, _ = rollouts
         means, solved, _ = estimate_feature_expectation(
             game, scenario.basis, 12, SEED, solver_config=scenario.solver_config,
             warm_start=policies,
         )
-        samples = [simulate_stochastic(game, solved, seed=SEED + j) for j in range(12)]
-        assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
+        if game.dynamics.linear_maps is None:
+            samples = [simulate_stochastic(game, solved, seed=SEED + j) for j in range(12)]
+            assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
+        else:
+            exact = expected_features(scenario.basis, rollout_moments(game, solved))
+            assert_lists_equal(means, exact)
 
     def test_independent_mode_embeds_the_batch(self, rollouts):
         scenario, game, _, batch = rollouts
@@ -183,7 +192,12 @@ class TestFeatureExpectation:
             reduced, scenario.basis, 12, SEED, solver_config=scenario.solver_config, embed=embed
         )
         samples = [embed(simulate_stochastic(reduced, solved, seed=SEED + j)) for j in range(12)]
-        assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
+        if game.dynamics.linear_maps is None:
+            assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
+        else:
+            exact = expected_features(scenario.basis, embed(rollout_moments(reduced, solved)))
+            assert_lists_equal(means, exact)
+            assert [len(m) for m in means] == [len(f) for f in scenario.basis.agents]
         embedded = embed(rollout_batch(reduced, solved, 12, SEED))
         assert isinstance(embedded, TrajectoryBatch)
         assert np.array_equal(embedded.states, np.stack([t.states for t in samples]))
