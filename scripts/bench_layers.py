@@ -26,7 +26,7 @@ under its true weights and times, per call:
   ``sample-eval`` benchmark workload);
 - ``feature_expectation``, one learner expectation of the feature sums on
   the converged policies, as ``irl.estimate_feature_expectation`` takes it
-  after its solve: exact from ``rollout_moments`` on dynamics with
+  after the learner's solve: exact from ``rollout_moments`` on dynamics with
   ``linear_maps``, and otherwise (and on a revision without
   ``rollout_moments``) the mean over the config's
   ``samples_per_expectation`` sampled rollouts from seed 0;

@@ -14,9 +14,12 @@ error to one of them and prints a one-line ``error:`` message to stderr):
      horizon is not the scenario's; or an output file or directory cannot
      be written ("<path>: cannot write (...)").
   2  usage or configuration error: bad command-line arguments, a missing,
-     unreadable or invalid config file, missing ``true_weights`` where the
-     command needs them, or a learner override out of range (``--lr`` < 0 or
-     not finite).
+     unreadable or invalid config file (learner settings out of range too),
+     or missing ``true_weights`` where the command needs them.
+
+A ``learn`` failure names its phase: "equilibrium solve failed while
+updating agent i: ..." or "feature expectation failed while updating agent
+i: ...".
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from .config import Scenario, load_scenario
 from .errors import EcegamesError, ConfigError, IngestError, NonConvergenceError
 from .ilq import solve_ece
-from .irl import LearnSolveError, run_mairl
+from .irl import MODES, LearnSolveError, run_mairl
 from .metrics import goal_distance_stats, kl_divergence_per_feature, trajectory_rmse
 from .simulate import rollout_batch
 from . import trajio
@@ -89,19 +91,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_learn(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     demos = _read_demos(args.demos, scenario)
-
-    given = {"mode": args.mode, "learning_rate": args.lr, "samples_per_expectation": args.samples}
-    overrides = {key: value for key, value in given.items() if value is not None}
-    try:
-        cfg = replace(scenario.learn_config, base_seed=args.seed, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
-
     init = [np.ones(len(feats)) for feats in scenario.basis.agents]
     try:
         weights, trace = run_mairl(
-            scenario.make_game, scenario.basis, demos, init, cfg,
-            solver_config=scenario.solver_config,
+            scenario.make_game, scenario.basis, demos, init, scenario.learn_config,
+            mode=args.mode, seed=args.seed, solver_config=scenario.solver_config,
         )
     except LearnSolveError as exc:
         if args.trace:
@@ -190,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn feature weights from demonstrations")
     p.add_argument("--config", required=True)
     p.add_argument("--demos", required=True)
-    p.add_argument("--mode", choices=["joint", "independent"], default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--mode", choices=MODES, default="joint",
+                   help="learn in the coupled game (joint, the default) or against the "
+                   "other agents replayed from the demos (independent)")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="first trial seed of sampled expectations (nonlinear dynamics only)")
     p.add_argument("--out-weights", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_learn)

@@ -101,22 +101,17 @@ def _coerce(value: Any, type_: type, path: str, *, depth: int = 0, finite: bool 
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     try:  # not `with _values_of`: a generator context per matrix entry is slow
         value = type_(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float
         raise ConfigError(f"{path}: {exc}") from exc
     if finite and type_ is float and not math.isfinite(value):
         raise ConfigError(f"{path} must be finite, got {value!r}")
     return value
 
 
-def _settable(cls) -> list:
-    """Fields of a settings dataclass that a scenario file may set."""
-    return [f for f in fields(cls) if f.metadata.get("config", True)]
-
-
 def _parse_fields(cls, block: Any, path: str):
-    """``cls`` from a block whose keys are its settable fields, each coerced to
-    the type of the field's default."""
-    types = {f.name: type(f.default) for f in _settable(cls)}
+    """``cls`` from a block whose keys are its fields, each coerced to the
+    type of the field's default."""
+    types = {f.name: type(f.default) for f in fields(cls)}
     _check_no_extras(block, set(types), path)
     values = {k: _coerce(v, types[k], f"{path}.{k}") for k, v in block.items()}
     with _values_of(path):
@@ -379,7 +374,7 @@ class Scenario:
             "noise": noise,
             "agents": agents,
             **({} if initial is None else {"initial_state": initial}),
-            **{key: {f.name: getattr(settings, f.name) for f in _settable(settings)}
+            **{key: {f.name: getattr(settings, f.name) for f in fields(settings)}
                for key, settings in (("solver", self._solver), ("learner", self._learner))},
         }
 

@@ -16,11 +16,13 @@ class IngestError(EcegamesError):
 
 
 class SimulationDivergedError(EcegamesError):
-    """A rollout produced a non-finite state."""
+    """A rollout produced a non-finite ``quantity``: a state, or the state
+    covariance of exact moments whose mean state is finite."""
 
-    def __init__(self, time_step: int):
+    def __init__(self, time_step: int, quantity: str = "state"):
         self.time_step = time_step
-        super().__init__(f"non-finite state encountered at time step t={time_step}")
+        self.quantity = quantity
+        super().__init__(f"non-finite {quantity} encountered at time step t={time_step}")
 
 
 class CovarianceError(EcegamesError):

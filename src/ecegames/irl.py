@@ -21,12 +21,17 @@ seed changes nothing.  On other dynamics it is a Monte-Carlo average over
 sampled equilibrium rollouts.  Either way the step is the feature-matching
 gradient of maximum-entropy IRL (Ziebart et al., AAAI 2008).
 
-Two modes:
+Two modes, chosen per run with the seed (:func:`run_mairl`'s ``mode`` and
+``seed``, ``learn --mode`` and ``--seed``), while the step size, sample
+count, sweep budget and tolerance are the scenario's (:class:`LearnConfig`):
   * ``joint`` solves the full coupled game at the current weights;
   * ``independent`` learns each agent against the other agents replayed
     open-loop from the demonstrations (their mean action sequences), the
     stand-in for non-interactive baselines.  With a single agent both modes
     coincide exactly.
+
+Every step holds each agent's own effort weight at or above
+:data:`EFFORT_WEIGHT_FLOOR`, so its action cost stays positive definite.
 """
 
 from __future__ import annotations
@@ -56,31 +61,29 @@ from .simulate import rollout_batch, rollout_moments
 
 GameFactory = Callable[[Sequence[Array]], GameSpec]
 
+EFFORT_WEIGHT_FLOOR = 1e-3
+"""The least own control-effort weight a learner step leaves an agent."""
+MODES = ("joint", "independent")
+
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Learning-loop controls.
+    """The learner settings of a scenario, each a key of its learner block.
 
     ``learning_rate`` is the gradient step gamma; ``samples_per_expectation``
-    the Monte-Carlo sample count p, read, like ``base_seed``, only on
-    nonlinear dynamics (linear ones take the exact expectation and sample
-    nothing); convergence is declared when every agent's relative
-    feature-matching residual drops below ``residual_tol``.
+    the Monte-Carlo sample count p, read only on nonlinear dynamics (linear
+    ones take the exact expectation and sample nothing); convergence is
+    declared when every agent's relative feature-matching residual drops
+    below ``residual_tol`` within at most ``max_outer_iterations`` sweeps.
     Each step is gamma times the standardized gap (each feature's gap over
     its demo-mean magnitude), the only step: the raw gap stalled or diverged
-    on the shipped scenarios (see the module docstring).  The own effort
-    weight is held at ``effort_weight_floor`` or above.  Every field but
-    ``base_seed``, which the CLI's ``--seed`` sets, is a key of a scenario's
-    learner block.
+    on the shipped scenarios (see the module docstring).
     """
 
     learning_rate: float = 0.05
     samples_per_expectation: int = 50
     max_outer_iterations: int = 200
     residual_tol: float = 0.05
-    mode: str = "joint"
-    base_seed: int = field(default=0, metadata={"config": False})
-    effort_weight_floor: float = 1e-3
 
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < np.inf:
@@ -91,12 +94,6 @@ class LearnConfig:
             raise ValueError("need at least one outer iteration")
         if not self.residual_tol > 0.0:
             raise ValueError("residual tolerance must be positive")
-        if not self.effort_weight_floor > 0.0:
-            raise ValueError("effort weight floor must be positive")
-        if self.mode not in ("joint", "independent"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -117,17 +114,21 @@ class LearnTrace:
 
 
 class LearnSolveError(EcegamesError):
-    """Equilibrium solve failed during learning.
+    """An agent update failed during learning, in its equilibrium solve or in
+    the feature expectation under the solved policies; ``phase`` says which,
+    and the message begins with it.
 
     Carries the offending weights and the trace of the updates made before
     the failure.
     """
 
-    def __init__(self, agent: int, weights: Sequence[Array], cause: Exception, trace: LearnTrace):
+    def __init__(self, agent: int, weights: Sequence[Array], cause: Exception, trace: LearnTrace,
+                 phase: str):
         self.agent = agent
         self.weights = [np.asarray(w) for w in weights]
         self.trace = trace
-        super().__init__(f"equilibrium solve failed while updating agent {agent}: {cause}")
+        self.phase = phase
+        super().__init__(f"{phase} failed while updating agent {agent}: {cause}")
 
 
 def empirical_feature_mean(basis: FeatureBasis, demos: TrajectoryBatch) -> list[Array]:
@@ -144,35 +145,28 @@ def _identity(batch: TrajectoryBatch) -> TrajectoryBatch:
 def estimate_feature_expectation(
     game: GameSpec,
     basis: FeatureBasis,
+    policies: AffineGaussianPolicySet,
     samples: int,
     base_seed: int,
     *,
-    solver_config: SolverConfig | None = None,
-    warm_start: AffineGaussianPolicySet | None = None,
     embed: Callable = _identity,
-) -> tuple[list[Array], AffineGaussianPolicySet, int]:
-    """Feature expectations under the game's equilibrium policies.
+) -> list[Array]:
+    """Per-agent feature expectation vectors of ``game`` played with ``policies``.
 
-    Solves the equilibrium once.  On dynamics whose ``linear_maps`` are set
-    the expectation is exact: the Gaussian marginals of
-    :func:`~ecegames.simulate.rollout_moments` and each feature's closed-form
-    mean under them (:func:`~ecegames.features.expected_features`), with no
-    sampling, so ``samples`` and ``base_seed`` are not read.  On other
-    dynamics it averages feature sums over ``samples`` stochastic rollouts
-    with trial seeds ``base_seed + j`` (initial states drawn from the game's
+    On dynamics whose ``linear_maps`` are set the expectation is exact: the
+    Gaussian marginals of :func:`~ecegames.simulate.rollout_moments` and each
+    feature's closed-form mean under them
+    (:func:`~ecegames.features.expected_features`), with no sampling, so
+    ``samples`` and ``base_seed`` are not read.  On other dynamics it
+    averages feature sums over ``samples`` stochastic rollouts with trial
+    seeds ``base_seed + j`` (initial states drawn from the game's
     initial-state distribution).  Either is mapped through ``embed`` to
     ``basis``'s game (the identity, or the embedding
     :func:`~ecegames.game.pin_other_agents` returns with a reduced game).
-    Returns the per-agent expectation vectors, the solved policies (for warm
-    starts) and the solver iteration count.
     """
-    solution = _solve_with_retry(game, warm_start, solver_config)
     if game.dynamics.linear_maps is not None:
-        means = expected_features(basis, embed(rollout_moments(game, solution.policies)))
-    else:
-        rollouts = embed(rollout_batch(game, solution.policies, samples, base_seed))
-        means = empirical_feature_mean(basis, rollouts)
-    return means, solution.policies, len(solution.trace)
+        return expected_features(basis, embed(rollout_moments(game, policies)))
+    return empirical_feature_mean(basis, embed(rollout_batch(game, policies, samples, base_seed)))
 
 
 def _solve_with_retry(game, warm_start, solver_config):
@@ -191,20 +185,19 @@ def update_weights(
     learning_rate: float,
     *,
     effort_index: int,
-    effort_floor: float,
 ) -> tuple[Array, bool]:
     """One gradient step on a feature-matching gap.
 
     Applies w <- w - gamma * gap, where :func:`run_mairl` passes the
     standardized gap (demo mean - model mean) / (|demo mean| + 1e-8).  The
-    own effort weight, at ``effort_index``, is floored at ``effort_floor`` to
-    keep the induced action cost positive definite; the returned flag
-    records whether the floor was active.
+    own effort weight, at ``effort_index``, is floored at
+    :data:`EFFORT_WEIGHT_FLOOR` to keep the induced action cost positive
+    definite; the returned flag records whether the floor was active.
     """
     new_w = np.asarray(w, dtype=float) - learning_rate * np.asarray(gap, dtype=float)
-    floored = bool(new_w[effort_index] < effort_floor)
+    floored = bool(new_w[effort_index] < EFFORT_WEIGHT_FLOOR)
     if floored:
-        new_w[effort_index] = effort_floor
+        new_w[effort_index] = EFFORT_WEIGHT_FLOOR
     return new_w, floored
 
 
@@ -224,14 +217,22 @@ def run_mairl(
     init_weights: Sequence[Array],
     cfg: LearnConfig | None = None,
     *,
+    mode: str = "joint",
+    seed: int = 0,
     solver_config: SolverConfig | None = None,
 ) -> tuple[list[Array], LearnTrace]:
     """Learn all agents' feature weights from interaction demonstrations.
 
-    Outer loop over block-coordinate sweeps: for each agent in turn, estimate
-    its feature expectation under the current full weight set, take one
-    gradient step on that agent's weights, and continue with the refreshed
-    set.  Equilibrium solves are warm-started from the previous iteration.
+    ``mode`` is ``"joint"`` or ``"independent"`` (see the module docstring);
+    ``seed`` (non-negative) is the first trial seed of the sampled
+    expectations, which nonlinear dynamics alone draw.  Outer loop over
+    block-coordinate sweeps: for each agent in turn, solve the equilibrium
+    (warm-started from the previous one; a failed warm start is retried
+    cold), estimate the agent's feature expectation under the current full
+    weight set, take one gradient step on that agent's weights, and continue
+    with the refreshed set.  A failure of either phase raises
+    :class:`LearnSolveError` naming it.
+
     Convergence requires every agent's relative feature-matching residual
     (RMS of per-feature relative gaps) below tolerance within one sweep.
     Each residual is measured at the weights its agent had before its step,
@@ -241,6 +242,10 @@ def run_mairl(
     residual was measured.
     """
     cfg = cfg or LearnConfig()
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     weights = [w.copy() for w in validate_weights(basis, init_weights)]
     demo_means = empirical_feature_mean(basis, demos)
     N = basis.num_agents
@@ -248,7 +253,7 @@ def run_mairl(
     p = cfg.samples_per_expectation
     trace = LearnTrace()
 
-    joint = cfg.mode == "joint"
+    joint = mode == "joint"
     replay = None if joint else _mean_demo_actions(demos)
     # Joint mode warm-starts every solve from the last joint solution, and
     # independent mode each agent's reduced game from its own last solution.
@@ -260,23 +265,19 @@ def run_mairl(
     for sweep in range(cfg.max_outer_iterations):
         residuals = np.empty(N)
         for i in range(N):
-            seed = cfg.base_seed + (sweep * N + i) * p
             game = game_factory(weights)
             key = None if joint else i
             played, embed = (game, _identity) if joint else pin_other_agents(game, i, replay)
+            phase = "equilibrium solve"
             try:
-                means, warm[key], iters = estimate_feature_expectation(
-                    played,
-                    basis,
-                    p,
-                    seed,
-                    solver_config=solver_config,
-                    warm_start=warm.get(key),
-                    embed=embed,
-                )
+                solution = _solve_with_retry(played, warm.get(key), solver_config)
+                warm[key] = solution.policies
+                phase = "feature expectation"
+                model_mean = estimate_feature_expectation(
+                    played, basis, solution.policies, p, seed + (sweep * N + i) * p, embed=embed
+                )[i]
             except EcegamesError as exc:
-                raise LearnSolveError(agent=i, weights=weights, cause=exc, trace=trace) from exc
-            model_mean = means[i]
+                raise LearnSolveError(i, weights, exc, trace, phase) from exc
 
             gap = demo_means[i] - model_mean
             # The residual is the RMS of the same per-feature relative gaps
@@ -289,7 +290,6 @@ def run_mairl(
                 rel,
                 cfg.learning_rate,
                 effort_index=effort_indices[i],
-                effort_floor=cfg.effort_weight_floor,
             )
             trace.records.append(
                 AgentUpdateRecord(
@@ -298,7 +298,7 @@ def run_mairl(
                     weights=weights[i].copy(),
                     gap=gap,
                     residual=residuals[i],
-                    solver_iterations=iters,
+                    solver_iterations=len(solution.trace),
                     effort_floored=floored,
                 )
             )

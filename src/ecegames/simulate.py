@@ -182,7 +182,8 @@ def rollout_moments(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajec
     covariance on the concatenated actions, as the agents draw independently.
     Agent i's action covariance is P^i_t Sigma_t P^i_t' + Sigma^i_t.  Raises
     :class:`SimulationDivergedError` naming the first step whose mean state
-    or state covariance is not finite.
+    or state covariance is not finite, and the state covariance when the
+    mean state there is finite.
     """
     _check_dimensions(game, policies)
     maps = game.dynamics.linear_maps
@@ -205,9 +206,12 @@ def rollout_moments(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajec
             row += Q
         action_cov = tuple(P @ cov @ P.swapaxes(-1, -2) + S
                            for P, S in zip(policies.gains, policies.covariances))
-    finite = np.isfinite(states).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
+    finite_mean = np.isfinite(states).all(axis=-1)
+    finite = finite_mean & np.isfinite(cov).all(axis=(-2, -1))
     if not finite.all():
-        raise SimulationDivergedError(time_step=int(finite.argmin()) + 1)
+        t = int(finite.argmin())
+        quantity = "state" if not finite_mean[t] else "state covariance"
+        raise SimulationDivergedError(time_step=t + 1, quantity=quantity)
     return TrajectoryMoments(
         states=states,
         actions=tuple(actions[:, e - m : e] for e, m in zip(ends, dims)),

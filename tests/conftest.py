@@ -174,7 +174,6 @@ def small_scenario():
                 "samples_per_expectation": 10,
                 "max_outer_iterations": 60,
                 "residual_tol": 0.05,
-                "mode": "joint",
             },
         }
     )

@@ -1,5 +1,6 @@
 """Command-line interface: contracts, determinism, file handling."""
 
+import argparse
 import csv
 import json
 import os
@@ -41,6 +42,48 @@ def test_negative_seed_is_usage_error(command, tmp_path, lq_config, capsys):
     assert "error: argument --seed: must be a non-negative integer" in stderr
     assert "Traceback" not in stderr
     assert not list(tmp_path.iterdir())
+
+
+# The scenario's learner block is the one place for the learner's numerics,
+# and learn --mode and --seed the one place for a run's choices.
+@pytest.mark.parametrize("flag", [["--lr", "0.1"], ["--samples", "5"]])
+def test_learner_numerics_are_not_flags(flag, tmp_path, lq_config, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["learn", "--config", lq_config, "--demos", str(tmp_path / "d.csv"),
+              "--out-weights", str(tmp_path / "w.json"), *flag])
+    assert err.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value",
+                         [("mode", "independent"), ("base_seed", 3), ("effort_weight_floor", 0.01)])
+def test_run_choices_are_not_config_keys(key, value, tmp_path, lq_config, capsys):
+    cfg = json.loads(Path(lq_config).read_text())
+    cfg["learner"][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    rc = main(["learn", "--config", str(config), "--demos", str(tmp_path / "d.csv"),
+               "--out-weights", str(tmp_path / "w.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: unknown key '{key}' in learner\n"
+
+
+def test_readme_cli_block_shows_every_flag(config_dir):
+    # Each command of README's CLI block, with its continuation lines, shows
+    # exactly the flags its subcommand defines.
+    readme = (config_dir.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    shown = {}
+    for line in block.splitlines():
+        if line.startswith("ecegames "):
+            words = line.split()
+            shown[words[1]] = {w for w in words if w.startswith("--")}
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    defined = {name: {s for a in sub._actions for s in a.option_strings if s != "--help"}
+               - {"-h"} for name, sub in subcommands.items()}
+    assert shown == defined
 
 
 class TestGenDemos:
@@ -244,7 +287,7 @@ class TestLearnAndEval:
         weights_path = tmp_path / "weights.json"
         trace_path = tmp_path / "trace.csv"
         rc = main(
-            ["learn", "--config", small_config, "--demos", demo_file, "--samples", "2",
+            ["learn", "--config", small_config, "--demos", demo_file,
              "--out-weights", str(weights_path), "--trace", str(trace_path)]
         )
         assert rc == 1
@@ -256,6 +299,29 @@ class TestLearnAndEval:
         assert [(row["iteration"], row["agent"]) for row in rows] == [
             ("1", agent) for agent in "01" for _ in range(3)
         ]
+
+    def test_failed_feature_expectation_names_its_phase(self, tmp_path, config_dir, capsys):
+        # With noise scaled by 1e200 the solve converges (the policies do not
+        # depend on the noise), but the state covariance overflows at t=2.
+        cfg = json.loads((config_dir / "two_agent_crossing.json").read_text())
+        cfg["horizon"] = 5
+        config, noisy = tmp_path / "short.json", tmp_path / "noisy.json"
+        config.write_text(json.dumps(cfg))
+        cfg["noise"] = {"kind": "scaled_identity", "scale": 1e200}
+        noisy.write_text(json.dumps(cfg))
+        demos, weights, trace = tmp_path / "d.csv", tmp_path / "w.json", tmp_path / "t.csv"
+        assert main(["gen-demos", "--config", str(config), "--trials", "10", "--seed", "1",
+                     "--out", str(demos)]) == 0
+        capsys.readouterr()
+        rc = main(["learn", "--config", str(noisy), "--demos", str(demos),
+                   "--out-weights", str(weights), "--trace", str(trace)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: feature expectation failed while updating agent 0: "
+            "non-finite state covariance encountered at time step t=2\n"
+        )
+        assert not weights.exists()
+        assert trace.read_text().count("\n") == 1  # the header: no update finished
 
     def test_learn_byte_identical_reruns(self, tmp_path, small_config, demo_file):
         outs = []
@@ -376,6 +442,12 @@ def input_files(tmp_path_factory, lq_config):
     cfg["learner"]["learning_rate"] = float("nan")
     nan_config = root / "nan_learning_rate.json"
     nan_config.write_text(json.dumps(cfg))
+    cfg["learner"]["learning_rate"] = -0.1
+    negative_lr_config = root / "negative_learning_rate.json"
+    negative_lr_config.write_text(json.dumps(cfg))
+    cfg["learner"]["learning_rate"] = float("inf")
+    inf_lr_config = root / "inf_learning_rate.json"
+    inf_lr_config.write_text(json.dumps(cfg))
     cfg["learner"]["learning_rate"] = 0.2
     cfg["horizon"] = str(cfg["horizon"])
     string_config = root / "string_horizon.json"
@@ -419,6 +491,7 @@ def input_files(tmp_path_factory, lq_config):
     huge_cell_demos.write_text("\n".join(lines) + "\n")
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
             "bad_config": str(bad_config), "nan_config": str(nan_config),
+            "negative_lr_config": str(negative_lr_config), "inf_lr_config": str(inf_lr_config),
             "string_config": str(string_config), "short_demos": str(short_demos),
             "long_demos": str(long_demos), "list_weights": str(list_weights),
             "null_weights": str(null_weights), "string_weights": str(string_weights),
@@ -435,7 +508,7 @@ INPUT_ERRORS = [
                  id="command1-2"),
     pytest.param(["gen-demos", "--config", "{bad_config}", "--trials", "1", "--out", "{out}"], 2,
                  id="command2-2"),
-    pytest.param(["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "-0.1",
+    pytest.param(["learn", "--config", "{negative_lr_config}", "--demos", "{demos}",
                   "--out-weights", "{out}"], 2, id="command3-2"),
     pytest.param(["learn", "--config", "{lq}", "--demos", "{missing}", "--out-weights", "{out}"], 1,
                  id="command4-1"),
@@ -463,7 +536,7 @@ INPUT_ERRORS = [
                   "--trials", "1", "--out", "{out}"], 1, id="command15-1"),
     pytest.param(["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{string_weights}",
                   "--trials", "1", "--out", "{out}"], 1, id="command16-1"),
-    pytest.param(["learn", "--config", "{lq}", "--demos", "{demos}", "--lr", "nan",
+    pytest.param(["learn", "--config", "{inf_lr_config}", "--demos", "{demos}",
                   "--out-weights", "{out}"], 2, id="command17-2"),
 ]
 
@@ -491,10 +564,9 @@ OUTPUT_ERRORS = [
                  "{missing_dir}/t.csv", id="solve-trace"),
     pytest.param(["gen-demos", "--trials", "1", "--out", "{missing_dir}/d.csv"],
                  "{missing_dir}/d.csv", id="gen-demos-out"),
-    pytest.param(["learn", "--demos", "{demos}", "--samples", "1",
-                  "--out-weights", "{missing_dir}/w.json"], "{missing_dir}/w.json",
-                 id="learn-out-weights"),
-    pytest.param(["learn", "--demos", "{demos}", "--samples", "1", "--out-weights", "{ok}.json",
+    pytest.param(["learn", "--demos", "{demos}", "--out-weights", "{missing_dir}/w.json"],
+                 "{missing_dir}/w.json", id="learn-out-weights"),
+    pytest.param(["learn", "--demos", "{demos}", "--out-weights", "{ok}.json",
                   "--trace", "{missing_dir}/t.csv"], "{missing_dir}/t.csv", id="learn-trace"),
     pytest.param(["eval", "--demos", "{demos}", "--trials", "1", "--out", "{demos}/out"],
                  "{demos}/out", id="eval-out-under-file"),

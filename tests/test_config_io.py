@@ -18,7 +18,7 @@ from ecegames import (
     solve_ece,
 )
 from ecegames.cli import main
-from ecegames.config import _settable, parse_scenario
+from ecegames.config import parse_scenario
 from ecegames import trajio
 
 
@@ -213,8 +213,6 @@ class TestParsing:
                 "samples_per_expectation": 50,
                 "max_outer_iterations": 200,
                 "residual_tol": 0.05,
-                "mode": "joint",
-                "effort_weight_floor": 0.001,
             },
         }
 
@@ -416,9 +414,14 @@ MALFORMED_VALUES = [
     pytest.param(("learner",), {"residual_tol": -0.5},
                  "learner: residual tolerance must be positive",
                  id="keys73-value73-learner: residual tolerance must be positive"),
+    # The effort floor is a constant, not a key: any value is refused.
     pytest.param(("learner",), {"effort_weight_floor": -1.0},
-                 "learner: effort weight floor must be positive",
-                 id="keys74-value74-learner: effort weight floor must be positive"),
+                 "unknown key 'effort_weight_floor' in learner",
+                 id="keys74-value74-unknown key 'effort_weight_floor' in learner"),
+    # An integral JSON number too large for a float.
+    pytest.param(("learner",), {"learning_rate": 10**400},
+                 "learner.learning_rate: int too large to convert to float",
+                 id="learning-rate-beyond-float"),
     # No control_effort feature: the agent's own action cost R^ii would be zero.
     pytest.param(("agents", 0, "features"), [{"kind": "reference_tracking"}],
                  "agents[0].features must include a control_effort feature",
@@ -463,17 +466,11 @@ class TestSettingsRoundTrip:
         "samples_per_expectation": 7,
         "max_outer_iterations": 9,
         "residual_tol": 0.2,
-        "mode": "independent",
-        "effort_weight_floor": 0.01,
     }
 
     def test_every_settable_field_round_trips(self):
-        # base_seed is the one field a config cannot set: the CLI's --seed does.
-        for cls, block, unsettable in (
-            (SolverConfig, self.SOLVER, set()),
-            (LearnConfig, self.LEARNER, {"base_seed"}),
-        ):
-            assert set(block) == {f.name for f in fields(cls)} - unsettable
+        for cls, block in ((SolverConfig, self.SOLVER), (LearnConfig, self.LEARNER)):
+            assert set(block) == {f.name for f in fields(cls)}
             default = cls()
             assert all(getattr(default, k) != v for k, v in block.items())
         scenario = parse_scenario(minimal_config(solver=self.SOLVER, learner=self.LEARNER))
@@ -490,7 +487,7 @@ class TestSettingsRoundTrip:
         settable = {
             (block, f.name): f.default
             for block, cls in (("solver", SolverConfig), ("learner", LearnConfig))
-            for f in _settable(cls)
+            for f in fields(cls)
         }
         assert len(rows) == len(documented) and documented == settable
         assert all(type(documented[k]) is type(v) for k, v in settable.items())
@@ -498,7 +495,9 @@ class TestSettingsRoundTrip:
     @pytest.mark.parametrize(
         "block, key",
         [
+            # Choices of a run, set by learn --seed and --mode.
             ("learner", "base_seed"),
+            ("learner", "mode"),
             ("solver", "hessian_floor"),
             ("solver", "strict_paper"),
             ("solver", "min_step"),

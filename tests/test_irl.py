@@ -93,15 +93,17 @@ class TestEstimateFeatureExpectation:
     def test_degenerate_sampling_matches_mean_trajectory(self):
         basis, factory = scalar_tracking_scenario(horizon=4, temperature=1e-12)
         game = factory([np.array([2.0, 1.0])])
-        means, policies, _ = estimate_feature_expectation(game, basis, 1, 0)
+        policies = solve_ece(game).policies
+        means = estimate_feature_expectation(game, basis, policies, 1, 0)
         ref = eval_features(basis, simulate_mean(game, policies))
         assert np.max(np.abs(means[0] - ref[0])) < 1e-5
 
     def test_seed_determinism(self):
         basis, factory = scalar_tracking_scenario(horizon=3, noise=True)
         game = factory([np.array([2.0, 1.0])])
-        a, _, _ = estimate_feature_expectation(game, basis, 20, 7)
-        b, _, _ = estimate_feature_expectation(game, basis, 20, 7)
+        policies = solve_ece(game).policies
+        a = estimate_feature_expectation(game, basis, policies, 20, 7)
+        b = estimate_feature_expectation(game, basis, policies, 20, 7)
         assert np.array_equal(a[0], b[0])
 
     def test_effort_expectation_matches_gaussian_moments(self):
@@ -110,7 +112,8 @@ class TestEstimateFeatureExpectation:
         basis, factory = scalar_tracking_scenario(horizon=2, target=0.8)
         game = factory([np.array([3.0, 1.0])])
         p = 2000
-        means, policies, _ = estimate_feature_expectation(game, basis, p, 123)
+        policies = solve_ece(game).policies
+        means = estimate_feature_expectation(game, basis, policies, p, 123)
         s1 = game.initial_state.mean
         mu1 = mean_actions_per_agent(policies, 0, s1)[0]
         closed = (
@@ -127,30 +130,26 @@ class TestEstimateFeatureExpectation:
 class TestUpdateWeights:
     def test_identity_at_feature_match(self):
         w = np.array([1.0, 2.0, 3.0])
-        new, floored = update_weights(w, np.zeros(3), 0.1, effort_index=2, effort_floor=1e-3)
+        new, floored = update_weights(w, np.zeros(3), 0.1, effort_index=2)
         assert np.array_equal(new, w)
         assert not floored
 
     def test_excess_model_proximity_raises_weight(self):
         # The model's proximity sum exceeds the demos', so the gap is negative.
         w = np.array([1.0])
-        new, _ = update_weights(w, np.array([-1.5]), 0.1, effort_index=0, effort_floor=1e-3)
+        new, _ = update_weights(w, np.array([-1.5]), 0.1, effort_index=0)
         assert new[0] == pytest.approx(1.0 + 0.1 * 1.5)
 
     def test_zero_learning_rate_is_identity(self):
         w = np.array([1.0, 2.0])
-        new, _ = update_weights(
-            w, np.array([9.0, -4.0]), 0.0, effort_index=1, effort_floor=1e-3
-        )
+        new, _ = update_weights(w, np.array([9.0, -4.0]), 0.0, effort_index=1)
         assert np.array_equal(new, w)
 
     def test_effort_floor(self):
         w = np.array([1.0, 0.01])
-        new, floored = update_weights(
-            w, np.array([0.0, 1.0]), 0.5, effort_index=1, effort_floor=1e-3
-        )
+        new, floored = update_weights(w, np.array([0.0, 1.0]), 0.5, effort_index=1)
         assert floored
-        assert new[1] == pytest.approx(1e-3)
+        assert new[1] == irl.EFFORT_WEIGHT_FLOOR == 1e-3
 
 
 class TestRunMairl:
@@ -159,13 +158,14 @@ class TestRunMairl:
         game = small_scenario.make_game(true_w)
         sol = solve_ece(game, config=small_scenario.solver_config)
         demos = rollout_batch(game, sol.policies, 400, 500)
-        cfg = replace(small_scenario.learn_config, samples_per_expectation=250, base_seed=9)
+        cfg = replace(small_scenario.learn_config, samples_per_expectation=250)
         weights, trace = run_mairl(
             small_scenario.make_game,
             small_scenario.basis,
             demos,
             true_w,
             cfg,
+            seed=9,
             solver_config=small_scenario.solver_config,
         )
         assert trace.converged
@@ -209,10 +209,9 @@ class TestRunMairl:
                 samples_per_expectation=8,
                 max_outer_iterations=4,
                 residual_tol=1e-9,
-                mode=mode,
-                base_seed=4,
             )
-            w, trace = run_mairl(factory, basis, demos, [np.array([1.0, 1.0])], cfg)
+            w, trace = run_mairl(factory, basis, demos, [np.array([1.0, 1.0])], cfg,
+                                 mode=mode, seed=4)
             results[mode] = (w, [r.residual for r in trace.records])
         assert np.array_equal(results["joint"][0][0], results["independent"][0][0])
         assert results["joint"][1] == results["independent"][1]
@@ -222,10 +221,10 @@ class TestRunMairl:
         game = small_scenario.make_game(true_w)
         sol = solve_ece(game, config=small_scenario.solver_config)
         demos = rollout_batch(game, sol.policies, 100, 500)
-        cfg = replace(small_scenario.learn_config, base_seed=13)
         weights, trace = run_mairl(
             small_scenario.make_game, small_scenario.basis, demos,
-            [np.ones(3), np.ones(3)], cfg, solver_config=small_scenario.solver_config,
+            [np.ones(3), np.ones(3)], small_scenario.learn_config, seed=13,
+            solver_config=small_scenario.solver_config,
         )
         per_sweep = {}
         for rec in trace.records:
@@ -234,11 +233,13 @@ class TestRunMairl:
         window = min(10, max(1, len(totals) // 2))
         assert np.mean(totals[-window:]) < np.mean(totals[:window])
 
-    def test_negative_base_seed_rejected_at_construction(self, small_scenario):
-        with pytest.raises(ValueError, match="base_seed must be non-negative"):
-            replace(small_scenario.learn_config, base_seed=-5)
-        with pytest.raises(ValueError, match="base_seed must be non-negative"):
-            LearnConfig(base_seed=-1)
+    @pytest.mark.parametrize("run, message", [
+        pytest.param({"seed": -1}, "seed must be non-negative", id="negative-seed"),
+        pytest.param({"mode": "both"}, "unknown mode 'both'", id="unknown-mode"),
+    ])
+    def test_run_choices_checked_before_learning(self, small_scenario, run, message):
+        with pytest.raises(ValueError, match=message):
+            run_mairl(small_scenario.make_game, small_scenario.basis, None, [], **run)
 
     def test_solver_failure_carries_weights(self):
         basis, factory = scalar_tracking_scenario(horizon=30, noise=True)

@@ -73,9 +73,8 @@ def monte_carlo(basis, game, policies, embed):
 def test_exact_expectation_matches_monte_carlo(shipped):
     scenario, game, policies = shipped
     for label, played, embed in played_games(game, policies):
-        exact, solved, _ = estimate_feature_expectation(
-            played, scenario.basis, 1, 0, solver_config=scenario.solver_config, embed=embed
-        )
+        solved = solve_ece(played, config=scenario.solver_config).policies
+        exact = estimate_feature_expectation(played, scenario.basis, solved, 1, 0, embed=embed)
         means, errors = monte_carlo(scenario.basis, played, solved, embed)
         for i, (e, m, se) in enumerate(zip(exact, means, errors)):
             # A replayed agent's effort is a constant: its SE is 0, and only
@@ -140,6 +139,12 @@ def test_non_finite_moments_name_their_step():
     with pytest.raises(SimulationDivergedError) as err:
         rollout_moments(game, policy)
     assert err.value.time_step == 2
+    assert str(err.value) == "non-finite state covariance encountered at time step t=2"
+    # Without any covariance only the mean can overflow.
+    quiet = scalar_game(a=1e200, noise=0.0, initial_variance=0.0)
+    with pytest.raises(SimulationDivergedError) as err:
+        rollout_moments(quiet, scalar_policy(np.zeros(5), np.zeros(5)))
+    assert str(err.value) == "non-finite state encountered at time step t=3"
 
 
 def test_nonlinear_dynamics_are_refused(config_dir):
@@ -181,13 +186,12 @@ def counted_rollouts(monkeypatch):
     return calls
 
 
-def learn(scenario, game, mode, base_seed=0):
+def learn(scenario, game, mode, seed=0):
     policies = solve_ece(game, config=scenario.solver_config).policies
     demos = rollout_batch(game, policies, 10, 3)
-    cfg = replace(scenario.learn_config, mode=mode, max_outer_iterations=2,
-                  samples_per_expectation=7, base_seed=base_seed)
+    cfg = replace(scenario.learn_config, max_outer_iterations=2, samples_per_expectation=7)
     init = [np.ones(len(feats)) for feats in scenario.basis.agents]
-    return run_mairl(scenario.make_game, scenario.basis, demos, init, cfg,
+    return run_mairl(scenario.make_game, scenario.basis, demos, init, cfg, mode=mode, seed=seed,
                      solver_config=scenario.solver_config)
 
 
@@ -199,7 +203,7 @@ def test_linear_learn_samples_nothing(config_dir, monkeypatch, mode):
     assert calls == []
     assert len(trace.records) == 2 * game.num_agents
     # Nothing is drawn, so the learner's seed changes nothing.
-    again, _ = learn(scenario, game, mode, base_seed=12345)
+    again, _ = learn(scenario, game, mode, seed=12345)
     for a, b in zip(weights, again):
         assert np.array_equal(a, b)
 

@@ -1,0 +1,108 @@
+"""Property tests of the settings surface: the solver and learner blocks of a
+scenario and the flags of ``learn``.
+
+Whatever a config's solver or learner block holds, and wherever a removed
+learner flag appears on a ``learn`` command line, the CLI exits 0, 1 or 2
+without a traceback, and a failure writes exactly one ``error:`` line.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ecegames.cli import main
+
+# Keys that are not settings (any more): the run's mode and seed, the effort
+# floor constant, and a solver bound that became a constant.
+REMOVED = {"learner": ["mode", "effort_weight_floor", "base_seed"], "solver": ["min_step"]}
+
+EDGES = [1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 10**400, -(10**400),
+         float("nan"), float("inf"), float("-inf")]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.sampled_from(EDGES),
+    st.floats(), st.text(max_size=4),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), SCALARS, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def surface(tmp_path_factory, config_dir):
+    """The lq_tracking document, a 2-trial trajectory file and a work directory."""
+    root = tmp_path_factory.mktemp("surface")
+    config = str(config_dir / "lq_tracking.json")
+    demos = str(root / "demos.csv")
+    assert main(["gen-demos", "--config", config, "--trials", "2", "--seed", "1",
+                 "--out", demos]) == 0
+    with open(config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return doc, config, demos, root
+
+
+def run(argv):
+    """(exit code, stderr) of one in-process command; argparse's exit counts."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, stderr):
+    assert code in (0, 1, 2), (code, stderr)
+    assert "Traceback" not in stderr
+    if code != 0:
+        assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
+
+
+@st.composite
+def mutated_blocks(draw, doc):
+    """``doc`` with its solver and learner blocks mutated: keys deleted, set
+    to values of any type (removed keys too), or whole blocks replaced."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 4))):
+        block = draw(st.sampled_from(["solver", "learner"]))
+        if not isinstance(doc.get(block), dict) or draw(st.integers(0, 9)) == 0:
+            doc[block] = draw(st.one_of(st.just({}), VALUES))
+            continue
+        keys = sorted(doc[block]) + REMOVED[block]
+        key = draw(st.sampled_from(keys))
+        if key in doc[block] and draw(st.booleans()):
+            del doc[block][key]
+        else:
+            doc[block][key] = draw(VALUES)
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_settings_block_exits_cleanly(surface, data):
+    doc, _, demos, root = surface
+    mutated = data.draw(mutated_blocks(doc))
+    path = root / "mutated.json"
+    path.write_text(json.dumps(mutated), encoding="utf-8")
+    assert_clean_exit(*run(["validate", "--config", str(path), "--trajectories", demos]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    flag=st.sampled_from(["--lr", "--samples"]),
+    value=st.one_of(st.sampled_from(["0.1", "5", "-1", "nan", "1e308", ""]), st.none()),
+    where=st.integers(0, 6),
+)
+def test_removed_learner_flags_are_usage_errors(surface, flag, value, where):
+    _, config, demos, root = surface
+    argv = ["--config", config, "--demos", demos, "--out-weights", str(root / "w.json")]
+    argv[where:where] = [flag] if value is None else [flag, value]
+    code, stderr = run(["learn", *argv])
+    assert code == 2, stderr
+    assert_clean_exit(code, stderr)

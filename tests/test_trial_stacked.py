@@ -173,10 +173,8 @@ class TestFeatureExpectation:
 
     def test_joint_mode_matches_per_trial_rollouts(self, rollouts):
         scenario, game, policies, _ = rollouts
-        means, solved, _ = estimate_feature_expectation(
-            game, scenario.basis, 12, SEED, solver_config=scenario.solver_config,
-            warm_start=policies,
-        )
+        solved = solve_ece(game, init=policies, config=scenario.solver_config).policies
+        means = estimate_feature_expectation(game, scenario.basis, solved, 12, SEED)
         if game.dynamics.linear_maps is None:
             samples = [simulate_stochastic(game, solved, seed=SEED + j) for j in range(12)]
             assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
@@ -188,9 +186,8 @@ class TestFeatureExpectation:
         scenario, game, _, batch = rollouts
         agent = game.num_agents - 1
         reduced, embed = pin_other_agents(game, agent, _mean_demo_actions(batch))
-        means, solved, _ = estimate_feature_expectation(
-            reduced, scenario.basis, 12, SEED, solver_config=scenario.solver_config, embed=embed
-        )
+        solved = solve_ece(reduced, config=scenario.solver_config).policies
+        means = estimate_feature_expectation(reduced, scenario.basis, solved, 12, SEED, embed=embed)
         samples = [embed(simulate_stochastic(reduced, solved, seed=SEED + j)) for j in range(12)]
         if game.dynamics.linear_maps is None:
             assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
