@@ -24,12 +24,13 @@ under its true weights and times, per call:
 - ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
   learner's ``samples_per_expectation``, 1000 the ``--trials`` of the
   ``sample-eval`` benchmark workload);
-- ``feature_expectation``, one learner expectation of the feature sums on
-  the converged policies, as ``irl.estimate_feature_expectation`` takes it
-  after the learner's solve: exact from ``rollout_moments`` on dynamics with
-  ``linear_maps``, and otherwise (and on a revision without
-  ``rollout_moments``) the mean over the config's
-  ``samples_per_expectation`` sampled rollouts from seed 0;
+- ``feature_expectation``, one learner expectation of agent 0's feature
+  sums on the converged policies, a call of
+  ``irl.estimate_feature_expectation`` as the learner makes it after its
+  solve (with the reduced features on a reduced game): exact from
+  ``rollout_moments`` on dynamics with ``linear_maps``, and otherwise the
+  mean over the config's ``samples_per_expectation`` sampled rollouts from
+  seed 0;
 - a cold ``solve_ece``.
 
 One more case, ``ladder_60``, times ``solve_lq_ece`` on a 60-stage
@@ -61,6 +62,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import statistics
 import sys
@@ -122,13 +124,20 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
     game = scenario.make_game(scenario.true_weights())
     solver = scenario.solver_config
     policies = pkg.solve_ece(game, config=solver).policies
-
-    def embed(traj):
-        return traj
+    estimate = pkg.irl.estimate_feature_expectation
+    # A revision whose estimate still takes ``embed`` (which its
+    # pin_other_agents returns with the reduced game) measures the whole basis
+    # on embedded rollouts, and its learner keeps agent 0's row.
+    embedding = "embed" in inspect.signature(estimate).parameters
+    features, embed = scenario.basis.agents[agent or 0], None
 
     if agent is not None:
         replay = pkg.simulate_mean(game, policies).actions
-        game, embed = pkg.pin_other_agents(game, agent, replay)
+        game = pkg.pin_other_agents(game, agent, replay)
+        if embedding:
+            game, embed = game
+        else:
+            features = pkg.irl.reduced_features(features)
         own = slice(agent, agent + 1)
         policies = pkg.AffineGaussianPolicySet(
             gains=policies.gains[own],
@@ -146,14 +155,13 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
             cost.state_gradient(steps, nominal.states)
             cost.state_hessian(steps, nominal.states)
 
-    basis, samples = scenario.basis, scenario.learn_config.samples_per_expectation
-    moments = getattr(pkg.simulate, "rollout_moments", None)
+    samples = scenario.learn_config.samples_per_expectation
 
     def feature_expectation():
-        if moments is not None and game.dynamics.linear_maps is not None:
-            return pkg.features.expected_features(basis, embed(moments(game, policies)))
-        batch = pkg.rollout_batch(game, policies, samples, 0)
-        return pkg.empirical_feature_mean(basis, embed(batch))
+        if not embedding:
+            return estimate(game, features, policies, samples, 0)
+        kwargs = {} if embed is None else {"embed": embed}
+        return estimate(game, scenario.basis, policies, samples, 0, **kwargs)[agent or 0]
 
     def refresh_stage():
         if game.dynamics.linear_maps is None:

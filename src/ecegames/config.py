@@ -281,7 +281,7 @@ def load_scenario(path: str | Path) -> "Scenario":
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc.strerror or exc})") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_scenario(data)
 
@@ -355,7 +355,7 @@ class Scenario:
                            "temperature": temperature})
             if true_weights is not None:
                 agents[-1]["true_weights"] = true_weights
-        self.basis = FeatureBasis(agents=tuple(basis), position_indices=tuple(self._positions))
+        self.basis = FeatureBasis(agents=tuple(basis))
         if initial is None:
             self._initial = InitialState(mean=dynamics_kind.start(n, self._positions, agents))
 

@@ -22,7 +22,7 @@ equals the one-row call at (t[k], s[k]).
 
 Each feature's ``expectation(t, moments)`` is its exact mean at steps ``t``
 under the Gaussian marginals of a :class:`~ecegames.game.TrajectoryMoments`,
-and :func:`expected_features` sums them over time like :func:`eval_features`.
+and :func:`expected_feature_sums` sums them over time like :func:`feature_sums`.
 """
 
 from __future__ import annotations
@@ -187,18 +187,16 @@ Feature = ReferenceTracking | ControlEffort | GaussianProximity
 
 @dataclass(frozen=True)
 class FeatureBasis:
-    """Ordered feature lists per agent plus the joint-state position layout."""
+    """Ordered feature lists per agent.  An agent's effort feature reads its
+    own action, the only action any feature reads."""
 
     agents: tuple[tuple[Feature, ...], ...]
-    position_indices: tuple[Array, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(tuple(fs) for fs in self.agents))
-        object.__setattr__(
-            self, "position_indices", tuple(np.asarray(p, dtype=int) for p in self.position_indices)
-        )
-        if len(self.agents) != len(self.position_indices):
-            raise ValueError("one position index array required per agent")
+        for i, feats in enumerate(self.agents):
+            if any(isinstance(f, ControlEffort) and f.agent != i for f in feats):
+                raise ValueError(f"agent {i}: a control_effort feature must read its own action")
 
     @property
     def num_agents(self) -> int:
@@ -218,26 +216,27 @@ def straight_line_reference(start: Array, goal: Array, horizon: int) -> Array:
     return start[None, :] + alphas[:, None] * (goal - start)[None, :]
 
 
-def eval_features(basis: FeatureBasis, rollouts: Trajectory | TrajectoryBatch) -> list[Array]:
-    """Per-agent feature sums over time, sum_t phi^i: (F_i,) vectors for one
-    trajectory, (K, F_i) arrays for a batch of K."""
+def feature_sums(features, rollouts: Trajectory | TrajectoryBatch) -> Array:
+    """Sums over time of one agent's ``features``, sum_t phi: an (F,) vector
+    for one trajectory, a (K, F) array for a batch of K."""
     steps = np.arange(1, rollouts.horizon + 1)
-    out = []
-    for feats in basis.agents:
-        sums = np.empty(rollouts.states.shape[:-2] + (len(feats),))
-        for k, f in enumerate(feats):
-            sums[..., k] = np.sum(f.value(steps, rollouts.states, rollouts.actions), axis=-1)
-        out.append(sums)
-    return out
+    sums = np.empty(rollouts.states.shape[:-2] + (len(features),))
+    for k, f in enumerate(features):
+        sums[..., k] = np.sum(f.value(steps, rollouts.states, rollouts.actions), axis=-1)
+    return sums
 
 
-def expected_features(basis: FeatureBasis, moments: TrajectoryMoments) -> list[Array]:
-    """Per-agent expected feature sums over time, E sum_t phi^i as (F_i,)
-    vectors, under the Gaussian marginals ``moments``: each feature's
+def eval_features(basis: FeatureBasis, rollouts: Trajectory | TrajectoryBatch) -> list[Array]:
+    """Every agent's :func:`feature_sums`."""
+    return [feature_sums(feats, rollouts) for feats in basis.agents]
+
+
+def expected_feature_sums(features, moments: TrajectoryMoments) -> Array:
+    """Expected sums over time of one agent's ``features``, E sum_t phi as an
+    (F,) vector, under the Gaussian marginals ``moments``: each feature's
     ``expectation`` is its exact mean under them."""
     steps = np.arange(1, moments.horizon + 1)
-    return [np.array([np.sum(f.expectation(steps, moments)) for f in feats])
-            for feats in basis.agents]
+    return np.array([np.sum(f.expectation(steps, moments)) for f in features])
 
 
 def control_effort_index(features) -> int:

@@ -97,8 +97,8 @@ class NoiseModel:
 
     The gain is a constant (n, n_w) matrix; W must be symmetric PSD
     (identity by default, and W = 0 or n_w = 0 disable the noise).  The model
-    holds no random state: :func:`~ecegames.simulate.simulate_stochastic`
-    maps each trial's standard normals through the field ``factor``, the
+    holds no random state: :func:`~ecegames.simulate.rollout_batch` maps
+    each trial's standard normals through the field ``factor``, the
     (n, n_w) matrix G W^(1/2) set at construction, where factoring W also
     checks that it is PSD.
     """
@@ -135,7 +135,7 @@ class InitialState:
     """Fixed or Gaussian distribution of the initial joint state.
 
     A Gaussian initial state is sampled by
-    :func:`~ecegames.simulate.simulate_stochastic` as ``mean + factor @ z``
+    :func:`~ecegames.simulate.rollout_batch` as ``mean + factor @ z``
     from the first n standard normals of a trial; a fixed one is ``mean``.
     The field ``factor``, set at construction, is the (n, n) square root of
     the covariance (factoring it also checks that it is PSD), or None when
@@ -458,20 +458,14 @@ class AffineGaussianPolicySet:
         return tuple(cholesky_checked(S, i)[1] for i, S in enumerate(self.covariances))
 
 
-def pin_other_agents(
-    game: GameSpec, agent: int, replay_actions: Sequence[Array]
-) -> tuple[GameSpec, Callable]:
+def pin_other_agents(game: GameSpec, agent: int, replay_actions: Sequence[Array]) -> GameSpec:
     """Reduce a game to a single decision maker with the rest on open-loop replay.
 
     Agent ``agent`` keeps its cost and action channel; every other agent's
     action at step t is pinned to ``replay_actions[j][t-1]``.  The own entry
     of ``replay_actions`` is never read (any placeholder will do).  Returns
-    the reduced single-agent game (full joint state retained) and an
-    embedding that rebuilds a joint :class:`Trajectory`,
-    :class:`TrajectoryBatch` or :class:`TrajectoryMoments` from a
-    single-agent one by re-inserting the replayed actions, broadcast over
-    the trials of a batch; in moments they are the means of their agents'
-    actions, with zero covariance.
+    the reduced single-agent game: the full joint state, and agent
+    ``agent``'s action as its only one, action 0.
 
     On dynamics with ``linear_maps`` the replay is a per-step drift: the
     reduced dynamics are ``linear(A, [B_i], c)`` with
@@ -495,7 +489,7 @@ def pin_other_agents(
             raise ValueError(f"replay action shape mismatch for agent {j}")
 
     if N == 1:
-        return game, lambda traj: traj
+        return game
 
     dyn = game.dynamics
 
@@ -536,7 +530,7 @@ def pin_other_agents(
         state_hessian=cost.state_hessian,
         action_cost=(cost.action_cost[agent],),
     )
-    reduced = GameSpec(
+    return GameSpec(
         dynamics=reduced_dynamics,
         costs=(reduced_cost,),
         horizon=game.horizon,
@@ -544,23 +538,6 @@ def pin_other_agents(
         initial_state=game.initial_state,
         temperatures=(game.temperatures[agent],),
     )
-
-    def embed(traj: Trajectory | TrajectoryBatch | TrajectoryMoments):
-        lead = traj.states.shape[:-2]
-        actions = tuple(
-            traj.actions[0] if j == agent else np.broadcast_to(replay[j], lead + replay[j].shape)
-            for j in range(N)
-        )
-        if isinstance(traj, TrajectoryMoments):
-            # A replayed action is a constant: its mean, with zero covariance.
-            covariances = tuple(
-                traj.action_covariances[0] if j == agent else np.zeros(replay[j].shape + (m,))
-                for j, m in enumerate(game.action_dims)
-            )
-            return replace(traj, actions=actions, action_covariances=covariances)
-        return type(traj)(states=traj.states, actions=actions)
-
-    return reduced, embed
 
 
 def policy_with_nominal(

@@ -30,6 +30,10 @@ count, sweep budget and tolerance are the scenario's (:class:`LearnConfig`):
     stand-in for non-interactive baselines.  With a single agent both modes
     coincide exactly.
 
+Either way each agent is measured with its own features on the game it
+solves: the full game, or its reduced game of
+:func:`~ecegames.game.pin_other_agents` (see :func:`reduced_features`).
+
 Every step holds each agent's own effort weight at or above
 :data:`EFFORT_WEIGHT_FLOOR`, so its action cost stays positive definite.
 """
@@ -43,10 +47,12 @@ import numpy as np
 
 from .errors import EcegamesError
 from .features import (
+    ControlEffort,
     FeatureBasis,
     control_effort_index,
     eval_features,
-    expected_features,
+    expected_feature_sums,
+    feature_sums,
     validate_weights,
 )
 from .game import (
@@ -131,42 +137,46 @@ class LearnSolveError(EcegamesError):
         super().__init__(f"{phase} failed while updating agent {agent}: {cause}")
 
 
-def empirical_feature_mean(basis: FeatureBasis, demos: TrajectoryBatch) -> list[Array]:
-    """Per-agent arithmetic mean of the per-trajectory feature sums."""
+def _trial_mean(sums: Array) -> Array:
     # cumsum adds the trials one after another; np.sum(axis=0) does so too,
     # except on a single column, which it adds pairwise.
-    return [np.cumsum(sums, axis=0)[-1] / len(demos) for sums in eval_features(basis, demos)]
+    return np.cumsum(sums, axis=0)[-1] / len(sums)
 
 
-def _identity(batch: TrajectoryBatch) -> TrajectoryBatch:
-    return batch
+def empirical_feature_mean(basis: FeatureBasis, demos: TrajectoryBatch) -> list[Array]:
+    """Per-agent arithmetic mean of the per-trajectory feature sums."""
+    return [_trial_mean(sums) for sums in eval_features(basis, demos)]
+
+
+def reduced_features(features: Sequence) -> tuple:
+    """One agent's ``features`` on its reduced game of
+    :func:`~ecegames.game.pin_other_agents`: the effort feature, the one that
+    reads an action, reads action 0, the reduced game's only one."""
+    return tuple(ControlEffort(0) if isinstance(f, ControlEffort) else f for f in features)
 
 
 def estimate_feature_expectation(
     game: GameSpec,
-    basis: FeatureBasis,
+    features: Sequence,
     policies: AffineGaussianPolicySet,
     samples: int,
     base_seed: int,
-    *,
-    embed: Callable = _identity,
-) -> list[Array]:
-    """Per-agent feature expectation vectors of ``game`` played with ``policies``.
+) -> Array:
+    """Expected feature sums (F,) of one agent's ``features`` (on a reduced
+    game, its :func:`reduced_features`) in ``game`` played with ``policies``.
 
     On dynamics whose ``linear_maps`` are set the expectation is exact: the
     Gaussian marginals of :func:`~ecegames.simulate.rollout_moments` and each
     feature's closed-form mean under them
-    (:func:`~ecegames.features.expected_features`), with no sampling, so
+    (:func:`~ecegames.features.expected_feature_sums`), with no sampling, so
     ``samples`` and ``base_seed`` are not read.  On other dynamics it
     averages feature sums over ``samples`` stochastic rollouts with trial
     seeds ``base_seed + j`` (initial states drawn from the game's
-    initial-state distribution).  Either is mapped through ``embed`` to
-    ``basis``'s game (the identity, or the embedding
-    :func:`~ecegames.game.pin_other_agents` returns with a reduced game).
+    initial-state distribution).
     """
     if game.dynamics.linear_maps is not None:
-        return expected_features(basis, embed(rollout_moments(game, policies)))
-    return empirical_feature_mean(basis, embed(rollout_batch(game, policies, samples, base_seed)))
+        return expected_feature_sums(features, rollout_moments(game, policies))
+    return _trial_mean(feature_sums(features, rollout_batch(game, policies, samples, base_seed)))
 
 
 def _solve_with_retry(game, warm_start, solver_config):
@@ -255,6 +265,8 @@ def run_mairl(
 
     joint = mode == "joint"
     replay = None if joint else _mean_demo_actions(demos)
+    # Each agent is measured with its own features on the game it solves.
+    measured = basis.agents if joint else [reduced_features(f) for f in basis.agents]
     # Joint mode warm-starts every solve from the last joint solution, and
     # independent mode each agent's reduced game from its own last solution.
     warm: dict[int | None, AffineGaussianPolicySet] = {}
@@ -267,15 +279,15 @@ def run_mairl(
         for i in range(N):
             game = game_factory(weights)
             key = None if joint else i
-            played, embed = (game, _identity) if joint else pin_other_agents(game, i, replay)
+            played = game if joint else pin_other_agents(game, i, replay)
             phase = "equilibrium solve"
             try:
                 solution = _solve_with_retry(played, warm.get(key), solver_config)
                 warm[key] = solution.policies
                 phase = "feature expectation"
                 model_mean = estimate_feature_expectation(
-                    played, basis, solution.policies, p, seed + (sweep * N + i) * p, embed=embed
-                )[i]
+                    played, measured[i], solution.policies, p, seed + (sweep * N + i) * p
+                )
             except EcegamesError as exc:
                 raise LearnSolveError(i, weights, exc, trace, phase) from exc
 

@@ -272,7 +272,7 @@ def read_policy(path: str | Path) -> AffineGaussianPolicySet:
         return AffineGaussianPolicySet(
             **{key: _coerce(doc[key], float, key, depth=d) for key, d in depths.items()}
         )
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IngestError(f"{path}: invalid policy file ({exc})") from exc
 
 
@@ -289,7 +289,7 @@ def read_weights(path: str | Path) -> list[Array]:
         with _open(path) as fh:
             doc = json.load(fh)
         return [np.asarray(w) for w in _coerce(doc["weights"], float, "weights", depth=2)]
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IngestError(f"{path}: invalid weights file ({exc})") from exc
 
 

@@ -259,6 +259,27 @@ def mean_feature_sums(basis, trajectories):
     return [s / count for s in sums]
 
 
+def embed_replay(rollout, agent, replay):
+    """The joint rollout of a rollout of agent ``agent``'s reduced game, whose
+    one action array is that agent's: every other agent j acts
+    ``replay[j]`` (T, m_j) in every trial.  In moments a replayed action is
+    a constant, with zero covariance."""
+    from dataclasses import replace
+
+    from ecegames.game import TrajectoryMoments
+
+    lead = rollout.states.shape[:-2]
+    actions = tuple(rollout.actions[0] if j == agent else np.broadcast_to(r, lead + r.shape)
+                    for j, r in enumerate(replay))
+    if isinstance(rollout, TrajectoryMoments):
+        covariances = tuple(
+            rollout.action_covariances[0] if j == agent else np.zeros(r.shape + r.shape[-1:])
+            for j, r in enumerate(replay)
+        )
+        return replace(rollout, actions=actions, action_covariances=covariances)
+    return type(rollout)(states=rollout.states, actions=actions)
+
+
 def goal_distance_stats_per_trajectory(trajectories, goals, position_indices):
     """Mean and sample standard deviation of each agent's final goal distance."""
     out = []

@@ -489,6 +489,12 @@ def input_files(tmp_path_factory, lq_config):
     lines[6] = "not,a,number"
     huge_cell_demos = root / "huge_cell_demos.csv"
     huge_cell_demos.write_text("\n".join(lines) + "\n")
+    # Nesting far deeper than the interpreter's recursion limit.
+    deep = "[" * 200_000 + "]" * 200_000
+    deep_config = root / "deep_config.json"
+    deep_config.write_text(deep)
+    deep_weights = root / "deep_weights.json"
+    deep_weights.write_text('{"weights": ' + deep + "}")
     return {"dir": str(root), "demos": str(demos), "missing": str(root / "missing.csv"),
             "bad_config": str(bad_config), "nan_config": str(nan_config),
             "negative_lr_config": str(negative_lr_config), "inf_lr_config": str(inf_lr_config),
@@ -496,7 +502,8 @@ def input_files(tmp_path_factory, lq_config):
             "long_demos": str(long_demos), "list_weights": str(list_weights),
             "null_weights": str(null_weights), "string_weights": str(string_weights),
             "not_utf8_demos": str(not_utf8_demos), "short_gain_config": str(short_gain_config),
-            "huge_cell_demos": str(huge_cell_demos), "out": str(root / "out")}
+            "huge_cell_demos": str(huge_cell_demos), "deep_config": str(deep_config),
+            "deep_weights": str(deep_weights), "out": str(root / "out")}
 
 
 # (command with {placeholders} for input_files and {lq}, expected exit code).
@@ -538,6 +545,10 @@ INPUT_ERRORS = [
                   "--trials", "1", "--out", "{out}"], 1, id="command16-1"),
     pytest.param(["learn", "--config", "{inf_lr_config}", "--demos", "{demos}",
                   "--out-weights", "{out}"], 2, id="command17-2"),
+    pytest.param(["validate", "--config", "{deep_config}", "--trajectories", "{demos}"], 2,
+                 id="deep-config-2"),
+    pytest.param(["eval", "--config", "{lq}", "--demos", "{demos}", "--weights", "{deep_weights}",
+                  "--trials", "1", "--out", "{out}"], 1, id="deep-weights-1"),
 ]
 
 
@@ -548,7 +559,7 @@ def test_input_error_exit_code_without_traceback(command, code, input_files, lq_
                           capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     if "{missing}" in command:
         assert input_files["missing"] in proc.stderr
     assert not Path(input_files["out"]).exists()

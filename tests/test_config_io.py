@@ -612,6 +612,13 @@ class TestPolicyFile:
             trajio.read_weights(path)
 
 
+    def test_nesting_deeper_than_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"gains": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        with pytest.raises(IngestError, match=r"invalid policy file \(maximum recursion depth"):
+            trajio.read_policy(path)
+
+
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "weights.json"

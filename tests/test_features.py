@@ -46,7 +46,6 @@ def basis():
                 GaussianProximity(p1, p0, sigma=1.0, target=0),
             ),
         ),
-        position_indices=(p0, p1),
     )
 
 
@@ -98,7 +97,6 @@ class TestFeatureValues:
                     GaussianProximity(np.array([0, 1]), np.array([2, 3]), 1.0, target=1),
                 ),
             ),
-            position_indices=(np.array([0, 1]),),
         )
         back_basis = FeatureBasis(
             agents=(
@@ -108,7 +106,6 @@ class TestFeatureValues:
                     GaussianProximity(np.array([0, 1]), np.array([2, 3]), 1.0, target=1),
                 ),
             ),
-            position_indices=(np.array([0, 1]),),
         )
         front = eval_features(front_basis, make_traj(states[:2], a0[:2], a1[:2]))
         back = eval_features(back_basis, make_traj(states[2:], a0[2:], a1[2:]))
@@ -181,12 +178,17 @@ class TestMakeCostModel:
     def test_second_effort_feature_rejected(self, basis):
         # R^ii is one weight's: two effort features are refused, whatever their weights.
         doubled = FeatureBasis(
-            agents=(basis.agents[0] + (ControlEffort(agent=0),), basis.agents[1]),
-            position_indices=basis.position_indices,
+            agents=(basis.agents[0] + (ControlEffort(agent=0),), basis.agents[1])
         )
         weights = [np.array([1.0, 0.5, 2.0, 0.5]), np.array([1.0, 1.7, 2.0])]
         with pytest.raises(InvalidWeightError, match="agent 0: .* and only one"):
             make_cost_model(doubled, weights, (2, 2))
+
+    def test_effort_of_another_agent_rejected(self, basis):
+        # The learner measures an agent on its reduced game, where its own
+        # action is the only one, so an effort feature reads its own agent's.
+        with pytest.raises(ValueError, match="agent 1: a control_effort feature must read"):
+            FeatureBasis(agents=(basis.agents[0], basis.agents[0]))
 
     def test_weight_length_mismatch_rejected(self, basis):
         with pytest.raises(InvalidWeightError):
@@ -225,7 +227,9 @@ def signed_zero_states(basis, T, n, seed):
                 states[:, f.position_index] += f.reference
                 states[0::3, f.position_index] = f.reference[0::3]
                 states[1::3, f.position_index] = -f.reference[1::3]
-    for j, p in enumerate(basis.position_indices):
+    for j, feats in enumerate(basis.agents):
+        # Every feature but effort carries its agent's position indices.
+        p = next(f.position_index for f in feats if not isinstance(f, ControlEffort))
         states[2::5, p] += 1e3 * j
     return states
 
@@ -259,10 +263,7 @@ class TestInPlaceAssembly:
         self.assert_dense_equal(scenario.basis, weights, game.action_dims, states)
 
     def test_proximity_before_tracking(self, basis):
-        reordered = FeatureBasis(
-            agents=tuple((fs[2], fs[1], fs[0]) for fs in basis.agents),
-            position_indices=basis.position_indices,
-        )
+        reordered = FeatureBasis(agents=tuple((fs[2], fs[1], fs[0]) for fs in basis.agents))
         weights = [np.array([2.5, 0.7, -1.3]), np.array([-0.4, 1.1, 3.0])]
         for seed in range(3):
             states = signed_zero_states(reordered, 5, 4, seed)

@@ -198,14 +198,10 @@ class TestPinOtherAgents:
         game = small_scenario.make_game(small_scenario.true_weights())
         replay = [np.zeros((game.horizon, m)) for m in game.action_dims]
         # Two-agent game: pinning keeps the joint state but one action channel.
-        reduced, embed = pin_other_agents(game, 0, replay)
+        reduced = pin_other_agents(game, 0, replay)
         assert reduced.num_agents == 1
         assert reduced.state_dim == game.state_dim
-        policy = AffineGaussianPolicySet.zero(game.horizon, game.state_dim, (2,))
-        traj = simulate_mean(reduced, policy)
-        joint = embed(traj)
-        assert joint.action_dims == game.action_dims
-        assert np.array_equal(joint.actions[1], replay[1])
+        assert reduced.action_dims == game.action_dims[:1]
 
     def test_pinned_dynamics_uses_replayed_actions(self):
         # Two scalar agents, additive dynamics: s' = s + a1 + a2.
@@ -221,7 +217,7 @@ class TestPinOtherAgents:
             initial_state=InitialState(mean=np.zeros(1)),
         )
         replay = [np.zeros((3, 1)), np.array([[1.0], [2.0], [4.0]])]
-        reduced, _ = pin_other_agents(game, 0, replay)
+        reduced = pin_other_agents(game, 0, replay)
         policy = AffineGaussianPolicySet.zero(3, 1, (1,))
         traj = simulate_mean(reduced, policy)
         # Agent 0 applies zero; replayed agent adds 1 then 2.

@@ -28,9 +28,7 @@ def batch_from_positions(positions_list):
 
 
 def effort_basis():
-    return FeatureBasis(
-        agents=((ControlEffort(agent=0),),), position_indices=(np.array([0, 1]),)
-    )
+    return FeatureBasis(agents=((ControlEffort(agent=0),),))
 
 
 def effort_batch(effort_values, horizon=4):

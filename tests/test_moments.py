@@ -2,7 +2,7 @@
 
 On a model with ``linear_maps`` every state and action of a sampled rollout
 is Gaussian, so ``rollout_moments`` propagates its mean and covariance and
-``expected_features`` takes each feature's closed-form mean under them.
+``expected_feature_sums`` takes each feature's closed-form mean under them.
 ``estimate_feature_expectation`` uses that path wherever the dynamics are
 linear and samples only on other dynamics.  The closed forms are held to a
 20,000-trial Monte-Carlo estimate on every shipped config, in the joint game
@@ -30,9 +30,8 @@ from ecegames import (
     simulate_mean,
     solve_ece,
 )
-from ecegames.features import expected_features
-from ecegames.game import TrajectoryMoments
-from ecegames.irl import estimate_feature_expectation
+from ecegames.features import expected_feature_sums, feature_sums
+from ecegames.irl import estimate_feature_expectation, reduced_features
 from ecegames.simulate import rollout_moments
 
 from conftest import shipped_game
@@ -51,35 +50,38 @@ def shipped(request, config_dir):
     return scenario, game, solve_ece(game, config=scenario.solver_config).policies
 
 
-def played_games(game, policies):
-    """(label, played game, embed): the joint game and every agent's reduced
-    game, its other agents replaying their equilibrium mean actions."""
+def played_games(basis, game, policies):
+    """(label, played game, {agent: features}): the joint game with every
+    agent's features, and every agent's reduced game, its other agents
+    replaying their equilibrium mean actions, with its reduced features."""
     replay = simulate_mean(game, policies).actions
-    yield "joint", game, lambda traj: traj
-    for i in range(game.num_agents):
-        yield (f"agent {i}", *pin_other_agents(game, i, replay))
+    yield "joint", game, dict(enumerate(basis.agents))
+    for i, feats in enumerate(basis.agents):
+        yield f"agent {i}", pin_other_agents(game, i, replay), {i: reduced_features(feats)}
 
 
-def monte_carlo(basis, game, policies, embed):
-    """Per-agent mean feature sums of ``MC_TRIALS`` sampled rollouts from trial
-    seed ``MC_SEED`` and their standard errors."""
-    chunks = [eval_features(basis, embed(rollout_batch(game, policies, MC_CHUNK, MC_SEED + lo)))
-              for lo in range(0, MC_TRIALS, MC_CHUNK)]
-    sums = [np.concatenate(agent) for agent in zip(*chunks)]
-    return [f.mean(axis=0) for f in sums], [f.std(axis=0, ddof=1) / np.sqrt(MC_TRIALS) for f in sums]
+def monte_carlo(measured, game, policies):
+    """For each agent of ``measured``, the mean sums of its features over
+    ``MC_TRIALS`` sampled rollouts from trial seed ``MC_SEED`` and their
+    standard errors."""
+    chunks = {i: [] for i in measured}
+    for lo in range(0, MC_TRIALS, MC_CHUNK):
+        batch = rollout_batch(game, policies, MC_CHUNK, MC_SEED + lo)
+        for i, feats in measured.items():
+            chunks[i].append(feature_sums(feats, batch))
+    sums = {i: np.concatenate(c) for i, c in chunks.items()}
+    return {i: (f.mean(axis=0), f.std(axis=0, ddof=1) / np.sqrt(MC_TRIALS))
+            for i, f in sums.items()}
 
 
 @pytest.mark.slow
 def test_exact_expectation_matches_monte_carlo(shipped):
     scenario, game, policies = shipped
-    for label, played, embed in played_games(game, policies):
+    for label, played, measured in played_games(scenario.basis, game, policies):
         solved = solve_ece(played, config=scenario.solver_config).policies
-        exact = estimate_feature_expectation(played, scenario.basis, solved, 1, 0, embed=embed)
-        means, errors = monte_carlo(scenario.basis, played, solved, embed)
-        for i, (e, m, se) in enumerate(zip(exact, means, errors)):
-            # A replayed agent's effort is a constant: its SE is 0, and only
-            # rounding may separate the two.
-            assert np.all(np.abs(e - m) <= MC_SE * se + 1e-12 * np.abs(m)), (label, i, e, m, se)
+        for i, (mean, se) in monte_carlo(measured, played, solved).items():
+            exact = estimate_feature_expectation(played, measured[i], solved, 1, 0)
+            assert np.all(np.abs(exact - mean) <= MC_SE * se), (label, i, exact, mean, se)
 
 
 def test_mean_trajectory_at_zero_covariance(shipped):
@@ -94,9 +96,8 @@ def test_mean_trajectory_at_zero_covariance(shipped):
         state_covariances=np.zeros_like(moments.state_covariances),
         action_covariances=tuple(np.zeros_like(c) for c in moments.action_covariances),
     )
-    for got, ref in zip(expected_features(scenario.basis, zero),
-                        eval_features(scenario.basis, mean)):
-        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    for feats, ref in zip(scenario.basis.agents, eval_features(scenario.basis, mean)):
+        assert np.allclose(expected_feature_sums(feats, zero), ref, rtol=1e-12, atol=0.0)
 
 
 def scalar_game(a=1.0, noise=0.3, initial_variance=0.5, horizon=5):
@@ -152,26 +153,6 @@ def test_nonlinear_dynamics_are_refused(config_dir):
     policies = AffineGaussianPolicySet.zero(game.horizon, game.state_dim, game.action_dims)
     with pytest.raises(ValueError, match="linear_maps"):
         rollout_moments(game, policies)
-
-
-def test_embedded_moments_replay_other_agents(config_dir):
-    scenario, game = shipped_game(config_dir, "three_agent_ring")
-    policies = solve_ece(game, config=scenario.solver_config).policies
-    replay = simulate_mean(game, policies).actions
-    reduced, embed = pin_other_agents(game, 1, replay)
-    own = solve_ece(reduced, config=scenario.solver_config).policies
-    moments = rollout_moments(reduced, own)
-    joint = embed(moments)
-    assert isinstance(joint, TrajectoryMoments)
-    assert joint.states is moments.states
-    assert joint.state_covariances is moments.state_covariances
-    assert joint.actions[1] is moments.actions[0]
-    assert joint.action_covariances[1] is moments.action_covariances[0]
-    for j in (0, 2):
-        assert np.array_equal(joint.actions[j], replay[j])
-        assert joint.action_covariances[j].shape == (game.horizon, 2, 2)
-        assert not joint.action_covariances[j].any()
-    assert [len(v) for v in expected_features(scenario.basis, joint)] == [4, 4, 4]
 
 
 def counted_rollouts(monkeypatch):

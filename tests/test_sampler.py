@@ -172,7 +172,7 @@ def reduced_games(game, policies):
     mean actions of ``policies``, with the agent's own law."""
     replay = list(simulate_mean(game, policies).actions)
     return [
-        (pin_other_agents(game, agent, replay)[0], own_policy(policies, agent))
+        (pin_other_agents(game, agent, replay), own_policy(policies, agent))
         for agent in range(game.num_agents)
     ]
 

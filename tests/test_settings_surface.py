@@ -1,19 +1,23 @@
-"""Property tests of the settings surface: the solver and learner blocks of a
-scenario and the flags of ``learn``.
+"""Property tests of the input surface: every block of a scenario, the
+weights file of ``eval``, a policy file and the flags of ``learn``.
 
-Whatever a config's solver or learner block holds, and wherever a removed
-learner flag appears on a ``learn`` command line, the CLI exits 0, 1 or 2
-without a traceback, and a failure writes exactly one ``error:`` line.
+Whatever a config's blocks or a weights file hold (nesting deeper than the
+interpreter's recursion limit too), and wherever a removed learner flag
+appears on a ``learn`` command line, the CLI exits 0, 1 or 2 without a
+traceback, and a failure writes exactly one ``error:`` line.  A policy file,
+which no command reads, loads or raises one one-line ``IngestError``.
 """
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecegames import AffineGaussianPolicySet, IngestError, trajio
 from ecegames.cli import main
 
 # Keys that are not settings (any more): the run's mode and seed, the effort
@@ -106,3 +110,86 @@ def test_removed_learner_flags_are_usage_errors(surface, flag, value, where):
     code, stderr = run(["learn", *argv])
     assert code == 2, stderr
     assert_clean_exit(code, stderr)
+
+
+# A placeholder string that the written file holds as nesting ``depth`` lists deep.
+DEEP = "\x00deep"
+DEPTHS = [sys.getrecursionlimit() // 2, sys.getrecursionlimit() + 1, 200_000]
+NUMBERS = st.recursive(st.one_of(st.floats(), st.integers(-3, 9)),
+                       lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+# The keys and kind names of the dynamics, noise, initial_state and agents blocks.
+MODEL_KEYS = ["kind", "A", "B", "position_indices", "scale", "gain", "covariance", "value",
+              "mean", "start", "goal", "features", "true_weights", "temperature", "target",
+              "sigma"]
+KINDS = ["double_integrator", "unicycle", "linear", "none", "scaled_identity", "matrix", "fixed",
+         "gaussian", "reference_tracking", "control_effort", "gaussian_proximity"]
+LEAVES = st.one_of(VALUES, NUMBERS, st.sampled_from(KINDS), st.just(DEEP))
+
+
+def _holds(node, key):
+    return key in node if isinstance(node, dict) else key < len(node)
+
+
+@st.composite
+def edited(draw, doc, top, keys):
+    """``doc`` with one to four edits under its ``top`` keys: each walks down
+    from one of them and deletes the entry it stops at or sets it to any
+    value; at a dict it may stop at one of ``keys`` that it lacks."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 4))):
+        node, key = doc, draw(st.sampled_from(top))
+        while _holds(node, key) and isinstance(node[key], (dict, list)) and node[key]:
+            if draw(st.integers(0, 3)) == 0:
+                break
+            node = node[key]
+            if isinstance(node, dict):
+                key = draw(st.sampled_from(sorted(node) + keys))
+            else:
+                key = draw(st.integers(0, len(node) - 1))
+        if _holds(node, key) and draw(st.integers(0, 4)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(LEAVES)
+    return doc
+
+
+def write(path, doc, depth):
+    """Write ``doc`` as JSON, each :data:`DEEP` as lists ``depth`` deep."""
+    text = json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+    path.write_text(text, encoding="utf-8")
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(data=st.data(), depth=st.sampled_from(DEPTHS))
+def test_any_model_block_exits_cleanly(surface, data, depth):
+    doc, _, demos, root = surface
+    path = root / "model.json"
+    write(path, data.draw(edited(doc, ["dynamics", "noise", "initial_state", "agents"],
+                                 MODEL_KEYS)), depth)
+    assert_clean_exit(*run(["validate", "--config", str(path), "--trajectories", demos]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data(), depth=st.sampled_from(DEPTHS))
+def test_any_weights_file_exits_cleanly(surface, data, depth):
+    doc, config, demos, root = surface
+    weights = {"weights": [a["true_weights"] for a in doc["agents"]],
+               "feature_names": [[f["kind"] for f in a["features"]] for a in doc["agents"]]}
+    path = root / "weights.json"
+    write(path, data.draw(edited(weights, ["weights", "feature_names"], [])), depth)
+    argv = ["eval", "--config", config, "--demos", demos, "--weights", str(path),
+            "--trials", "1", "--out", str(root / "eval")]
+    assert_clean_exit(*run(argv))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data(), depth=st.sampled_from(DEPTHS))
+def test_any_policy_file_loads_or_raises_one_line(tmp_path_factory, data, depth):
+    path = tmp_path_factory.getbasetemp() / "policy.json"
+    trajio.write_policy(path, AffineGaussianPolicySet.zero(3, 4, (2, 1)))
+    policy = json.loads(path.read_text(encoding="utf-8"))
+    write(path, data.draw(edited(policy, sorted(policy), [])), depth)
+    try:
+        trajio.read_policy(path)
+    except IngestError as exc:
+        assert "\n" not in str(exc), str(exc)

@@ -70,7 +70,7 @@ class TestStackedMatchesRows:
         steps = np.arange(1, T + 1)
         # The reduced game of the independent-mode learner: agent 1 decides,
         # the others replay the nominal actions.
-        reduced, _ = pin_other_agents(game, 1, nominal.actions)
+        reduced = pin_other_agents(game, 1, nominal.actions)
         cases = [(cost, nominal.actions) for cost in game.costs]
         cases.append((reduced.costs[0], (nominal.actions[1],)))
         for cost, actions in cases:

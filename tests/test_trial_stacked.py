@@ -33,13 +33,19 @@ from ecegames import (
     trajio,
 )
 from ecegames.config import parse_scenario
-from ecegames.features import ControlEffort, FeatureBasis, expected_features
-from ecegames.irl import _mean_demo_actions, empirical_feature_mean, estimate_feature_expectation
+from ecegames.features import ControlEffort, FeatureBasis, expected_feature_sums
+from ecegames.irl import (
+    _mean_demo_actions,
+    empirical_feature_mean,
+    estimate_feature_expectation,
+    reduced_features,
+)
 from ecegames.metrics import goal_distance_stats, trajectory_rmse
 from ecegames.simulate import rollout_moments
 
 from conftest import stack_trajectories
 from oracles import (
+    embed_replay,
     feature_sums_per_trajectory,
     goal_distance_stats_per_trajectory,
     linearize_per_step,
@@ -128,11 +134,8 @@ class TestMatchesPerTrajectoryLoops:
         )
 
     def test_single_feature_mean_adds_in_trial_order(self, rollouts):
-        scenario, _, _, batch = rollouts
-        basis = FeatureBasis(
-            agents=tuple((ControlEffort(agent=i),) for i in range(batch.num_agents)),
-            position_indices=scenario.basis.position_indices,
-        )
+        batch = rollouts[3]
+        basis = FeatureBasis(agents=tuple((ControlEffort(i),) for i in range(batch.num_agents)))
         assert_lists_equal(empirical_feature_mean(basis, batch), mean_feature_sums(basis, batch))
 
     def test_goal_distance_stats(self, rollouts):
@@ -174,32 +177,34 @@ class TestFeatureExpectation:
     def test_joint_mode_matches_per_trial_rollouts(self, rollouts):
         scenario, game, policies, _ = rollouts
         solved = solve_ece(game, init=policies, config=scenario.solver_config).policies
-        means = estimate_feature_expectation(game, scenario.basis, solved, 12, SEED)
+        means = [estimate_feature_expectation(game, feats, solved, 12, SEED)
+                 for feats in scenario.basis.agents]
         if game.dynamics.linear_maps is None:
             samples = [simulate_stochastic(game, solved, seed=SEED + j) for j in range(12)]
             assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
         else:
-            exact = expected_features(scenario.basis, rollout_moments(game, solved))
+            moments = rollout_moments(game, solved)
+            exact = [expected_feature_sums(feats, moments) for feats in scenario.basis.agents]
             assert_lists_equal(means, exact)
 
-    def test_independent_mode_embeds_the_batch(self, rollouts):
+    def test_reduced_game_measures(self, rollouts):
+        """Each agent's reduced features on its reduced game measure what its
+        full features measure on the joint rollout the replay completes."""
         scenario, game, _, batch = rollouts
-        agent = game.num_agents - 1
-        reduced, embed = pin_other_agents(game, agent, _mean_demo_actions(batch))
-        solved = solve_ece(reduced, config=scenario.solver_config).policies
-        means = estimate_feature_expectation(reduced, scenario.basis, solved, 12, SEED, embed=embed)
-        samples = [embed(simulate_stochastic(reduced, solved, seed=SEED + j)) for j in range(12)]
-        if game.dynamics.linear_maps is None:
-            assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
-        else:
-            exact = expected_features(scenario.basis, embed(rollout_moments(reduced, solved)))
-            assert_lists_equal(means, exact)
-            assert [len(m) for m in means] == [len(f) for f in scenario.basis.agents]
-        embedded = embed(rollout_batch(reduced, solved, 12, SEED))
-        assert isinstance(embedded, TrajectoryBatch)
-        assert np.array_equal(embedded.states, np.stack([t.states for t in samples]))
-        for j in range(game.num_agents):
-            assert np.array_equal(embedded.actions[j], np.stack([t.actions[j] for t in samples]))
+        replay = _mean_demo_actions(batch)
+        for agent, feats in enumerate(scenario.basis.agents):
+            reduced = pin_other_agents(game, agent, replay)
+            solved = solve_ece(reduced, config=scenario.solver_config).policies
+            mean = estimate_feature_expectation(reduced, reduced_features(feats), solved, 12, SEED)
+            if game.dynamics.linear_maps is None:
+                samples = [embed_replay(simulate_stochastic(reduced, solved, seed=SEED + j),
+                                        agent, replay) for j in range(12)]
+                ref = mean_feature_sums(scenario.basis, samples)[agent]
+            else:
+                ref = expected_feature_sums(
+                    feats, embed_replay(rollout_moments(reduced, solved), agent, replay)
+                )
+            assert mean.shape == ref.shape and mean.tobytes() == ref.tobytes(), agent
 
 
 class TestTrajectoryFile:
@@ -251,7 +256,7 @@ class TestStackedLinearize:
     def test_matches_per_step_calls(self, rollouts):
         _, game, policies, batch = rollouts
         nominal = simulate_mean(game, policies)
-        pinned, _ = pin_other_agents(game, 0, _mean_demo_actions(batch))
+        pinned = pin_other_agents(game, 0, _mean_demo_actions(batch))
         for g, nom in ((game, nominal), (pinned, Trajectory(nominal.states, nominal.actions[:1]))):
             A, B = linearize(g, nom)
             A_ref, B_ref = linearize_per_step(g, nom)
