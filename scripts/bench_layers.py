@@ -31,7 +31,14 @@ under its true weights and times, per call:
   ``rollout_moments`` on dynamics with ``linear_maps``, and otherwise the
   mean over the config's ``samples_per_expectation`` sampled rollouts from
   seed 0;
-- a cold ``solve_ece``.
+- a cold ``solve_ece``;
+- ``solve_ece_demo_start``, ``solve_ece`` from the demo start that ``learn``
+  and ``eval`` use (``irl.demo_start``: zero feedback around the mean
+  actions of 200 rollouts of the converged policies from seed 1000, all
+  agents' or, on the reduced game, agent 0's).
+
+After the table it prints the iterations of both ``solve_ece`` layers per
+config.
 
 One more case, ``ladder_60``, times ``solve_lq_ece`` on a 60-stage
 two-agent game whose stage t = 30 has condition about 4e13, so that its
@@ -60,6 +67,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -81,8 +89,10 @@ ROUNDS = 10
 LAYERS = (
     "stage_game_around", "quadratize", "cost_derivatives", "refresh_stage", "solve_lq_ece",
     "simulate_mean", *(f"rollout_batch({k})" for k in TRIALS), "feature_expectation",
-    "solve_ece",
+    "solve_ece", "solve_ece_demo_start",
 )
+SOLVES = ("solve_ece", "solve_ece_demo_start")
+DEMO_TRIALS, DEMO_SEED = 200, 1000
 LADDER = "ladder_60"
 REDUCED = "two_agent_crossing_reduced"
 
@@ -124,6 +134,10 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
     game = scenario.make_game(scenario.true_weights())
     solver = scenario.solver_config
     policies = pkg.solve_ece(game, config=solver).policies
+    # The start irl.demo_start builds, made here so that a revision without it
+    # times the same solve.
+    demo_actions = [np.mean(a, axis=0) for a in
+                    pkg.rollout_batch(game, policies, DEMO_TRIALS, DEMO_SEED).actions]
     estimate = pkg.irl.estimate_feature_expectation
     # A revision whose estimate still takes ``embed`` (which its
     # pin_other_agents returns with the reduced game) measures the whole basis
@@ -146,6 +160,11 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
             nominal_states=policies.nominal_states,
             nominal_actions=policies.nominal_actions[own],
         )
+        demo_actions = demo_actions[own]
+    start = dataclasses.replace(
+        pkg.AffineGaussianPolicySet.zero(game.horizon, game.state_dim, game.action_dims),
+        nominal_actions=tuple(demo_actions),
+    )
     nominal = pkg.simulate_mean(game, policies)
     stage = pkg.ilq.stage_game_around(game, nominal)
     steps = np.arange(1, game.horizon + 1)
@@ -178,6 +197,7 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
         *(lambda k=k: pkg.rollout_batch(game, policies, k, 0) for k in TRIALS),
         feature_expectation,
         lambda: pkg.solve_ece(game, config=solver),
+        lambda: pkg.solve_ece(game, init=start, config=solver),
     )))
 
 
@@ -262,6 +282,13 @@ def main(argv=None) -> int:
                 line += f"  {row['ratio']:13.3f}  {row['turns']:5d}"
             summary.setdefault(config, {})[layer] = row
             print(line)
+    print("\nsolver iterations per solve")
+    print(f"{'config':28s}" + "".join(f" {layer:>20s}" for layer in SOLVES))
+    for config, layers in calls["change"].items():
+        if SOLVES[0] in layers:
+            its = {layer: len(layers[layer]().trace) for layer in SOLVES}
+            summary[config]["iterations"] = its
+            print(f"{config:28s}" + "".join(f" {its[x]:20d}" for x in SOLVES))
     print(json.dumps(summary))
     return 0
 

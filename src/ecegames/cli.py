@@ -17,6 +17,12 @@ error to one of them and prints a one-line ``error:`` message to stderr):
      unreadable or invalid config file (learner settings out of range too),
      or missing ``true_weights`` where the command needs them.
 
+``learn`` models the equilibrium its solver reaches from the demos' mean
+actions (:func:`~ecegames.irl.demo_start`, retried cold if that solve
+fails); ``eval`` solves from that start and cold and models the solution
+nearer the demos (:func:`~ecegames.irl.solve_near_demos`); ``solve`` and
+``gen-demos`` have no demos and start cold.
+
 A ``learn`` failure names its phase: "equilibrium solve failed while
 updating agent i: ..." or "feature expectation failed while updating agent
 i: ...".
@@ -34,7 +40,7 @@ import numpy as np
 from .config import Scenario, load_scenario
 from .errors import EcegamesError, ConfigError, IngestError, NonConvergenceError
 from .ilq import solve_ece
-from .irl import MODES, LearnSolveError, run_mairl
+from .irl import MODES, LearnSolveError, run_mairl, solve_near_demos
 from .metrics import goal_distance_stats, kl_divergence_per_feature, trajectory_rmse
 from .simulate import rollout_batch
 from . import trajio
@@ -120,7 +126,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         weights = _require_true_weights(scenario)
     game = scenario.make_game(weights)
-    solution = solve_ece(game, config=scenario.solver_config)
+    solution = solve_near_demos(game, demos, scenario.solver_config)
     model = rollout_batch(game, solution.policies, args.trials, args.seed)
 
     out_dir = Path(args.out)

@@ -34,13 +34,24 @@ Either way each agent is measured with its own features on the game it
 solves: the full game, or its reduced game of
 :func:`~ecegames.game.pin_other_agents` (see :func:`reduced_features`).
 
+A game may have several equilibria (the crossing's agents can swerve to
+either side), and an iterative solver returns the one its starting iterate
+leads to.  The demos were played in one of them, so the learner models that
+one: the first solve of every game it plays starts from the demos' mean
+actions (:func:`demo_start`; for a reduced game, its own agent's), and each
+later solve from the solution before it.  ``eval`` solves from the same
+start, and cold, and keeps the solution nearer the demos
+(:func:`solve_near_demos`), so it scores learned weights in the equilibrium
+they were learned in; ``solve`` and ``gen-demos`` have no demos and start
+cold.
+
 Every step holds each agent's own effort weight at or above
 :data:`EFFORT_WEIGHT_FLOOR`, so its action cost stays positive definite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +73,7 @@ from .game import (
     TrajectoryBatch,
     pin_other_agents,
 )
-from .ilq import SolverConfig, solve_ece
+from .ilq import EceSolution, SolverConfig, solve_ece
 from .simulate import rollout_batch, rollout_moments
 
 GameFactory = Callable[[Sequence[Array]], GameSpec]
@@ -179,13 +190,12 @@ def estimate_feature_expectation(
     return _trial_mean(feature_sums(features, rollout_batch(game, policies, samples, base_seed)))
 
 
-def _solve_with_retry(game, warm_start, solver_config):
-    # A stale warm start can strand the line search; fall back to cold start.
+def _solve_with_retry(game, start, solver_config):
+    # A start (the demo start or a stale warm start) can strand the line
+    # search or use up the iteration budget; fall back to a cold start.
     try:
-        return solve_ece(game, init=warm_start, config=solver_config)
+        return solve_ece(game, init=start, config=solver_config)
     except EcegamesError:
-        if warm_start is None:
-            raise
         return solve_ece(game, init=None, config=solver_config)
 
 
@@ -220,6 +230,56 @@ def _mean_demo_actions(demos: TrajectoryBatch) -> list[Array]:
     return [np.mean(a, axis=0) for a in demos.actions]
 
 
+def demo_start(demos: TrajectoryBatch, agent: int | None = None) -> AffineGaussianPolicySet:
+    """The demo start: zero gains, zero offsets and unit covariances around
+    the demos' mean actions, of every agent, or of ``agent`` alone (the start
+    of its reduced game of :func:`~ecegames.game.pin_other_agents`).
+
+    On the crossing a solve from it reaches the demos' side where a cold
+    start (zero actions) can reach the mirror swerve; it does not reach a
+    stationary point that repels the iteration (see
+    :func:`solve_near_demos`)."""
+    means = _mean_demo_actions(demos)
+    if agent is not None:
+        means = means[agent:agent + 1]
+    zero = AffineGaussianPolicySet.zero(
+        demos.horizon, demos.state_dim, [a.shape[1] for a in means]
+    )
+    return replace(zero, nominal_actions=tuple(means))
+
+
+def solve_near_demos(
+    game: GameSpec, demos: TrajectoryBatch, solver_config: SolverConfig | None = None
+) -> EceSolution:
+    """The equilibrium of ``game`` nearest the demos, which ``eval`` models.
+
+    Solves ``game`` from the :func:`demo_start` and cold.  The cold solution
+    is returned if its mean states come nearer the demos' mean states (the
+    largest distance over the steps) by more than the solver's
+    ``convergence_tol``, or if the demo-started solve fails (when both fail,
+    the cold solve's error is raised); otherwise the demo-started one is.
+    The demo start reaches the demos' side where a cold solve may reach its
+    mirror, and a cold solve reaches stationary points that the demos' noise
+    moves the demo start away from, such as the near-collision point of a
+    short crossing.
+    """
+    cfg = solver_config or SolverConfig()
+    try:
+        started = solve_ece(game, init=demo_start(demos), config=cfg)
+    except EcegamesError:
+        return solve_ece(game, config=cfg)
+    try:
+        cold = solve_ece(game, config=cfg)
+    except EcegamesError:
+        return started
+    target = np.mean(demos.states, axis=0)
+
+    def distance(solution):
+        return np.max(np.linalg.norm(solution.policies.nominal_states - target, axis=1))
+
+    return cold if distance(cold) < distance(started) - cfg.convergence_tol else started
+
+
 def run_mairl(
     game_factory: GameFactory,
     basis: FeatureBasis,
@@ -237,7 +297,8 @@ def run_mairl(
     ``seed`` (non-negative) is the first trial seed of the sampled
     expectations, which nonlinear dynamics alone draw.  Outer loop over
     block-coordinate sweeps: for each agent in turn, solve the equilibrium
-    (warm-started from the previous one; a failed warm start is retried
+    (the first solve of each game from its :func:`demo_start`, every later
+    one warm-started from the previous solution; a failed start is retried
     cold), estimate the agent's feature expectation under the current full
     weight set, take one gradient step on that agent's weights, and continue
     with the refreshed set.  A failure of either phase raises
@@ -267,9 +328,11 @@ def run_mairl(
     replay = None if joint else _mean_demo_actions(demos)
     # Each agent is measured with its own features on the game it solves.
     measured = basis.agents if joint else [reduced_features(f) for f in basis.agents]
-    # Joint mode warm-starts every solve from the last joint solution, and
-    # independent mode each agent's reduced game from its own last solution.
-    warm: dict[int | None, AffineGaussianPolicySet] = {}
+    # Joint mode starts every solve from the last joint solution, and
+    # independent mode each agent's reduced game from its own last solution;
+    # the first solves start from the demos' mean actions.
+    keys = [None] if joint else range(N)
+    warm = {key: demo_start(demos, key) for key in keys}
 
     best_total = np.inf
     best_weights = [w.copy() for w in weights]
@@ -282,7 +345,7 @@ def run_mairl(
             played = game if joint else pin_other_agents(game, i, replay)
             phase = "equilibrium solve"
             try:
-                solution = _solve_with_retry(played, warm.get(key), solver_config)
+                solution = _solve_with_retry(played, warm[key], solver_config)
                 warm[key] = solution.policies
                 phase = "feature expectation"
                 model_mean = estimate_feature_expectation(

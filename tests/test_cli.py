@@ -411,6 +411,81 @@ class TestLearnAndEval:
             assert read_bytes(dirs[0] / name) == read_bytes(dirs[1] / name)
 
 
+class TestSolveStarts:
+    """``eval`` solves from the demo start and cold, ``solve`` and ``gen-demos``
+    only cold."""
+
+    def test_failed_demo_start_of_eval_falls_back_to_cold(
+        self, monkeypatch, tmp_path, small_config, demo_file
+    ):
+        starts = []
+
+        def started_fails(game, init=None, config=None):
+            starts.append(init)
+            if init is not None:
+                raise LineSearchError(iteration=1, min_step=1e-3)
+            return solve_ece(game, config=config)
+
+        monkeypatch.setattr(irl, "solve_ece", started_fails)
+        rc = main(["eval", "--config", small_config, "--demos", demo_file, "--trials", "5",
+                   "--out", str(tmp_path / "metrics")])
+        assert rc == 0
+        demos = trajio.read_trajectories(demo_file, 8, (2, 2))
+        assert len(starts) == 2 and starts[1] is None
+        for got, mean in zip(starts[0].nominal_actions, demos.actions, strict=True):
+            assert np.array_equal(got, np.mean(mean, axis=0))
+
+    @pytest.mark.parametrize("command", ["solve", "gen-demos"])
+    def test_commands_without_demos_solve_cold(
+        self, monkeypatch, tmp_path, small_config, command
+    ):
+        inits = []
+
+        def spy(game, init=None, config=None):
+            inits.append(init)
+            return solve_ece(game, init=init, config=config)
+
+        monkeypatch.setattr(cli, "solve_ece", spy)
+        out = str(tmp_path / "out")
+        argv = {"solve": ["--out-policy", out], "gen-demos": ["--trials", "2", "--out", out]}
+        assert main([command, "--config", small_config, *argv[command]]) == 0
+        assert inits == [None]
+
+    def test_eval_passes_agent_0_on_the_demos_side(self, monkeypatch, tmp_path, config_dir):
+        # Learned joint weights on 200 crossing demos from seed 1000.  The
+        # crossing has two mirror-image swerves; solved cold, these weights
+        # reach the one where agent 0 passes at -x, -y, the demos' mirror.
+        config = str(config_dir / "two_agent_crossing.json")
+        demo_path, weights_path = tmp_path / "demos.csv", tmp_path / "weights.json"
+        assert main(["gen-demos", "--config", config, "--trials", "200", "--seed", "1000",
+                     "--out", str(demo_path)]) == 0
+        weights = [np.array([2.143996, 0.910243, 3.522741]),
+                   np.array([2.559628, 1.040944, 3.469161])]
+        trajio.write_weights(weights_path, weights, [["a", "b", "c"]] * 2)
+        solutions = []
+
+        def spy(game, demos, solver_config=None):
+            solutions.append(irl.solve_near_demos(game, demos, solver_config))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "solve_near_demos", spy)
+        assert main(["eval", "--config", config, "--demos", str(demo_path), "--weights",
+                     str(weights_path), "--trials", "2", "--out", str(tmp_path / "m")]) == 0
+
+        scenario = load_scenario(config)
+        p0, p1 = scenario.position_indices
+
+        def agent_0_at_closest_approach(states):
+            t = np.argmin(np.linalg.norm(states[:, p0] - states[:, p1], axis=1))
+            return states[t, p0]
+
+        demos = trajio.read_trajectories(demo_path, scenario.state_dim, scenario.action_dims)
+        cold = solve_ece(scenario.make_game(weights), config=scenario.solver_config)
+        assert np.all(agent_0_at_closest_approach(np.mean(demos.states, axis=0)) > 0.0)
+        assert np.all(agent_0_at_closest_approach(solutions[0].policies.nominal_states) > 0.0)
+        assert np.all(agent_0_at_closest_approach(cold.policies.nominal_states) < 0.0)
+
+
 class TestValidate:
     def test_valid_file_passes(self, tmp_path, lq_config):
         out = tmp_path / "demos.csv"

@@ -34,6 +34,16 @@ from conftest import stack_trajectories
 from oracles import mean_actions_per_agent
 
 
+def policies_equal(a, b) -> bool:
+    """Whether two policy sets hold equal arrays in every field."""
+    fields = ("gains", "offsets", "covariances", "nominal_actions")
+    return np.array_equal(a.nominal_states, b.nominal_states) and all(
+        len(getattr(a, f)) == len(getattr(b, f))
+        and all(np.array_equal(x, y) for x, y in zip(getattr(a, f), getattr(b, f)))
+        for f in fields
+    )
+
+
 def scalar_tracking_scenario(horizon=2, target=0.5, noise=False, temperature=1.0):
     """One agent on the line, s' = s + a, tracking a fixed point plus effort."""
     ref = np.full((horizon, 1), target)
@@ -149,6 +159,51 @@ class TestUpdateWeights:
         assert new[1] == irl.EFFORT_WEIGHT_FLOOR == 1e-3
 
 
+@pytest.fixture(scope="module")
+def small_demos(small_scenario):
+    game = small_scenario.make_game(small_scenario.true_weights())
+    sol = solve_ece(game, config=small_scenario.solver_config)
+    return rollout_batch(game, sol.policies, 10, 500)
+
+
+class TestDemoStart:
+    def test_zero_feedback_around_mean_actions(self, small_demos):
+        means = [np.mean(a, axis=0) for a in small_demos.actions]
+        for agent, start in [(None, irl.demo_start(small_demos)),
+                             (1, irl.demo_start(small_demos, 1))]:
+            agents = range(2) if agent is None else [agent]
+            assert start.num_agents == len(agents)
+            for k, i in enumerate(agents):
+                assert np.array_equal(start.nominal_actions[k], means[i])
+                assert not start.gains[k].any() and not start.offsets[k].any()
+                assert np.array_equal(start.covariances[k], np.tile(np.eye(2), (20, 1, 1)))
+            assert np.array_equal(start.nominal_states, np.zeros((20, 4 * 2)))
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_first_solve_of_each_game_starts_from_the_demos(
+        self, monkeypatch, small_scenario, small_demos, mode
+    ):
+        inits = []
+
+        def spy(game, init=None, config=None):
+            inits.append(init)
+            return solve_ece(game, init=init, config=config)
+
+        monkeypatch.setattr(irl, "solve_ece", spy)
+        cfg = replace(small_scenario.learn_config, max_outer_iterations=2)
+        run_mairl(small_scenario.make_game, small_scenario.basis, small_demos,
+                  [np.ones(3), np.ones(3)], cfg, mode=mode,
+                  solver_config=small_scenario.solver_config)
+        assert len(inits) == 4 and all(init is not None for init in inits)
+        # joint: one game, started once; independent: each agent's reduced
+        # game, started from its own agent's mean actions.
+        firsts = [None] if mode == "joint" else [0, 1]
+        for k, init in enumerate(inits):
+            demo = irl.demo_start(small_demos, firsts[k % len(firsts)])
+            assert policies_equal(init, demo) == (k < len(firsts))
+            assert init.num_agents == (2 if mode == "joint" else 1)
+
+
 class TestRunMairl:
     def test_fixed_point_at_true_weights(self, small_scenario):
         true_w = small_scenario.true_weights()
@@ -259,6 +314,12 @@ class TestRunMairl:
             small_scenario.learn_config, max_outer_iterations=2, samples_per_expectation=2
         )
         starts = []
+        demo = irl.demo_start(demos)
+
+        def start_of(init):
+            if init is None:
+                return "cold"
+            return "demo" if policies_equal(init, demo) else "warm"
 
         def learn(solve):
             starts.clear()
@@ -271,22 +332,23 @@ class TestRunMairl:
         def cold_only(game, init=None, config=None):
             return solve_ece(game, config=config)
 
-        def warm_fails(game, init=None, config=None):
-            starts.append("cold" if init is None else "warm")
+        def started_fails(game, init=None, config=None):
+            starts.append(start_of(init))
             if init is not None:
                 raise LineSearchError(iteration=1, min_step=1e-3)
             return solve_ece(game, config=config)
 
         def all_but_first_fail(game, init=None, config=None):
-            starts.append("cold" if init is None else "warm")
+            starts.append(start_of(init))
             if len(starts) > 1:
                 raise LineSearchError(iteration=1, min_step=1e-3)
             return solve_ece(game, init=init, config=config)
 
-        # Every update after the first tries its warm start, then solves cold,
-        # and learns exactly what cold solves alone learn.
-        weights, trace = learn(warm_fails)
-        assert starts == ["cold"] + ["warm", "cold"] * 3
+        # The first update tries the demo start and every later one its warm
+        # start, each then solves cold, and learns exactly what cold solves
+        # alone learn.
+        weights, trace = learn(started_fails)
+        assert starts == ["demo", "cold"] + ["warm", "cold"] * 3
         cold_weights, cold_trace = learn(cold_only)
         for a, b in zip(weights + [r.weights for r in trace.records],
                         cold_weights + [r.weights for r in cold_trace.records], strict=True):
@@ -295,7 +357,7 @@ class TestRunMairl:
         with pytest.raises(LearnSolveError, match="while updating agent 1: line search") as err:
             learn(all_but_first_fail)
         assert err.value.agent == 1
-        assert starts == ["cold", "warm", "cold"]
+        assert starts == ["demo", "warm", "cold"]
 
     def test_non_convergence_returns_flagged_best(self, small_scenario):
         true_w = small_scenario.true_weights()

@@ -173,13 +173,58 @@ def test_any_model_block_exits_cleanly(surface, data, depth):
 @given(data=st.data(), depth=st.sampled_from(DEPTHS))
 def test_any_weights_file_exits_cleanly(surface, data, depth):
     doc, config, demos, root = surface
-    weights = {"weights": [a["true_weights"] for a in doc["agents"]],
-               "feature_names": [[f["kind"] for f in a["features"]] for a in doc["agents"]]}
     path = root / "weights.json"
-    write(path, data.draw(edited(weights, ["weights", "feature_names"], [])), depth)
-    argv = ["eval", "--config", config, "--demos", demos, "--weights", str(path),
-            "--trials", "1", "--out", str(root / "eval")]
-    assert_clean_exit(*run(argv))
+    write(path, data.draw(edited(_weights_doc(doc), ["weights", "feature_names"], [])), depth)
+    assert_clean_exit(*_eval(config, demos, path, root))
+
+
+def _weights_doc(doc):
+    return {"weights": [a["true_weights"] for a in doc["agents"]],
+            "feature_names": [[f["kind"] for f in a["features"]] for a in doc["agents"]]}
+
+
+def _eval(config, demos, weights, root):
+    return run(["eval", "--config", config, "--demos", demos, "--weights", str(weights),
+                "--trials", "1", "--out", str(root / "eval")])
+
+
+# Finite weights out to the ends of the float range, which the file takes
+# and eval's solves (from the demo start and cold) must fail on or survive;
+# effort weights stay positive, so that most files reach the solves.
+FINITE_EDGES = st.one_of(st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0]),
+                         st.floats(-10.0, 10.0))
+EFFORT_EDGES = st.one_of(st.sampled_from([1e308, 5e-324]), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_finite_weights_exit_cleanly(surface, data):
+    doc, config, demos, root = surface
+    weights = _weights_doc(doc)
+    weights["weights"] = [
+        [data.draw(EFFORT_EDGES if name == "control_effort" else FINITE_EDGES) for name in names]
+        for names in weights["feature_names"]
+    ]
+    path = root / "finite_weights.json"
+    path.write_text(json.dumps(weights), encoding="utf-8")
+    assert_clean_exit(*_eval(config, demos, path, root))
+
+
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80", b"\xc0\xaf"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_weights_file_not_utf8_is_one_error_line(surface, data):
+    doc, config, demos, root = surface
+    text = json.dumps(_weights_doc(doc)).encode("utf-8")
+    at = data.draw(st.integers(0, len(text)))
+    path = root / "bytes_weights.json"
+    path.write_bytes(text[:at] + data.draw(st.sampled_from(NOT_UTF8)) + text[at:])
+    code, stderr = _eval(config, demos, path, root)
+    assert code == 1, stderr
+    assert_clean_exit(code, stderr)
+    assert stderr.startswith(f"error: {path}: invalid weights file ("), stderr
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
