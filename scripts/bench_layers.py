@@ -22,15 +22,16 @@ under its true weights and times, per call:
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
 - ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
-  learner's ``samples_per_expectation``, 1000 the ``--trials`` of the
-  ``sample-eval`` benchmark workload);
+  ``SAMPLES`` rollouts that older learners drew per expectation on
+  nonlinear dynamics, 1000 the ``--trials`` of the ``sample-eval``
+  benchmark workload);
 - ``feature_expectation``, one learner expectation of agent 0's feature
   sums on the converged policies, a call of
   ``irl.estimate_feature_expectation`` as the learner makes it after its
-  solve (with the reduced features on a reduced game): exact from
-  ``rollout_moments`` on dynamics with ``linear_maps``, and otherwise the
-  mean over the config's ``samples_per_expectation`` sampled rollouts from
-  seed 0;
+  solve (with the reduced features on a reduced game): the closed form
+  under ``rollout_moments`` on every dynamics.  A revision whose estimate
+  still takes a sample count averages ``SAMPLES`` sampled rollouts from
+  seed 0 there on nonlinear dynamics;
 - a cold ``solve_ece``;
 - ``solve_ece_demo_start``, ``solve_ece`` from the demo start that ``learn``
   and ``eval`` use (``irl.demo_start``: zero feedback around the mean
@@ -84,6 +85,7 @@ from bench_pairs import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIALS = (50, 200, 1000)
+SAMPLES = 50  # rollouts per expectation of a sampling learner
 BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
 LAYERS = (
@@ -142,7 +144,10 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
     # A revision whose estimate still takes ``embed`` (which its
     # pin_other_agents returns with the reduced game) measures the whole basis
     # on embedded rollouts, and its learner keeps agent 0's row.
-    embedding = "embed" in inspect.signature(estimate).parameters
+    params = inspect.signature(estimate).parameters
+    embedding = "embed" in params
+    # A revision whose estimate still takes a sample count and a seed.
+    sampled = (SAMPLES, 0) if "samples" in params else ()
     features, embed = scenario.basis.agents[agent or 0], None
 
     if agent is not None:
@@ -174,13 +179,11 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
             cost.state_gradient(steps, nominal.states)
             cost.state_hessian(steps, nominal.states)
 
-    samples = scenario.learn_config.samples_per_expectation
-
     def feature_expectation():
         if not embedding:
-            return estimate(game, features, policies, samples, 0)
+            return estimate(game, features, policies, *sampled)
         kwargs = {} if embed is None else {"embed": embed}
-        return estimate(game, scenario.basis, policies, samples, 0, **kwargs)[agent or 0]
+        return estimate(game, scenario.basis, policies, *sampled, **kwargs)[agent or 0]
 
     def refresh_stage():
         if game.dynamics.linear_maps is None:

@@ -35,7 +35,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default="configs/two_agent_crossing.json")
     parser.add_argument("--out", default="results")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="demos draw from seed + 1000, evaluations from seed + 2000")
     parser.add_argument("--trials", type=int, default=200)
     args = parser.parse_args()
 
@@ -52,8 +53,7 @@ def main():
         print(f"[{step}/4] learning weights ({mode} mode)")
         wpath = out / f"weights_{mode}.json"
         run(["learn", "--config", args.config, "--demos", str(demos), "--mode", mode,
-             "--seed", str(args.seed), "--out-weights", str(wpath),
-             "--trace", str(out / f"learn_trace_{mode}.csv")])
+             "--out-weights", str(wpath), "--trace", str(out / f"learn_trace_{mode}.csv")])
         weight_files[mode] = wpath
 
     print("[4/4] evaluating true / joint / independent weights")

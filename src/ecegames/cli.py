@@ -1,7 +1,8 @@
 """Command-line interface: generate demos, solve, learn, evaluate, validate.
 
 Every command is deterministic given its inputs and ``--seed``; re-running
-produces byte-identical outputs.  Exit codes (:func:`main` maps every package
+produces byte-identical outputs.  ``learn`` draws nothing, so it ignores its
+``--seed``.  Exit codes (:func:`main` maps every package
 error to one of them and prints a one-line ``error:`` message to stderr):
 
   0  success.
@@ -101,7 +102,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     try:
         weights, trace = run_mairl(
             scenario.make_game, scenario.basis, demos, init, scenario.learn_config,
-            mode=args.mode, seed=args.seed, solver_config=scenario.solver_config,
+            mode=args.mode, solver_config=scenario.solver_config,
         )
     except LearnSolveError as exc:
         if args.trace:
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="learn in the coupled game (joint, the default) or against the "
                    "other agents replayed from the demos (independent)")
     p.add_argument("--seed", type=_non_negative_int, default=0,
-                   help="first trial seed of sampled expectations (nonlinear dynamics only)")
+                   help="ignored: the learner draws nothing")
     p.add_argument("--out-weights", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_learn)

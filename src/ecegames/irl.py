@@ -13,17 +13,17 @@ at learning rate 0.1, 0.01 or 0.001, where the standardized step at 0.1
 converges in 71; on ``two_agent_crossing`` its residuals rose from 0.53/0.37
 to 4.67/7.34 in 16 sweeps.  The model expectation is refreshed after every
 weight update, since one agent's cost change moves every agent's equilibrium
-behavior.  On linear dynamics it is exact: the equilibrium policies are
-Gaussian, so every state and action of a rollout is Gaussian, and each
-feature's mean under those moments has a closed form (see
-:func:`estimate_feature_expectation`); nothing is sampled and the learner's
-seed changes nothing.  On other dynamics it is a Monte-Carlo average over
-sampled equilibrium rollouts.  Either way the step is the feature-matching
-gradient of maximum-entropy IRL (Ziebart et al., AAAI 2008).
+behavior.  The expectation is drawn from no sample: the equilibrium
+policies are Gaussian, so the rollout's Gaussian moments are propagated
+(exactly on linear dynamics, linearized at the mean rollout elsewhere) and
+each feature's mean under them has a closed form (see
+:func:`estimate_feature_expectation`), so a learn is deterministic.  The
+step is the feature-matching gradient of maximum-entropy IRL (Ziebart et
+al., AAAI 2008).
 
-Two modes, chosen per run with the seed (:func:`run_mairl`'s ``mode`` and
-``seed``, ``learn --mode`` and ``--seed``), while the step size, sample
-count, sweep budget and tolerance are the scenario's (:class:`LearnConfig`):
+Two modes, chosen per run (:func:`run_mairl`'s ``mode``, ``learn
+--mode``), while the step size, sweep budget and tolerance are the
+scenario's (:class:`LearnConfig`):
   * ``joint`` solves the full coupled game at the current weights;
   * ``independent`` learns each agent against the other agents replayed
     open-loop from the demonstrations (their mean action sequences), the
@@ -63,7 +63,6 @@ from .features import (
     control_effort_index,
     eval_features,
     expected_feature_sums,
-    feature_sums,
     validate_weights,
 )
 from .game import (
@@ -74,7 +73,7 @@ from .game import (
     pin_other_agents,
 )
 from .ilq import EceSolution, SolverConfig, solve_ece
-from .simulate import rollout_batch, rollout_moments
+from .simulate import rollout_moments
 
 GameFactory = Callable[[Sequence[Array]], GameSpec]
 
@@ -87,26 +86,21 @@ MODES = ("joint", "independent")
 class LearnConfig:
     """The learner settings of a scenario, each a key of its learner block.
 
-    ``learning_rate`` is the gradient step gamma; ``samples_per_expectation``
-    the Monte-Carlo sample count p, read only on nonlinear dynamics (linear
-    ones take the exact expectation and sample nothing); convergence is
-    declared when every agent's relative feature-matching residual drops
-    below ``residual_tol`` within at most ``max_outer_iterations`` sweeps.
+    ``learning_rate`` is the gradient step gamma; convergence is declared
+    when every agent's relative feature-matching residual drops below
+    ``residual_tol`` within at most ``max_outer_iterations`` sweeps.
     Each step is gamma times the standardized gap (each feature's gap over
     its demo-mean magnitude), the only step: the raw gap stalled or diverged
     on the shipped scenarios (see the module docstring).
     """
 
     learning_rate: float = 0.05
-    samples_per_expectation: int = 50
     max_outer_iterations: int = 200
     residual_tol: float = 0.05
 
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError("learning rate must be non-negative and finite")
-        if self.samples_per_expectation < 1:
-            raise ValueError("need at least one sample per expectation")
         if self.max_outer_iterations < 1:
             raise ValueError("need at least one outer iteration")
         if not self.residual_tol > 0.0:
@@ -167,27 +161,17 @@ def reduced_features(features: Sequence) -> tuple:
 
 
 def estimate_feature_expectation(
-    game: GameSpec,
-    features: Sequence,
-    policies: AffineGaussianPolicySet,
-    samples: int,
-    base_seed: int,
+    game: GameSpec, features: Sequence, policies: AffineGaussianPolicySet
 ) -> Array:
     """Expected feature sums (F,) of one agent's ``features`` (on a reduced
     game, its :func:`reduced_features`) in ``game`` played with ``policies``.
 
-    On dynamics whose ``linear_maps`` are set the expectation is exact: the
-    Gaussian marginals of :func:`~ecegames.simulate.rollout_moments` and each
-    feature's closed-form mean under them
-    (:func:`~ecegames.features.expected_feature_sums`), with no sampling, so
-    ``samples`` and ``base_seed`` are not read.  On other dynamics it
-    averages feature sums over ``samples`` stochastic rollouts with trial
-    seeds ``base_seed + j`` (initial states drawn from the game's
-    initial-state distribution).
+    Each feature's closed-form mean
+    (:func:`~ecegames.features.expected_feature_sums`) under the Gaussian
+    marginals of :func:`~ecegames.simulate.rollout_moments`: exact on linear
+    dynamics, linearized at the mean rollout elsewhere.  Nothing is sampled.
     """
-    if game.dynamics.linear_maps is not None:
-        return expected_feature_sums(features, rollout_moments(game, policies))
-    return _trial_mean(feature_sums(features, rollout_batch(game, policies, samples, base_seed)))
+    return expected_feature_sums(features, rollout_moments(game, policies))
 
 
 def _solve_with_retry(game, start, solver_config):
@@ -288,21 +272,20 @@ def run_mairl(
     cfg: LearnConfig | None = None,
     *,
     mode: str = "joint",
-    seed: int = 0,
     solver_config: SolverConfig | None = None,
 ) -> tuple[list[Array], LearnTrace]:
     """Learn all agents' feature weights from interaction demonstrations.
 
-    ``mode`` is ``"joint"`` or ``"independent"`` (see the module docstring);
-    ``seed`` (non-negative) is the first trial seed of the sampled
-    expectations, which nonlinear dynamics alone draw.  Outer loop over
-    block-coordinate sweeps: for each agent in turn, solve the equilibrium
-    (the first solve of each game from its :func:`demo_start`, every later
-    one warm-started from the previous solution; a failed start is retried
-    cold), estimate the agent's feature expectation under the current full
-    weight set, take one gradient step on that agent's weights, and continue
-    with the refreshed set.  A failure of either phase raises
-    :class:`LearnSolveError` naming it.
+    ``mode`` is ``"joint"`` or ``"independent"`` (see the module docstring).
+    Outer loop over block-coordinate sweeps: for each agent in turn, solve
+    the equilibrium (the first solve of each game from its
+    :func:`demo_start`, every later one warm-started from the previous
+    solution; a failed start is retried cold), take the agent's feature
+    expectation under the current full weight set
+    (:func:`estimate_feature_expectation`, which draws nothing), take one
+    gradient step on that agent's weights, and continue with the refreshed
+    set.  A failure of either phase raises :class:`LearnSolveError` naming
+    it.
 
     Convergence requires every agent's relative feature-matching residual
     (RMS of per-feature relative gaps) below tolerance within one sweep.
@@ -315,13 +298,10 @@ def run_mairl(
     cfg = cfg or LearnConfig()
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     weights = [w.copy() for w in validate_weights(basis, init_weights)]
     demo_means = empirical_feature_mean(basis, demos)
     N = basis.num_agents
     effort_indices = [control_effort_index(feats) for feats in basis.agents]
-    p = cfg.samples_per_expectation
     trace = LearnTrace()
 
     joint = mode == "joint"
@@ -348,9 +328,7 @@ def run_mairl(
                 solution = _solve_with_retry(played, warm[key], solver_config)
                 warm[key] = solution.policies
                 phase = "feature expectation"
-                model_mean = estimate_feature_expectation(
-                    played, measured[i], solution.policies, p, seed + (sweep * N + i) * p
-                )
+                model_mean = estimate_feature_expectation(played, measured[i], solution.policies)
             except EcegamesError as exc:
                 raise LearnSolveError(i, weights, exc, trace, phase) from exc
 

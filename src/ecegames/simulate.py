@@ -44,9 +44,10 @@ models and their reduced games) takes the per-step loop with one trial and
 no noise; it is the loop that samples, and its rollouts are bit for bit
 those of a per-step reference.
 
-On the same linear models :func:`rollout_moments` runs that closed loop with
-a covariance recursion beside it, for the exact Gaussian marginals of the
-sampled trials without drawing any.
+:func:`rollout_moments` gives the Gaussian marginals of the sampled trials
+without drawing any, on every dynamics: :func:`simulate_mean`'s rollout and
+a covariance recursion through the dynamics' Jacobians along it.  They are
+exact on linear models and a linearization on the others.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def _rollout(game: GameSpec, policies: AffineGaussianPolicySet, states: Array,
     so noise + mean has the bits of mean + noise.
 
     The loop runs to the end without checking the states, with floating-point
-    warnings off; then the first non-finite state row of the first trial
-    that has one names the step of :class:`SimulationDivergedError`."""
+    warnings off (see :func:`_check_finite`)."""
     T, step = game.horizon, game.dynamics.step
     # Step-major views: S[k] and a[k] are step k's states and actions.
     S, cols = states.swapaxes(0, -2), [a.swapaxes(0, -2) for a in actions]
@@ -105,7 +105,12 @@ def _rollout(game: GameSpec, policies: AffineGaussianPolicySet, states: Array,
                 if getattr(drift, "shape", None) != s.shape:
                     raise ValueError(f"dynamics step returned {np.shape(drift)}, not {s.shape}")
                 S[k + 1] = S[k + 1] + drift if noisy else drift
-    finite = np.isfinite(states).all(axis=-1).reshape(-1, T)
+
+
+def _check_finite(states: Array) -> None:
+    """Raise :class:`SimulationDivergedError` naming the first non-finite
+    state row of the first trial that has one."""
+    finite = np.isfinite(states).all(axis=-1).reshape(-1, states.shape[-2])
     if not finite.all():
         trial = finite.all(axis=1).argmin()
         raise SimulationDivergedError(time_step=int(finite[trial].argmin()) + 1)
@@ -113,16 +118,15 @@ def _rollout(game: GameSpec, policies: AffineGaussianPolicySet, states: Array,
 
 def _closed_loop(
     policies: AffineGaussianPolicySet, s: Array, A: Array, B: Array, offset: Array | None
-) -> tuple[Array, Array, Array]:
+) -> tuple[Array, Array]:
     """Mean states (T, n) and concatenated mean actions (T, K) of the
     feedback law on linear dynamics s' = A s + B a (+ offset_t), from the
-    initial state ``s``, without checking them, and the closed-loop maps
-    Phi (T-1, n, n).
+    initial state ``s``, without checking them.
 
     With every agent's law stacked on the concatenated actions,
     a_t = d_t - P_t s_t where d_t = abar_t - alpha_t + P_t sbar_t, so
-    s_{t+1} = Phi_t s_t + c_t with Phi_t = A - B P_t and
-    c_t = B d_t (+ offset_t): one product and one sum per step.
+    s_{t+1} = (A - B P_t) s_t + c_t with c_t = B d_t (+ offset_t): one
+    product and one sum per step.
     """
     P = np.concatenate(policies.gains, axis=1)
     d = np.concatenate(policies.nominal_actions, axis=1)
@@ -138,7 +142,26 @@ def _closed_loop(
     for F, c_t, row in zip(Phi, c, states[1:]):
         s = np.matmul(F, s, out=row)
         s += c_t
-    return states, d - (P @ states[:, :, None])[..., 0], Phi
+    return states, d - (P @ states[:, :, None])[..., 0]
+
+
+def _mean_rollout(
+    game: GameSpec, policies: AffineGaussianPolicySet, closed_loop: bool = True
+) -> tuple[Array, tuple[Array, ...]]:
+    """Mean states (T, n) and per-agent mean actions (T, m_i), unchecked:
+    through the closed loop when the dynamics' ``linear_maps`` are set and
+    ``closed_loop`` holds, otherwise through the per-step loop."""
+    maps = game.dynamics.linear_maps
+    if closed_loop and maps is not None:
+        with np.errstate(all="ignore"):
+            states, actions = _closed_loop(policies, game.initial_state.mean, *maps)
+        dims = game.action_dims
+        return states, tuple(actions[:, e - m : e].copy() for e, m in zip(np.cumsum(dims), dims))
+    states = np.empty((game.horizon, game.state_dim))
+    states[0] = game.initial_state.mean
+    actions = tuple(np.empty((game.horizon, m)) for m in game.action_dims)
+    _rollout(game, policies, states, actions, noisy=False)
+    return states, actions
 
 
 def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajectory:
@@ -152,55 +175,49 @@ def simulate_mean(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajecto
     per-step loop's state stops being finite.
     """
     _check_dimensions(game, policies)
-    maps = game.dynamics.linear_maps
-    if maps is not None:
-        with np.errstate(all="ignore"):
-            states, actions, _ = _closed_loop(policies, game.initial_state.mean, *maps)
-        if np.isfinite(states).all():
-            dims = game.action_dims
-            cut = [actions[:, e - m : e].copy() for e, m in zip(np.cumsum(dims), dims)]
-            return Trajectory(states=states, actions=tuple(cut))
-    states = np.empty((game.horizon, game.state_dim))
-    states[0] = game.initial_state.mean
-    actions = tuple(np.empty((game.horizon, m)) for m in game.action_dims)
-    _rollout(game, policies, states, actions, noisy=False)
+    states, actions = _mean_rollout(game, policies)
+    if not np.isfinite(states).all():
+        if game.dynamics.linear_maps is not None:
+            # The per-step loop names the step at which it diverges.
+            states, actions = _mean_rollout(game, policies, closed_loop=False)
+        _check_finite(states)
     return Trajectory(states=states, actions=actions)
 
 
 def rollout_moments(game: GameSpec, policies: AffineGaussianPolicySet) -> TrajectoryMoments:
-    """The exact Gaussian marginals of :func:`rollout_batch`'s trials, for
-    dynamics whose ``linear_maps`` are set (``ValueError`` for others).
+    """The Gaussian marginals of :func:`rollout_batch`'s trials: exact on
+    linear models, and linearized at the mean-action rollout elsewhere.
 
-    On linear dynamics every s_t and a_t of a trial is Gaussian.  The means
-    are those of :func:`simulate_mean`'s closed loop.  The state covariance
+    The means are :func:`simulate_mean`'s rollout.  The state covariance
     starts from the initial-state covariance (zero for a fixed initial state)
     and follows
 
-        Sigma_{t+1} = Phi_t Sigma_t Phi_t' + B Sigma^pol_t B' + G W G',
+        Sigma_{t+1} = Phi_t Sigma_t Phi_t' + B_t Sigma^pol_t B_t' + G W G',
 
-    with Phi_t = A - B P_t and Sigma^pol_t the policies' block-diagonal
-    covariance on the concatenated actions, as the agents draw independently.
-    Agent i's action covariance is P^i_t Sigma_t P^i_t' + Sigma^i_t.  Raises
+    with Phi_t = A_t - B_t P_t, where A_t and B_t are the dynamics'
+    ``jacobians`` at the mean rollout, one stacked call over the steps, and
+    Sigma^pol_t the policies' block-diagonal covariance on the concatenated
+    actions, as the agents draw independently.  Agent i's action covariance
+    is P^i_t Sigma_t P^i_t' + Sigma^i_t.  On linear dynamics every s_t and
+    a_t of a trial is Gaussian with these moments; on others (unicycles,
+    custom models and their reduced games) they are the first-order
+    propagation of the noise around the mean rollout.  Raises
     :class:`SimulationDivergedError` naming the first step whose mean state
     or state covariance is not finite, and the state covariance when the
     mean state there is finite.
     """
     _check_dimensions(game, policies)
-    maps = game.dynamics.linear_maps
-    if maps is None:
-        raise ValueError("moments are exact only for dynamics with linear_maps")
-    initial, dims, n = game.initial_state, game.action_dims, game.state_dim
-    ends = np.cumsum(dims)
+    T, G = game.horizon, game.noise.factor
+    states, actions = _mean_rollout(game, policies)
     with np.errstate(all="ignore"):
-        states, actions, Phi = _closed_loop(policies, initial.mean, *maps)
-        G = game.noise.factor
+        A, Bs = game.dynamics.jacobians(np.arange(1, T), states[:-1], [a[:-1] for a in actions])
+        Phi = A - np.concatenate(Bs, axis=-1) @ np.concatenate(policies.gains, axis=1)[:-1]
         added = np.broadcast_to(G @ G.T, Phi.shape).copy()
-        for S, e, m in zip(policies.covariances, ends, dims):
-            Bi = maps[1][:, e - m : e]
-            added += Bi @ S[:-1] @ Bi.T
-        cov = np.zeros((game.horizon, n, n))
-        if initial.covariance is not None:
-            cov[0] = initial.covariance
+        for S, Bi in zip(policies.covariances, Bs):
+            added += Bi @ S[:-1] @ Bi.swapaxes(-1, -2)
+        cov = np.zeros((T, game.state_dim, game.state_dim))
+        if game.initial_state.covariance is not None:
+            cov[0] = game.initial_state.covariance
         for F, Q, prev, row in zip(Phi, added, cov, cov[1:]):
             np.matmul(F @ prev, F.T, out=row)
             row += Q
@@ -213,10 +230,7 @@ def rollout_moments(game: GameSpec, policies: AffineGaussianPolicySet) -> Trajec
         quantity = "state" if not finite_mean[t] else "state covariance"
         raise SimulationDivergedError(time_step=t + 1, quantity=quantity)
     return TrajectoryMoments(
-        states=states,
-        actions=tuple(actions[:, e - m : e] for e, m in zip(ends, dims)),
-        state_covariances=cov,
-        action_covariances=action_cov,
+        states=states, actions=actions, state_covariances=cov, action_covariances=action_cov
     )
 
 
@@ -273,6 +287,7 @@ def rollout_batch(
             a[chunk] = (L @ rows[..., end - m : end, None])[..., 0]
         states[chunk, 1:] = (G @ rows[:, :-1, ends[-1] :, None])[..., 0]
     _rollout(game, policies, states, actions, noisy=True)
+    _check_finite(states)
     return TrajectoryBatch(states=states, actions=actions)
 
 

@@ -171,7 +171,6 @@ def small_scenario():
             },
             "learner": {
                 "learning_rate": 0.1,
-                "samples_per_expectation": 10,
                 "max_outer_iterations": 60,
                 "residual_tol": 0.05,
             },

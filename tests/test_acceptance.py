@@ -307,7 +307,6 @@ def test_criterion_6_weight_recovery(crossing_scenario, tmp_path, config_dir):
         demo_path, crossing_scenario.state_dim, crossing_scenario.action_dims
     )
     cfg = crossing_scenario.learn_config
-    assert cfg.samples_per_expectation == 50
     weights, trace = run_mairl(
         crossing_scenario.make_game,
         crossing_scenario.basis,
@@ -357,22 +356,23 @@ def test_criterion_7_baseline_ordering(crossing_scenario, tmp_path):
         kls = kl_divergence_per_feature(demos, model, crossing_scenario.basis)
         return float(np.sum([np.sum(v) for v in kls]))
 
+    learned = {
+        mode: run_mairl(
+            crossing_scenario.make_game,
+            crossing_scenario.basis,
+            demos,
+            [np.ones(3), np.ones(3)],
+            crossing_scenario.learn_config,
+            mode=mode,
+            solver_config=crossing_scenario.solver_config,
+        )[0]
+        for mode in ("joint", "independent")
+    }
     wins = 0
     details = []
+    # The learner draws nothing, so the seeds vary only the scoring samples.
     for seed in (11, 22, 33, 44, 55):
-        totals = {}
-        for mode in ("joint", "independent"):
-            w, _ = run_mairl(
-                crossing_scenario.make_game,
-                crossing_scenario.basis,
-                demos,
-                [np.ones(3), np.ones(3)],
-                crossing_scenario.learn_config,
-                mode=mode,
-                seed=seed,
-                solver_config=crossing_scenario.solver_config,
-            )
-            totals[mode] = total_kl(w, 9000 + seed)
+        totals = {mode: total_kl(w, 9000 + seed) for mode, w in learned.items()}
         wins += totals["joint"] <= totals["independent"]
         details.append(f"{totals['joint']:.2f}/{totals['independent']:.2f}")
     elapsed = time.monotonic() - t0

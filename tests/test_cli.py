@@ -45,7 +45,7 @@ def test_negative_seed_is_usage_error(command, tmp_path, lq_config, capsys):
 
 
 # The scenario's learner block is the one place for the learner's numerics,
-# and learn --mode and --seed the one place for a run's choices.
+# and learn --mode the one place for a run's choice.
 @pytest.mark.parametrize("flag", [["--lr", "0.1"], ["--samples", "5"]])
 def test_learner_numerics_are_not_flags(flag, tmp_path, lq_config, capsys):
     with pytest.raises(SystemExit) as err:
@@ -67,6 +67,36 @@ def test_run_choices_are_not_config_keys(key, value, tmp_path, lq_config, capsys
                "--out-weights", str(tmp_path / "w.json")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: unknown key '{key}' in learner\n"
+
+
+def test_sample_count_is_not_a_config_key(tmp_path, lq_config, capsys):
+    # The learner draws nothing, so a Monte-Carlo sample count is refused.
+    cfg = json.loads(Path(lq_config).read_text())
+    cfg["learner"]["samples_per_expectation"] = 50
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    rc = main(["learn", "--config", str(config), "--demos", str(tmp_path / "d.csv"),
+               "--out-weights", str(tmp_path / "w.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown key 'samples_per_expectation' in learner\n"
+
+
+def test_learn_ignores_its_seed(tmp_path, lq_config):
+    # On unicycle dynamics too the learner draws nothing: --seed changes no byte.
+    cfg = json.loads(Path(lq_config).read_text())
+    cfg["dynamics"] = {"kind": "unicycle"}
+    cfg["learner"]["max_outer_iterations"] = 3
+    config, demos = str(tmp_path / "unicycle.json"), str(tmp_path / "demos.csv")
+    Path(config).write_text(json.dumps(cfg))
+    assert main(["gen-demos", "--config", config, "--trials", "20", "--seed", "1",
+                 "--out", demos]) == 0
+    outputs = []
+    for run, seed in enumerate(([], ["--seed", "5"])):
+        weights, trace = tmp_path / f"weights{run}.json", tmp_path / f"trace{run}.csv"
+        main(["learn", "--config", config, "--demos", demos, *seed,
+              "--out-weights", str(weights), "--trace", str(trace)])
+        outputs.append((read_bytes(weights), read_bytes(trace)))
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_cli_block_shows_every_flag(config_dir):
@@ -237,7 +267,6 @@ def small_config(tmp_path_factory, config_dir):
     # A reduced copy of the crossing scenario that learns in seconds.
     cfg = json.loads(open(config_dir / "two_agent_crossing.json").read())
     cfg["horizon"] = 20
-    cfg["learner"]["samples_per_expectation"] = 10
     cfg["learner"]["max_outer_iterations"] = 40
     cfg["learner"]["residual_tol"] = 0.2
     path = tmp_path_factory.mktemp("cfg") / "small.json"

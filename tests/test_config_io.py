@@ -210,7 +210,6 @@ class TestParsing:
             },
             "learner": {
                 "learning_rate": 0.05,
-                "samples_per_expectation": 50,
                 "max_outer_iterations": 200,
                 "residual_tol": 0.05,
             },
@@ -314,8 +313,10 @@ MALFORMED_VALUES = [
     pytest.param(("learner",), [], "learner", id="keys25-value25-learner"),
     pytest.param(("learner",), {"learning_rate": None}, "learner.learning_rate",
                  id="keys26-value26-learner.learning_rate"),
+    # The Monte-Carlo sample count is gone: a config that still carries one,
+    # however malformed, is refused as an unknown key named with its block.
     pytest.param(("learner",), {"samples_per_expectation": "ten"},
-                 "learner.samples_per_expectation",
+                 "unknown key 'samples_per_expectation' in learner",
                  id="keys27-value27-learner.samples_per_expectation"),
     pytest.param(("dynamics",), [], "dynamics", id="keys30-value30-dynamics"),
     pytest.param(("dynamics",), "double_integrator", "dynamics",
@@ -355,7 +356,7 @@ MALFORMED_VALUES = [
     pytest.param(("learner",), {"residual_tol": float("-inf")}, "learner.residual_tol",
                  id="keys49-value49-learner.residual_tol"),
     pytest.param(("learner",), {"samples_per_expectation": 10.5},
-                 "learner.samples_per_expectation",
+                 "unknown key 'samples_per_expectation' in learner",
                  id="keys50-value50-learner.samples_per_expectation"),
     pytest.param(("agents", 0, "start"), [float("nan"), 0.0], "agents[0].start",
                  id="keys51-value51-agents[0].start"),
@@ -463,7 +464,6 @@ class TestSettingsRoundTrip:
     }
     LEARNER = {
         "learning_rate": 0.3,
-        "samples_per_expectation": 7,
         "max_outer_iterations": 9,
         "residual_tol": 0.2,
     }
@@ -502,6 +502,8 @@ class TestSettingsRoundTrip:
             ("solver", "strict_paper"),
             ("solver", "min_step"),
             ("learner", "standardize_gaps"),
+            # The Monte-Carlo sample count: the learner draws nothing.
+            ("learner", "samples_per_expectation"),
         ],
     )
     def test_unsettable_key_rejected(self, block, key):

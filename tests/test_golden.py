@@ -2,8 +2,8 @@
 
 Runs the criterion-8 command set on ``lq_tracking``, a ``gen-demos`` /
 ``solve`` pair on ``two_agent_crossing`` and a joint and an independent
-``learn`` on the crossing demos (capped at one sweep of 10 samples per
-expectation, so neither converges and both exit 1), then compares the
+``learn`` on the crossing demos (capped at one sweep, so neither converges
+and both exit 1), then compares the
 SHA-256 of every output file with ``tests/golden/digests.json``.  The
 digests pin the exact floating-point path (numpy, BLAS, summation order),
 so a change that moves any output, even by one unit in the last place,
@@ -29,7 +29,7 @@ CROSSING = str(ROOT / "configs" / "two_agent_crossing.json")
 # Learner settings of the crossing learn runs; compute_digests writes the
 # crossing config with these settings to LEARN_CONFIG in the output directory.
 LEARN_CONFIG = "crossing_learn.json"
-LEARN_CAPS = {"max_outer_iterations": 1, "samples_per_expectation": 10}
+LEARN_CAPS = {"max_outer_iterations": 1}
 NOT_CONVERGED = 1
 
 

@@ -1,4 +1,4 @@
-"""Inverse learning: feature means, Monte-Carlo expectations, weight updates."""
+"""Inverse learning: feature means, model expectations, weight updates."""
 
 import numpy as np
 import pytest
@@ -101,17 +101,9 @@ class TestEstimateFeatureExpectation:
         basis, factory = scalar_tracking_scenario(horizon=4, temperature=1e-12)
         game = factory([np.array([2.0, 1.0])])
         policies = solve_ece(game).policies
-        means = estimate_feature_expectation(game, basis.agents[0], policies, 1, 0)
+        means = estimate_feature_expectation(game, basis.agents[0], policies)
         ref = eval_features(basis, simulate_mean(game, policies))
         assert np.max(np.abs(means - ref[0])) < 1e-5
-
-    def test_seed_determinism(self):
-        basis, factory = scalar_tracking_scenario(horizon=3, noise=True)
-        game = factory([np.array([2.0, 1.0])])
-        policies = solve_ece(game).policies
-        a = estimate_feature_expectation(game, basis.agents[0], policies, 20, 7)
-        b = estimate_feature_expectation(game, basis.agents[0], policies, 20, 7)
-        assert np.array_equal(a, b)
 
     def test_effort_expectation_matches_gaussian_moments(self):
         # Two-step game, no process noise: E sum ||a_t||^2 has a closed form
@@ -120,7 +112,7 @@ class TestEstimateFeatureExpectation:
         game = factory([np.array([3.0, 1.0])])
         p = 2000
         policies = solve_ece(game).policies
-        means = estimate_feature_expectation(game, basis.agents[0], policies, p, 123)
+        means = estimate_feature_expectation(game, basis.agents[0], policies)
         s1 = game.initial_state.mean
         mu1 = mean_actions_per_agent(policies, 0, s1)[0]
         closed = (
@@ -131,7 +123,8 @@ class TestEstimateFeatureExpectation:
         samples = rollout_batch(game, policies, p, 123)
         efforts = np.array([eval_features(basis, t)[0][1] for t in samples])
         se = efforts.std(ddof=1) / np.sqrt(p)
-        assert abs(means[1] - closed) < 3.0 * se
+        assert means[1] == pytest.approx(closed, rel=1e-12)
+        assert abs(efforts.mean() - closed) < 3.0 * se
 
 
 class TestUpdateWeights:
@@ -210,43 +203,19 @@ class TestRunMairl:
         game = small_scenario.make_game(true_w)
         sol = solve_ece(game, config=small_scenario.solver_config)
         demos = rollout_batch(game, sol.policies, 400, 500)
-        cfg = replace(small_scenario.learn_config, samples_per_expectation=250)
+        cfg = small_scenario.learn_config
         weights, trace = run_mairl(
             small_scenario.make_game,
             small_scenario.basis,
             demos,
             true_w,
             cfg,
-            seed=9,
             solver_config=small_scenario.solver_config,
         )
         assert trace.converged
         assert trace.records[-1].iteration == 1
         for w, w0 in zip(weights, true_w):
             assert np.max(np.abs(w - w0)) < cfg.learning_rate * 0.5
-
-    def test_seed_determinism(self, small_scenario):
-        true_w = small_scenario.true_weights()
-        game = small_scenario.make_game(true_w)
-        sol = solve_ece(game, config=small_scenario.solver_config)
-        demos = rollout_batch(game, sol.policies, 30, 500)
-        cfg = replace(
-            small_scenario.learn_config,
-            samples_per_expectation=5,
-            max_outer_iterations=3,
-            residual_tol=1e-9,
-        )
-        w_a, trace_a = run_mairl(
-            small_scenario.make_game, small_scenario.basis, demos,
-            [np.ones(3), np.ones(3)], cfg, solver_config=small_scenario.solver_config,
-        )
-        w_b, trace_b = run_mairl(
-            small_scenario.make_game, small_scenario.basis, demos,
-            [np.ones(3), np.ones(3)], cfg, solver_config=small_scenario.solver_config,
-        )
-        for a, b in zip(w_a, w_b):
-            assert np.array_equal(a, b)
-        assert [r.residual for r in trace_a.records] == [r.residual for r in trace_b.records]
 
     def test_single_agent_modes_identical(self):
         basis, factory = scalar_tracking_scenario(horizon=6, noise=True)
@@ -256,14 +225,8 @@ class TestRunMairl:
         demos = rollout_batch(game, sol.policies, 40, 800)
         results = {}
         for mode in ("joint", "independent"):
-            cfg = LearnConfig(
-                learning_rate=0.1,
-                samples_per_expectation=8,
-                max_outer_iterations=4,
-                residual_tol=1e-9,
-            )
-            w, trace = run_mairl(factory, basis, demos, [np.array([1.0, 1.0])], cfg,
-                                 mode=mode, seed=4)
+            cfg = LearnConfig(learning_rate=0.1, max_outer_iterations=4, residual_tol=1e-9)
+            w, trace = run_mairl(factory, basis, demos, [np.array([1.0, 1.0])], cfg, mode=mode)
             results[mode] = (w, [r.residual for r in trace.records])
         assert np.array_equal(results["joint"][0][0], results["independent"][0][0])
         assert results["joint"][1] == results["independent"][1]
@@ -275,7 +238,7 @@ class TestRunMairl:
         demos = rollout_batch(game, sol.policies, 100, 500)
         weights, trace = run_mairl(
             small_scenario.make_game, small_scenario.basis, demos,
-            [np.ones(3), np.ones(3)], small_scenario.learn_config, seed=13,
+            [np.ones(3), np.ones(3)], small_scenario.learn_config,
             solver_config=small_scenario.solver_config,
         )
         per_sweep = {}
@@ -286,7 +249,6 @@ class TestRunMairl:
         assert np.mean(totals[-window:]) < np.mean(totals[:window])
 
     @pytest.mark.parametrize("run, message", [
-        pytest.param({"seed": -1}, "seed must be non-negative", id="negative-seed"),
         pytest.param({"mode": "both"}, "unknown mode 'both'", id="unknown-mode"),
     ])
     def test_run_choices_checked_before_learning(self, small_scenario, run, message):
@@ -302,7 +264,7 @@ class TestRunMairl:
         with pytest.raises(LearnSolveError) as err:
             run_mairl(
                 factory, basis, demos, [np.array([1.0, 1.0])],
-                LearnConfig(samples_per_expectation=2), solver_config=bad_cfg,
+                LearnConfig(), solver_config=bad_cfg,
             )
         assert len(err.value.weights) == 1
 
@@ -310,9 +272,7 @@ class TestRunMairl:
         game = small_scenario.make_game(small_scenario.true_weights())
         sol = solve_ece(game, config=small_scenario.solver_config)
         demos = rollout_batch(game, sol.policies, 10, 500)
-        cfg = replace(
-            small_scenario.learn_config, max_outer_iterations=2, samples_per_expectation=2
-        )
+        cfg = replace(small_scenario.learn_config, max_outer_iterations=2)
         starts = []
         demo = irl.demo_start(demos)
 
@@ -368,7 +328,6 @@ class TestRunMairl:
             small_scenario.learn_config,
             max_outer_iterations=2,
             residual_tol=1e-9,
-            samples_per_expectation=4,
         )
         weights, trace = run_mairl(
             small_scenario.make_game, small_scenario.basis, demos,

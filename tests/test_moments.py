@@ -1,12 +1,16 @@
-"""Exact learner expectations on linear dynamics.
+"""The learner's expectations from Gaussian moments, on every dynamics.
 
-On a model with ``linear_maps`` every state and action of a sampled rollout
-is Gaussian, so ``rollout_moments`` propagates its mean and covariance and
-``expected_feature_sums`` takes each feature's closed-form mean under them.
-``estimate_feature_expectation`` uses that path wherever the dynamics are
-linear and samples only on other dynamics.  The closed forms are held to a
-20,000-trial Monte-Carlo estimate on every shipped config, in the joint game
-and in every agent's reduced game, with the seed fixed in advance.
+``rollout_moments`` propagates the mean and covariance of a sampled rollout
+through the dynamics' Jacobians at the mean rollout, and
+``expected_feature_sums`` takes each feature's closed-form mean under them;
+``estimate_feature_expectation`` is that and nothing else, so the learner
+samples nothing.  On a linear model every state and action of a rollout is
+Gaussian and the moments are exact; on unicycles they are a linearization.
+The closed forms are held to a 20,000-trial Monte-Carlo estimate on every
+shipped config and its unicycle variant, in the joint game and in every
+agent's reduced game, with the seed fixed in advance: within ``MC_SE``
+standard errors on linear models, within ``LINEARIZED_BIAS`` of each
+feature's sampled mean on unicycles.
 """
 
 from dataclasses import replace
@@ -23,10 +27,12 @@ from ecegames import (
     dynamics,
     eval_features,
     irl,
+    linearize,
     pin_other_agents,
     quadratic_cost,
     rollout_batch,
     run_mairl,
+    simulate,
     simulate_mean,
     solve_ece,
 )
@@ -41,9 +47,10 @@ MC_TRIALS = 20_000
 MC_CHUNK = 2_000  # trials per rollout_batch call, to keep memory small
 MC_SEED = 0
 MC_SE = 3.0
+LINEARIZED_BIAS = 0.05  # relative to each feature's sampled mean
 
 
-@pytest.fixture(scope="module", params=SHIPPED)
+@pytest.fixture(scope="module", params=SHIPPED + tuple(f"{s}_unicycle" for s in SHIPPED))
 def shipped(request, config_dir):
     """(scenario, game, equilibrium policies) of a shipped config."""
     scenario, game = shipped_game(config_dir, request.param)
@@ -77,11 +84,18 @@ def monte_carlo(measured, game, policies):
 @pytest.mark.slow
 def test_exact_expectation_matches_monte_carlo(shipped):
     scenario, game, policies = shipped
+    linear = game.dynamics.linear_maps is not None
     for label, played, measured in played_games(scenario.basis, game, policies):
         solved = solve_ece(played, config=scenario.solver_config).policies
         for i, (mean, se) in monte_carlo(measured, played, solved).items():
-            exact = estimate_feature_expectation(played, measured[i], solved, 1, 0)
-            assert np.all(np.abs(exact - mean) <= MC_SE * se), (label, i, exact, mean, se)
+            closed = estimate_feature_expectation(played, measured[i], solved)
+            z, bias = np.abs(closed - mean) / se, np.abs(closed - mean) / np.abs(mean)
+            print(f"{label}, features of agent {i}: |z| {np.round(z, 2)}, "
+                  f"relative bias {np.round(bias, 4)}")
+            if linear:
+                assert np.all(z <= MC_SE), (label, i, closed, mean, se)
+            else:
+                assert np.all(bias <= LINEARIZED_BIAS), (label, i, closed, mean, bias)
 
 
 def test_mean_trajectory_at_zero_covariance(shipped):
@@ -148,51 +162,48 @@ def test_non_finite_moments_name_their_step():
     assert str(err.value) == "non-finite state encountered at time step t=3"
 
 
-def test_nonlinear_dynamics_are_refused(config_dir):
-    scenario, game = shipped_game(config_dir, "lq_tracking_unicycle")
-    policies = AffineGaussianPolicySet.zero(game.horizon, game.state_dim, game.action_dims)
-    with pytest.raises(ValueError, match="linear_maps"):
-        rollout_moments(game, policies)
+@pytest.mark.parametrize("name", ["lq_tracking_unicycle", "two_agent_crossing_unicycle"])
+def test_unicycle_moments_follow_the_mean_rollout_jacobians(config_dir, name):
+    """Off linear models the means are the mean rollout and the covariances
+    the recursion through its Jacobians, here stepped one step and one agent
+    at a time, with the Jacobians of ``linearize`` (the solver's)."""
+    scenario, game = shipped_game(config_dir, name)
+    policies = solve_ece(game, config=scenario.solver_config).policies
+    mean = simulate_mean(game, policies)
+    moments = rollout_moments(game, policies)
+    assert np.array_equal(moments.states, mean.states)
+    assert all(np.array_equal(a, b) for a, b in zip(moments.actions, mean.actions, strict=True))
+    A, Bs = linearize(game, mean)
+    G = game.noise.factor
+    cov = np.zeros((game.state_dim, game.state_dim))
+    for t in range(game.horizon - 1):
+        F, added = A[t].copy(), G @ G.T
+        for B, P, S in zip(Bs, policies.gains, policies.covariances):
+            F -= B[t] @ P[t]
+            added = added + B[t] @ S[t] @ B[t].T
+        cov = F @ cov @ F.T + added
+        assert np.allclose(moments.state_covariances[t + 1], cov, rtol=1e-12, atol=1e-15), t
 
 
-def counted_rollouts(monkeypatch):
-    """Replace the learner's ``rollout_batch`` with one that records its trial counts."""
-    calls = []
-
-    def counted(game, policies, trials, base_seed):
-        calls.append(trials)
-        return rollout_batch(game, policies, trials, base_seed)
-
-    monkeypatch.setattr(irl, "rollout_batch", counted)
-    return calls
-
-
-def learn(scenario, game, mode, seed=0):
+@pytest.mark.parametrize("name, mode", [
+    pytest.param("lq_tracking", "joint", id="joint"),
+    pytest.param("lq_tracking", "independent", id="independent"),
+    pytest.param("lq_tracking_unicycle", "joint", id="unicycle-joint"),
+    pytest.param("lq_tracking_unicycle", "independent", id="unicycle-independent"),
+])
+def test_linear_learn_samples_nothing(config_dir, monkeypatch, name, mode):
+    """``lq_tracking`` and its unicycle variant learn with the sampler broken."""
+    scenario, game = shipped_game(config_dir, name)
     policies = solve_ece(game, config=scenario.solver_config).policies
     demos = rollout_batch(game, policies, 10, 3)
-    cfg = replace(scenario.learn_config, max_outer_iterations=2, samples_per_expectation=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the learner sampled")
+
+    for module in (simulate, irl):
+        monkeypatch.setattr(module, "rollout_batch", refuse, raising=False)
+    cfg = replace(scenario.learn_config, max_outer_iterations=2)
     init = [np.ones(len(feats)) for feats in scenario.basis.agents]
-    return run_mairl(scenario.make_game, scenario.basis, demos, init, cfg, mode=mode, seed=seed,
-                     solver_config=scenario.solver_config)
-
-
-@pytest.mark.parametrize("mode", ["joint", "independent"])
-def test_linear_learn_samples_nothing(config_dir, monkeypatch, mode):
-    scenario, game = shipped_game(config_dir, "lq_tracking")
-    calls = counted_rollouts(monkeypatch)
-    weights, trace = learn(scenario, game, mode)
-    assert calls == []
+    _, trace = run_mairl(scenario.make_game, scenario.basis, demos, init, cfg, mode=mode,
+                         solver_config=scenario.solver_config)
     assert len(trace.records) == 2 * game.num_agents
-    # Nothing is drawn, so the learner's seed changes nothing.
-    again, _ = learn(scenario, game, mode, seed=12345)
-    for a, b in zip(weights, again):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("mode", ["joint", "independent"])
-def test_unicycle_learn_samples_once_per_update(config_dir, monkeypatch, mode):
-    scenario, game = shipped_game(config_dir, "lq_tracking_unicycle")
-    calls = counted_rollouts(monkeypatch)
-    _, trace = learn(scenario, game, mode)
-    assert len(trace.records) == 2 * game.num_agents
-    assert calls == [7] * len(trace.records)

@@ -131,7 +131,7 @@ def test_linearize_runs_once_per_independent_solve(config_dir, monkeypatch):
     for name in calls:
         monkeypatch.setattr(ilq_module, name, spy(name))
     monkeypatch.setattr(irl, "solve_ece", counted_solve)
-    cfg = replace(scenario.learn_config, max_outer_iterations=2, samples_per_expectation=10)
+    cfg = replace(scenario.learn_config, max_outer_iterations=2)
     init = [np.ones(len(feats)) for feats in scenario.basis.agents]
     run_mairl(scenario.make_game, scenario.basis, demos, init, cfg, mode="independent",
               solver_config=scenario.solver_config)

@@ -21,8 +21,10 @@ from ecegames import AffineGaussianPolicySet, IngestError, trajio
 from ecegames.cli import main
 
 # Keys that are not settings (any more): the run's mode and seed, the effort
-# floor constant, and a solver bound that became a constant.
-REMOVED = {"learner": ["mode", "effort_weight_floor", "base_seed"], "solver": ["min_step"]}
+# floor constant, the sample count of a learner that draws nothing, and a
+# solver bound that became a constant.
+REMOVED = {"learner": ["mode", "effort_weight_floor", "base_seed", "samples_per_expectation"],
+           "solver": ["min_step"]}
 
 EDGES = [1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 10**400, -(10**400),
          float("nan"), float("inf"), float("-inf")]

@@ -1,11 +1,11 @@
 """Trial-stacked rollout sets against per-trajectory references.
 
 A :class:`TrajectoryBatch` holds its K rollouts as (K, T, .) arrays, and every
-consumer of a rollout set (feature sums and means, the Monte-Carlo feature
-expectation, goal statistics, RMSE, the trajectory CSV writer and reader)
-works on the whole stack at once.  The references in ``oracles.py`` keep the
-per-trajectory loops; the stacked code must match them bit for bit, as must
-the one-call ``linearize`` against its per-step reference.
+consumer of a rollout set (feature sums and means, goal statistics, RMSE, the
+trajectory CSV writer and reader) works on the whole stack at once.  The
+references in ``oracles.py`` keep the per-trajectory loops; the stacked code
+must match them bit for bit, as must the one-call ``linearize`` against its
+per-step reference.
 """
 
 import json
@@ -170,22 +170,17 @@ class TestMatchesPerTrajectoryLoops:
 
 
 class TestFeatureExpectation:
-    """On the unicycle the learner samples, and its estimate is the per-trial
-    rollouts' mean bit for bit.  On linear dynamics it samples nothing: its
-    expectation is the exact one of the rollouts' Gaussian moments."""
+    """On every dynamics the learner samples nothing: its expectation is the
+    closed form under the rollouts' Gaussian moments, bit for bit."""
 
     def test_joint_mode_matches_per_trial_rollouts(self, rollouts):
         scenario, game, policies, _ = rollouts
         solved = solve_ece(game, init=policies, config=scenario.solver_config).policies
-        means = [estimate_feature_expectation(game, feats, solved, 12, SEED)
+        means = [estimate_feature_expectation(game, feats, solved)
                  for feats in scenario.basis.agents]
-        if game.dynamics.linear_maps is None:
-            samples = [simulate_stochastic(game, solved, seed=SEED + j) for j in range(12)]
-            assert_lists_equal(means, mean_feature_sums(scenario.basis, samples))
-        else:
-            moments = rollout_moments(game, solved)
-            exact = [expected_feature_sums(feats, moments) for feats in scenario.basis.agents]
-            assert_lists_equal(means, exact)
+        moments = rollout_moments(game, solved)
+        assert_lists_equal(means, [expected_feature_sums(feats, moments)
+                                   for feats in scenario.basis.agents])
 
     def test_reduced_game_measures(self, rollouts):
         """Each agent's reduced features on its reduced game measure what its
@@ -195,15 +190,10 @@ class TestFeatureExpectation:
         for agent, feats in enumerate(scenario.basis.agents):
             reduced = pin_other_agents(game, agent, replay)
             solved = solve_ece(reduced, config=scenario.solver_config).policies
-            mean = estimate_feature_expectation(reduced, reduced_features(feats), solved, 12, SEED)
-            if game.dynamics.linear_maps is None:
-                samples = [embed_replay(simulate_stochastic(reduced, solved, seed=SEED + j),
-                                        agent, replay) for j in range(12)]
-                ref = mean_feature_sums(scenario.basis, samples)[agent]
-            else:
-                ref = expected_feature_sums(
-                    feats, embed_replay(rollout_moments(reduced, solved), agent, replay)
-                )
+            mean = estimate_feature_expectation(reduced, reduced_features(feats), solved)
+            ref = expected_feature_sums(
+                feats, embed_replay(rollout_moments(reduced, solved), agent, replay)
+            )
             assert mean.shape == ref.shape and mean.tobytes() == ref.tobytes(), agent
 
 
