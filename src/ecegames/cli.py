@@ -7,10 +7,12 @@ error to one of them and prints a one-line ``error:`` message to stderr):
 
   0  success.
   1  runtime failure: the equilibrium solve did not converge ("equilibrium
-     solve did not converge: ...") or failed (``solve --trace`` and
-     ``learn --trace`` still get the rows made before the failure);
+     solve did not converge: ...") or failed (``solve --trace`` still gets
+     the rows made before the failure, and ``learn --trace`` the rows of the
+     sweeps finished before it);
      ``learn`` ran out of sweeps before its residuals met the tolerance
-     (weights and trace are still written); a ``--demos``, ``--trajectories``
+     (the trace and the weights of the measured sweep with the smallest
+     total residual are still written); a ``--demos``, ``--trajectories``
      or ``--weights`` file is missing, unreadable or malformed, or its
      horizon is not the scenario's; or an output file or directory cannot
      be written ("<path>: cannot write (...)").
@@ -24,9 +26,10 @@ fails); ``eval`` solves from that start and cold and models the solution
 nearer the demos (:func:`~ecegames.irl.solve_near_demos`); ``solve`` and
 ``gen-demos`` have no demos and start cold.
 
-A ``learn`` failure names its phase: "equilibrium solve failed while
-updating agent i: ..." or "feature expectation failed while updating agent
-i: ...".
+A ``learn`` failure names its phase and sweep: "equilibrium solve failed
+in sweep k: ..." or "feature expectation failed in sweep k: ..." in joint
+mode, where the one joint game failed, and "... failed in sweep k on agent
+i's reduced game: ..." in independent mode.
 """
 
 from __future__ import annotations
@@ -112,10 +115,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
     trajio.write_weights(args.out_weights, weights, names)
     if args.trace:
         trajio.write_learn_trace(args.trace, trace)
-    last = {rec.agent: rec.residual for rec in trace.records}
-    summary = ", ".join(f"agent{i}={last[i]:.4f}" for i in sorted(last))
+    written = [rec for rec in trace.records if rec.iteration == trace.returned_sweep]
+    summary = ", ".join(f"agent{rec.agent}={rec.residual:.4f}" for rec in written)
     status = "converged" if trace.converged else "NOT converged"
-    print(f"{status}; final feature-matching residuals: {summary}")
+    print(f"{status}; feature-matching residuals of the written weights "
+          f"(sweep {trace.returned_sweep}): {summary}")
     return 0 if trace.converged else RUNTIME_ERROR
 
 

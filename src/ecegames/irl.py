@@ -6,17 +6,27 @@ feature's gap by the magnitude of its demo mean,
 
     w^i <- w^i - gamma (E_demo phi^i - E_model phi^i) / (|E_demo phi^i| + 1e-8),
 
-elementwise, so differently scaled features learn at comparable rates, and
-is swept agent by agent (block coordinate descent).  There is no raw-gap
-step: on 200 demos of ``lq_tracking`` it had not converged after 100 sweeps
-at learning rate 0.1, 0.01 or 0.001, where the standardized step at 0.1
-converges in 71; on ``two_agent_crossing`` its residuals rose from 0.53/0.37
-to 4.67/7.34 in 16 sweeps.  The model expectation is refreshed after every
-weight update, since one agent's cost change moves every agent's equilibrium
-behavior.  The expectation is drawn from no sample: the equilibrium
-policies are Gaussian, so the rollout's Gaussian moments are propagated
-(exactly on linear dynamics, linearized at the mean rollout elsewhere) and
-each feature's mean under them has a closed form (see
+elementwise, so differently scaled features learn at comparable rates.
+There is no raw-gap step: on 200 demos of ``lq_tracking`` it had not
+converged after 100 sweeps at learning rate 0.1, 0.01 or 0.001, where the
+standardized step at 0.1 converges in 71; on ``two_agent_crossing`` its
+residuals rose from 0.53/0.37 to 4.67/7.34 in 16 sweeps.
+
+The agents step simultaneously.  Each sweep solves every game it plays
+once at the current weights (the joint game, or each agent's reduced game),
+measures every agent's residual there, and then steps every agent.  So all
+of a sweep's residuals belong to one weight set, and the weights returned
+are always a set whose residuals were measured: the converged sweep's, or
+the measured set with the smallest total residual.  The paper's inverse
+step matches each agent's expectation under the equilibrium of the current
+weights; stepping all agents from one equilibrium needs one joint solve
+per sweep, where stepping them one at a time (block coordinate descent)
+needs a fresh joint solve before each agent's step.
+
+The expectation is drawn from no sample: the equilibrium policies are
+Gaussian, so the rollout's Gaussian moments are propagated (exactly on
+linear dynamics, linearized at the mean rollout elsewhere) and each
+feature's mean under them has a closed form (see
 :func:`estimate_feature_expectation`), so a learn is deterministic.  The
 step is the feature-matching gradient of maximum-entropy IRL (Ziebart et
 al., AAAI 2008).
@@ -109,6 +119,18 @@ class LearnConfig:
 
 @dataclass(frozen=True)
 class AgentUpdateRecord:
+    """One agent's measurement in one sweep.
+
+    ``weights`` are the agent's weights at which ``gap`` (demo mean minus
+    model mean) and ``residual`` were measured; ``effort_floored`` says
+    whether the step that made them held the own effort weight at
+    :data:`EFFORT_WEIGHT_FLOOR` (never on sweep 1, which no step made).
+    ``solver_iterations`` and ``cold_fallback`` describe the solve of the
+    game the agent was measured on, shared by every agent in joint mode;
+    ``cold_fallback`` is set when its start failed and a cold solve
+    replaced it.
+    """
+
     iteration: int
     agent: int
     weights: Array
@@ -116,30 +138,40 @@ class AgentUpdateRecord:
     residual: float
     solver_iterations: int
     effort_floored: bool
+    cold_fallback: bool
 
 
 @dataclass
 class LearnTrace:
+    """Every finished sweep's records, in agent order within a sweep;
+    whether the learn converged, and the sweep whose weights it returned
+    (0 until it returns)."""
+
     records: list[AgentUpdateRecord] = field(default_factory=list)
     converged: bool = False
+    returned_sweep: int = 0
 
 
 class LearnSolveError(EcegamesError):
-    """An agent update failed during learning, in its equilibrium solve or in
-    the feature expectation under the solved policies; ``phase`` says which,
-    and the message begins with it.
+    """A sweep failed during learning, in an equilibrium solve or in the
+    feature expectation under the solved policies; ``phase`` says which,
+    and the message begins with it.  In joint mode the one joint game
+    failed (``agent`` is None); in independent mode ``agent``'s reduced
+    game did.
 
-    Carries the offending weights and the trace of the updates made before
-    the failure.
+    Carries the sweep, its weights and the trace of the sweeps finished
+    before the failure.
     """
 
-    def __init__(self, agent: int, weights: Sequence[Array], cause: Exception, trace: LearnTrace,
-                 phase: str):
+    def __init__(self, sweep: int, agent: int | None, weights: Sequence[Array],
+                 cause: Exception, trace: LearnTrace, phase: str):
+        self.sweep = sweep
         self.agent = agent
         self.weights = [np.asarray(w) for w in weights]
         self.trace = trace
         self.phase = phase
-        super().__init__(f"{phase} failed while updating agent {agent}: {cause}")
+        game = "" if agent is None else f" on agent {agent}'s reduced game"
+        super().__init__(f"{phase} failed in sweep {sweep}{game}: {cause}")
 
 
 def _trial_mean(sums: Array) -> Array:
@@ -174,13 +206,14 @@ def estimate_feature_expectation(
     return expected_feature_sums(features, rollout_moments(game, policies))
 
 
-def _solve_with_retry(game, start, solver_config):
+def _solve_with_retry(game, start, solver_config) -> tuple[EceSolution, bool]:
+    """The solution of ``game`` and whether a cold solve replaced ``start``'s."""
     # A start (the demo start or a stale warm start) can strand the line
     # search or use up the iteration budget; fall back to a cold start.
     try:
-        return solve_ece(game, init=start, config=solver_config)
+        return solve_ece(game, init=start, config=solver_config), False
     except EcegamesError:
-        return solve_ece(game, init=None, config=solver_config)
+        return solve_ece(game, init=None, config=solver_config), True
 
 
 def update_weights(
@@ -277,23 +310,22 @@ def run_mairl(
     """Learn all agents' feature weights from interaction demonstrations.
 
     ``mode`` is ``"joint"`` or ``"independent"`` (see the module docstring).
-    Outer loop over block-coordinate sweeps: for each agent in turn, solve
-    the equilibrium (the first solve of each game from its
-    :func:`demo_start`, every later one warm-started from the previous
-    solution; a failed start is retried cold), take the agent's feature
-    expectation under the current full weight set
-    (:func:`estimate_feature_expectation`, which draws nothing), take one
-    gradient step on that agent's weights, and continue with the refreshed
-    set.  A failure of either phase raises :class:`LearnSolveError` naming
+    Each sweep builds the game at the current weights and solves every game
+    it plays once: the joint game, or each agent's reduced game.  The first
+    solve of each game starts from its :func:`demo_start`, every later one
+    from the previous solution, and a failed start is retried cold.  Every
+    agent's feature expectation is taken under its game's solution (in
+    joint mode all from one :func:`~ecegames.simulate.rollout_moments`),
+    every agent's residual (RMS of its per-feature relative gaps) is
+    recorded at these weights, and then every agent takes one gradient
+    step.  A failure of either phase raises :class:`LearnSolveError` naming
     it.
 
-    Convergence requires every agent's relative feature-matching residual
-    (RMS of per-feature relative gaps) below tolerance within one sweep.
-    Each residual is measured at the weights its agent had before its step,
-    but the weights returned are those after a whole sweep's steps: the
-    converging sweep's, or, when the budget runs out (the trace is flagged),
-    those after the sweep with the smallest total residual, at which no
-    residual was measured.
+    When every residual of a sweep is below tolerance, the learn converges
+    and returns exactly that sweep's weights.  When the budget runs out
+    (the trace is flagged), it returns the measured weights with the
+    smallest total residual.  Either way :attr:`LearnTrace.returned_sweep`
+    names the sweep whose records hold the returned weights' residuals.
     """
     cfg = cfg or LearnConfig()
     if mode not in MODES:
@@ -306,62 +338,68 @@ def run_mairl(
 
     joint = mode == "joint"
     replay = None if joint else _mean_demo_actions(demos)
-    # Each agent is measured with its own features on the game it solves.
-    measured = basis.agents if joint else [reduced_features(f) for f in basis.agents]
-    # Joint mode starts every solve from the last joint solution, and
-    # independent mode each agent's reduced game from its own last solution;
-    # the first solves start from the demos' mean actions.
-    keys = [None] if joint else range(N)
-    warm = {key: demo_start(demos, key) for key in keys}
+    # The games each sweep plays, by warm-start key, and the agents each one
+    # measures, each with its own features: the joint game measures every
+    # agent; agent i's reduced game measures agent i (reduced_features).
+    measured = {None: list(range(N))} if joint else {i: [i] for i in range(N)}
+    features = basis.agents if joint else [reduced_features(f) for f in basis.agents]
+    # The first solve of each game starts from the demos' mean actions, and
+    # every later one from that game's last solution.
+    warm = {key: demo_start(demos, key) for key in measured}
 
-    best_total = np.inf
-    best_weights = [w.copy() for w in weights]
+    # Sweep 1 measures the initial weights.
+    best_total, best_weights, best_sweep = np.inf, weights, 1
+    floored = [False] * N
 
-    for sweep in range(cfg.max_outer_iterations):
-        residuals = np.empty(N)
-        for i in range(N):
-            game = game_factory(weights)
-            key = None if joint else i
-            played = game if joint else pin_other_agents(game, i, replay)
+    for sweep in range(1, cfg.max_outer_iterations + 1):
+        game = game_factory(weights)
+        model_means = [None] * N
+        solves = [None] * N
+        for key, agents in measured.items():
+            played = game if key is None else pin_other_agents(game, key, replay)
             phase = "equilibrium solve"
             try:
-                solution = _solve_with_retry(played, warm[key], solver_config)
+                solution, fallback = _solve_with_retry(played, warm[key], solver_config)
                 warm[key] = solution.policies
                 phase = "feature expectation"
-                model_mean = estimate_feature_expectation(played, measured[i], solution.policies)
+                moments = rollout_moments(played, solution.policies)
+                for i in agents:
+                    model_means[i] = expected_feature_sums(features[i], moments)
+                    solves[i] = (len(solution.trace), fallback)
             except EcegamesError as exc:
-                raise LearnSolveError(i, weights, exc, trace, phase) from exc
+                raise LearnSolveError(sweep, key, weights, exc, trace, phase) from exc
 
-            gap = demo_means[i] - model_mean
-            # The residual is the RMS of the same per-feature relative gaps
-            # the step takes, so a large-magnitude feature (typically control
-            # effort) cannot mask mismatch in the others.
-            rel = _standardized(gap, demo_means[i])
-            residuals[i] = float(np.sqrt(np.mean(rel * rel)))
-            weights[i], floored = update_weights(
-                weights[i],
-                rel,
-                cfg.learning_rate,
-                effort_index=effort_indices[i],
-            )
+        gaps = [demo_means[i] - model_means[i] for i in range(N)]
+        # The residual is the RMS of the same per-feature relative gaps the
+        # step takes, so a large-magnitude feature (typically control
+        # effort) cannot mask mismatch in the others.
+        rels = [_standardized(gaps[i], demo_means[i]) for i in range(N)]
+        residuals = np.array([np.sqrt(np.mean(rel * rel)) for rel in rels])
+        for i in range(N):
             trace.records.append(
                 AgentUpdateRecord(
-                    iteration=sweep + 1,
+                    iteration=sweep,
                     agent=i,
                     weights=weights[i].copy(),
-                    gap=gap,
-                    residual=residuals[i],
-                    solver_iterations=len(solution.trace),
-                    effort_floored=floored,
+                    gap=gaps[i],
+                    residual=float(residuals[i]),
+                    solver_iterations=solves[i][0],
+                    effort_floored=floored[i],
+                    cold_fallback=solves[i][1],
                 )
             )
+        if np.all(residuals < cfg.residual_tol):
+            trace.converged, trace.returned_sweep = True, sweep
+            return weights, trace
         total = float(np.sum(residuals))
         if total < best_total:
-            best_total = total
-            best_weights = [w.copy() for w in weights]
-        if np.all(residuals < cfg.residual_tol):
-            trace.converged = True
-            return weights, trace
+            best_total, best_weights, best_sweep = total, weights, sweep
+        steps = [
+            update_weights(weights[i], rels[i], cfg.learning_rate, effort_index=effort_indices[i])
+            for i in range(N)
+        ]
+        weights = [w for w, _ in steps]
+        floored = [f for _, f in steps]
 
-    trace.converged = False
+    trace.returned_sweep = best_sweep
     return best_weights, trace

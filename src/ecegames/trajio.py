@@ -305,10 +305,10 @@ def write_iteration_trace(path: str | Path, trace, num_agents: int) -> None:
 
 def write_learn_trace(path: str | Path, trace) -> None:
     header = ["iteration", "agent", "residual", "solver_iterations", "effort_floored",
-              "feature", "weight", "gap"]
+              "feature", "weight", "gap", "cold_fallback"]
     rows = [
         [rec.iteration, rec.agent, rec.residual, rec.solver_iterations, rec.effort_floored,
-         k, rec.weights[k], rec.gap[k]]
+         k, rec.weights[k], rec.gap[k], rec.cold_fallback]
         for rec in trace.records
         for k in range(rec.weights.shape[0])
     ]

@@ -303,12 +303,13 @@ class TestLearnAndEval:
     def test_failed_learn_writes_trace_so_far(
         self, monkeypatch, tmp_path, small_config, demo_file, capsys
     ):
-        # Every solve after the first sweep's two fails, warm and cold alike.
+        # The first sweep's demo-started solve fails and its cold retry
+        # passes; every later solve fails, warm and cold alike.
         solves = []
 
         def first_sweep_only(game, init=None, config=None):
             solves.append(init)
-            if len(solves) > 2:
+            if len(solves) != 2:
                 raise LineSearchError(iteration=1, min_step=1e-3)
             return solve_ece(game, init=init, config=config)
 
@@ -321,13 +322,17 @@ class TestLearnAndEval:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: equilibrium solve failed while updating agent 0: ")
+        assert err.startswith("error: equilibrium solve failed in sweep 2: ")
+        assert [init is None for init in solves] == [False, True, False, True]
         assert not weights_path.exists()
         with open(trace_path) as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["iteration"], row["agent"]) for row in rows] == [
             ("1", agent) for agent in "01" for _ in range(3)
         ]
+        # The trailing column flags the first sweep's cold fallback.
+        assert list(rows[0])[-1] == "cold_fallback"
+        assert all(row["cold_fallback"] == "1" for row in rows)
 
     def test_failed_feature_expectation_names_its_phase(self, tmp_path, config_dir, capsys):
         # With noise scaled by 1e200 the solve converges (the policies do not
@@ -346,7 +351,7 @@ class TestLearnAndEval:
                    "--out-weights", str(weights), "--trace", str(trace)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: feature expectation failed while updating agent 0: "
+            "error: feature expectation failed in sweep 1: "
             "non-finite state covariance encountered at time step t=2\n"
         )
         assert not weights.exists()

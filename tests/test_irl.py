@@ -17,18 +17,25 @@ from ecegames import (
     eval_features,
     irl,
     make_cost_model,
+    pin_other_agents,
     rollout_batch,
     run_mairl,
     simulate_mean,
     solve_ece,
 )
-from ecegames.features import ControlEffort, FeatureBasis, ReferenceTracking
+from ecegames.features import (
+    ControlEffort,
+    FeatureBasis,
+    ReferenceTracking,
+    expected_feature_sums,
+)
 from ecegames.irl import (
     LearnSolveError,
     empirical_feature_mean,
     estimate_feature_expectation,
     update_weights,
 )
+from ecegames.simulate import rollout_moments
 
 from conftest import stack_trajectories
 from oracles import mean_actions_per_agent
@@ -187,10 +194,10 @@ class TestDemoStart:
         run_mairl(small_scenario.make_game, small_scenario.basis, small_demos,
                   [np.ones(3), np.ones(3)], cfg, mode=mode,
                   solver_config=small_scenario.solver_config)
-        assert len(inits) == 4 and all(init is not None for init in inits)
-        # joint: one game, started once; independent: each agent's reduced
-        # game, started from its own agent's mean actions.
+        # joint: one game, solved and started once per sweep; independent:
+        # each agent's reduced game, started from its own agent's mean actions.
         firsts = [None] if mode == "joint" else [0, 1]
+        assert len(inits) == 2 * len(firsts) and all(init is not None for init in inits)
         for k, init in enumerate(inits):
             demo = irl.demo_start(small_demos, firsts[k % len(firsts)])
             assert policies_equal(init, demo) == (k < len(firsts))
@@ -304,20 +311,27 @@ class TestRunMairl:
                 raise LineSearchError(iteration=1, min_step=1e-3)
             return solve_ece(game, init=init, config=config)
 
-        # The first update tries the demo start and every later one its warm
-        # start, each then solves cold, and learns exactly what cold solves
-        # alone learn.
+        # The first sweep's solve tries the demo start and every later one
+        # its warm start, each then solves cold, and learns exactly what cold
+        # solves alone learn; every record flags the fallback.
         weights, trace = learn(started_fails)
-        assert starts == ["demo", "cold"] + ["warm", "cold"] * 3
+        assert starts == ["demo", "cold", "warm", "cold"]
         cold_weights, cold_trace = learn(cold_only)
         for a, b in zip(weights + [r.weights for r in trace.records],
                         cold_weights + [r.weights for r in cold_trace.records], strict=True):
             assert np.array_equal(a, b)
+        assert [r.residual for r in trace.records] == [r.residual for r in cold_trace.records]
+        assert all(r.cold_fallback for r in trace.records)
+        assert not any(r.cold_fallback for r in cold_trace.records)
 
-        with pytest.raises(LearnSolveError, match="while updating agent 1: line search") as err:
+        # A joint failure is the sweep's, not an agent's; the sweeps before
+        # it stay in the trace.
+        message = "^equilibrium solve failed in sweep 2: line search"
+        with pytest.raises(LearnSolveError, match=message) as err:
             learn(all_but_first_fail)
-        assert err.value.agent == 1
+        assert (err.value.sweep, err.value.agent) == (2, None)
         assert starts == ["demo", "warm", "cold"]
+        assert [(r.iteration, r.agent) for r in err.value.trace.records] == [(1, 0), (1, 1)]
 
     def test_non_convergence_returns_flagged_best(self, small_scenario):
         true_w = small_scenario.true_weights()
@@ -335,3 +349,70 @@ class TestRunMairl:
         )
         assert not trace.converged
         assert len(weights) == 2
+
+    @pytest.mark.parametrize("mode, names", [
+        ("joint", "in sweep 1: "), ("independent", "in sweep 1 on agent 0's reduced game: "),
+    ])
+    def test_failure_names_the_game_that_failed(self, mode, names):
+        basis, factory = scalar_tracking_scenario(horizon=30, noise=True)
+        game = factory([np.array([2.0, 1.0])])
+        demos = rollout_batch(game, solve_ece(game).policies, 5, 0)
+        bad_cfg = SolverConfig(max_iterations=1, convergence_tol=1e-14)
+        with pytest.raises(LearnSolveError) as err:
+            run_mairl(factory, basis, demos, [np.array([1.0, 1.0])], mode=mode,
+                      solver_config=bad_cfg)
+        assert str(err.value).startswith("equilibrium solve failed " + names)
+        assert (err.value.sweep, err.value.agent) == (1, None if mode == "joint" else 0)
+
+    @pytest.mark.parametrize("mode", irl.MODES)
+    @pytest.mark.parametrize("budget", [3, 60], ids=["capped", "converged"])
+    def test_returned_weights_remeasure_bit_for_bit(
+        self, monkeypatch, small_scenario, mode, budget
+    ):
+        true_w = small_scenario.true_weights()
+        game = small_scenario.make_game(true_w)
+        demos = rollout_batch(game, solve_ece(game, config=small_scenario.solver_config).policies,
+                              100, 500)
+        starts = []
+
+        def spy(game, init=None, config=None):
+            starts.append(init)
+            return solve_ece(game, init=init, config=config)
+
+        monkeypatch.setattr(irl, "solve_ece", spy)
+        basis, solver = small_scenario.basis, small_scenario.solver_config
+        cfg = replace(small_scenario.learn_config, max_outer_iterations=budget)
+        weights, trace = run_mairl(small_scenario.make_game, basis, demos,
+                                   [1.25 * w for w in true_w], cfg, mode=mode,
+                                   solver_config=solver)
+        assert trace.converged == (budget == 60)
+        # One solve per game per sweep: the joint game, or each reduced game.
+        sweeps, games = trace.records[-1].iteration, 1 if mode == "joint" else 2
+        assert len(starts) == games * sweeps
+        if trace.converged:
+            assert trace.returned_sweep == sweeps
+
+        # Solve the returned weights' games again from the starts their
+        # sweep's solves had, and measure every agent's residual again.
+        sweep = trace.returned_sweep
+        starts = starts[games * (sweep - 1):games * sweep]
+        played = small_scenario.make_game(weights)
+        if mode == "joint":
+            moments = rollout_moments(played, solve_ece(played, starts[0], solver).policies)
+            model = [expected_feature_sums(f, moments) for f in basis.agents]
+        else:
+            replay = [np.mean(a, axis=0) for a in demos.actions]
+            model = []
+            for i in range(2):
+                reduced = pin_other_agents(played, i, replay)
+                policies = solve_ece(reduced, starts[i], solver).policies
+                model.append(estimate_feature_expectation(
+                    reduced, irl.reduced_features(basis.agents[i]), policies))
+        records = [r for r in trace.records if r.iteration == sweep]
+        demo_means = empirical_feature_mean(basis, demos)
+        for i, rec in enumerate(records):
+            assert np.array_equal(rec.weights, weights[i])
+            gap = demo_means[i] - model[i]
+            rel = gap / (np.abs(demo_means[i]) + 1e-8)
+            assert np.array_equal(rec.gap, gap)
+            assert rec.residual == float(np.sqrt(np.mean(rel * rel)))

@@ -252,14 +252,15 @@ class TestTableWriters:
         records = [
             AgentUpdateRecord(iteration=k // 2 + 1, agent=k % 2, weights=np.array(EDGE[k:k + 3]),
                               gap=-np.array(EDGE[-3 - k:len(EDGE) - k]), residual=EDGE[k],
-                              solver_iterations=2**53 + k, effort_floored=k % 2 == 0)
+                              solver_iterations=2**53 + k, effort_floored=k % 2 == 0,
+                              cold_fallback=k == 1)
             for k in range(updates)
         ]
         header = ["iteration", "agent", "residual", "solver_iterations", "effort_floored",
-                  "feature", "weight", "gap"]
+                  "feature", "weight", "gap", "cold_fallback"]
         rows = [
             [r.iteration, r.agent, r.residual, r.solver_iterations, r.effort_floored,
-             f, r.weights[f], r.gap[f]]
+             f, r.weights[f], r.gap[f], r.cold_fallback]
             for r in records for f in range(3)
         ]
         self.check(tmp_path, lambda p: trajio.write_learn_trace(p, LearnTrace(records)),
