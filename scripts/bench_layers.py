@@ -21,17 +21,13 @@ under its true weights and times, per call:
   of ``quadratize``), for other dynamics the whole ``stage_game_around``;
 - ``solve_lq_ece`` on that stage game;
 - ``simulate_mean`` of the converged policies;
-- ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (50 is the
-  ``SAMPLES`` rollouts that older learners drew per expectation on
-  nonlinear dynamics, 1000 the ``--trials`` of the ``sample-eval``
-  benchmark workload);
+- ``rollout_batch`` of 50, 200 and 1000 trials from seed 0 (1000 is the
+  ``--trials`` of the ``sample-eval`` benchmark workload);
 - ``feature_expectation``, one learner expectation of agent 0's feature
   sums on the converged policies, a call of
   ``irl.estimate_feature_expectation`` as the learner makes it after its
   solve (with the reduced features on a reduced game): the closed form
-  under ``rollout_moments`` on every dynamics.  A revision whose estimate
-  still takes a sample count averages ``SAMPLES`` sampled rollouts from
-  seed 0 there on nonlinear dynamics;
+  under ``rollout_moments`` on every dynamics;
 - a cold ``solve_ece``;
 - ``solve_ece_demo_start``, ``solve_ece`` from the demo start that ``learn``
   and ``eval`` use (``irl.demo_start``: zero feedback around the mean
@@ -71,7 +67,6 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
-import inspect
 import json
 import statistics
 import sys
@@ -85,7 +80,6 @@ from bench_pairs import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIALS = (50, 200, 1000)
-SAMPLES = 50  # rollouts per expectation of a sampling learner
 BUDGET = 0.5  # seconds per layer and round
 ROUNDS = 10
 LAYERS = (
@@ -140,23 +134,12 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
     # times the same solve.
     demo_actions = [np.mean(a, axis=0) for a in
                     pkg.rollout_batch(game, policies, DEMO_TRIALS, DEMO_SEED).actions]
-    estimate = pkg.irl.estimate_feature_expectation
-    # A revision whose estimate still takes ``embed`` (which its
-    # pin_other_agents returns with the reduced game) measures the whole basis
-    # on embedded rollouts, and its learner keeps agent 0's row.
-    params = inspect.signature(estimate).parameters
-    embedding = "embed" in params
-    # A revision whose estimate still takes a sample count and a seed.
-    sampled = (SAMPLES, 0) if "samples" in params else ()
-    features, embed = scenario.basis.agents[agent or 0], None
+    features = scenario.basis.agents[agent or 0]
 
     if agent is not None:
         replay = pkg.simulate_mean(game, policies).actions
         game = pkg.pin_other_agents(game, agent, replay)
-        if embedding:
-            game, embed = game
-        else:
-            features = pkg.irl.reduced_features(features)
+        features = pkg.irl.reduced_features(features)
         own = slice(agent, agent + 1)
         policies = pkg.AffineGaussianPolicySet(
             gains=policies.gains[own],
@@ -179,12 +162,6 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
             cost.state_gradient(steps, nominal.states)
             cost.state_hessian(steps, nominal.states)
 
-    def feature_expectation():
-        if not embedding:
-            return estimate(game, features, policies, *sampled)
-        kwargs = {} if embed is None else {"embed": embed}
-        return estimate(game, scenario.basis, policies, *sampled, **kwargs)[agent or 0]
-
     def refresh_stage():
         if game.dynamics.linear_maps is None:
             return pkg.ilq.stage_game_around(game, nominal)
@@ -198,7 +175,7 @@ def layer_calls(pkg, doc: dict, agent: int | None) -> dict:
         lambda: pkg.solve_lq_ece(stage, game.temperatures),
         lambda: pkg.simulate_mean(game, policies),
         *(lambda k=k: pkg.rollout_batch(game, policies, k, 0) for k in TRIALS),
-        feature_expectation,
+        lambda: pkg.irl.estimate_feature_expectation(game, features, policies),
         lambda: pkg.solve_ece(game, config=solver),
         lambda: pkg.solve_ece(game, init=start, config=solver),
     )))

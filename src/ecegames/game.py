@@ -165,7 +165,7 @@ class CostModel:
     ``stage_cost(t, s, actions)`` evaluates c(t, s, a) = v(t, s) +
     sum_j a_j' R_j a_j.  ``state_gradient`` / ``state_hessian`` evaluate
     D_s v and D_ss v; ``action_cost`` holds the R_j matrices (own block
-    positive definite, cross blocks PSD, enforced at game construction).
+    positive definite, cross blocks PSD, both checked by :class:`GameSpec`).
 
     All three callables broadcast over a leading time axis, and custom cost
     models must too: ``t`` is a 1-based step or an int array of K steps,
@@ -259,6 +259,13 @@ class GameSpec:
                 m = self.dynamics.action_dims[j]
                 if R.shape != (m, m):
                     raise ValueError(f"R[{i}][{j}] shape {R.shape} != ({m}, {m})")
+                if j != i:
+                    try:
+                        psd_factor(R)
+                    except ValueError:
+                        raise ValueError(
+                            f"cross action cost R[{i}][{j}] must be positive semi-definite"
+                        ) from None
             own = cost.action_cost[i]
             if np.min(np.linalg.eigvalsh(own)) <= 0.0:
                 raise ValueError(f"own action cost R[{i}][{i}] must be positive definite")

@@ -41,30 +41,31 @@ over all agents.  The sums over agents happen inside the matrix products, so
 results agree with a per-agent loop to rounding (a few ulp), not bit for
 bit.  The covariances come from the diagonal blocks of the stage matrices.
 
-Conditioning: a stage whose block matrix has a 2-norm condition number above
-``COND_LIMIT`` (or that is not finite) is solved with its diagonal shifted
-by lambda I, lambda doubling from ``REG_INIT`` up to ``REG_MAX``, and a
-stage that no shift brings under the limit raises
-:class:`StageSingularError`.  One stage loop runs both passes of a solve.
-The first runs without this ladder and solves each stage as it stands.
-When it stops on a singular stage, or when one screen of what it kept
-fails (:func:`_failed`), the second pass reruns the whole horizon with the
-ladder from the terminal stage, so the results, shifts, warnings and the
-step a :class:`StageSingularError` names are those of the ladder alone.  A
-solve that passes the screen, as in every benchmark workload (their
-largest stage condition is below 3), makes no second pass.  The report's
-stage conditions are computed from the kept stage matrices (shifted where
-the ladder shifted them) the first time they are read, so a solve whose
-conditions nobody reads takes no singular values at all.
+Conditioning has one measure, :func:`_condition`: the bound
+||M||_F ||M^-1||_F >= cond_2(M) of a stage matrix M scaled to a largest
+entry of 1, which needs no singular values and is inf for a singular or
+non-finite M.  It exceeds cond_2(M) by at most a factor K.  A stage whose
+bound is above ``COND_LIMIT`` is solved with its diagonal shifted by
+lambda I, lambda doubling from ``REG_INIT`` up to ``REG_MAX``, and a stage
+that no shift brings under the limit raises :class:`StageSingularError`.
+One stage loop runs both passes of a solve.  The first runs without this
+ladder and solves each stage as it stands; one stacked bound of its stage
+matrices then screens it (:func:`_failed`).  When it stops on a singular
+stage or fails the screen, the second pass reruns the whole horizon with
+the ladder from the terminal stage, so the results, shifts, warnings and
+the step a :class:`StageSingularError` names are those of the ladder
+alone.  The screen and the ladder share the measure and the limit, so a
+pass whose outputs are finite fails the screen exactly when the ladder
+shifts one of its stages.  A solve that passes the screen, as in every
+benchmark workload (their largest stage bound is about 6), makes no second
+pass, and the report's conditions are the screen's bounds.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,9 +86,11 @@ class LqStageGame:
     l[i] (T, n); R[i][j] (m_j, m_j), constant in time, R[i][i] positive
     definite; r[i] (T, m_i) linear own-action terms (zeros reproduce the
     plain quadratic game; recentered games produced by the iterative solver
-    populate them).  Construction checks them and lays them out once on the
-    joint action of K = sum m_i rows, agent i's in rows ``slices[i]``, with
-    ``owner`` (K,) naming the agent of each row:
+    populate them).  Construction checks the shapes, that R is symmetric
+    and that every R[i][i] is positive definite; it does not check Q, which
+    would cost an eigendecomposition per stage per iteration.  It lays the
+    blocks out once on the joint action of K = sum m_i rows, agent i's in
+    rows ``slices[i]``, with ``owner`` (K,) naming the agent of each row:
 
     - BA (T-1, n + 1, K + n + 1) = [[B, A, 0], [0, 0, 1]], the dynamics of
       the affine state [s; 1], read through the views B (T-1, n, K) and
@@ -224,10 +227,16 @@ class ValueRecursion:
 
 
 def _condition(M: Array) -> float | Array:
-    """``np.linalg.cond`` of one matrix or of every matrix of a finite stack;
-    inf for a matrix that is not finite, on which the singular-value
-    decomposition would not converge."""
-    return np.linalg.cond(M) if np.isfinite(M).all() else np.inf
+    """The bound ||M||_F ||M^-1||_F >= cond_2(M) of one matrix, or of every
+    matrix of a stack, scaled to a largest entry of 1; inf for a singular or
+    non-finite matrix.
+
+    The bound does not depend on the scale, and the scaling keeps ||M||_F
+    from overflowing.  A matrix gives the same bits alone as in a stack.
+    """
+    with np.errstate(all="ignore"):
+        c = np.linalg.cond(M / np.abs(M).max(axis=(-2, -1), keepdims=True), "fro")
+    return np.fmin(c, np.inf)  # fmin drops NaN: a NaN or inf entry, or M = 0, gives inf
 
 
 @dataclass(frozen=True)
@@ -235,24 +244,13 @@ class StageSolveReport:
     """Per-stage conditioning diagnostics for t = 1..T-1.
 
     ``regularization[k]`` is the diagonal shift that the coupled block
-    matrix at t = k+1 required (0 when the plain system solved) and
-    ``stage_matrices[k]`` that matrix unshifted.  ``condition[k]`` is the
-    2-norm condition number of the matrix that was solved, shift included.
-    It is computed the first time it is read, by one :func:`_condition` call
-    on the stack, which gives every stage the value that :func:`_ladder`
-    gives it; the screen (:func:`_failed`) takes none, so a solve whose
-    conditions nobody reads makes no singular-value call.
+    matrix at t = k+1 required (0 when the plain system solved), and
+    ``condition[k]`` the :func:`_condition` bound of the matrix that was
+    solved, shift included.
     """
 
     regularization: Array
-    stage_matrices: Array = field(repr=False)
-
-    @cached_property
-    def condition(self) -> Array:
-        M = self.stage_matrices.copy()
-        for k in np.flatnonzero(self.regularization):
-            M[k] += self.regularization[k] * np.eye(M.shape[-1])
-        return _condition(M)
+    condition: Array
 
 
 @dataclass(frozen=True)
@@ -318,32 +316,29 @@ def _value_update(
     return W
 
 
-def _ladder(M: Array, time_step: int) -> tuple[Array, float]:
-    """The matrix to solve for the stage matrix M at ``time_step``, and its
-    diagonal shift.
+def _ladder(M: Array, time_step: int) -> tuple[Array, float, float]:
+    """The matrix to solve for the stage matrix M at ``time_step``, its
+    diagonal shift and its :func:`_condition`.
 
     M itself and 0 when its condition is at most ``COND_LIMIT``; otherwise
     M + lambda I for the first lambda, doubling from ``REG_INIT`` up to
     ``REG_MAX``, that brings the condition under the limit, or
     :class:`StageSingularError` when none does.
     """
-    if _condition(M) <= COND_LIMIT:  # false for an infinite or NaN condition
-        return M, 0.0
-    lam = REG_INIT
-    while True:
-        M_solve = M + lam * np.eye(len(M))
-        cond = _condition(M_solve)
-        if cond <= COND_LIMIT:
-            return M_solve, lam
+    M_solve, lam, cond = M, 0.0, _condition(M)
+    while cond > COND_LIMIT:
         if lam >= REG_MAX:
             raise StageSingularError(time_step=time_step, condition=cond)
-        lam = min(2.0 * lam, REG_MAX)
+        lam = min(2.0 * lam, REG_MAX) if lam else REG_INIT
+        M_solve = M + lam * np.eye(len(M))
+        cond = _condition(M_solve)
+    return M_solve, lam, cond
 
 
 def _stages(game: LqStageGame, hist: tuple[Array, ...], ladder: bool) -> bool:
     """Solve every stage k = T-2, ..., 0 (t = k + 1) backward from the
     terminal value into the histories ``hist`` = ([P | alpha], W, stage
-    matrices, shifts) of :func:`_backward_pass`.
+    matrices, conditions, shifts) of :func:`_backward_pass`.
 
     The dynamics operands are the game's; [0 | r] padded to the shape of
     R [P | alpha] and [Q | l] in time-major order are laid out per call.
@@ -352,7 +347,7 @@ def _stages(game: LqStageGame, hist: tuple[Array, ...], ladder: bool) -> bool:
     the ladder a ``LinAlgError`` stops the loop and returns False; True
     when every stage solved.
     """
-    S_hist, W_hist, stack, regularization = hist
+    S_hist, W_hist, stack, condition, regularization = hist
     N, T, n = game.num_agents, game.horizon, game.state_dim
     K = len(game.owner)
     BA, Rr, R, Bt, F0, Bpad = game.BA, game.Rr, game.R, game.Bt, game.F0, game.Bpad
@@ -366,7 +361,7 @@ def _stages(game: LqStageGame, hist: tuple[Array, ...], ladder: bool) -> bool:
         system = _stage_system(W, Bt[k], BA[k], Rr[k], rows)
         M = stack[k] = system[:, :K]
         if ladder:
-            M, regularization[k] = _ladder(M, k + 1)
+            M, regularization[k], condition[k] = _ladder(M, k + 1)
         try:
             S = np.linalg.solve(M, system[:, K:])
         except np.linalg.LinAlgError:
@@ -380,34 +375,31 @@ def _stages(game: LqStageGame, hist: tuple[Array, ...], ladder: bool) -> bool:
 
 def _failed(hist: tuple[Array, ...]) -> bool:
     """Whether a pass that ran through without the ladder fails the screen:
-    a stage's gains, offsets or value coefficients are not finite, or the
-    bound ||M||_F ||M^-1||_F >= cond_2(M) of a stage matrix exceeds
-    ``COND_LIMIT / 2`` (it is inf or NaN for a singular or non-finite M).
-
-    The bound costs one stacked inverse, not a singular-value decomposition.
-    A stage it flags whose exact condition is under the limit costs a ladder
-    pass, which solves that stage unshifted.
+    a stage's gains, offsets or value coefficients are not finite, or a
+    stage matrix's :func:`_condition`, which the screen writes into the
+    pass's conditions in one stacked call, exceeds ``COND_LIMIT``.
     """
-    S_hist, W_hist, stack, _ = hist
+    S_hist, W_hist, stack, condition, _ = hist
+    condition[:] = _condition(stack)
     finite = np.isfinite(S_hist[:-1]).all() and np.isfinite(W_hist[:, :-1]).all()
-    return not (finite and (np.linalg.cond(stack, "fro") <= COND_LIMIT / 2).all())
+    return not (finite and (condition <= COND_LIMIT).all())
 
 
-def _backward_pass(game: LqStageGame, checked: bool = False):
+def _backward_pass(game: LqStageGame):
     """The backward loop of :func:`solve_lq_ece`: the [P | alpha] (T, K, n + 1)
     and W (N, T, n, n + 1) histories, the unshifted stage matrices
-    (T-1, K, K), and the stage shifts.
+    (T-1, K, K), and the stage conditions and shifts (T-1,).
 
-    ``checked`` runs every stage through the ladder.  Otherwise every stage
-    is first solved as it stands, and the whole pass reruns with the ladder
-    from the terminal stage when a ``LinAlgError`` stopped it or it fails
-    :func:`_failed`.  A pass that passes the screen makes no ladder call.
+    Every stage is first solved as it stands, and the whole pass reruns
+    with the ladder from the terminal stage when a ``LinAlgError`` stopped
+    it or it fails :func:`_failed`.  A pass that passes the screen makes no
+    ladder call.
     """
     N, T, n = game.num_agents, game.horizon, game.state_dim
     K = len(game.owner)
     hist = (
         np.zeros((T, K, n + 1)), np.empty((N, T, n, n + 1)), np.empty((T - 1, K, K)),
-        np.zeros(T - 1),
+        np.empty(T - 1), np.zeros(T - 1),
     )
     S_hist, W_hist = hist[:2]
     W_hist[:, T - 1] = game.QL[:, T - 1]
@@ -415,7 +407,7 @@ def _backward_pass(game: LqStageGame, checked: bool = False):
     # Overflow or NaN in a pass the ladder reruns must not warn here; the
     # rerun repeats it.
     with np.errstate(all="ignore"):
-        rerun = checked or not _stages(game, hist, ladder=False) or _failed(hist)
+        rerun = not _stages(game, hist, ladder=False) or _failed(hist)
     if rerun:
         _stages(game, hist, ladder=True)
     return hist
@@ -434,13 +426,13 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     regularization ladder, or raise :class:`StageSingularError` naming the
     first hopeless one in the backward order (module docstring).
 
-    The covariances of all agents and stages are formed in one stacked pass
-    after the backward loop and checked symmetric positive definite
+    The covariances are formed after the backward loop, one stacked inverse
+    of each agent's own blocks, and must be symmetric positive definite
     (:class:`CovarianceError` names the first failing agent and its first
     failing step, also a singular one).  Temperatures must be positive and
-    finite.  The policies are cut to each agent's rows of the joint action; the values are
-    agent-stacked views of one [Z | xi] history, Z (N, T, n, n) and
-    xi (N, T, n).
+    finite.  The policies are cut to each agent's rows of the joint action;
+    the values are agent-stacked views of one [Z | xi] history,
+    Z (N, T, n, n) and xi (N, T, n).
     """
     N, n = game.num_agents, game.state_dim
     if temperatures is None:
@@ -448,29 +440,26 @@ def solve_lq_ece(game: LqStageGame, temperatures: tuple[float, ...] | None = Non
     if len(temperatures) != N or not temperatures_valid(temperatures):
         raise ValueError("one positive, finite temperature required per agent")
 
-    S_hist, W_hist, stack, regularization = _backward_pass(game)
+    S_hist, W_hist, stack, condition, regularization = _backward_pass(game)
 
     # R^{ii} + B^i'Z^i_{t+1}B^i is agent i's diagonal block of the unshifted
-    # stage matrix (R^{ii} at t = T); inverting the block-diagonal part of
-    # the stack inverts every agent's block at once.
-    owner = game.owner
-    M = np.concatenate([stack, game.R_own[None]]) * (owner[:, None] == owner)
-    M = (M + M.swapaxes(1, 2)) / 2.0
+    # stage matrix (R^{ii} at t = T).
+    M = np.concatenate([stack, game.R_own[None]])
     slices = game.slices
-    try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:  # a singular block (the ladder shifted its stage)
-        inv = np.full(M.shape, np.nan)  # NaN fails its agent's covariance check
-        for k, s in product(range(len(M)), slices):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                inv[k, s, s] = np.linalg.inv(M[k, s, s])
-    covs = np.asarray(temperatures, dtype=float)[owner, None] * inv
+    covariances = []
+    for i, s in enumerate(slices):
+        block = M[:, s, s]
+        block = (block + block.swapaxes(1, 2)) / 2.0
+        try:
+            inv = np.linalg.inv(block)
+        except np.linalg.LinAlgError:  # a singular block (the ladder shifted its stage)
+            cholesky_checked(block, i)  # names the agent and its first singular step
+            raise
+        covariances.append(cholesky_checked(temperatures[i] * inv, i)[0])
 
     policies = AffineGaussianPolicySet.identity_nominal(
-        [S_hist[:, s, :n] for s in slices],
-        [S_hist[:, s, n] for s in slices],
-        [cholesky_checked(covs[:, s, s], i)[0] for i, s in enumerate(slices)],
+        [S_hist[:, s, :n] for s in slices], [S_hist[:, s, n] for s in slices], covariances
     )
     values = ValueRecursion(Z=W_hist[..., :n], xi=W_hist[..., n])
-    report = StageSolveReport(regularization=regularization, stage_matrices=stack)
+    report = StageSolveReport(regularization=regularization, condition=condition)
     return LqSolution(policies=policies, values=values, report=report)

@@ -333,11 +333,25 @@ def absolute_offsets_per_step(policies):
 # -- per-agent reference for the concatenated-action LQ stage recursion -----
 
 
+def condition_bound(M):
+    """||S||_F ||S^-1||_F of S = M / max |M_ij|, at least cond_2(M); inf when
+    M is singular or not finite."""
+    top = np.max(np.abs(M))
+    if not (np.isfinite(top) and top > 0.0):
+        return np.inf
+    S = M / top
+    try:
+        bound = float(np.linalg.norm(S) * np.linalg.norm(np.linalg.inv(S)))
+    except np.linalg.LinAlgError:
+        return np.inf
+    return bound if np.isfinite(bound) else np.inf
+
+
 def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r, *, time_step=0):
     """One stage's coupled gains and offsets, assembled agent by agent.
 
-    Returns per-agent P, alpha lists plus (np.linalg.cond of the solved
-    matrix, diagonal shift used); the ladder matches ``lq.solve_stage_coupled``.
+    Returns per-agent P, alpha lists plus (condition bound of the solved
+    matrix, diagonal shift used); the ladder matches ``lq._ladder``.
     """
     from ecegames.errors import StageSingularError
     from ecegames.lq import COND_LIMIT, REG_INIT, REG_MAX
@@ -358,16 +372,16 @@ def solve_stage_coupled_per_agent(Z_next, xi_next, A, B, R, r, *, time_step=0):
     M = np.concatenate(rows, axis=0)
     rhs = np.concatenate(rhs_rows, axis=0)
 
-    cond = float(np.linalg.cond(M))
+    cond = condition_bound(M)
     shift = 0.0
     M_solve = M
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if cond > COND_LIMIT:
         lam = REG_INIT
         while True:
             M_solve = M + lam * np.eye(M.shape[0])
-            cond = float(np.linalg.cond(M_solve))
+            cond = condition_bound(M_solve)
             shift = lam
-            if np.isfinite(cond) and cond <= COND_LIMIT:
+            if cond <= COND_LIMIT:
                 break
             if lam >= REG_MAX:
                 raise StageSingularError(time_step=time_step, condition=cond)

@@ -249,6 +249,31 @@ class TestValidation:
                 initial_state=InitialState(mean=np.zeros(1)),
             )
 
+    @pytest.mark.parametrize(
+        "cross", [np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, -1e-3])],
+        ids=["zero", "singular_psd", "indefinite"],
+    )
+    def test_game_requires_psd_cross_action_cost(self, cross):
+        costs = (
+            quadratic_cost(np.eye(1), np.zeros(1), [np.eye(1), cross]),
+            quadratic_cost(np.eye(1), np.zeros(1), [np.zeros((1, 1)), np.eye(2)]),
+        )
+
+        def make():
+            return GameSpec(
+                dynamics=dynamics.linear(np.eye(1), [np.ones((1, 1)), np.ones((1, 2))]),
+                costs=costs,
+                horizon=2,
+                noise=NoiseModel.none(1),
+                initial_state=InitialState(mean=np.zeros(1)),
+            )
+
+        if np.linalg.eigvalsh(cross)[0] >= 0.0:
+            assert make().num_agents == 2
+        else:
+            with pytest.raises(ValueError, match=r"R\[0\]\[1\] must be positive semi-definite"):
+                make()
+
     def test_temperatures_must_be_positive(self):
         with pytest.raises(ValueError):
             scalar_game().__class__(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecegames import StageSingularError, solve_lq_ece
+from ecegames import lq
 from ecegames.lq import LqStageGame
 
 from conftest import random_lq_data, stage_game_from_data
@@ -39,22 +40,29 @@ def two_stage_game(Z, xi, A, B, R, Q=None):
     )
 
 
+def stage_matrices(game):
+    """The unshifted stage matrices (T-1, K, K) of the game's backward pass."""
+    return lq._backward_pass(game)[2]
+
+
 class TestStageSolve:
     """Hand-solved stages: the one interior stage of a 2-stage game."""
 
     def test_single_agent_scalar_hand_solve(self):
-        sol = solve_lq_ece(scalar_stage_game(horizon=2))
+        game = scalar_stage_game(horizon=2)
+        sol = solve_lq_ece(game)
         assert sol.policies.gains[0][0, 0, 0] == pytest.approx(0.5)
         assert sol.policies.offsets[0][0, 0] == pytest.approx(0.0)
-        assert sol.report.stage_matrices.tolist() == [[[2.0]]]
+        assert stage_matrices(game).tolist() == [[[2.0]]]
         assert sol.report.regularization.tolist() == [0.0]
 
     def test_two_agent_scalar_hand_solve(self):
         # Block system [[2, 1], [1, 2]] [P1; P2] = [1; 1].
         ones = np.ones((2, 1, 1))
         R = ((np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1)))
-        sol = solve_lq_ece(two_stage_game(ones, np.zeros((2, 1)), np.eye(1), ones, R))
-        assert sol.report.stage_matrices.tolist() == [[[2.0, 1.0], [1.0, 2.0]]]
+        game = two_stage_game(ones, np.zeros((2, 1)), np.eye(1), ones, R)
+        sol = solve_lq_ece(game)
+        assert stage_matrices(game).tolist() == [[[2.0, 1.0], [1.0, 2.0]]]
         assert sol.policies.gains[0][0, 0, 0] == pytest.approx(1.0 / 3.0)
         assert sol.policies.gains[1][0, 0, 0] == pytest.approx(1.0 / 3.0)
 
@@ -93,7 +101,7 @@ class TestStageSolve:
         game = two_stage_game(Z, np.zeros((2, 2)), np.eye(2), (np.eye(2)[:, :1], np.eye(2)[:, 1:]), R)
         sol = solve_lq_ece(game)
         assert sol.report.regularization.tolist() == [1e-8]
-        assert sol.report.stage_matrices.tolist() == [[[1.0, 1.0], [1.0, 1.0]]]
+        assert stage_matrices(game).tolist() == [[[1.0, 1.0], [1.0, 1.0]]]
         assert np.isfinite(sol.report.condition[0]) and sol.report.condition[0] <= 1e12
 
 

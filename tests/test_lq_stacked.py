@@ -11,6 +11,8 @@ regularization ladder and the pass with it run one stage loop and agree
 byte for byte.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -408,10 +410,10 @@ class TestLadderHandover:
 def assert_report_matches_ladder(game, sol):
     """Every stage's shift and condition in the report are, bit for bit, those
     that the ladder gives on the solve's own stage matrices."""
-    for k, M in enumerate(sol.report.stage_matrices):
-        M_solve, shift = lq._ladder(M, k + 1)
+    for k, M in enumerate(lq._backward_pass(game)[2]):
+        M_solve, shift, condition = lq._ladder(M, k + 1)
         assert shift == sol.report.regularization[k]
-        assert lq._condition(M_solve) == sol.report.condition[k]
+        assert condition == sol.report.condition[k] == lq._condition(M_solve)
 
 
 def terminal_game(diagonal, horizon=3):
@@ -431,74 +433,89 @@ def terminal_game(diagonal, horizon=3):
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """The stacked singular-value calls, those of :func:`lq._condition` on a
-    stack of matrices, made while a test runs."""
-    calls = []
+def no_svd(monkeypatch):
+    """Fail the test on any singular-value decomposition, also the one
+    inside ``np.linalg.cond``'s 2-norm."""
 
-    def counted(M):
-        if np.ndim(M) == 3:
-            calls.append(M.shape)
-        return condition(M)
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular values taken")
 
-    condition = lq._condition
-    monkeypatch.setattr(lq, "_condition", counted)
-    return calls
+    for module in (np.linalg, sys.modules[np.linalg.svd.__wrapped__.__module__]):
+        monkeypatch.setattr(module, "svd", refuse)
 
 
 class TestConditionScreen:
-    """The unchecked pass screens the stage matrices with the bound
-    ||M||_F ||M^-1||_F >= cond_2(M), which takes no singular values, and
-    reruns the whole pass through the ladder when a bound exceeds
-    COND_LIMIT / 2; the report computes the conditions when they are first
-    read.  Shifts and conditions stay those of the per-stage ladder."""
+    """The pass without the ladder screens its stage matrices with one stacked
+    :func:`lq._condition`, the bound ||M||_F ||M^-1||_F >= cond_2(M) of M
+    scaled to a largest entry of 1, and reruns the whole pass through the
+    ladder when a bound exceeds COND_LIMIT.  The ladder and the report use
+    the same bound, so no solve takes singular values."""
 
-    def test_lazy_conditions_match_the_ladder(self, solve_stage_games, svd_calls, ladder_steps):
-        # No solve of these scenarios needs the ladder: every stage game
-        # passes the screen, so no stage runs through the ladder.
+    def test_lazy_conditions_match_the_ladder(self, solve_stage_games, no_svd, ladder_steps):
+        # The name predates the screen's bound becoming the report's
+        # conditions; it is kept so that the test ids stay stable.  No solve
+        # of these scenarios needs the ladder: every stage game passes the
+        # screen, so no stage runs through the ladder.
         for stage, temperatures in solve_stage_games:
             sol = solve_lq_ece(stage, temperatures)
-            assert not svd_calls and not ladder_steps
-            condition = sol.report.condition
-            assert len(svd_calls) == 1 and sol.report.condition is condition
-            svd_calls.clear()
-            # The stacked singular-value call of np.linalg.cond, bit for bit.
-            assert np.array_equal(condition, np.linalg.cond(sol.report.stage_matrices))
+            assert not ladder_steps
+            # The screen's stacked bound, bit for bit.
+            assert np.array_equal(sol.report.condition, lq._condition(lq._backward_pass(stage)[2]))
+            assert sol.report.condition.max() < 7.0
             assert_report_matches_ladder(stage, sol)
             ladder_steps.clear()
 
+    def test_no_solve_takes_singular_values(self, no_svd, ladder_steps):
+        # A plain solve, two ladder solves that shift a stage and one that
+        # names a hopeless stage.
+        assert not solve_lq_ece(terminal_game([1.0, 2.0])).report.regularization.any()
+        assert not ladder_steps
+        for block in ([[1e5, 1e5], [1e5, 1e5 + 1e-8]], [[1.0, 1.0], [1.0, 1.0]]):
+            sol = solve_lq_ece(handover_game(block))
+            assert np.flatnonzero(sol.report.regularization).tolist() == [3]
+        assert ladder_steps == 2 * list(range(6, 0, -1))
+        with pytest.raises(StageSingularError):
+            solve_lq_ece(handover_game([[1.0, 1e6], [1e6, 1e12]]))
+
     @pytest.mark.parametrize("kappa", [0.9e12, 1.1e12], ids=["below", "above"])
-    def test_stage_at_the_limit(self, kappa, svd_calls, ladder_steps):
+    def test_stage_at_the_limit(self, kappa, no_svd, ladder_steps):
         # Stage t = 4 is diag(1, 1 / kappa), up to the rounding of 1 / kappa - 1
         # + 1; for a 2 x 2 matrix the bound is cond_2 + 1 / cond_2, so the
-        # screen flags it either way and the ladder reruns the whole pass.
-        # Above the limit the ladder shifts the stage by 1e-8.
+        # screen passes the stage below the limit, and above it the ladder
+        # reruns the whole pass and shifts the stage by 1e-8.
         game = handover_game([[1.0, 0.0], [0.0, 1.0 / kappa]])
         sol = solve_lq_ece(game)
         shifted = kappa > COND_LIMIT
-        assert not svd_calls
-        assert ladder_steps == list(range(6, 0, -1))
+        assert ladder_steps == (list(range(6, 0, -1)) if shifted else [])
         assert np.flatnonzero(sol.report.regularization).tolist() == ([3] if shifted else [])
-        exact = np.linalg.cond(sol.report.stage_matrices[3])
-        assert (COND_LIMIT < exact < 1.2e12) if shifted else (0.8e12 < exact <= COND_LIMIT)
+        bound = lq._condition(lq._backward_pass(game)[2][3])
+        assert (COND_LIMIT < bound < 1.2e12) if shifted else (0.8e12 < bound <= COND_LIMIT)
         assert_report_matches_ladder(game, sol)
         assert_close(game)
 
-    def test_bound_over_half_the_limit_takes_exact_conditions(self, svd_calls, ladder_steps):
-        # diag(d, d, 1, 1): cond_2 = d = 0.4e12 is within half the limit, but
-        # the bound 2 (d + 1/d) is not, so the ladder pass decides with the
-        # exact conditions, and no stage is shifted.
-        d = 0.4e12
-        game = terminal_game([d, d, 1.0, 1.0])
+    def test_bound_over_the_limit_shifts_a_stage_under_it(self, no_svd, ladder_steps):
+        # diag(1, 1, e, e) with 1 / e = 0.6e12: cond_2 is under the limit but
+        # the bound, about 2 / e, is over it, so the ladder shifts the stage
+        # by 1e-8.  The two measures differ by at most the factor K = 4.
+        e = 1.0 / 0.6e12
+        game = terminal_game([1.0, 1.0, e, e], horizon=2)
         sol = solve_lq_ece(game)
-        M = sol.report.stage_matrices[-1]
-        assert np.array_equal(M, np.diag([d, d, 1.0, 1.0]))
-        assert np.linalg.cond(M) <= COND_LIMIT / 2 < np.linalg.cond(M, "fro")
-        assert not svd_calls
-        assert ladder_steps == [2, 1]
-        assert not sol.report.regularization.any()
+        assert ladder_steps == [1]
+        assert sol.report.regularization.tolist() == [1e-8]
+        d = np.diagonal(lq._backward_pass(game)[2][0])
+        assert np.allclose(d, [1.0, 1.0, e, e], rtol=1e-3, atol=0.0)
+        assert d.max() / d.min() <= COND_LIMIT < lq._condition(np.diag(d)) <= 4 * d.max() / d.min()
         assert_report_matches_ladder(game, sol)
         assert_close(game)
+
+    def test_large_well_conditioned_stage_passes_unshifted(self, no_svd, ladder_steps):
+        # Entries of 1e200 would overflow ||M||_F; the bound of the scaled
+        # matrix diag(0.5, 1) is 2.5, so the screen passes the stage.
+        game = terminal_game([1e200, 2e200])
+        sol = solve_lq_ece(game)
+        assert not ladder_steps and not sol.report.regularization.any()
+        assert np.array_equal(lq._backward_pass(game)[2][-1], np.diag([1e200, 2e200]))
+        assert sol.report.condition[-1] == pytest.approx(2.5, rel=1e-15)
 
     @pytest.mark.parametrize(
         "M",
@@ -510,9 +527,14 @@ class TestConditionScreen:
         assert lq._condition(np.array(M)) == np.inf
 
     def test_condition_of_a_stack(self):
+        # For a symmetric 2 x 2 matrix the bound is cond_2 + 1 / cond_2, for
+        # any scale, and a matrix gives the same bits alone as in a stack.
         stack = np.stack([np.diag([1.0, 4.0]), np.eye(2), np.diag([1e-3, 2.0])])
-        assert np.array_equal(lq._condition(stack), [4.0, 1.0, 2e3])
-        assert [lq._condition(M) for M in stack] == [4.0, 1.0, 2e3]
+        bounds = lq._condition(stack)
+        assert np.allclose(bounds, [4.25, 2.0, 2000.0005], rtol=1e-15, atol=0.0)
+        assert np.all(bounds >= np.linalg.cond(stack))
+        assert [lq._condition(M) for M in stack] == bounds.tolist()
+        assert np.allclose(lq._condition(1e300 * stack), bounds, rtol=1e-15, atol=0.0)
 
 
 def assert_same_bytes(got, want):
@@ -530,20 +552,29 @@ def converged_stage_game(request, config_dir):
     return ilq.stage_game_around(game, simulate_mean(game, policies))
 
 
+def ladder_pass(game):
+    """The backward pass rerun whole through the ladder, forced by a screen
+    that fails."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lq, "_failed", lambda hist: True)
+        return lq._backward_pass(game)
+
+
 class TestOneStageBody:
     """The pass without the ladder and the pass with it run one stage loop,
-    so they agree byte for byte, and each stage depends on its own data and
-    the next stage's values alone."""
+    so they agree byte for byte, conditions included, and each stage
+    depends on its own data and the next stage's values alone."""
 
+    # The "checked pass" of these names is the rerun through the ladder.
     def test_unchecked_pass_equals_checked_pass(self, converged_stage_game):
         unchecked = lq._backward_pass(converged_stage_game)
-        assert not unchecked[3].any()
-        assert_same_bytes(unchecked, lq._backward_pass(converged_stage_game, checked=True))
+        assert not unchecked[4].any()
+        assert_same_bytes(unchecked, ladder_pass(converged_stage_game))
 
     def test_unchecked_pass_equals_checked_pass_unequal_dims(self):
         data, _ = cross_cost_data(3, (1, 3, 2), 12, 5)
         game = LqStageGame(**data)
-        assert_same_bytes(lq._backward_pass(game), lq._backward_pass(game, checked=True))
+        assert_same_bytes(lq._backward_pass(game), ladder_pass(game))
 
     def test_helpers_equal_the_loop_stage(self, converged_stage_game):
         # Every stage equals, byte for byte, the only interior stage of the
@@ -551,7 +582,7 @@ class TestOneStageBody:
         game = converged_stage_game
         N, n, s = game.num_agents, game.state_dim, game.slices
         R = tuple(tuple(game.R[i][sj, sj] for sj in s) for i in range(N))
-        S_hist, W_hist, stack, _ = lq._backward_pass(game)
+        S_hist, W_hist, stack, condition, _ = lq._backward_pass(game)
         for k in range(game.horizon - 1):
             QL = np.stack([game.QL[:, k], W_hist[:, k + 1]], axis=1)
             two = LqStageGame(
@@ -562,9 +593,12 @@ class TestOneStageBody:
                 R=R,
                 r=tuple(game.r[i][k : k + 2, s[i]] for i in range(N)),
             )
-            S, W, M, shift = lq._backward_pass(two)
+            S, W, M, cond, shift = lq._backward_pass(two)
             assert shift[0] == 0.0
-            assert_same_bytes((S[0], M[0], W[:, 0]), (S_hist[k], stack[k], W_hist[:, k]))
+            assert_same_bytes(
+                (S[0], M[0], W[:, 0], cond[:1]),
+                (S_hist[k], stack[k], W_hist[:, k], condition[k : k + 1]),
+            )
 
 
 @pytest.fixture
@@ -589,12 +623,12 @@ class TestLadderFromFailingStage:
     def test_rerun_equals_full_checked_pass(self, ladder_steps):
         # 60 stages, of which t = 30 has condition about 4e13.
         game = LqStageGame(**handover_data([[1e5, 1e5], [1e5, 1e5 + 1e-8]], horizon=61, stage=29))
-        full = lq._backward_pass(game, checked=True)
+        full = ladder_pass(game)
         ladder_steps.clear()
         rerun = lq._backward_pass(game)
         assert ladder_steps == list(range(60, 0, -1))
-        assert np.flatnonzero(rerun[3]).tolist() == [29]
-        assert 1e13 < np.linalg.cond(rerun[2][29]) < 1e14
+        assert np.flatnonzero(rerun[4]).tolist() == [29]
+        assert 1e13 < lq._condition(rerun[2][29]) < 1e14
         assert_same_bytes(rerun, full)
 
     def test_failed_solve_behind_ill_conditioned_stage(self, ladder_steps):
@@ -607,11 +641,11 @@ class TestLadderFromFailingStage:
             for x, y in zip(data[name], singular[name]):
                 x[9:11] = y[9:11]
         game = LqStageGame(**data)
-        full = lq._backward_pass(game, checked=True)
+        full = ladder_pass(game)
         ladder_steps.clear()
         rerun = lq._backward_pass(game)
         assert ladder_steps == list(range(60, 0, -1))
-        assert np.flatnonzero(rerun[3]).tolist() == [9, 29]
+        assert np.flatnonzero(rerun[4]).tolist() == [9, 29]
         assert_same_bytes(rerun, full)
         assert_close(game)
 
@@ -620,6 +654,6 @@ class TestLadderFromFailingStage:
         with pytest.raises(StageSingularError) as got:
             solve_lq_ece(game)
         with pytest.raises(StageSingularError) as full:
-            lq._backward_pass(game, checked=True)
+            ladder_pass(game)
         assert got.value.time_step == full.value.time_step == 30
         assert str(got.value) == str(full.value)
